@@ -11,7 +11,7 @@ let correctness () =
   let ok = ref 0 in
   for _ = 1 to trials do
     let t = Gen.random_tree g (4 + Prng.int g 8) in
-    let f = Genfunc.size_distribution t in
+    let f = Genfunc.size_distribution (Db.arena (Db.create t)) in
     let worlds = Worlds.enumerate t in
     let good = ref true in
     for size = 0 to Poly1.degree f do

@@ -10,12 +10,13 @@ module Gen = Consensus_workload.Gen
 let rank_dist_untruncated db l ~k =
   (* Same computation as Marginals.rank_dist_alt but with full-degree
      polynomials: the ablation baseline. *)
-  let s = (Db.alt db l).Db.value in
+  let a = Db.arena db in
+  let value = a.Arena.leaf_value in
   let f =
     Genfunc.bipoly ?trunc:None
-      (fun (i, (a : Db.alt)) ->
-        if i = l then Bipoly.y else if a.Db.value > s then Bipoly.x else Bipoly.one)
-      (Tree.indexed (Db.tree db))
+      (fun i ->
+        if i = l then Bipoly.y else if value.(i) > value.(l) then Bipoly.x else Bipoly.one)
+      a
   in
   Array.init k (fun j -> Poly1.coeff f.Bipoly.b j)
 

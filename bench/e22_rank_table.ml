@@ -19,7 +19,7 @@ let run () =
       else Gen.bid_db ~max_alts:3 ~forced_fraction:0.5 g (3 + Prng.int g 6)
     in
     let k = 1 + Prng.int g 5 in
-    let fast = Marginals.rank_table_fast db ~k in
+    let fast = Marginals.rank_table db ~k in
     let agree =
       List.for_all
         (fun (key, dist) ->
@@ -51,7 +51,7 @@ let run () =
         else None
       in
       let t_fast =
-        Harness.time_only (fun () -> ignore (Marginals.rank_table_fast db ~k))
+        Harness.time_only (fun () -> ignore (Marginals.rank_table db ~k))
       in
       Harness.Tables.add_row table
         [
@@ -72,4 +72,4 @@ let run () =
   let g2 = Prng.create ~seed:2202 () in
   let db = Gen.bid_db g2 (if !Harness.quick then 500 else 2000) in
   Harness.register_bench ~name:"e22/rank_table_sweep" (fun () ->
-      ignore (Marginals.rank_table_fast db ~k:10))
+      ignore (Marginals.rank_table db ~k:10))

@@ -4,14 +4,14 @@
    1. load: [Sexp_io.db_of_string] (pointer tree, then flattened) vs the
       streaming [Sexp_io.db_of_channel] (chunked reader straight into
       [Arena.Builder] — no token list, no intermediate tree);
-   2. the O(nk) rank-table sweep: the retired immutable-[Poly1] sweep
-      ([Marginals.rank_table_fast_tree]) vs the flat-buffer sweep
-      ([Marginals.rank_table_fast]);
+   2. the O(nk) rank-table sweep: the flat-buffer kernel
+      ([Marginals.rank_table_dense]) and the list API on top of it
+      ([Marginals.rank_table]);
    3. minor-heap words allocated by each, via [Gc.minor_words].
 
    The BID workload keeps every block's mass at 0.7 so the sweep's
    divide-out stays well-conditioned (the fallback path is correctness-
-   covered by E22 and the fuzz parity layer; here we want the steady-state
+   covered by E22 and the fuzz oracle; here we want the steady-state
    cost).  Results go to BENCH_ARENA.json. *)
 
 open Consensus_anxor
@@ -62,10 +62,8 @@ type row = {
   load_tree_w : float;
   load_stream_s : float;
   load_stream_w : float;
-  rank_tree_s : float;
-  rank_tree_w : float;
-  rank_arena_s : float;
-  rank_arena_w : float;
+  rank_list_s : float;
+  rank_list_w : float;
   rank_dense_s : float;
   rank_dense_w : float;
 }
@@ -87,36 +85,20 @@ let run_size n =
   in
   assert (Db.num_alts db = Db.num_alts db_tree);
   let k = 10 in
-  let r_tree, rank_tree_s, rank_tree_w =
-    measure (fun () -> Marginals.rank_table_fast_tree db ~k)
-  in
-  let r_arena, rank_arena_s, rank_arena_w =
-    measure (fun () -> Marginals.rank_table_fast db ~k)
+  let _, rank_list_s, rank_list_w =
+    measure (fun () -> Marginals.rank_table db ~k)
   in
   let _, rank_dense_s, rank_dense_w =
     measure (fun () -> Marginals.rank_table_dense db ~k)
   in
-  (* referee: both sweeps agree on a sample of keys *)
-  List.iteri
-    (fun i ((key, dt), (key', da)) ->
-      assert (key = key');
-      if i mod 997 = 0 then
-        Array.iteri
-          (fun j v ->
-            if not (Consensus_util.Fcmp.approx ~eps:1e-9 v da.(j)) then
-              failwith (Printf.sprintf "sweep mismatch at key %d rank %d" key j))
-          dt)
-    (List.combine r_tree r_arena);
   {
     n;
     load_tree_s;
     load_tree_w;
     load_stream_s;
     load_stream_w;
-    rank_tree_s;
-    rank_tree_w;
-    rank_arena_s;
-    rank_arena_w;
+    rank_list_s;
+    rank_list_w;
     rank_dense_s;
     rank_dense_w;
   }
@@ -156,13 +138,10 @@ let run () =
     Harness.Tables.create ~title:"O(nk) rank-table sweep, k = 10"
       [
         ("n alternatives", Harness.Tables.Right);
-        ("immutable sweep (ms)", Harness.Tables.Right);
-        ("minor words", Harness.Tables.Right);
         ("list API (ms)", Harness.Tables.Right);
+        ("minor words", Harness.Tables.Right);
         ("dense kernel (ms)", Harness.Tables.Right);
         ("minor words", Harness.Tables.Right);
-        ("speedup", Harness.Tables.Right);
-        ("alloc drop", Harness.Tables.Right);
       ]
   in
   List.iter
@@ -170,19 +149,16 @@ let run () =
       Harness.Tables.add_row rank_table
         [
           string_of_int r.n;
-          Harness.ms r.rank_tree_s;
-          mwords r.rank_tree_w;
-          Harness.ms r.rank_arena_s;
+          Harness.ms r.rank_list_s;
+          mwords r.rank_list_w;
           Harness.ms r.rank_dense_s;
           mwords r.rank_dense_w;
-          Printf.sprintf "%.1fx" (r.rank_tree_s /. Float.max 1e-9 r.rank_dense_s);
-          Printf.sprintf "%.1fx" (r.rank_tree_w /. Float.max 1. r.rank_dense_w);
         ])
     rows;
   Harness.Tables.print rank_table;
   Harness.note
-    "the flat-buffer sweep's residual allocation is the result itself (one\n\
-     k-array per key); the sweep loop proper allocates nothing.  The\n\
+    "the list API's residual allocation is the result itself (one k-array\n\
+     per key); the dense kernel's sweep loop allocates nothing.  The\n\
      streaming loader's words/leaf figure is the whole budget per tuple —\n\
      the old tokenizer materialized hundreds of words of token list per\n\
      tuple before building anything.";
@@ -204,18 +180,10 @@ let run () =
                      ("load_tree_minor_words", Json.Float r.load_tree_w);
                      ("load_stream_s", Json.Float r.load_stream_s);
                      ("load_stream_minor_words", Json.Float r.load_stream_w);
-                     ("rank_table_tree_s", Json.Float r.rank_tree_s);
-                     ("rank_table_tree_minor_words", Json.Float r.rank_tree_w);
-                     ("rank_table_list_s", Json.Float r.rank_arena_s);
-                     ("rank_table_list_minor_words", Json.Float r.rank_arena_w);
+                     ("rank_table_list_s", Json.Float r.rank_list_s);
+                     ("rank_table_list_minor_words", Json.Float r.rank_list_w);
                      ("rank_table_dense_s", Json.Float r.rank_dense_s);
                      ("rank_table_dense_minor_words", Json.Float r.rank_dense_w);
-                     ( "rank_speedup",
-                       Json.Float (r.rank_tree_s /. Float.max 1e-9 r.rank_dense_s)
-                     );
-                     ( "rank_alloc_drop",
-                       Json.Float (r.rank_tree_w /. Float.max 1. r.rank_dense_w)
-                     );
                    ])
                rows) );
       ]
@@ -228,4 +196,4 @@ let run () =
   let g = Consensus_util.Prng.create ~seed:2901 () in
   let db = Consensus_workload.Gen.bid_db g (if !Harness.quick then 500 else 2000) in
   Harness.register_bench ~name:"e29/rank_table_flat_buffers" (fun () ->
-      ignore (Marginals.rank_table_fast db ~k:10))
+      ignore (Marginals.rank_table db ~k:10))

@@ -18,10 +18,10 @@ let () =
       ]
   in
   Format.printf "tree: %a@." Db.pp db;
-  let block ps = Tree.xor (List.map (fun p -> (p, Tree.leaf ())) ps) in
+  let block ps = Db.bid [ (1, List.map (fun p -> (p, 0.)) ps) ] in
   List.iter
     (fun (label, ps) ->
-      let f = Genfunc.univariate (fun () -> Poly1.x) (block ps) in
+      let f = Genfunc.univariate (fun _ -> Poly1.x) (Db.arena (block ps)) in
       Printf.printf "  block %s generating function: %s\n" label (Poly1.to_string f))
     [ ("t1", [ 0.1; 0.5 ]); ("t2", [ 0.4; 0.4 ]); ("t3", [ 0.2; 0.8 ]); ("t4", [ 0.5; 0.5 ]) ];
   let f = Marginals.size_distribution db in
@@ -53,11 +53,12 @@ let () =
      leaf (t3,6), x on every leaf with score > 6. *)
   let f =
     Genfunc.bivariate
-      (fun (a : Db.alt) ->
+      (fun l ->
+        let a = Db.alt db3 l in
         if a.key = 3 && a.value = 6. then Poly2.y
         else if a.value > 6. then Poly2.x
         else Poly2.one)
-      (Db.tree db3)
+      (Db.arena db3)
   in
   Printf.printf "\ngenerating function with y on (t3,6), x on higher scores\n";
   Printf.printf "(paper: 0.3y + 0.3x^2 + 0.4x):\n  %s\n" (Poly2.to_string f);

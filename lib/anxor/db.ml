@@ -2,11 +2,10 @@ type alt = { key : int; value : float }
 
 type t = {
   arena : Arena.t;
-  (* Pointer-tree views, materialized on demand: the arena is the canonical
+  (* Pointer-tree view, materialized on demand: the arena is the canonical
      representation, and the streaming loader never builds a tree at all.
      [create] seeds [tree_v] with the caller's tree for free. *)
   tree_v : alt Tree.t Lazy.t;
-  itree_v : int Tree.t Lazy.t;
   alts : alt array;
   keys : int array;
   alts_of_key : (int, int list) Hashtbl.t;
@@ -56,14 +55,7 @@ let of_arena_internal ?(check = true) ~tree_v arena =
   in
   let marginals = Arena.marginals arena in
   let paths = Arena.leaf_paths arena in
-  let itree_v =
-    lazy
-      (let counter = ref (-1) in
-       Arena.to_tree arena ~leaf:(fun ~key:_ ~value:_ ->
-           incr counter;
-           !counter))
-  in
-  { arena; tree_v; itree_v; alts; keys; alts_of_key; marginals; paths; digest = None }
+  { arena; tree_v; alts; keys; alts_of_key; marginals; paths; digest = None }
 
 let of_arena ?check arena =
   let tree_v = lazy (Arena.to_tree arena ~leaf:(fun ~key ~value -> { key; value })) in
@@ -87,7 +79,6 @@ let bid blocks =
 
 let arena db = db.arena
 let tree db = force_shared db.tree_v
-let itree db = force_shared db.itree_v
 let num_alts db = Array.length db.alts
 let num_keys db = Array.length db.keys
 let keys db = Array.copy db.keys

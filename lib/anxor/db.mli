@@ -21,7 +21,7 @@ val create : ?check:bool -> alt Tree.t -> t
 
 val of_arena : ?check:bool -> Arena.t -> t
 (** Wrap an arena (e.g. from [Sexp_io.parse_stream]) without ever building a
-    pointer tree; {!tree}/{!itree} materialize one lazily if asked. *)
+    pointer tree; {!tree} materializes one lazily if asked. *)
 
 val independent : (int * float * float) list -> t
 (** [independent [(key, value, prob); ...]] — tuple-independent database. *)
@@ -34,10 +34,10 @@ val arena : t -> Arena.t
 (** The flat arena the kernels evaluate over. *)
 
 val tree : t -> alt Tree.t
-val itree : t -> int Tree.t
-(** The same tree with leaves replaced by their depth-first indices.  Both
-    tree views are materialized from the arena on first use (and memoized);
-    safe to call from pool workers. *)
+(** The pointer-tree view, for construction, rewrites and the enumeration
+    oracles; the kernels run on {!arena}.  Materialized from the arena on
+    first use (and memoized); safe to call from pool workers.  Leaf order
+    is the depth-first leaf index order ([Tree.index]). *)
 
 val num_alts : t -> int
 (** Number of leaves (alternatives). *)

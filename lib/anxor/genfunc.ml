@@ -26,88 +26,20 @@ let gf_seconds =
     "anxor_genfunc_seconds"
 
 (* Explicit evaluation frames: the post-order walk keeps its state on the
-   heap, so arbitrarily deep trees evaluate without touching the OCaml stack
-   (the recursive predecessor overflowed around depth 10^5).  Fold order is
-   identical to the old recursion — left-to-right [mul] under [And],
-   left-to-right [add]/[scale] seeded with the residual under [Xor] — so
-   results are bit-identical. *)
-type ('a, 'p) frame =
-  | Fand of { mutable and_rest : 'a Tree.t list; mutable and_acc : 'p }
-  | Fxor of {
-      mutable xor_rest : (float * 'a Tree.t) list;
-      mutable xor_cur : float;  (** edge probability of the child in flight *)
-      mutable xor_acc : 'p;
-    }
-
-let eval_tree ops s t =
-  Obs.Counter.incr gf_evals;
-  Obs.Histogram.time gf_seconds @@ fun () ->
-  (* The shape attributes cost two extra traversals, but the closure only
-     runs when tracing is on — the disabled path stays branch-and-go. *)
-  Obs.with_span
-    ~attrs:(fun () ->
-      [
-        ("leaves", Obs.Int (Tree.num_leaves t));
-        ("nodes", Obs.Int (Tree.num_nodes t));
-        ("depth", Obs.Int (Tree.depth t));
-      ])
-    "anxor.genfunc.eval"
-  @@ fun () ->
-  let result = ref None in
-  let stack = ref [] in
-  let deliver v =
-    match !stack with
-    | [] -> result := Some v
-    | Fand f :: _ -> f.and_acc <- ops.mul f.and_acc v
-    | Fxor f :: _ -> f.xor_acc <- ops.add f.xor_acc (ops.scale f.xor_cur v)
-  in
-  let enter t =
-    Obs.Counter.incr gf_nodes;
-    match (t : _ Tree.t) with
-    | Tree.Leaf a -> deliver (s a)
-    | Tree.And cs -> stack := Fand { and_rest = cs; and_acc = ops.one } :: !stack
-    | Tree.Xor es ->
-        let total = List.fold_left (fun acc (p, _) -> acc +. p) 0. es in
-        stack :=
-          Fxor { xor_rest = es; xor_cur = 0.; xor_acc = ops.const (1. -. total) }
-          :: !stack
-  in
-  enter t;
-  while !result = None do
-    match !stack with
-    | [] -> assert false
-    | Fand f :: rest -> (
-        match f.and_rest with
-        | c :: cs ->
-            f.and_rest <- cs;
-            enter c
-        | [] ->
-            stack := rest;
-            deliver f.and_acc)
-    | Fxor f :: rest -> (
-        match f.xor_rest with
-        | (p, c) :: cs ->
-            f.xor_cur <- p;
-            f.xor_rest <- cs;
-            enter c
-        | [] ->
-            stack := rest;
-            deliver f.xor_acc)
-  done;
-  Option.get !result
-
-(* The same machine over the flat arena: frames are a single mutable record
-   (the node id tells us the kind), children come from the CSR range, and the
-   leaf callback receives the depth-first leaf index.  Visit order matches
-   [eval_tree] on the equivalent [Tree.t] exactly. *)
-type 'p aframe = {
-  anode : int;
-  mutable anext : int;  (** next child position to visit *)
-  mutable acur : float;  (** xor edge probability of the child in flight *)
-  mutable aacc : 'p;
+   heap, so arbitrarily deep trees (10^5 levels and beyond) evaluate without
+   touching the OCaml stack.  A frame is a
+   single mutable record (the node id tells us the kind), children come from
+   the CSR range, and the leaf callback receives the depth-first leaf
+   index.  Fold order is left-to-right [mul] under [And], left-to-right
+   [add]/[scale] seeded with the residual under [Xor]. *)
+type 'p frame = {
+  node : int;
+  mutable next : int;  (** next child position to visit *)
+  mutable cur : float;  (** xor edge probability of the child in flight *)
+  mutable acc : 'p;
 }
 
-let eval_arena ops s (a : Arena.t) =
+let eval ops s (a : Arena.t) =
   Obs.Counter.incr gf_evals;
   Obs.Histogram.time gf_seconds @@ fun () ->
   Obs.with_span
@@ -116,7 +48,6 @@ let eval_arena ops s (a : Arena.t) =
         ("leaves", Obs.Int (Arena.num_leaves a));
         ("nodes", Obs.Int (Arena.num_nodes a));
         ("depth", Obs.Int (Arena.depth a));
-        ("impl", Obs.Str "arena");
       ])
     "anxor.genfunc.eval"
   @@ fun () ->
@@ -126,16 +57,16 @@ let eval_arena ops s (a : Arena.t) =
     match !stack with
     | [] -> result := Some v
     | f :: _ ->
-        if Char.code (Bytes.unsafe_get a.kinds f.anode) = Arena.kind_and then
-          f.aacc <- ops.mul f.aacc v
-        else f.aacc <- ops.add f.aacc (ops.scale f.acur v)
+        if Char.code (Bytes.unsafe_get a.kinds f.node) = Arena.kind_and then
+          f.acc <- ops.mul f.acc v
+        else f.acc <- ops.add f.acc (ops.scale f.cur v)
   in
   let enter n =
     Obs.Counter.incr gf_nodes;
     let k = Char.code (Bytes.unsafe_get a.kinds n) in
     if k = Arena.kind_leaf then deliver (s a.leaf_ix.(n))
     else if k = Arena.kind_and then
-      stack := { anode = n; anext = 0; acur = 0.; aacc = ops.one } :: !stack
+      stack := { node = n; next = 0; cur = 0.; acc = ops.one } :: !stack
     else begin
       let start = a.child_start.(n) and count = a.child_count.(n) in
       let total = ref 0. in
@@ -143,7 +74,7 @@ let eval_arena ops s (a : Arena.t) =
         total := !total +. a.eprob.(a.children.(i))
       done;
       stack :=
-        { anode = n; anext = 0; acur = 0.; aacc = ops.const (1. -. !total) }
+        { node = n; next = 0; cur = 0.; acc = ops.const (1. -. !total) }
         :: !stack
     end
   in
@@ -152,35 +83,35 @@ let eval_arena ops s (a : Arena.t) =
     match !stack with
     | [] -> assert false
     | f :: rest ->
-        let n = f.anode in
-        if f.anext < a.child_count.(n) then begin
-          let c = a.children.(a.child_start.(n) + f.anext) in
-          f.anext <- f.anext + 1;
+        let n = f.node in
+        if f.next < a.child_count.(n) then begin
+          let c = a.children.(a.child_start.(n) + f.next) in
+          f.next <- f.next + 1;
           if Char.code (Bytes.unsafe_get a.kinds n) = Arena.kind_xor then
-            f.acur <- a.eprob.(c);
+            f.cur <- a.eprob.(c);
           enter c
         end
         else begin
           stack := rest;
-          deliver f.aacc
+          deliver f.acc
         end
   done;
   Option.get !result
 
-let univariate ?trunc s t =
+let univariate ?trunc s a =
   let mul =
     match trunc with None -> Poly1.mul | Some d -> Poly1.mul_trunc d
   in
-  eval_tree
+  eval
     { const = Poly1.const; add = Poly1.add; mul; scale = Poly1.scale; one = Poly1.one }
-    s t
+    s a
 
-let size_distribution t = univariate (fun _ -> Poly1.x) t
+let size_distribution a = univariate (fun _ -> Poly1.x) a
 
-let subset_size_distribution mem t =
-  univariate (fun a -> if mem a then Poly1.x else Poly1.one) t
+let subset_size_distribution mem a =
+  univariate (fun i -> if mem i then Poly1.x else Poly1.one) a
 
-let bivariate ?trunc_x ?trunc_y s t =
+let bivariate ?trunc_x ?trunc_y s a =
   let mul =
     match (trunc_x, trunc_y) with
     | None, None -> Poly2.mul
@@ -189,74 +120,12 @@ let bivariate ?trunc_x ?trunc_y s t =
         let dy = Option.value dy ~default:max_int in
         Poly2.mul_trunc dx dy
   in
-  eval_tree
-    { const = Poly2.const; add = Poly2.add; mul; scale = Poly2.scale; one = Poly2.one }
-    s t
-
-let bipoly ?trunc s t =
-  eval_tree
-    {
-      const = Bipoly.const;
-      add = Bipoly.add;
-      mul = Bipoly.mul ?trunc;
-      scale = Bipoly.scale;
-      one = Bipoly.one;
-    }
-    s t
-
-let quadpoly ?trunc s t =
-  eval_tree
-    {
-      const = Quadpoly.const;
-      add = Quadpoly.add;
-      mul = Quadpoly.mul ?trunc;
-      scale = Quadpoly.scale;
-      one = Quadpoly.one;
-    }
-    s t
-
-let mpoly ?max_degree s t =
-  let mul =
-    match max_degree with
-    | None -> Mpoly.mul
-    | Some d -> Mpoly.mul_trunc ~max_degree:d
-  in
-  eval_tree
-    { const = Mpoly.const; add = Mpoly.add; mul; scale = Mpoly.scale; one = Mpoly.one }
-    s t
-
-(* Arena twins of the engines above.  The leaf callback receives the
-   depth-first leaf index; keys and values live in [Arena.leaf_key] /
-   [Arena.leaf_value]. *)
-
-let univariate_arena ?trunc s a =
-  let mul =
-    match trunc with None -> Poly1.mul | Some d -> Poly1.mul_trunc d
-  in
-  eval_arena
-    { const = Poly1.const; add = Poly1.add; mul; scale = Poly1.scale; one = Poly1.one }
-    s a
-
-let size_distribution_arena a = univariate_arena (fun _ -> Poly1.x) a
-
-let subset_size_distribution_arena mem a =
-  univariate_arena (fun i -> if mem i then Poly1.x else Poly1.one) a
-
-let bivariate_arena ?trunc_x ?trunc_y s a =
-  let mul =
-    match (trunc_x, trunc_y) with
-    | None, None -> Poly2.mul
-    | dx, dy ->
-        let dx = Option.value dx ~default:max_int in
-        let dy = Option.value dy ~default:max_int in
-        Poly2.mul_trunc dx dy
-  in
-  eval_arena
+  eval
     { const = Poly2.const; add = Poly2.add; mul; scale = Poly2.scale; one = Poly2.one }
     s a
 
-let bipoly_arena ?trunc s a =
-  eval_arena
+let bipoly ?trunc s a =
+  eval
     {
       const = Bipoly.const;
       add = Bipoly.add;
@@ -266,8 +135,8 @@ let bipoly_arena ?trunc s a =
     }
     s a
 
-let quadpoly_arena ?trunc s a =
-  eval_arena
+let quadpoly ?trunc s a =
+  eval
     {
       const = Quadpoly.const;
       add = Quadpoly.add;
@@ -277,12 +146,12 @@ let quadpoly_arena ?trunc s a =
     }
     s a
 
-let mpoly_arena ?max_degree s a =
+let mpoly ?max_degree s a =
   let mul =
     match max_degree with
     | None -> Mpoly.mul
     | Some d -> Mpoly.mul_trunc ~max_degree:d
   in
-  eval_arena
+  eval
     { const = Mpoly.const; add = Mpoly.add; mul; scale = Mpoly.scale; one = Mpoly.one }
     s a

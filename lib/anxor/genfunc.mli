@@ -1,7 +1,7 @@
 (** Generating functions on and/xor trees (paper §3.3, Theorem 1).
 
-    Every engine evaluates the same recursion over a tree [T] with a leaf
-    assignment [s]:
+    Every engine evaluates the same recursion over the flat {!Arena.t} of a
+    tree [T] with a leaf assignment [s]:
 
     - leaf [l]     → [s l]
     - xor node     → [(1 - Σ p_i) + Σ p_i · F_i]
@@ -10,42 +10,13 @@
     in a polynomial semiring chosen per use-case.  By Theorem 1, the
     coefficient of a monomial [Π x_j^{i_j}] in the result is the probability
     that the possible world contains exactly [i_j] leaves assigned [x_j], for
-    every [j]. *)
+    every [j].
 
-val univariate : ?trunc:int -> ('a -> Consensus_poly.Poly1.t) -> 'a Tree.t -> Consensus_poly.Poly1.t
-(** Generating function with one variable.  [trunc] caps the degree of all
-    intermediate products.  With [s = fun _ -> Poly1.x] the coefficient of
-    [x^i] is [Pr(|pw| = i)] (Example 1). *)
-
-val size_distribution : 'a Tree.t -> Consensus_poly.Poly1.t
-(** Distribution of the possible-world size: Example 1 of the paper. *)
-
-val subset_size_distribution : ('a -> bool) -> 'a Tree.t -> Consensus_poly.Poly1.t
-(** [subset_size_distribution mem t]: coefficient [i] is
-    [Pr(|pw ∩ S| = i)] for [S] the leaves satisfying [mem] (Example 2). *)
-
-val bivariate : ?trunc_x:int -> ?trunc_y:int -> ('a -> Consensus_poly.Poly2.t) -> 'a Tree.t -> Consensus_poly.Poly2.t
-(** Two-variable engine (dense); used for the Jaccard computations (§4.2). *)
-
-val bipoly : ?trunc:int -> ('a -> Consensus_poly.Bipoly.t) -> 'a Tree.t -> Consensus_poly.Bipoly.t
-(** Engine for functions linear in a second variable [y]; the O(nk)
-    rank-distribution workhorse (Example 3). *)
-
-val quadpoly : ?trunc:int -> ('a -> Consensus_poly.Quadpoly.t) -> 'a Tree.t -> Consensus_poly.Quadpoly.t
-(** Engine multilinear in two extra variables [y], [z]; joint top-k
-    membership (§5.5). *)
-
-val mpoly : ?max_degree:int -> ('a -> Consensus_poly.Mpoly.t) -> 'a Tree.t -> Consensus_poly.Mpoly.t
-(** Fully general sparse engine for a constant number of variables. *)
-
-(** {1 Arena engines}
-
-    The same recursion evaluated over the flat {!Arena.t} with an explicit
-    heap worklist: no OCaml-stack recursion, no per-node closure, no pointer
-    chasing.  The leaf callback receives the depth-first leaf index (the same
-    numbering as [Tree.index] and [Arena.leaf_key]/[Arena.leaf_value]).
-    Visit and fold order match the tree engines exactly, so on equivalent
-    inputs the results are bit-identical. *)
+    The walk keeps its frames on the heap (no OCaml-stack recursion, so
+    arbitrarily deep trees evaluate) and folds children left to right:
+    [mul] under [And], [add]/[scale] seeded with the residual under [Xor].
+    The leaf callback receives the depth-first leaf index, the numbering of
+    [Tree.index] and [Arena.leaf_key]/[Arena.leaf_value]. *)
 
 type 'p ops = {
   const : float -> 'p;
@@ -54,14 +25,33 @@ type 'p ops = {
   scale : float -> 'p -> 'p;
   one : 'p;
 }
-(** A polynomial semiring; pass a custom one to {!eval_arena}. *)
+(** A polynomial semiring; pass a custom one to {!eval}. *)
 
-val eval_arena : 'p ops -> (int -> 'p) -> Arena.t -> 'p
+val eval : 'p ops -> (int -> 'p) -> Arena.t -> 'p
 
-val univariate_arena : ?trunc:int -> (int -> Consensus_poly.Poly1.t) -> Arena.t -> Consensus_poly.Poly1.t
-val size_distribution_arena : Arena.t -> Consensus_poly.Poly1.t
-val subset_size_distribution_arena : (int -> bool) -> Arena.t -> Consensus_poly.Poly1.t
-val bivariate_arena : ?trunc_x:int -> ?trunc_y:int -> (int -> Consensus_poly.Poly2.t) -> Arena.t -> Consensus_poly.Poly2.t
-val bipoly_arena : ?trunc:int -> (int -> Consensus_poly.Bipoly.t) -> Arena.t -> Consensus_poly.Bipoly.t
-val quadpoly_arena : ?trunc:int -> (int -> Consensus_poly.Quadpoly.t) -> Arena.t -> Consensus_poly.Quadpoly.t
-val mpoly_arena : ?max_degree:int -> (int -> Consensus_poly.Mpoly.t) -> Arena.t -> Consensus_poly.Mpoly.t
+val univariate : ?trunc:int -> (int -> Consensus_poly.Poly1.t) -> Arena.t -> Consensus_poly.Poly1.t
+(** Generating function with one variable.  [trunc] caps the degree of all
+    intermediate products.  With [s = fun _ -> Poly1.x] the coefficient of
+    [x^i] is [Pr(|pw| = i)] (Example 1). *)
+
+val size_distribution : Arena.t -> Consensus_poly.Poly1.t
+(** Distribution of the possible-world size: Example 1 of the paper. *)
+
+val subset_size_distribution : (int -> bool) -> Arena.t -> Consensus_poly.Poly1.t
+(** [subset_size_distribution mem a]: coefficient [i] is
+    [Pr(|pw ∩ S| = i)] for [S] the leaf indices satisfying [mem]
+    (Example 2). *)
+
+val bivariate : ?trunc_x:int -> ?trunc_y:int -> (int -> Consensus_poly.Poly2.t) -> Arena.t -> Consensus_poly.Poly2.t
+(** Two-variable engine (dense); used for the Jaccard computations (§4.2). *)
+
+val bipoly : ?trunc:int -> (int -> Consensus_poly.Bipoly.t) -> Arena.t -> Consensus_poly.Bipoly.t
+(** Engine for functions linear in a second variable [y]; the O(nk)
+    rank-distribution workhorse (Example 3). *)
+
+val quadpoly : ?trunc:int -> (int -> Consensus_poly.Quadpoly.t) -> Arena.t -> Consensus_poly.Quadpoly.t
+(** Engine multilinear in two extra variables [y], [z]; joint top-k
+    membership (§5.5). *)
+
+val mpoly : ?max_degree:int -> (int -> Consensus_poly.Mpoly.t) -> Arena.t -> Consensus_poly.Mpoly.t
+(** Fully general sparse engine for a constant number of variables. *)

@@ -8,7 +8,7 @@ let rank_dist_seconds =
     ~help:"Wall time of one per-alternative rank-distribution computation"
     "anxor_rank_dist_seconds"
 
-let size_distribution db = Genfunc.size_distribution_arena (Db.arena db)
+let size_distribution db = Genfunc.size_distribution (Db.arena db)
 
 (* Generating function linear in y with y on leaf [l] and x on every leaf of
    strictly larger value: the coefficient of [x^{j-1} y] is
@@ -18,23 +18,12 @@ let size_distribution db = Genfunc.size_distribution_arena (Db.arena db)
 let rank_bipoly db l ~trunc =
   let a = Db.arena db in
   let s = a.Arena.leaf_value.(l) in
-  Genfunc.bipoly_arena ?trunc
+  Genfunc.bipoly ?trunc
     (fun i ->
       if i = l then Bipoly.y
       else if a.Arena.leaf_value.(i) > s then Bipoly.x
       else Bipoly.one)
     a
-
-(* The tree-walking predecessor, kept as the differential baseline for the
-   fuzz parity layer and the E29 benchmark. *)
-let rank_bipoly_tree db l ~trunc =
-  let s = (Db.alt db l).value in
-  Genfunc.bipoly ?trunc
-    (fun (i, (a : Db.alt)) ->
-      if i = l then Bipoly.y
-      else if a.value > s then Bipoly.x
-      else Bipoly.one)
-    (Tree.indexed (Db.tree db))
 
 (* ---------- allocation-free bipoly kernel over the arena ----------
 
@@ -180,12 +169,6 @@ let rank_dist_alt db l ~k =
   rank_dist_alt_into ws (Db.arena db) l dst;
   dst
 
-let rank_dist_alt_tree db l ~k =
-  if k <= 0 then invalid_arg "Marginals.rank_dist_alt: k must be positive";
-  Obs.Histogram.time rank_dist_seconds @@ fun () ->
-  let f = rank_bipoly_tree db l ~trunc:(Some (k - 1)) in
-  Array.init k (fun j -> Poly1.coeff f.Bipoly.b j)
-
 let full_rank_dist_alt db l =
   let f = rank_bipoly db l ~trunc:None in
   Array.init (Db.num_alts db) (fun m -> Poly1.coeff f.Bipoly.b m)
@@ -313,13 +296,13 @@ let sort_by_value_desc (value : float array) (order : int array) =
   else qsort 0 (n - 1)
 
 let rank_table_dense db ~k =
-  if k <= 0 then invalid_arg "Marginals.rank_table_fast: k must be positive";
+  if k <= 0 then invalid_arg "Marginals.rank_table_dense: k must be positive";
   let module B = Poly1.Buf in
   let blocks =
     match Db.xor_blocks db with
     | Some b -> b
     | None ->
-        invalid_arg "Marginals.rank_table_fast: requires a BID-shaped database"
+        invalid_arg "Marginals.rank_table_dense: requires a BID-shaped database"
   in
   let arena = Db.arena db in
   let n = Db.num_alts db in
@@ -413,69 +396,6 @@ let rank_table_dense db ~k =
   done;
   (keys, dense)
 
-let rank_table_fast db ~k =
-  let keys, dense = rank_table_dense db ~k in
-  Array.to_list keys
-  |> List.mapi (fun r key -> (key, Array.sub dense (r * k) k))
-
-(* The allocating Poly1 sweep this replaced; kept as the E29 baseline and a
-   differential referee for the fuzz parity layer. *)
-let rank_table_fast_tree db ~k =
-  if k <= 0 then invalid_arg "Marginals.rank_table_fast: k must be positive";
-  let blocks =
-    match Db.xor_blocks db with
-    | Some b -> b
-    | None ->
-        invalid_arg "Marginals.rank_table_fast: requires a BID-shaped database"
-  in
-  let n = Db.num_alts db in
-  let order = Array.init n Fun.id in
-  Array.sort
-    (fun a b -> Float.compare (Db.alt db b).Db.value (Db.alt db a).Db.value)
-    order;
-  let mass : (int, float) Hashtbl.t = Hashtbl.create 64 in
-  let f = ref Poly1.one in
-  let trunc = k - 1 in
-  let recompute_excluding skip_block =
-    Hashtbl.fold
-      (fun block m acc ->
-        if block = skip_block || m <= 0. then acc
-        else Poly1.mul_trunc trunc acc (Poly1.of_coeffs [| 1. -. m; m |]))
-      mass Poly1.one
-  in
-  let dists : (int, float array) Hashtbl.t = Hashtbl.create 64 in
-  Array.iter
-    (fun l ->
-      let a = Db.alt db l in
-      let block = blocks.(l) in
-      let p = Db.marginal db l in
-      let m = Option.value (Hashtbl.find_opt mass block) ~default:0. in
-      let f_excl =
-        if m <= 0. then !f
-        else if 1. -. m >= 0.25 then
-          Poly1.divide_linear ~trunc !f ~c0:(1. -. m) ~c1:m
-        else recompute_excluding block
-      in
-      let dist =
-        match Hashtbl.find_opt dists a.Db.key with
-        | Some d -> d
-        | None ->
-            let d = Array.make k 0. in
-            Hashtbl.add dists a.Db.key d;
-            d
-      in
-      for j = 1 to k do
-        dist.(j - 1) <- dist.(j - 1) +. (p *. Poly1.coeff f_excl (j - 1))
-      done;
-      let m' = m +. p in
-      Hashtbl.replace mass block m';
-      f := Poly1.mul_trunc trunc f_excl (Poly1.of_coeffs [| 1. -. m'; m' |]))
-    order;
-  Db.keys db |> Array.to_list
-  |> List.map (fun key ->
-         ( key,
-           Option.value (Hashtbl.find_opt dists key) ~default:(Array.make k 0.) ))
-
 let rank_table ?pool db ~k =
   let fast = Db.is_bid db || Db.is_independent db in
   Obs.with_span
@@ -484,12 +404,16 @@ let rank_table ?pool db ~k =
         ("keys", Obs.Int (Array.length (Db.keys db)));
         ("k", Obs.Int k);
         ("path", Obs.Str (if fast then "fast-sweep" else "slow-gf"));
-        ("impl", Obs.Str "arena");
       ])
     "anxor.rank_table"
     (fun () ->
       let compute () =
-        if fast then rank_table_fast db ~k else rank_table_slow ?pool db ~k
+        if fast then begin
+          let keys, dense = rank_table_dense db ~k in
+          Array.to_list keys
+          |> List.mapi (fun r key -> (key, Array.sub dense (r * k) k))
+        end
+        else rank_table_slow ?pool db ~k
       in
       if not (Cache.enabled ()) then compute ()
       else
@@ -514,7 +438,7 @@ let topk_pair_alt db la lb ~k =
     let value = arena.Arena.leaf_value in
     let lo = Float.min value.(la) value.(lb) in
     let f =
-      Genfunc.quadpoly_arena ~trunc:(k - 2)
+      Genfunc.quadpoly ~trunc:(k - 2)
         (fun i ->
           if i = la then Quadpoly.y
           else if i = lb then Quadpoly.z
@@ -598,7 +522,7 @@ let expected_rank db key =
   in
   let arena = Db.arena db in
   let f_absent =
-    Genfunc.bipoly_arena ?trunc:None
+    Genfunc.bipoly ?trunc:None
       (fun i ->
         if arena.Arena.leaf_key.(i) = key then Bipoly.y
         else Bipoly.make ~a:Poly1.x ~b:Poly1.zero)

@@ -15,11 +15,6 @@ val rank_dist_alt : Db.t -> int -> k:int -> float array
     truncated bivariate generating function in O(n·k).  Runs the
     allocation-free buffer kernel over the arena. *)
 
-val rank_dist_alt_tree : Db.t -> int -> k:int -> float array
-(** The pointer-tree predecessor of {!rank_dist_alt} (generic [Bipoly]
-    engine over [Db.tree]).  Kept as the differential baseline for the fuzz
-    parity layer and the E29 benchmark; same contract. *)
-
 val rank_dist : Db.t -> int -> k:int -> float array
 (** [rank_dist db key ~k]: positional probabilities [Pr(r(key) = j)] for
     j = 1..k, summed over the key's alternatives. *)
@@ -28,9 +23,9 @@ val rank_table :
   ?pool:Consensus_engine.Pool.t -> Db.t -> k:int -> (int * float array) list
 (** [(key, rank_dist db key ~k)] for every key.  O(n²k) on arbitrary
     trees, parallelized over the keys on [pool] (default: the lazily
-    created global pool); dispatches to {!rank_table_fast} for
-    independent/BID shapes.  The result is identical whatever the pool's
-    [jobs] setting. *)
+    created global pool); dispatches to the O(n·k) sweep of
+    {!rank_table_dense} for independent/BID shapes.  The result is
+    identical whatever the pool's [jobs] setting. *)
 
 val rank_table_slow :
   ?pool:Consensus_engine.Pool.t -> Db.t -> k:int -> (int * float array) list
@@ -38,24 +33,16 @@ val rank_table_slow :
     over keys.  Exposed for the engine benchmarks and ablations. *)
 
 val rank_table_dense : Db.t -> k:int -> int array * float array
-(** The kernel behind {!rank_table_fast}: the same O(n·k) sweep writing into
+(** O(n·k) rank table for tuple-independent and BID databases, written into
     one flat row-major buffer — [(keys, dists)] with
-    [dists.(r*k + j) = Pr(r(keys.(r)) = j+1)].  The sweep allocates nothing
-    beyond its few flat arrays (no per-key or per-alternative heap
-    structures); this is the entry point for million-tuple tables. *)
-
-val rank_table_fast : Db.t -> k:int -> (int * float array) list
-(** O(n·k) rank table for tuple-independent and BID databases: one sweep
-    over the score-sorted alternatives maintaining the truncated product of
-    per-block generating-function factors, updated by multiplying /
-    dividing single linear factors (with a from-scratch fallback when a
-    division would be ill-conditioned).  Raises [Invalid_argument] on other
-    tree shapes.  The sweep's polynomials live in preallocated width-k
-    buffers; the loop does not allocate. *)
-
-val rank_table_fast_tree : Db.t -> k:int -> (int * float array) list
-(** The allocating immutable-[Poly1] sweep {!rank_table_fast} replaced.
-    Kept as the E29 baseline and a fuzz-parity referee; same contract. *)
+    [dists.(r*k + j) = Pr(r(keys.(r)) = j+1)].  One sweep over the
+    score-sorted alternatives maintains the truncated product of per-block
+    generating-function factors, updated by multiplying / dividing single
+    linear factors (with a from-scratch fallback when a division would be
+    ill-conditioned).  Raises [Invalid_argument] on other tree shapes.  The
+    sweep allocates nothing beyond its few flat arrays (no per-key or
+    per-alternative heap structures); this is the entry point for
+    million-tuple tables. *)
 
 val rank_leq : Db.t -> int -> k:int -> float
 (** [Pr(r(key) <= k)]: probability the key ranks in the top-k. *)

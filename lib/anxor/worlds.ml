@@ -99,41 +99,55 @@ let fold t ~init ~f =
 
 let count t = Seq.fold_left (fun acc _ -> acc + 1) 0 (to_seq t)
 
-(* Iterative with an explicit work-list: sampling runs on production-sized
-   databases where the recursive walk would overflow the OCaml stack.  One
-   uniform draw per visited xor node, in depth-first order, exactly as the
-   recursive predecessor — seeded runs stay reproducible. *)
-let sample rng t =
+(* Iterative with an explicit work-list of arena node ids: sampling runs on
+   production-sized databases where a recursive walk would overflow the
+   OCaml stack.  One uniform draw per visited xor node, in depth-first
+   order: seeded answers depend on exactly this sequence of draws. *)
+let sample rng (a : Arena.t) =
   let acc = ref [] in
-  let stack = ref [ t ] in
+  let stack = ref [ a.root ] in
   while !stack <> [] do
     match !stack with
     | [] -> ()
-    | (Tree.Leaf a : _ Tree.t) :: rest ->
-        acc := a :: !acc;
-        stack := rest
-    | Tree.And cs :: rest -> stack := List.rev_append (List.rev cs) rest
-    | Tree.Xor es :: rest ->
-        let u = Consensus_util.Prng.uniform rng in
-        let rec pick acc_p = function
-          | [] -> rest (* residual: empty *)
-          | (p, c) :: tail ->
-              if u < acc_p +. p then c :: rest else pick (acc_p +. p) tail
-        in
-        stack := pick 0. es
+    | n :: rest ->
+        let kind = Arena.kind a n in
+        let st = a.child_start.(n) in
+        let stop = st + a.child_count.(n) in
+        if kind = Arena.kind_leaf then begin
+          acc := a.leaf_ix.(n) :: !acc;
+          stack := rest
+        end
+        else if kind = Arena.kind_and then begin
+          let s = ref rest in
+          for i = stop - 1 downto st do
+            s := a.children.(i) :: !s
+          done;
+          stack := !s
+        end
+        else begin
+          let u = Consensus_util.Prng.uniform rng in
+          let rec pick i acc_p =
+            if i = stop then rest (* residual: empty *)
+            else
+              let c = a.children.(i) in
+              let p = a.eprob.(c) in
+              if u < acc_p +. p then c :: rest else pick (i + 1) (acc_p +. p)
+          in
+          stack := pick st 0.
+        end
   done;
   List.rev !acc
 
-let sample_many rng n t = List.init n (fun _ -> sample rng t)
+let sample_many rng n a = List.init n (fun _ -> sample rng a)
 
 let expectation ?limit t ~f =
   enumerate ?limit t
   |> List.fold_left (fun acc (p, w) -> acc +. (p *. f w)) 0.
 
-let monte_carlo rng ~samples t ~f =
+let monte_carlo rng ~samples a ~f =
   if samples <= 0 then invalid_arg "Worlds.monte_carlo: samples must be positive";
   let acc = ref 0. in
   for _ = 1 to samples do
-    acc := !acc +. f (sample rng t)
+    acc := !acc +. f (sample rng a)
   done;
   !acc /. float_of_int samples

@@ -1,8 +1,10 @@
 (** Possible-world enumeration and sampling for and/xor trees.
 
-    Enumeration is exponential in general and is intended as the ground-truth
-    oracle for tests and small experiments; every consensus algorithm in this
-    repository is validated against it. *)
+    Enumeration runs on the pointer {!Tree.t}.  It is exponential in general
+    and is intended as the ground-truth oracle for tests and small
+    experiments; every consensus algorithm in this repository is validated
+    against it.  Sampling runs on the flat {!Arena.t} and returns depth-first
+    leaf indices ([Db.alt] recovers the payloads). *)
 
 val enumerate : ?limit:int -> 'a Tree.t -> (float * 'a list) list
 (** All possible worlds with their probabilities, as (probability, leaves in
@@ -34,15 +36,16 @@ val fold : 'a Tree.t -> init:'b -> f:('b -> float -> 'a list -> 'b) -> 'b
 val count : 'a Tree.t -> int
 (** Number of worlds {!to_seq} produces (choice paths, not merged). *)
 
-val sample : Consensus_util.Prng.t -> 'a Tree.t -> 'a list
-(** Draw one possible world (leaves in depth-first order). *)
+val sample : Consensus_util.Prng.t -> Arena.t -> int list
+(** Draw one possible world: its leaf indices, increasing (depth-first
+    order).  One uniform draw per visited xor node, in depth-first order. *)
 
-val sample_many : Consensus_util.Prng.t -> int -> 'a Tree.t -> 'a list list
+val sample_many : Consensus_util.Prng.t -> int -> Arena.t -> int list list
 
 val expectation :
   ?limit:int -> 'a Tree.t -> f:('a list -> float) -> float
 (** [expectation t ~f] = E[f(pw)] by exact enumeration. *)
 
 val monte_carlo :
-  Consensus_util.Prng.t -> samples:int -> 'a Tree.t -> f:('a list -> float) -> float
+  Consensus_util.Prng.t -> samples:int -> Arena.t -> f:(int list -> float) -> float
 (** Monte-Carlo estimate of E[f(pw)]. *)

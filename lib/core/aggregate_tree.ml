@@ -75,7 +75,8 @@ let median_sampled rng ~samples t =
   if samples <= 0 then invalid_arg "Aggregate_tree.median_sampled: samples must be positive";
   let best = ref None in
   for _ = 1 to samples do
-    let c = counts_of_world t (Worlds.sample rng (Db.tree t.db)) in
+    let world = Worlds.sample rng (Db.arena t.db) |> List.map (Db.alt t.db) in
+    let c = counts_of_world t world in
     let d = expected_sq_dist t c in
     match !best with
     | Some (_, bd) when bd <= d -> ()
@@ -98,4 +99,4 @@ let brute_force_median t =
   |> Option.get
 
 let joint_distribution t =
-  Genfunc.mpoly (fun a -> Mpoly.var (t.group a)) (Db.tree t.db)
+  Genfunc.mpoly (fun l -> Mpoly.var (t.group (Db.alt t.db l))) (Db.arena t.db)

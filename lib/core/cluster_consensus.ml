@@ -200,7 +200,8 @@ let best_of_worlds rng ~samples t =
   let scored =
     Pool.parallel_map ~pool:t.pool ~stage:"cluster_sampling"
       (fun g ->
-        let c = clustering_of_world t (Worlds.sample g (Db.tree t.db)) in
+        let world = Worlds.sample g (Db.arena t.db) |> List.map (Db.alt t.db) in
+        let c = clustering_of_world t world in
         (c, expected_dist t c))
       rngs
   in

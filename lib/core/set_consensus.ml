@@ -39,46 +39,65 @@ let median_sym_diff db =
   algo_span "median_sym_diff" db @@ fun () ->
   (* Minimize Σ_{t∈W} (1 - 2 m_t) over possible worlds W: a leaf pays its
      inclusion gain; an xor node chooses its best child or the empty set
-     when allowed; an and node sums its children. *)
-  let m i = Db.marginal db i in
-  (* (best cost, chosen leaves) per subtree; None = subtree cannot produce
-     the empty set and has no leaves... every subtree produces something, so
-     the result is always defined.  We also track whether the subtree can
-     realize the empty set. *)
-  let rec go (t : int Tree.t) : (float * world) * (float * world) option =
-    (* returns (best over all realizable sets, best empty-realization if the
-       subtree can produce ∅ — the latter always (0., []) when present) *)
-    match t with
-    | Tree.Leaf i -> ((1. -. (2. *. m i), [ i ]), None)
-    | Tree.Xor edges ->
-        let total = List.fold_left (fun acc (p, _) -> acc +. p) 0. edges in
-        let residual_empty = not (forced_marginal total) in
-        let child_results = List.map (fun (_, c) -> go c) edges in
-        let empty_ok =
-          residual_empty
-          || List.exists (fun (_, e) -> e <> None) child_results
-        in
-        (* If the node cannot realize ∅ it has at least one edge, so the fold
-           below always finds a finite best. *)
-        let best =
-          List.fold_left
-            (fun acc (b, _) -> if fst b < fst acc then b else acc)
-            (if empty_ok then (0., []) else (infinity, []))
-            child_results
-        in
-        (best, if empty_ok then Some (0., []) else None)
-    | Tree.And children ->
-        let results = List.map go children in
-        let cost = List.fold_left (fun acc ((c, _), _) -> acc +. c) 0. results in
-        let leaves = List.concat_map (fun ((_, w), _) -> w) results in
-        let empty =
-          if List.for_all (fun (_, e) -> e <> None) results then Some (0., [])
-          else None
-        in
-        ((cost, leaves), empty)
-  in
-  let (_, w), _ = go (Db.itree db) in
-  List.sort compare w
+     when allowed; an and node sums its children.  Node ids are pre-order,
+     so sweeping them from last to first finishes every child before its
+     parent. *)
+  let a = Db.arena db in
+  let nn = Arena.num_nodes a in
+  (* per node: best cost over all realizable sets, its leaves, and whether
+     the subtree can realize ∅ *)
+  let cost = Array.make nn 0. in
+  let best = Array.make nn [] in
+  let empty_ok = Array.make nn false in
+  for n = nn - 1 downto 0 do
+    let st = a.child_start.(n) in
+    let stop = st + a.child_count.(n) in
+    let kind = Arena.kind a n in
+    if kind = Arena.kind_leaf then begin
+      let i = a.leaf_ix.(n) in
+      cost.(n) <- 1. -. (2. *. Db.marginal db i);
+      best.(n) <- [ i ]
+    end
+    else if kind = Arena.kind_xor then begin
+      let total = ref 0. in
+      for j = st to stop - 1 do
+        total := !total +. a.eprob.(a.children.(j))
+      done;
+      let ok = ref (not (forced_marginal !total)) in
+      for j = st to stop - 1 do
+        if empty_ok.(a.children.(j)) then ok := true
+      done;
+      (* If the node cannot realize ∅ it has at least one edge, so the scan
+         below always finds a finite best. *)
+      let c_best = ref (if !ok then 0. else infinity) and w_best = ref [] in
+      for j = st to stop - 1 do
+        let c = a.children.(j) in
+        if cost.(c) < !c_best then begin
+          c_best := cost.(c);
+          w_best := best.(c)
+        end
+      done;
+      cost.(n) <- !c_best;
+      best.(n) <- !w_best;
+      empty_ok.(n) <- !ok
+    end
+    else begin
+      let c_sum = ref 0. and ok = ref true in
+      for j = st to stop - 1 do
+        let c = a.children.(j) in
+        c_sum := !c_sum +. cost.(c);
+        ok := !ok && empty_ok.(c)
+      done;
+      let w = ref [] in
+      for j = stop - 1 downto st do
+        w := best.(a.children.(j)) @ !w
+      done;
+      cost.(n) <- !c_sum;
+      best.(n) <- !w;
+      empty_ok.(n) <- !ok
+    end
+  done;
+  List.sort compare best.(a.root)
 
 (* ---------- Jaccard ---------- *)
 
@@ -88,8 +107,8 @@ let expected_jaccard db w =
   let size_w = List.length w in
   let f =
     Genfunc.bivariate
-      (fun (i, _) -> if in_w.(i) then Poly2.x else Poly2.y)
-      (Tree.indexed (Db.tree db))
+      (fun i -> if in_w.(i) then Poly2.x else Poly2.y)
+      (Db.arena db)
   in
   (* coefficient of x^i y^j: Pr(|pw ∩ W| = i ∧ |pw \ W| = j);
      d_J = (|W| - i + j) / (|W| + j), with 0/0 = 0. *)
@@ -215,7 +234,7 @@ let sym_diff_lists w1 w2 =
   S.cardinal (S.diff s1 s2) + S.cardinal (S.diff s2 s1)
 
 let enum_expected_sym_diff db w =
-  Worlds.enumerate (Db.itree db)
+  Worlds.enumerate (fst (Tree.index (Db.tree db)))
   |> List.fold_left
        (fun acc (p, pw) -> acc +. (p *. float_of_int (sym_diff_lists w pw)))
        0.
@@ -223,7 +242,7 @@ let enum_expected_sym_diff db w =
 let enum_expected_jaccard db w =
   let module S = Set.Make (Int) in
   let sw = S.of_list w in
-  Worlds.enumerate (Db.itree db)
+  Worlds.enumerate (fst (Tree.index (Db.tree db)))
   |> List.fold_left
        (fun acc (p, pw) ->
          let spw = S.of_list pw in

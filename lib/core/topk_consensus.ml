@@ -285,6 +285,7 @@ let median_sym_diff ctx =
   @@ fun () ->
   let db = ctx.db in
   let p_of_leaf l = rank_leq ctx (Db.alt db l).Db.key in
+  let a = Db.arena db in
   let dp_tree threshold =
     let kk = ctx.k in
     (* entry: score, chosen leaves (None = infeasible) *)
@@ -332,20 +333,46 @@ let median_sym_diff ctx =
          base)
         results
     in
-    let rec go (t : int Tree.t) =
-      match t with
-      | Tree.Leaf l ->
+    (* Node ids are pre-order: sweeping them from last to first finishes
+       every child's subtree before its parent, so when a node is reached
+       its children's tables are the top entries of [pending], first child
+       on top.  (A stack rather than a per-node array: storing young tables
+       into a long-lived array costs a write barrier and early promotion.) *)
+    let pending = ref [] in
+    let rec pop count acc = function
+      | t :: rest when count > 0 -> pop (count - 1) (t :: acc) rest
+      | rest ->
+          pending := rest;
+          List.rev acc
+    in
+    for n = Arena.num_nodes a - 1 downto 0 do
+      let kind = Arena.kind a n in
+      let t =
+        if kind = Arena.kind_leaf then begin
+          let l = a.leaf_ix.(n) in
           let arr = Array.make (kk + 1) None in
-          if (Db.alt db l).Db.value >= threshold then arr.(1) <- Some (p_of_leaf l, [ l ])
+          if (Db.alt db l).Db.value >= threshold then
+            arr.(1) <- Some (p_of_leaf l, [ l ])
           else arr.(0) <- Some (0., [])
           (* a filtered leaf contributes the empty set *);
           arr
-      | Tree.And children -> merge_and (List.map go children)
-      | Tree.Xor edges ->
-          let total = List.fold_left (fun acc (p, _) -> acc +. p) 0. edges in
-          merge_xor (List.map (fun (_, c) -> go c) edges) (total < 1. -. 1e-12)
-    in
-    go (Db.itree db)
+        end
+        else begin
+          let children = pop a.child_count.(n) [] !pending in
+          if kind = Arena.kind_and then merge_and children
+          else begin
+            let st = a.child_start.(n) in
+            let total = ref 0. in
+            for j = st to st + a.child_count.(n) - 1 do
+              total := !total +. a.eprob.(a.children.(j))
+            done;
+            merge_xor children (!total < 1. -. 1e-12)
+          end
+        end
+      in
+      pending := t :: !pending
+    done;
+    List.hd !pending
   in
   (* Candidate thresholds: all distinct leaf values (decreasing), which
      cover every possible k-th score; the minimum threshold also yields the
@@ -544,7 +571,9 @@ let mean_kendall_pool_exact ?pool ctx =
 let sample_answers rng ~samples db ~k =
   if samples <= 0 then invalid_arg "Topk_consensus: samples must be positive";
   List.init samples (fun _ ->
-      Topk_list.of_world ~k (Worlds.sample rng (Db.tree db)))
+      Worlds.sample rng (Db.arena db)
+      |> List.map (Db.alt db)
+      |> Topk_list.of_world ~k)
 
 let sampled_mean_sym_diff rng ~samples db ~k =
   let answers = sample_answers rng ~samples db ~k in
@@ -623,10 +652,10 @@ let enum_expected ctx metric tau =
 
 let mc_expected rng ~samples ctx metric tau =
   if samples <= 0 then invalid_arg "Topk_consensus.mc_expected: samples must be positive";
-  let tree = Db.tree ctx.db in
+  let arena = Db.arena ctx.db in
   let acc = ref 0. in
   for _ = 1 to samples do
-    let w = Worlds.sample rng tree in
+    let w = Worlds.sample rng arena |> List.map (Db.alt ctx.db) in
     acc := !acc +. eval_metric metric ~k:ctx.k tau (Topk_list.of_world ~k:ctx.k w)
   done;
   !acc /. float_of_int samples

@@ -41,7 +41,7 @@ let prepare ?(max_leaves = default_max_leaves) db =
       (Printf.sprintf "Exact.prepare: %d leaves exceeds the oracle budget (%d)"
          n max_leaves);
   let tbl = Hashtbl.create 1024 in
-  Worlds.fold (Db.itree db) ~init:() ~f:(fun () p ids ->
+  Worlds.fold (fst (Tree.index (Db.tree db))) ~init:() ~f:(fun () p ids ->
       if p > 0. then begin
         let mask = List.fold_left (fun m i -> m lor (1 lsl i)) 0 ids in
         Hashtbl.replace tbl mask
@@ -76,6 +76,12 @@ let prepare ?(max_leaves = default_max_leaves) db =
 let db t = t.db
 let num_worlds t = Array.length t.worlds
 let total_probability t = Array.fold_left (fun acc w -> acc +. w.p) 0. t.worlds
+
+let marginal t i =
+  Array.fold_left
+    (fun acc w -> if w.mask land (1 lsl i) <> 0 then acc +. w.p else acc)
+    0. t.worlds
+
 let kpos t key = Hashtbl.find t.kpos key
 
 (* ---------- per-family world projections (memoized) ---------- *)

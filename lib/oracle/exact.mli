@@ -34,6 +34,10 @@ val total_probability : t -> float
 (** Σ of world probabilities — 1 up to float tolerance (asserted by the
     oracle's own test suite, not here). *)
 
+val marginal : t -> int -> float
+(** [marginal t i]: Σ of the probabilities of the worlds containing leaf
+    [i] — the ground truth for [Db.marginal]. *)
+
 (** {1 Answers} *)
 
 (** Oracle-side answer representation: the payload of {!Api.answer} without

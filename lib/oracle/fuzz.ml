@@ -4,10 +4,6 @@ module Prng = Consensus_util.Prng
 module Gen = Consensus_workload.Gen
 module Obs = Consensus_obs.Obs
 module Db = Consensus_anxor.Db
-module Tree = Consensus_anxor.Tree
-module Genfunc = Consensus_anxor.Genfunc
-module Marginals = Consensus_anxor.Marginals
-module Poly1 = Consensus_poly.Poly1
 
 (* ---------- families ---------- *)
 
@@ -182,6 +178,13 @@ let check_case ~pool ~pool1 (case : Corpus.case) =
                 Printf.sprintf "world probabilities sum to %.12g"
                   (Exact.total_probability t))
               (approx_eq (Exact.total_probability t) 1.);
+            for i = 0 to Db.num_alts db - 1 do
+              ensure "oracle-marginal"
+                (fun () ->
+                  Printf.sprintf "leaf %d: marginal %.17g vs world sum %.17g" i
+                    (Db.marginal db i) (Exact.marginal t i))
+                (approx_eq (Db.marginal db i) (Exact.marginal t i))
+            done;
             let oracle_v = Exact.expected t q (Exact.of_api a) in
             ensure "oracle-expected"
               (fun () ->
@@ -211,7 +214,15 @@ let check_case ~pool ~pool1 (case : Corpus.case) =
               Some opt
             end
       in
-      (* 4. metamorphic rewrites: the optimal target value is invariant. *)
+      (* 4. metamorphic rewrites: the optimal target value is invariant.
+         Rewrites (and shrinking) go through the pointer tree, so first
+         check that rebuilding the arena from it reproduces the database. *)
+      (match q with
+      | Api.Aggregate _ -> () (* matrix input; [db] is a placeholder *)
+      | _ ->
+          ensure "round-trip-digest"
+            (fun () -> "rebuilding the arena from the tree changes the digest")
+            (Db.digest (Db.create ~check:false (Db.tree db)) = Db.digest db));
       if Metamorph.supported q then begin
         let seed = Hashtbl.hash (Corpus.to_string case) land 0xFFFFFF in
         List.iteri
@@ -245,62 +256,6 @@ let check_case ~pool ~pool1 (case : Corpus.case) =
                     opt)
           Metamorph.all
       end;
-      (* 5. representation parity: the flat-arena kernels against their
-         pointer-tree predecessors, on this case's database.  The arena
-         evaluators mirror the tree fold order op-for-op, so agreement is
-         expected to the last bit; the tolerant comparison is the referee
-         for the one sweep ([rank_table_fast]) whose fallback recomputation
-         may re-associate a product. *)
-      (match q with
-      | Api.Aggregate _ -> () (* matrix input; [db] is a placeholder *)
-      | _ ->
-          let tree = Db.tree db in
-          ensure "parity:size-distribution"
-            (fun () -> "arena and tree size distributions differ")
-            (Poly1.equal ~eps:1e-12
-               (Marginals.size_distribution db)
-               (Genfunc.size_distribution tree));
-          List.iteri
-            (fun i (_, m) ->
-              ensure "parity:marginals"
-                (fun () ->
-                  Printf.sprintf "leaf %d: arena marginal %.17g vs tree %.17g" i
-                    (Db.marginal db i) m)
-                (approx_eq (Db.marginal db i) m))
-            (Tree.marginals tree);
-          let n = Db.num_alts db in
-          let k = min n 5 in
-          for l = 0 to n - 1 do
-            let ra = Marginals.rank_dist_alt db l ~k in
-            let rt = Marginals.rank_dist_alt_tree db l ~k in
-            for j = 0 to k - 1 do
-              ensure "parity:rank-dist-alt"
-                (fun () ->
-                  Printf.sprintf "leaf %d rank %d: arena %.17g vs tree %.17g" l
-                    (j + 1) ra.(j) rt.(j))
-                (approx_eq ra.(j) rt.(j))
-            done
-          done;
-          if Db.xor_blocks db <> None && Db.scores_distinct db then begin
-            let fast = Marginals.rank_table_fast db ~k in
-            let slow = Marginals.rank_table_fast_tree db ~k in
-            List.iter2
-              (fun (key, ra) (key', rt) ->
-                assert (key = key');
-                Array.iteri
-                  (fun j v ->
-                    ensure "parity:rank-table-fast"
-                      (fun () ->
-                        Printf.sprintf
-                          "key %d rank %d: arena sweep %.12g vs tree sweep %.12g"
-                          key (j + 1) v rt.(j))
-                      (approx_eq v rt.(j)))
-                  ra)
-              fast slow
-          end;
-          ensure "parity:round-trip-digest"
-            (fun () -> "rebuilding the arena from the tree changes the digest")
-            (Db.digest (Db.create ~check:false tree) = Db.digest db));
       None
     with
     | Fail (name, detail) -> Some (name, detail)

@@ -12,9 +12,12 @@
     - {e optimality}: the reported optimum must equal the brute-force
       oracle's ({!Exact.solve}) for exact algorithms, and stay within a
       factor-2 ratio bound for the heuristic paths (top-k Kendall mean,
-      clustering) — the paper-level approximation guarantees;
-    - {e metamorphic}: on every applicable rewrite ({!Metamorph.all}) of
-      the instance, the optimal target value must be unchanged (checked
+      clustering) — the paper-level approximation guarantees; every leaf's
+      [Db.marginal] must match the oracle's world sum ({!Exact.marginal});
+    - {e metamorphic}: rebuilding the arena from the database's pointer
+      tree (the form rewrites and shrinking work on) must reproduce its
+      digest; and on every applicable rewrite ({!Metamorph.all}) of the
+      instance, the optimal target value must be unchanged (checked
       through {!Api.run} for exact queries and through the oracle for
       heuristic ones).
 

@@ -7,6 +7,9 @@ let check_floatl = Alcotest.(check (float 1e-6))
 
 let poly1_testable = Alcotest.testable Poly1.pp (fun p q -> Poly1.equal ~eps:1e-9 p q)
 
+(* The arena of a generated tree; its leaf indices are [Tree.indexed]'s. *)
+let arena_of t = Db.arena (Db.create t)
+
 (* The two and/xor trees of Figure 1 of the paper. *)
 
 let fig1_i () =
@@ -44,8 +47,8 @@ let test_figure1_size_distribution () =
 
 let test_figure1_block_genfuncs () =
   (* Per-block annotations from Figure 1(i). *)
-  let block ps = Tree.xor (List.map (fun p -> (p, Tree.leaf ())) ps) in
-  let gf ps = Genfunc.univariate (fun () -> Poly1.x) (block ps) in
+  let block ps = Db.bid [ (1, List.map (fun p -> (p, 0.)) ps) ] in
+  let gf ps = Genfunc.univariate (fun _ -> Poly1.x) (Db.arena (block ps)) in
   Alcotest.check poly1_testable "0.4+0.6x" (Poly1.of_coeffs [| 0.4; 0.6 |]) (gf [ 0.1; 0.5 ]);
   Alcotest.check poly1_testable "0.2+0.8x" (Poly1.of_coeffs [| 0.2; 0.8 |]) (gf [ 0.4; 0.4 ]);
   Alcotest.check poly1_testable "x" Poly1.x (gf [ 0.2; 0.8 ]);
@@ -190,7 +193,7 @@ let test_size_distribution_vs_enumeration () =
   let g = rng () in
   for _ = 1 to 20 do
     let t = Consensus_workload.Gen.random_tree g (3 + Prng.int g 7) in
-    let f = Genfunc.size_distribution t in
+    let f = Genfunc.size_distribution (arena_of t) in
     let worlds = Worlds.enumerate t in
     for size = 0 to Poly1.degree f do
       let direct =
@@ -208,7 +211,7 @@ let test_subset_size_distribution () =
     let t = Consensus_workload.Gen.random_tree g 8 in
     let it = Tree.indexed t in
     let mem (i, _) = i mod 2 = 0 in
-    let f = Genfunc.subset_size_distribution mem it in
+    let f = Genfunc.subset_size_distribution (fun i -> i mod 2 = 0) (arena_of t) in
     let worlds = Worlds.enumerate it in
     for c = 0 to Poly1.degree f do
       let direct =
@@ -225,7 +228,7 @@ let test_marginals_vs_enumeration () =
   let g = rng () in
   for _ = 1 to 20 do
     let db = Consensus_workload.Gen.random_tree_db g (3 + Prng.int g 8) in
-    let worlds = Worlds.enumerate (Db.itree db) in
+    let worlds = Worlds.enumerate (fst (Tree.index (Db.tree db))) in
     for l = 0 to Db.num_alts db - 1 do
       let direct =
         List.fold_left
@@ -240,7 +243,7 @@ let test_pair_marginal_vs_enumeration () =
   let g = rng () in
   for _ = 1 to 15 do
     let db = Consensus_workload.Gen.random_tree_db g (3 + Prng.int g 7) in
-    let worlds = Worlds.enumerate (Db.itree db) in
+    let worlds = Worlds.enumerate (fst (Tree.index (Db.tree db))) in
     let n = Db.num_alts db in
     for i = 0 to n - 1 do
       for j = 0 to n - 1 do
@@ -261,23 +264,31 @@ let test_pair_marginal_vs_enumeration () =
     done
   done
 
+(* Every leaf's sampled frequency within 5σ of its marginal, σ the binomial
+   standard deviation of the frequency over [n] draws. *)
 let test_sampling_matches_marginals () =
   let g = rng () in
-  let db = Consensus_workload.Gen.random_tree_db g 6 in
-  let n = 20_000 in
-  let counts = Array.make (Db.num_alts db) 0 in
-  for _ = 1 to n do
-    let w = Worlds.sample g (Db.itree db) in
-    List.iter (fun l -> counts.(l) <- counts.(l) + 1) w
-  done;
-  Array.iteri
-    (fun l c ->
-      let freq = float_of_int c /. float_of_int n in
-      Alcotest.(check bool)
-        (Printf.sprintf "sampled freq of leaf %d" l)
-        true
-        (abs_float (freq -. Db.marginal db l) < 0.015))
-    counts
+  let n = 4000 in
+  for iter = 1 to 10 do
+    let size = 3 + Prng.int g 10 in
+    let db =
+      if iter mod 2 = 0 then Consensus_workload.Gen.random_tree_db g size
+      else Consensus_workload.Gen.random_keyed_tree g size
+    in
+    let counts = Array.make (Db.num_alts db) 0 in
+    List.iter
+      (List.iter (fun l -> counts.(l) <- counts.(l) + 1))
+      (Worlds.sample_many g n (Db.arena db));
+    Array.iteri
+      (fun l c ->
+        let p = Db.marginal db l in
+        let sigma = sqrt (p *. (1. -. p) /. float_of_int n) in
+        let freq = float_of_int c /. float_of_int n in
+        if abs_float (freq -. p) > (5. *. sigma) +. 1e-12 then
+          Alcotest.failf "leaf %d: frequency %g vs marginal %g (5σ = %g)" l freq
+            p (5. *. sigma))
+      counts
+  done
 
 let test_enumerate_merged () =
   (* Two xor branches yielding the same (empty) world merge. *)
@@ -296,10 +307,10 @@ let test_expectation_and_monte_carlo () =
   let t = Consensus_workload.Gen.random_tree g 7 in
   let f w = float_of_int (List.length w) in
   let exact = Worlds.expectation t ~f in
-  let mc = Worlds.monte_carlo g ~samples:30_000 t ~f in
+  let mc = Worlds.monte_carlo g ~samples:30_000 (arena_of t) ~f in
   Alcotest.(check bool) "MC close to exact" true (abs_float (exact -. mc) < 0.1);
   check_floatl "matches genfunc expectation" exact
-    (Poly1.expectation (Genfunc.size_distribution t))
+    (Poly1.expectation (Genfunc.size_distribution (arena_of t)))
 
 (* ---------- Rank distributions ---------- *)
 
@@ -365,7 +376,7 @@ let test_rank_table_fast_matches_slow () =
       else Consensus_workload.Gen.bid_db ~max_alts:3 ~forced_fraction:0.5 g (2 + Prng.int g 6)
     in
     let k = 1 + Prng.int g 4 in
-    let fast = Marginals.rank_table_fast db ~k in
+    let fast = Marginals.rank_table db ~k in
     List.iter
       (fun (key, dist) ->
         let direct = Marginals.rank_dist db key ~k in
@@ -398,7 +409,7 @@ let test_rank_table_fast_matches_slow () =
     let db = Db.create (Tree.bid blocks) in
     if Db.scores_distinct db then begin
       let k = 1 + Prng.int g 3 in
-      let fast = Marginals.rank_table_fast db ~k in
+      let fast = Marginals.rank_table db ~k in
       List.iter
         (fun (key, dist) ->
           let direct = Marginals.rank_dist db key ~k in
@@ -411,13 +422,16 @@ let test_rank_table_fast_matches_slow () =
         fast
     end
   done;
-  (* correlated trees are rejected *)
+  (* the sweep rejects correlated trees and empty tables, naming itself *)
   let db = Consensus_workload.Gen.random_tree_db g 6 in
   if not (Db.is_bid db || Db.is_independent db) then
-    try
-      ignore (Marginals.rank_table_fast db ~k:2);
-      Alcotest.fail "correlated tree accepted"
-    with Invalid_argument _ -> ()
+    Alcotest.check_raises "correlated tree rejected"
+      (Invalid_argument
+         "Marginals.rank_table_dense: requires a BID-shaped database")
+      (fun () -> ignore (Marginals.rank_table_dense db ~k:2));
+  Alcotest.check_raises "k = 0 rejected"
+    (Invalid_argument "Marginals.rank_table_dense: k must be positive")
+    (fun () -> ignore (Marginals.rank_table_dense (fig1_i ()) ~k:0))
 
 let test_topk_pair_vs_enumeration () =
   let g = rng () in
@@ -518,24 +532,23 @@ let test_full_rank_dist () =
 let test_bipoly_engine_vs_bivariate () =
   let g = rng () in
   for _ = 1 to 10 do
-    let t = Consensus_workload.Gen.random_tree g 7 in
-    let it = Tree.indexed t in
+    let a = arena_of (Consensus_workload.Gen.random_tree g 7) in
     (* y on leaf 0, x on odd leaves. *)
     let bip =
       Genfunc.bipoly
-        (fun (i, _) ->
+        (fun i ->
           if i = 0 then Bipoly.y
           else if i mod 2 = 1 then Bipoly.x
           else Bipoly.one)
-        it
+        a
     in
     let p2 =
       Genfunc.bivariate
-        (fun (i, _) ->
+        (fun i ->
           if i = 0 then Poly2.y
           else if i mod 2 = 1 then Poly2.x
           else Poly2.one)
-        it
+        a
     in
     for d = 0 to max (Poly1.degree bip.Bipoly.a) (Poly2.degree_x p2) do
       check_floatl "y^0 parts agree" (Poly2.coeff p2 d 0) (Poly1.coeff bip.Bipoly.a d);
@@ -549,7 +562,7 @@ let test_mpoly_engine_vs_enumeration () =
     let t = Consensus_workload.Gen.random_tree g 6 in
     let it = Tree.indexed t in
     (* Three variables: leaf i gets variable i mod 3. *)
-    let f = Genfunc.mpoly (fun (i, _) -> Mpoly.var (i mod 3)) it in
+    let f = Genfunc.mpoly (fun i -> Mpoly.var (i mod 3)) (arena_of t) in
     let worlds = Worlds.enumerate it in
     (* Check a handful of monomials. *)
     Mpoly.fold

@@ -44,7 +44,7 @@ let test_median_sym_diff_optimal () =
     check_float "median optimal" best (Set_consensus.expected_sym_diff db median);
     (* and it must be a possible world *)
     Alcotest.(check bool) "median is possible" true
-      (Tree.world_is_possible ~eq:( = ) (Db.itree db) median)
+      (Tree.world_is_possible ~eq:( = ) (fst (Tree.index (Db.tree db))) median)
   done
 
 let test_corollary1_consistency () =
@@ -55,7 +55,7 @@ let test_corollary1_consistency () =
   for _ = 1 to 20 do
     let db = Gen.random_tree_db g (3 + Prng.int g 6) in
     let mean = Set_consensus.mean_sym_diff db in
-    if Tree.world_is_possible ~eq:( = ) (Db.itree db) mean then begin
+    if Tree.world_is_possible ~eq:( = ) (fst (Tree.index (Db.tree db))) mean then begin
       incr total;
       let median = Set_consensus.median_sym_diff db in
       if
@@ -123,7 +123,7 @@ let test_median_jaccard_independent () =
     check_float "independent Jaccard median" best
       (Set_consensus.expected_jaccard db med);
     Alcotest.(check bool) "median is possible" true
-      (Tree.world_is_possible ~eq:( = ) (Db.itree db) med)
+      (Tree.world_is_possible ~eq:( = ) (fst (Tree.index (Db.tree db))) med)
   done
 
 (* Regression (forced-tuple epsilon unification): the independent and BID
@@ -176,7 +176,7 @@ let test_median_jaccard_bid () =
       incr agree;
     (* the returned world must at least be possible *)
     Alcotest.(check bool) "candidate is possible" true
-      (Tree.world_is_possible ~eq:( = ) (Db.itree db) med)
+      (Tree.world_is_possible ~eq:( = ) (fst (Tree.index (Db.tree db))) med)
   done;
   (* The sketch is exact on most instances; require a high agreement rate
      and document the gap in EXPERIMENTS.md (E3). *)

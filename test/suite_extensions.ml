@@ -28,7 +28,7 @@ let test_of_worlds_figure1 () =
   let t = Transform.of_worlds worlds in
   let db = Db.create t in
   check_float "t3 marginal" 0.6 (Db.key_marginal db 3);
-  let sizes = Genfunc.size_distribution t in
+  let sizes = Marginals.size_distribution db in
   check_float "always 3 tuples" 1. (Consensus_poly.Poly1.coeff sizes 3)
 
 let test_of_worlds_residual () =
@@ -82,7 +82,7 @@ let test_conditioning_vs_pair_marginals () =
     let db = Gen.random_tree_db g (3 + Prng.int g 7) in
     let n = Db.num_alts db in
     let target = Prng.int g n in
-    let it = Db.itree db in
+    let it = fst (Tree.index (Db.tree db)) in
     (* present *)
     (match Transform.condition_present (fun i -> i = target) it with
     | None -> Alcotest.fail "leaf not found"
@@ -282,6 +282,63 @@ let test_sampled_consensus_validates () =
     Alcotest.fail "zero samples accepted"
   with Invalid_argument _ -> ()
 
+(* Seeded sampled answers, pinned: the sampler draws one uniform per visited
+   xor node in depth-first order, and any change to that sequence changes
+   these answers. *)
+let test_sampled_answers_golden () =
+  let cluster =
+    [
+      [| 0; 1; 2; 1; 3; 3 |];
+      [| 0; 4; 1; 2; 3; 1 |];
+      [| 3; 0; 1; 1; 2; 1 |];
+      [| 0; 1; 2; 0; 3; 2 |];
+      [| 0; 1; 1; 2; 0; 3 |];
+      [| 0; 1; 4; 2; 3; 3 |];
+    ]
+  in
+  List.iteri
+    (fun i expected ->
+      let seed = i + 1 in
+      let db = Gen.clustering_db (Prng.create ~seed:(1000 + seed) ()) 6 in
+      let t = Cluster_consensus.make db in
+      Alcotest.(check (array int))
+        (Printf.sprintf "best_of_worlds seed %d" seed)
+        expected
+        (Cluster_consensus.best_of_worlds (Prng.create ~seed ()) ~samples:3 t))
+    cluster;
+  let topk =
+    [
+      [| 2; 5; 6 |];
+      [| 5; 6; 7 |];
+      [| 2; 0; 1 |];
+      [| 0; 1; 3 |];
+      [| 1; 6; 5 |];
+      [| 6; 7; 0 |];
+    ]
+  in
+  List.iteri
+    (fun i expected ->
+      let seed = i + 1 in
+      let db = Gen.random_keyed_tree (Prng.create ~seed:(2000 + seed) ()) 9 in
+      Alcotest.(check (array int))
+        (Printf.sprintf "sampled_mean_sym_diff seed %d" seed)
+        expected
+        (Topk_consensus.sampled_mean_sym_diff (Prng.create ~seed ()) ~samples:5
+           db ~k:3))
+    topk;
+  List.iteri
+    (fun i expected ->
+      let seed = i + 1 in
+      let db = Gen.random_keyed_tree (Prng.create ~seed:(3000 + seed) ()) 9 in
+      let ctx = Topk_consensus.make_ctx db ~k:2 in
+      let keys = Db.keys db in
+      Alcotest.(check (float 0.))
+        (Printf.sprintf "mc_expected seed %d" seed)
+        expected
+        (Topk_consensus.mc_expected (Prng.create ~seed ()) ~samples:20 ctx
+           Topk_consensus.Sym_diff [| keys.(0); keys.(1) |]))
+    [ 0.8625; 0.3625; 0.4375 ]
+
 (* ---------- safe plans ---------- *)
 
 let mk_instance reg =
@@ -448,6 +505,7 @@ let suite =
     Alcotest.test_case "pruning saves work" `Quick test_pruning_saves_work;
     Alcotest.test_case "sampled consensus converges" `Slow test_sampled_consensus_converges;
     Alcotest.test_case "sampled consensus validates" `Quick test_sampled_consensus_validates;
+    Alcotest.test_case "sampled answers are golden" `Quick test_sampled_answers_golden;
     Alcotest.test_case "hierarchy detection" `Quick test_hierarchy_detection;
     Alcotest.test_case "extensional = intensional" `Quick test_extensional_matches_intensional;
     Alcotest.test_case "intensional on hard query" `Slow test_intensional_handles_hard_query;

@@ -28,7 +28,7 @@ let prop_worlds_sum_to_one =
       with_rng seed (fun g ->
           let db = Gen.small_db g ~max_leaves:10 in
           let total =
-            Worlds.fold (Db.itree db) ~init:0. ~f:(fun acc p _ -> acc +. p)
+            Worlds.fold (fst (Tree.index (Db.tree db))) ~init:0. ~f:(fun acc p _ -> acc +. p)
           in
           Fcmp.approx ~eps:1e-9 1. total))
 
@@ -37,7 +37,7 @@ let prop_worlds_to_seq_matches_enumerate =
     (fun seed ->
       with_rng seed (fun g ->
           let db = Gen.small_db g ~max_leaves:10 in
-          let t = Db.itree db in
+          let t = fst (Tree.index (Db.tree db)) in
           List.of_seq (Worlds.to_seq t) = Worlds.enumerate t))
 
 let prop_worlds_marginals_match =
@@ -47,7 +47,7 @@ let prop_worlds_marginals_match =
           let db = Gen.small_db g ~max_leaves:10 in
           let n = Db.num_alts db in
           let freq = Array.make n 0. in
-          Worlds.fold (Db.itree db) ~init:() ~f:(fun () p ids ->
+          Worlds.fold (fst (Tree.index (Db.tree db))) ~init:() ~f:(fun () p ids ->
               List.iter (fun i -> freq.(i) <- freq.(i) +. p) ids);
           Array.for_all
             (fun i -> Fcmp.approx ~eps:1e-9 freq.(i) (Db.marginal db i))
