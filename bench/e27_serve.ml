@@ -14,7 +14,8 @@ module Json = Consensus_obs.Json
 
 (* ---------- minimal loopback HTTP client ---------- *)
 
-(* One request on a fresh connection (the daemon closes after answering).
+(* One request on a fresh connection, read to end of stream: it asks the
+   daemon to close after answering, which would otherwise keep it alive.
    Returns the status code, or 0 when the connection itself failed. *)
 let request port ~meth ~path ~body =
   match Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 with
@@ -27,7 +28,8 @@ let request port ~meth ~path ~body =
               (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
             let req =
               Printf.sprintf
-                "%s %s HTTP/1.1\r\nHost: bench\r\nContent-Length: %d\r\n\r\n%s"
+                "%s %s HTTP/1.1\r\nHost: bench\r\nContent-Length: %d\r\n\
+                 Connection: close\r\n\r\n%s"
                 meth path (String.length body) body
             in
             let n = String.length req in

@@ -10,23 +10,36 @@ type response = { status : int; content_type : string; body : string }
 let response ?(content_type = "text/plain") ~status body =
   { status; content_type; body }
 
+(* One live client connection.  [pending] holds bytes received but not yet
+   consumed by a request — with pipelining, the start of the next one.
+   [idle] (guarded by [t.conn_lock]) is set while the handler waits for a
+   request to begin, so {!stop} may shut the socket down. *)
+type conn = {
+  fd : Unix.file_descr;
+  pending : Buffer.t;
+  chunk : Bytes.t;
+  mutable idle : bool;
+}
+
 type t = {
   sock : Unix.file_descr;
   bound_port : int;
   started : float; (* server start, for the /healthz uptime field *)
+  read_timeout : float; (* SO_RCVTIMEO: bounds a stalled read and an idle wait *)
   handler : (request -> response option) option;
   stopping : bool Atomic.t;
   quit_lock : Mutex.t;
   quit_cond : Condition.t;
   mutable quit_requested : bool;
   mutable accept_domain : unit Domain.t option;
-  (* Connection-thread accounting: [slots] caps the live handler threads
-     (an accept blocks on it, pushing overload back into the listen
-     backlog); the count + condition let [stop] drain them. *)
+  (* Connection accounting: [slots] caps the open connections, idle
+     kept-alive ones included (an accept blocks on it, pushing overload
+     back into the listen backlog); the list + condition let [stop] end
+     idle waits and drain the rest. *)
   slots : Semaphore.Counting.t;
   conn_lock : Mutex.t;
   conn_cond : Condition.t;
-  mutable active_conns : int;
+  mutable conns : conn list;
 }
 
 let status_text = function
@@ -52,12 +65,14 @@ let write_all fd s =
      done
    with Unix.Unix_error _ -> ())
 
-let respond fd { status; content_type; body } =
+let respond fd ~keep_alive { status; content_type; body } =
   write_all fd
     (Printf.sprintf
        "HTTP/1.1 %s\r\nContent-Type: %s\r\nContent-Length: %d\r\nConnection: \
-        close\r\n\r\n%s"
-       (status_text status) content_type (String.length body) body)
+        %s\r\n\r\n%s"
+       (status_text status) content_type (String.length body)
+       (if keep_alive then "keep-alive" else "close")
+       body)
 
 (* ---------- request parsing ---------- *)
 
@@ -113,25 +128,25 @@ let parse_query qs =
                  )
            | None -> Some (pct_decode kv, ""))
 
-(* Case-insensitive Content-Length lookup over the raw header block.
-   Duplicate Content-Length headers are rejected outright (a classic
+(* The trimmed values of every header named [name] (lower-case), in order,
+   from the raw header block. *)
+let header_values headers name =
+  String.split_on_char '\n' headers
+  |> List.filter_map (fun line ->
+         match String.index_opt line ':' with
+         | Some i
+           when String.lowercase_ascii (String.trim (String.sub line 0 i)) = name
+           ->
+             Some
+               (String.trim (String.sub line (i + 1) (String.length line - i - 1)))
+         | _ -> None)
+
+(* Duplicate Content-Length headers are rejected outright (a classic
    request-smuggling vector: two framings of one body), as are non-numeric
    or negative values — the old behaviour silently took the first parseable
    header and treated garbage as "no body". *)
 let content_length headers =
-  let values =
-    String.split_on_char '\n' headers
-    |> List.filter_map (fun line ->
-           match String.index_opt line ':' with
-           | Some i
-             when String.lowercase_ascii (String.trim (String.sub line 0 i))
-                  = "content-length" ->
-               Some
-                 (String.trim
-                    (String.sub line (i + 1) (String.length line - i - 1)))
-           | _ -> None)
-  in
-  match values with
+  match header_values headers "content-length" with
   | [] -> Ok None
   | [ v ] -> (
       match int_of_string_opt v with
@@ -144,29 +159,50 @@ let content_length headers =
       Error (response ~status:400 "conflicting content-length headers\n")
 
 type read_outcome =
-  | Request of request
+  | Request of request * bool (* the request, and whether to keep alive *)
   | Malformed of response
   | Disconnected
 
-(* Read one full request — header block, then [Content-Length] body bytes.
-   A receive timeout bounds how long a wedged client can hold its handler
-   thread (and, at the cap, an accept slot). *)
-let read_request fd =
-  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
-  let buf = Buffer.create 1024 in
-  let chunk = Bytes.create 4096 in
+type fill = Filled | Eof | Timed_out
+
+(* One [read] into the connection's pending bytes. *)
+let rec fill conn =
+  match Unix.read conn.fd conn.chunk 0 (Bytes.length conn.chunk) with
+  | 0 -> Eof
+  | n ->
+      Buffer.add_subbytes conn.pending conn.chunk 0 n;
+      Filled
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+      Timed_out
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> fill conn
+  | exception Unix.Unix_error _ -> Eof
+
+(* HTTP/1.1 persists unless the client says [close]; HTTP/1.0 only when it
+   asks for [keep-alive]; anything else closes. *)
+let keep_alive ~version headers =
+  let tokens =
+    header_values headers "connection"
+    |> List.concat_map (String.split_on_char ',')
+    |> List.map (fun s -> String.lowercase_ascii (String.trim s))
+  in
+  (not (List.mem "close" tokens))
+  && (version = "HTTP/1.1"
+     || (version = "HTTP/1.0" && List.mem "keep-alive" tokens))
+
+(* Read one full request — header block, then [Content-Length] body bytes —
+   from the connection's pending bytes, reading more as needed.  Bytes past
+   the request stay pending for the next call.  The socket's receive
+   timeout bounds how long a wedged client can hold its handler thread. *)
+let read_request conn =
+  let buf = conn.pending in
   let timed_out = ref false in
   let read_more () =
-    match Unix.read fd chunk 0 (Bytes.length chunk) with
-    | 0 -> false
-    | n ->
-        Buffer.add_subbytes buf chunk 0 n;
-        true
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+    match fill conn with
+    | Filled -> true
+    | Eof -> false
+    | Timed_out ->
         timed_out := true;
         false
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> true
-    | exception Unix.Unix_error _ -> false
   in
   let rec fill_headers () =
     match find_terminator (Buffer.contents buf) with
@@ -196,6 +232,10 @@ let read_request fd =
       let body_start = header_end + 4 in
       if String.length first_line > max_request_line_bytes then
         Malformed (response ~status:400 "request line too long\n")
+      else if header_values headers "transfer-encoding" <> [] then
+        (* Only Content-Length framing is understood; a chunked body left
+           on a persistent socket would be parsed as the next request. *)
+        Malformed (response ~status:400 "transfer-encoding not supported\n")
       else
       match content_length headers with
       | Error resp -> Malformed resp
@@ -215,9 +255,13 @@ let read_request fd =
                ~status:(if !timed_out then 408 else 400)
                "incomplete body\n")
         else
-          let body = String.sub (Buffer.contents buf) body_start want in
+          let raw = Buffer.contents buf in
+          let body = String.sub raw body_start want in
+          let consumed = body_start + want in
+          Buffer.clear buf;
+          Buffer.add_substring buf raw consumed (String.length raw - consumed);
           match String.split_on_char ' ' first_line with
-          | meth :: target :: _ ->
+          | meth :: target :: rest ->
               let path, query =
                 match String.index_opt target '?' with
                 | Some i ->
@@ -227,7 +271,10 @@ let read_request fd =
                     )
                 | None -> (target, [])
               in
-              Request { meth; path; query; body }
+              let version = match rest with v :: _ -> v | [] -> "" in
+              Request
+                ( { meth; path; query; body },
+                  keep_alive ~version headers )
           | _ -> Malformed (response ~status:400 "bad request\n")
       end)
 
@@ -347,59 +394,99 @@ let note_quit t =
   Condition.broadcast t.quit_cond;
   Mutex.unlock t.quit_lock
 
-let handle_connection t fd =
-  match read_request fd with
-  | Disconnected -> ()
-  | Malformed resp -> respond fd resp
-  | Request req -> (
-      let custom =
-        match t.handler with
-        | None -> None
-        | Some h -> (
-            try h req
-            with e ->
-              Some
-                (response ~status:500
-                   (Printf.sprintf "internal error: %s\n" (Printexc.to_string e))))
-      in
-      match custom with
-      | Some resp -> respond fd resp
-      | None -> (
-          match default_route t req with
-          | `Respond resp -> respond fd resp
-          | `Quit ->
-              respond fd (response ~status:200 "bye\n");
-              note_quit t))
+(* The response to a well-formed request, and whether it was [/quit]. *)
+let dispatch t req =
+  let custom =
+    match t.handler with
+    | None -> None
+    | Some h -> (
+        try h req
+        with e ->
+          Some
+            (response ~status:500
+               (Printf.sprintf "internal error: %s\n" (Printexc.to_string e))))
+  in
+  match custom with
+  | Some resp -> (resp, false)
+  | None -> (
+      match default_route t req with
+      | `Respond resp -> (resp, false)
+      | `Quit -> (response ~status:200 "bye\n", true))
+
+(* Wait for the next request to begin.  Pending bytes (a pipelined
+   request) begin it at once; otherwise the connection sits idle, where
+   {!stop} may shut its socket down, until bytes arrive, the client closes
+   or the receive timeout passes.  False when the connection should end. *)
+let await_request t conn =
+  Buffer.length conn.pending > 0
+  || begin
+       Mutex.lock t.conn_lock;
+       let go = not (Atomic.get t.stopping) in
+       conn.idle <- go;
+       Mutex.unlock t.conn_lock;
+       go
+       &&
+       let r = fill conn in
+       Mutex.lock t.conn_lock;
+       conn.idle <- false;
+       Mutex.unlock t.conn_lock;
+       r = Filled
+     end
+
+(* Serve requests in order until one asks to close, is malformed or
+   [/quit], or the server stops. *)
+let handle_connection t conn =
+  Unix.setsockopt_float conn.fd Unix.SO_RCVTIMEO t.read_timeout;
+  let rec loop () =
+    if await_request t conn then
+      match read_request conn with
+      | Disconnected -> ()
+      | Malformed resp -> respond conn.fd ~keep_alive:false resp
+      | Request (req, keep_alive) ->
+          let resp, quit = dispatch t req in
+          let keep_alive =
+            keep_alive && (not quit) && not (Atomic.get t.stopping)
+          in
+          respond conn.fd ~keep_alive resp;
+          if quit then note_quit t;
+          if keep_alive then loop ()
+  in
+  loop ()
 
 (* One systhread per connection, all living on the accept domain: handlers
    either block on I/O / condition variables (releasing the domain lock) or
    hand real work to engine worker domains, so a single domain multiplexes
-   many in-flight connections.  [slots] caps the thread count. *)
+   many in-flight connections.  [slots] caps the open connections. *)
 let spawn_connection t fd =
   Semaphore.Counting.acquire t.slots;
+  let conn =
+    { fd; pending = Buffer.create 1024; chunk = Bytes.create 4096; idle = false }
+  in
   Mutex.lock t.conn_lock;
-  t.active_conns <- t.active_conns + 1;
+  t.conns <- conn :: t.conns;
   Mutex.unlock t.conn_lock;
   let finish () =
-    (try Unix.close fd with Unix.Unix_error _ -> ());
-    Semaphore.Counting.release t.slots;
+    (* Unregister before closing, so [stop] never shuts down a descriptor
+       number the system has already reused. *)
     Mutex.lock t.conn_lock;
-    t.active_conns <- t.active_conns - 1;
-    if t.active_conns = 0 then Condition.broadcast t.conn_cond;
-    Mutex.unlock t.conn_lock
+    t.conns <- List.filter (fun c -> c != conn) t.conns;
+    if t.conns = [] then Condition.broadcast t.conn_cond;
+    Mutex.unlock t.conn_lock;
+    (try Unix.close fd with Unix.Unix_error _ -> ());
+    Semaphore.Counting.release t.slots
   in
   match
     Thread.create
       (fun () ->
         Fun.protect ~finally:finish (fun () ->
-            try handle_connection t fd with _ -> ()))
+            try handle_connection t conn with _ -> ()))
       ()
   with
   | (_ : Thread.t) -> ()
   | exception _ ->
       (* Thread creation failed (resource exhaustion): shed the connection
          rather than kill the accept loop. *)
-      respond fd (response ~status:503 "overloaded\n");
+      respond fd ~keep_alive:false (response ~status:503 "overloaded\n");
       finish ()
 
 let accept_loop t =
@@ -417,7 +504,7 @@ let accept_loop t =
   loop ()
 
 let start ?(host = "127.0.0.1") ?(backlog = 128) ?(max_connections = 64)
-    ?handler ~port () =
+    ?(read_timeout = 10.) ?handler ~port () =
   if max_connections < 1 then
     invalid_arg "Expose.start: max_connections must be >= 1";
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -447,7 +534,8 @@ let start ?(host = "127.0.0.1") ?(backlog = 128) ?(max_connections = 64)
       slots = Semaphore.Counting.make max_connections;
       conn_lock = Mutex.create ();
       conn_cond = Condition.create ();
-      active_conns = 0;
+      conns = [];
+      read_timeout;
     }
   in
   t.accept_domain <- Some (Domain.spawn (fun () -> accept_loop t));
@@ -455,8 +543,27 @@ let start ?(host = "127.0.0.1") ?(backlog = 128) ?(max_connections = 64)
 
 let port t = t.bound_port
 
+let connections t =
+  Mutex.lock t.conn_lock;
+  let n = List.length t.conns in
+  Mutex.unlock t.conn_lock;
+  n
+
 let stop t =
   if not (Atomic.exchange t.stopping true) then begin
+    (* End idle waits first: an idle kept-alive connection would otherwise
+       hold its thread, and its accept slot (the accept loop may be blocked
+       on one), until the receive timeout.  Shutting down only the receive
+       side makes the pending read return end-of-stream.  Busy connections
+       finish their request and answer [Connection: close]. *)
+    Mutex.lock t.conn_lock;
+    List.iter
+      (fun c ->
+        if c.idle then
+          try Unix.shutdown c.fd Unix.SHUTDOWN_RECEIVE
+          with Unix.Unix_error _ -> ())
+      t.conns;
+    Mutex.unlock t.conn_lock;
     (* Wake a blocked [accept] with a throwaway connection, then close the
        listener; the loop exits on either signal. *)
     (try
@@ -469,10 +576,10 @@ let stop t =
     Option.iter Domain.join t.accept_domain;
     t.accept_domain <- None;
     (try Unix.close t.sock with Unix.Unix_error _ -> ());
-    (* Drain in-flight connection threads (bounded by the receive timeout
-       and handler completion) before declaring the server gone. *)
+    (* Drain in-flight requests (bounded by the receive timeout and handler
+       completion) before declaring the server gone. *)
     Mutex.lock t.conn_lock;
-    while t.active_conns > 0 do
+    while t.conns <> [] do
       Condition.wait t.conn_cond t.conn_lock
     done;
     Mutex.unlock t.conn_lock;

@@ -7,8 +7,16 @@
     accepts wait, pushing overload back into the listen [backlog]).  Handler
     threads that block — on sockets or on engine tasks — release the domain
     lock, so one domain multiplexes many in-flight connections while the
-    actual query work runs on engine worker domains.  Every response closes
-    the connection.
+    actual query work runs on engine worker domains.
+
+    Connections persist (HTTP/1.1 keep-alive): a handler thread serves the
+    requests of its connection in order, pipelined ones included, until
+    the client sends [Connection: close], sends an HTTP/1.0 request
+    without [Connection: keep-alive], sends a malformed request or
+    [GET /quit], or the server stops.  Every response carries
+    [Connection: keep-alive] or [Connection: close] to match.  The receive
+    timeout (default 10 s) is also the idle timeout: a connection with no
+    request under way for that long is closed.
 
     Built-in routes (served when the custom [handler] declines):
 
@@ -41,9 +49,11 @@
     [handler] hook.
 
     Request parsing is strict where ambiguity would be dangerous:
-    duplicate or non-numeric [Content-Length] headers and request lines
-    over 8 KiB are rejected with [400] (bodies over 8 MiB with [413],
-    header blocks over 64 KiB with [400]). *)
+    duplicate or non-numeric [Content-Length] headers, any
+    [Transfer-Encoding] header and request lines over 8 KiB are rejected
+    with [400] (bodies over 8 MiB with [413], header blocks over 64 KiB
+    with [400], a request stalled past the receive timeout with [408]).
+    Every such rejection closes the connection. *)
 
 (** {1 Requests and responses} *)
 
@@ -73,6 +83,7 @@ val start :
   ?host:string ->
   ?backlog:int ->
   ?max_connections:int ->
+  ?read_timeout:float ->
   ?handler:(request -> response option) ->
   port:int ->
   unit ->
@@ -86,15 +97,23 @@ val start :
     concurrently on connection threads and must be thread-safe.
 
     [backlog] (default 128) is the listen queue; [max_connections]
-    (default 64, must be >= 1) caps concurrent handler threads.  Raises
-    [Unix.Unix_error] if the address cannot be bound. *)
+    (default 64, must be >= 1) caps open connections, idle kept-alive ones
+    included — one handler thread each.  [read_timeout] (default 10 s) is
+    the socket receive timeout, which bounds both a stalled request and
+    an idle connection.  Raises [Unix.Unix_error] if the address cannot be
+    bound. *)
 
 val port : t -> int
 (** The actually bound port (resolves ephemeral binds). *)
 
+val connections : t -> int
+(** Connections open right now, idle kept-alive ones included. *)
+
 val stop : t -> unit
 (** Shut the accept loop down, join its domain and drain in-flight
-    connection threads.  Idempotent. *)
+    connection threads.  Idle kept-alive connections are closed at once,
+    not waited on; a request already under way is answered (with
+    [Connection: close]) first.  Idempotent. *)
 
 val wait_quit : t -> unit
 (** Block until a [GET /quit] request has been served (returns immediately

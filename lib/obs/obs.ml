@@ -57,9 +57,12 @@ type buffer = {
   mutable older : span list; (* previous window, newest first *)
 }
 
-(* Backstop against unbounded growth if a long-running process leaves
-   tracing on: the oldest window of a domain's spans is dropped. *)
-let max_events_per_domain = 1 lsl 20
+(* Backstop against unbounded growth in a long-running process with
+   tracing on (the serve daemon always has it on): the oldest window of a
+   domain's spans is dropped.  Sized for a daemon, whose every domain
+   would otherwise retain up to this many spans for the life of the
+   process; it is still many times the spans of one large request. *)
+let max_events_per_domain = 1 lsl 14
 let window_events = max_events_per_domain / 2
 
 let buffers : buffer list ref = ref []

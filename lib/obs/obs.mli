@@ -75,8 +75,12 @@ type span = {
 val spans : unit -> span list
 (** All recorded spans, sorted by start timestamp (ties by duration,
     longest first, so parents precede their children).  Per-domain
-    retention is bounded: a domain keeps its most recent ~[2^19]–[2^20]
-    spans, dropping the oldest window beyond that. *)
+    retention is bounded: a domain keeps its most recent spans, between
+    half of {!max_events_per_domain} and all of it, dropping the oldest
+    window beyond that. *)
+
+val max_events_per_domain : int
+(** The most spans one domain retains: [2^14]. *)
 
 val request_spans : string -> span list
 (** The retained spans tagged with the given request id, sorted as

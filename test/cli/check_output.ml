@@ -439,7 +439,9 @@ let http_get port path =
     (fun () ->
       Unix.connect sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
       let req =
-        Printf.sprintf "GET %s HTTP/1.1\r\nHost: localhost\r\n\r\n" path
+        Printf.sprintf
+          "GET %s HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n"
+          path
       in
       ignore (Unix.write_substring sock req 0 (String.length req));
       let buf = Buffer.create 4096 in
@@ -580,7 +582,8 @@ let http_post port path body =
       Unix.connect sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
       let req =
         Printf.sprintf
-          "POST %s HTTP/1.1\r\nHost: localhost\r\nContent-Length: %d\r\n\r\n%s"
+          "POST %s HTTP/1.1\r\nHost: localhost\r\nContent-Length: %d\r\n\
+           Connection: close\r\n\r\n%s"
           path (String.length body) body
       in
       ignore (Unix.write_substring sock req 0 (String.length req));

@@ -501,6 +501,44 @@ let test_trace_limit () =
   Alcotest.(check int) "limit 0 keeps nothing" 0
     (List.length (evs_of (Obs.trace_json ~limit:0 ())))
 
+(* A long-lived process records far more spans than a domain retains:
+   each domain keeps at most [max_events_per_domain], the newest ones. *)
+let test_span_retention_bound () =
+  with_obs @@ fun () ->
+  let bound = Obs.max_events_per_domain in
+  let n = bound + (bound / 2) + 3 in
+  let record () =
+    for i = 1 to n do
+      Obs.with_span ~attrs:(fun () -> [ ("i", Obs.Int i) ]) "test.obs.retain"
+        ignore
+    done
+  in
+  record ();
+  Domain.join (Domain.spawn record);
+  let by_tid = Hashtbl.create 4 in
+  List.iter
+    (fun s ->
+      let i =
+        match List.assoc_opt "i" s.Obs.span_attrs with
+        | Some (Obs.Int i) -> i
+        | _ -> Alcotest.fail "span lost its attribute"
+      in
+      let count, newest =
+        Option.value (Hashtbl.find_opt by_tid s.Obs.span_tid) ~default:(0, 0)
+      in
+      Hashtbl.replace by_tid s.Obs.span_tid (count + 1, max newest i))
+    (Obs.spans ());
+  Alcotest.(check int) "two recording domains" 2 (Hashtbl.length by_tid);
+  Hashtbl.iter
+    (fun _ (count, newest) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%d retained <= %d" count bound)
+        true (count <= bound);
+      Alcotest.(check bool) "at least half the bound kept" true
+        (count >= bound / 2);
+      Alcotest.(check int) "newest span kept" n newest)
+    by_tid
+
 let test_histogram_exemplars () =
   with_obs @@ fun () ->
   let h =
@@ -633,6 +671,8 @@ let suite =
     Alcotest.test_case "context crosses the engine pool" `Quick
       test_context_crosses_pool;
     Alcotest.test_case "trace export limit" `Quick test_trace_limit;
+    Alcotest.test_case "span retention bounded per domain" `Quick
+      test_span_retention_bound;
     Alcotest.test_case "histogram exemplars" `Quick test_histogram_exemplars;
     Alcotest.test_case "log levels and fields" `Quick test_log_levels_and_fields;
     Alcotest.test_case "log ring wraparound under concurrent writers" `Quick

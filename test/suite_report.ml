@@ -176,7 +176,9 @@ let http_get port path =
     (fun () ->
       Unix.connect sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
       let req =
-        Printf.sprintf "GET %s HTTP/1.1\r\nHost: localhost\r\n\r\n" path
+        Printf.sprintf
+          "GET %s HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n"
+          path
       in
       ignore (Unix.write_substring sock req 0 (String.length req));
       let buf = Buffer.create 1024 in

@@ -13,6 +13,7 @@ module Prng = Consensus_util.Prng
 module Obs = Consensus_obs.Obs
 module Log = Consensus_obs.Log
 module Json = Consensus_obs.Json
+module Expose = Consensus_obs.Expose
 
 (* ---------- query wire format: print/parse round-trip ---------- *)
 
@@ -270,42 +271,97 @@ let find_sub haystack needle =
   in
   go 0
 
-let send_raw ~port request =
+(* A raw client socket that reads one Content-Length-framed response at a
+   time, keeping bytes past it for the next. *)
+type client = { sock : Unix.file_descr; inbox : Buffer.t }
+
+let with_client ~port f =
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Fun.protect ~finally:(fun () -> try Unix.close sock with Unix.Unix_error _ -> ())
   @@ fun () ->
   Unix.connect sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-  let _ = Unix.write_substring sock request 0 (String.length request) in
-  let buf = Buffer.create 1024 in
-  let chunk = Bytes.create 4096 in
-  let rec drain () =
-    match Unix.read sock chunk 0 (Bytes.length chunk) with
-    | 0 -> ()
-    | n ->
-        Buffer.add_subbytes buf chunk 0 n;
-        drain ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> drain ()
+  (* A server that wrongly holds the socket open fails the test instead
+     of hanging it. *)
+  Unix.setsockopt_float sock Unix.SO_RCVTIMEO 5.;
+  f { sock; inbox = Buffer.create 4096 }
+
+let send c s =
+  let n = String.length s in
+  let rec go off =
+    if off < n then go (off + Unix.write_substring c.sock s off (n - off))
   in
-  drain ();
-  let raw = Buffer.contents buf in
-  let status =
-    match String.split_on_char ' ' raw with
-    | _ :: code :: _ -> int_of_string_opt code |> Option.value ~default:0
+  go 0
+
+(* One more read into the inbox; false at end of stream. *)
+let recv c =
+  let chunk = Bytes.create 4096 in
+  match Unix.read c.sock chunk 0 (Bytes.length chunk) with
+  | 0 -> false
+  | n ->
+      Buffer.add_subbytes c.inbox chunk 0 n;
+      true
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+      Alcotest.fail "server neither answered nor closed"
+  | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> false
+
+(* True when the server has closed the socket with nothing more to read. *)
+let closed c = Buffer.length c.inbox = 0 && not (recv c)
+
+type reply = { code : int; connection : string; payload : string }
+
+let header head name =
+  String.split_on_char '\n' head
+  |> List.find_map (fun line ->
+         match String.index_opt line ':' with
+         | Some i
+           when String.lowercase_ascii (String.trim (String.sub line 0 i)) = name
+           ->
+             Some
+               (String.lowercase_ascii
+                  (String.trim
+                     (String.sub line (i + 1) (String.length line - i - 1))))
+         | _ -> None)
+  |> Option.value ~default:""
+
+let read_reply c =
+  let rec head_end () =
+    match find_sub (Buffer.contents c.inbox) "\r\n\r\n" with
+    | Some i -> i
+    | None ->
+        if recv c then head_end ()
+        else Alcotest.fail "connection closed before a response"
+  in
+  let i = head_end () in
+  let head = Buffer.sub c.inbox 0 i in
+  let len = int_of_string (header head "content-length") in
+  while Buffer.length c.inbox < i + 4 + len do
+    if not (recv c) then Alcotest.fail "response body truncated"
+  done;
+  let payload = Buffer.sub c.inbox (i + 4) len in
+  let rest =
+    Buffer.sub c.inbox (i + 4 + len) (Buffer.length c.inbox - i - 4 - len)
+  in
+  Buffer.clear c.inbox;
+  Buffer.add_string c.inbox rest;
+  let code =
+    match String.split_on_char ' ' head with
+    | _ :: code :: _ -> int_of_string code
     | _ -> 0
   in
-  let body =
-    match find_sub raw "\r\n\r\n" with
-    | Some i -> String.sub raw (i + 4) (String.length raw - i - 4)
-    | None -> ""
-  in
-  (status, body)
+  { code; connection = header head "connection"; payload }
 
+let request_text ?(version = "HTTP/1.1") ?(headers = []) ~meth ~target body =
+  Printf.sprintf "%s %s %s\r\nHost: localhost\r\nContent-Length: %d\r\n%s\r\n%s"
+    meth target version (String.length body)
+    (String.concat "" (List.map (fun h -> h ^ "\r\n") headers))
+    body
+
+(* One request on a fresh connection that asks to be closed. *)
 let http_request ~port ~meth ~target body =
-  send_raw ~port
-    (Printf.sprintf
-       "%s %s HTTP/1.1\r\nHost: localhost\r\nContent-Length: %d\r\nConnection: \
-        close\r\n\r\n%s"
-       meth target (String.length body) body)
+  with_client ~port @@ fun c ->
+  send c (request_text ~headers:[ "Connection: close" ] ~meth ~target body);
+  let r = read_reply c in
+  (r.code, r.payload)
 
 let contains haystack needle = find_sub haystack needle <> None
 
@@ -379,12 +435,13 @@ let test_daemon_deadline () =
 
 (* ---------- Expose request-parsing hardening ---------- *)
 
-let with_small_daemon ?(slow_threshold = infinity) ?(jobs = 2) f =
+let with_small_daemon ?(slow_threshold = infinity) ?(jobs = 2) ?db f =
+  let db = match db with Some db -> db | None -> small_db () in
   let daemon =
     Daemon.start
       {
         Daemon.default_config with
-        Daemon.dbs = [ ("main", small_db ()) ];
+        Daemon.dbs = [ ("main", db) ];
         jobs;
         max_inflight = 1;
         max_queue = 8;
@@ -399,38 +456,174 @@ let with_small_daemon ?(slow_threshold = infinity) ?(jobs = 2) f =
       Daemon.stop daemon)
     (fun () -> f daemon (Daemon.port daemon))
 
+(* ---------- persistent connections ---------- *)
+
+(* A /query answer without the fields that differ between two runs of the
+   same query: its request id and wall time. *)
+let stable_fields payload =
+  match Suite_obs.parse_json payload with
+  | Suite_obs.Obj fields ->
+      List.filter (fun (k, _) -> k <> "request" && k <> "elapsed_ms") fields
+  | _ -> Alcotest.fail "query body is not a JSON object"
+
+(* [request] is answered [code] with [Connection: close], and then the
+   socket ends. *)
+let check_closing ~port name code request =
+  with_client ~port @@ fun c ->
+  send c request;
+  let r = read_reply c in
+  Alcotest.(check int) name code r.code;
+  Alcotest.(check string) (name ^ ": says close") "close" r.connection;
+  Alcotest.(check bool) (name ^ ": socket closed") true (closed c)
+
 let test_expose_hardening () =
   with_small_daemon @@ fun _daemon port ->
   (* Duplicate Content-Length headers are a smuggling vector: reject even
      when the values agree. *)
-  let status, _ =
-    send_raw ~port
-      "POST /query HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: \
-       4\r\n\r\nrank"
-  in
-  Alcotest.(check int) "duplicate content-length" 400 status;
-  let status, _ =
-    send_raw ~port
-      "POST /query HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: \
-       7\r\n\r\nrank"
-  in
-  Alcotest.(check int) "conflicting content-length" 400 status;
-  let status, _ =
-    send_raw ~port "POST /query HTTP/1.1\r\nContent-Length: abc\r\n\r\nrank"
-  in
-  Alcotest.(check int) "non-numeric content-length" 400 status;
-  let status, _ =
-    send_raw ~port "POST /query HTTP/1.1\r\nContent-Length: -4\r\n\r\nrank"
-  in
-  Alcotest.(check int) "negative content-length" 400 status;
-  let long_line =
-    Printf.sprintf "GET /%s HTTP/1.1\r\n\r\n" (String.make 9000 'a')
-  in
-  let status, _ = send_raw ~port long_line in
-  Alcotest.(check int) "oversized request line" 400 status;
+  check_closing ~port "duplicate content-length" 400
+    "POST /query HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: \
+     4\r\n\r\nrank";
+  check_closing ~port "conflicting content-length" 400
+    "POST /query HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: \
+     7\r\n\r\nrank";
+  check_closing ~port "non-numeric content-length" 400
+    "POST /query HTTP/1.1\r\nContent-Length: abc\r\n\r\nrank";
+  check_closing ~port "negative content-length" 400
+    "POST /query HTTP/1.1\r\nContent-Length: -4\r\n\r\nrank";
+  check_closing ~port "oversized request line" 400
+    (Printf.sprintf "GET /%s HTTP/1.1\r\n\r\n" (String.make 9000 'a'));
+  check_closing ~port "oversized body" 413
+    "POST /query HTTP/1.1\r\nContent-Length: 9000000\r\n\r\n";
+  (* Only Content-Length framing is understood.  A chunked body must not
+     be left on the socket, where its payload — here a second request —
+     would be read as the next request. *)
+  check_closing ~port "chunked body" 400
+    "POST /query HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n\
+     15\r\nGET /dbs HTTP/1.1\r\n\r\n\r\n0\r\n\r\n";
+  check_closing ~port "transfer-encoding beside content-length" 400
+    "POST /query HTTP/1.1\r\nContent-Length: 4\r\nTransfer-Encoding: \
+     identity\r\n\r\nrank";
   (* A well-formed request still goes through on the same server. *)
   let status, _ = http_request ~port ~meth:"POST" ~target:"/query" "rank" in
-  Alcotest.(check int) "server still serving" 200 status
+  Alcotest.(check int) "server still serving" 200 status;
+  (* A request stalled past the receive timeout is answered 408, and
+     [/quit] closes its connection too. *)
+  let server = Expose.start ~read_timeout:0.2 ~port:0 () in
+  Fun.protect ~finally:(fun () -> Expose.stop server) @@ fun () ->
+  let port = Expose.port server in
+  check_closing ~port "stalled request" 408 "GET /healthz HTTP/1.1\r\n";
+  check_closing ~port "quit" 200 (request_text ~meth:"GET" ~target:"/quit" "")
+
+let test_keepalive_same_bytes () =
+  with_small_daemon @@ fun _daemon port ->
+  let queries = [ "topk k=3"; "rank metric=footrule" ] in
+  let fresh =
+    List.map
+      (fun q ->
+        let status, body = http_request ~port ~meth:"POST" ~target:"/query" q in
+        Alcotest.(check int) "fresh connection" 200 status;
+        stable_fields body)
+      queries
+  in
+  with_client ~port @@ fun c ->
+  List.iter2
+    (fun q expected ->
+      send c (request_text ~meth:"POST" ~target:"/query" q);
+      let r = read_reply c in
+      Alcotest.(check int) "kept-alive status" 200 r.code;
+      Alcotest.(check string) "kept alive" "keep-alive" r.connection;
+      Alcotest.(check bool) (q ^ ": same answer") true
+        (stable_fields r.payload = expected))
+    queries fresh;
+  (* Deterministic bodies are byte-identical too. *)
+  let status, body = http_request ~port ~meth:"GET" ~target:"/dbs" "" in
+  send c (request_text ~meth:"GET" ~target:"/dbs" "");
+  let r = read_reply c in
+  Alcotest.(check int) "dbs status" status r.code;
+  Alcotest.(check string) "dbs bytes" body r.payload
+
+let test_keepalive_pipelined () =
+  with_small_daemon @@ fun _daemon port ->
+  with_client ~port @@ fun c ->
+  (* Three requests in one write: each is answered, in order. *)
+  send c
+    (request_text ~meth:"POST" ~target:"/query" "topk k=2"
+    ^ request_text ~meth:"GET" ~target:"/dbs" ""
+    ^ request_text ~meth:"POST" ~target:"/query?db=nope" "rank");
+  let first = read_reply c in
+  Alcotest.(check int) "first is the query" 200 first.code;
+  Alcotest.(check bool) "first carries an answer" true
+    (contains first.payload "\"answer\"");
+  let second = read_reply c in
+  Alcotest.(check int) "second is /dbs" 200 second.code;
+  Alcotest.(check bool) "second names the db" true
+    (contains second.payload "\"main\"");
+  let third = read_reply c in
+  Alcotest.(check int) "third is the unknown db" 404 third.code;
+  Alcotest.(check string) "still alive" "keep-alive" third.connection
+
+let test_keepalive_close () =
+  with_small_daemon @@ fun _daemon port ->
+  let ask name ?version ?headers expected_connection =
+    with_client ~port @@ fun c ->
+    send c (request_text ?version ?headers ~meth:"GET" ~target:"/dbs" "");
+    let r = read_reply c in
+    Alcotest.(check int) name 200 r.code;
+    Alcotest.(check string) name expected_connection r.connection;
+    if expected_connection = "close" then
+      Alcotest.(check bool) (name ^ ": socket closed") true (closed c)
+  in
+  ask "Connection: close" ~headers:[ "Connection: close" ] "close";
+  ask "HTTP/1.0" ~version:"HTTP/1.0" "close";
+  ask "HTTP/1.0 keep-alive" ~version:"HTTP/1.0"
+    ~headers:[ "Connection: keep-alive" ] "keep-alive";
+  ask "HTTP/1.1 default" "keep-alive"
+
+let wait_until ?(timeout = 2.) cond =
+  let deadline = Unix.gettimeofday () +. timeout in
+  while (not (cond ())) && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.01
+  done
+
+let test_keepalive_idle_timeout () =
+  let server = Expose.start ~read_timeout:0.25 ~port:0 () in
+  Fun.protect ~finally:(fun () -> Expose.stop server) @@ fun () ->
+  with_client ~port:(Expose.port server) @@ fun c ->
+  send c (request_text ~meth:"GET" ~target:"/healthz" "");
+  let r = read_reply c in
+  Alcotest.(check string) "kept alive" "keep-alive" r.connection;
+  Alcotest.(check int) "idle connection counted" 1 (Expose.connections server);
+  Alcotest.(check bool) "idle client released" true (closed c);
+  wait_until (fun () -> Expose.connections server = 0);
+  Alcotest.(check int) "connection count back to 0" 0
+    (Expose.connections server)
+
+let test_keepalive_stop () =
+  with_small_daemon @@ fun daemon port ->
+  with_client ~port @@ fun c ->
+  send c (request_text ~meth:"POST" ~target:"/query" "topk k=2");
+  Alcotest.(check string) "kept alive" "keep-alive" (read_reply c).connection;
+  let t0 = Unix.gettimeofday () in
+  Daemon.stop daemon;
+  let dt = Unix.gettimeofday () -. t0 in
+  if dt >= 1. then Alcotest.failf "Daemon.stop took %.2f s on an idle client" dt;
+  Alcotest.(check bool) "idle client closed" true (closed c);
+  (* At the connection cap the accept loop itself waits for a slot that an
+     idle client holds; stop must still not wait out the read timeout. *)
+  let server = Expose.start ~max_connections:1 ~port:0 () in
+  Fun.protect ~finally:(fun () -> Expose.stop server) @@ fun () ->
+  let port = Expose.port server in
+  with_client ~port @@ fun held ->
+  send held (request_text ~meth:"GET" ~target:"/healthz" "");
+  Alcotest.(check int) "held" 200 (read_reply held).code;
+  with_client ~port @@ fun queued ->
+  send queued (request_text ~meth:"GET" ~target:"/healthz" "");
+  Unix.sleepf 0.05;
+  let t0 = Unix.gettimeofday () in
+  Expose.stop server;
+  let dt = Unix.gettimeofday () -. t0 in
+  if dt >= 1. then Alcotest.failf "Expose.stop took %.2f s at the cap" dt;
+  Alcotest.(check bool) "held client closed" true (closed held)
 
 let test_daemon_healthz () =
   with_small_daemon @@ fun _daemon port ->
@@ -607,6 +800,39 @@ let test_daemon_obs_reset_race () =
           (contains body "\"profile\"")
       done)
 
+(* The largest top-k of the serve_churn benchmark workload (k = 16 over a
+   24-key BID database), uncached, records about a thousand spans; its
+   explain profile must still telescope (Σ self = Σ roots) under the
+   per-domain span-retention bound. *)
+let test_explain_telescopes_at_size () =
+  with_small_daemon ~db:(Gen.bid_db ~max_alts:2 (Prng.create ~seed:7 ()) 24)
+  @@ fun _daemon port ->
+  let status, body =
+    http_request ~port ~meth:"POST"
+      ~target:"/query?explain=true&cache=false"
+      "topk k=16 metric=symdiff flavor=mean"
+  in
+  Alcotest.(check int) "query ok" 200 status;
+  let profile =
+    match Suite_obs.member "profile" (Suite_obs.parse_json body) with
+    | Some p -> p
+    | None -> Alcotest.fail "explain=true returned no profile"
+  in
+  let num name obj =
+    match Suite_obs.member name obj with
+    | Some (Suite_obs.Num f) -> f
+    | _ -> Alcotest.failf "profile lacks %s" name
+  in
+  let rows =
+    match Suite_obs.member "hotspots" profile with
+    | Some (Suite_obs.List rows) -> rows
+    | _ -> Alcotest.fail "profile lacks hotspots"
+  in
+  let self = List.fold_left (fun a r -> a +. num "self_s" r) 0. rows in
+  let roots = num "accounted_s" profile in
+  Alcotest.(check bool) "spans recorded" true (num "spans" profile > 0.);
+  Alcotest.(check (float (1e-9 +. (1e-6 *. roots)))) "self sums to roots" roots self
+
 let suite =
   qcheck_tests
   @ [
@@ -632,6 +858,18 @@ let suite =
         test_daemon_deadline;
       Alcotest.test_case "expose rejects ambiguous framing" `Quick
         test_expose_hardening;
+      Alcotest.test_case "keep-alive answers as fresh connections" `Quick
+        test_keepalive_same_bytes;
+      Alcotest.test_case "keep-alive answers pipelined requests in order"
+        `Quick test_keepalive_pipelined;
+      Alcotest.test_case "keep-alive honours close and HTTP/1.0" `Quick
+        test_keepalive_close;
+      Alcotest.test_case "keep-alive releases idle clients" `Quick
+        test_keepalive_idle_timeout;
+      Alcotest.test_case "stop does not wait on idle clients" `Quick
+        test_keepalive_stop;
+      Alcotest.test_case "explain profile telescopes at size" `Quick
+        test_explain_telescopes_at_size;
       Alcotest.test_case "healthz reports daemon state" `Quick
         test_daemon_healthz;
       Alcotest.test_case "request tracing end to end" `Quick
