@@ -6,168 +6,18 @@
    anything within tolerance) pass — the expectations are a floor, not a
    lock, and should be re-pinned when a tracked metric genuinely moves.
 
-   Dependency-free on purpose (its own RFC 8259-subset parser): the check
-   must keep working even when the bench or obs layers are the thing
-   being broken.
+   Depends on nothing but [consensus_util] (for its JSON parser), on
+   purpose: the check must keep working even when the bench or obs layers
+   are the thing being broken.
 
    Usage: check_trajectory FILE.json...
-   Files whose basename has no expectations are parse-checked only;
-   missing files are skipped with a note (the quickbench sandbox may not
-   stage every committed bench file). *)
+   Files whose basename has no expectations are parse-checked only.  Every
+   file with pinned expectations must be given and present: a pinned file
+   that is missing fails the check rather than passing unchecked. *)
+
+module Json = Consensus_util.Json
 
 let failures = ref 0
-
-(* ---------- minimal JSON parser ---------- *)
-
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | List of json list
-  | Obj of (string * json) list
-
-exception Parse_error of string
-
-let parse (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let error msg =
-    raise (Parse_error (Printf.sprintf "%s at offset %d" msg !pos))
-  in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> error (Printf.sprintf "expected %c" c)
-  in
-  let literal word value =
-    let l = String.length word in
-    if !pos + l <= n && String.sub s !pos l = word then begin
-      pos := !pos + l;
-      value
-    end
-    else error (Printf.sprintf "expected %s" word)
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then error "unterminated string";
-      let c = s.[!pos] in
-      advance ();
-      if c = '"' then Buffer.contents buf
-      else if c = '\\' then begin
-        if !pos >= n then error "unterminated escape";
-        let e = s.[!pos] in
-        advance ();
-        (match e with
-        | '"' -> Buffer.add_char buf '"'
-        | '\\' -> Buffer.add_char buf '\\'
-        | '/' -> Buffer.add_char buf '/'
-        | 'b' -> Buffer.add_char buf '\b'
-        | 'f' -> Buffer.add_char buf '\012'
-        | 'n' -> Buffer.add_char buf '\n'
-        | 'r' -> Buffer.add_char buf '\r'
-        | 't' -> Buffer.add_char buf '\t'
-        | 'u' ->
-            if !pos + 4 > n then error "truncated \\u escape";
-            pos := !pos + 4;
-            Buffer.add_char buf '?'
-        | _ -> error "bad escape");
-        go ()
-      end
-      else begin
-        Buffer.add_char buf c;
-        go ()
-      end
-    in
-    go ()
-  in
-  let parse_number () =
-    let start = !pos in
-    let numchar = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while (match peek () with Some c when numchar c -> true | _ -> false) do
-      advance ()
-    done;
-    let text = String.sub s start (!pos - start) in
-    match float_of_string_opt text with
-    | Some f -> Num f
-    | None -> error (Printf.sprintf "bad number %S" text)
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | None -> error "unexpected end of input"
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          Obj []
-        end
-        else begin
-          let rec members acc =
-            skip_ws ();
-            let key = parse_string () in
-            skip_ws ();
-            expect ':';
-            let value = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                members ((key, value) :: acc)
-            | Some '}' ->
-                advance ();
-                Obj (List.rev ((key, value) :: acc))
-            | _ -> error "expected , or }"
-          in
-          members []
-        end
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          List []
-        end
-        else begin
-          let rec items acc =
-            let value = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                items (value :: acc)
-            | Some ']' ->
-                advance ();
-                List (List.rev (value :: acc))
-            | _ -> error "expected , or ]"
-          in
-          items []
-        end
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> parse_number ()
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then error "trailing garbage";
-  v
 
 (* ---------- expectations ---------- *)
 
@@ -183,11 +33,8 @@ let path_to_string steps =
 let rec lookup steps j =
   match (steps, j) with
   | [], _ -> Some j
-  | Field f :: rest, Obj fields -> (
-      match List.assoc_opt f fields with
-      | Some v -> lookup rest v
-      | None -> None)
-  | Index i :: rest, List items -> (
+  | Field f :: rest, _ -> Option.bind (Json.member f j) (lookup rest)
+  | Index i :: rest, Json.List items -> (
       match List.nth_opt items i with Some v -> lookup rest v | None -> None)
   | _ -> None
 
@@ -276,8 +123,8 @@ let read_file path =
 
 let check_metric path doc tracked =
   let where = path_to_string tracked.path in
-  match lookup tracked.path doc with
-  | Some (Num measured) ->
+  match Option.map Json.to_float (lookup tracked.path doc) with
+  | Some (Some measured) ->
       let bad, limit =
         match tracked.direction with
         | Higher_better ->
@@ -317,21 +164,23 @@ let check_metric path doc tracked =
         where
 
 let check_file path =
-  if not (Sys.file_exists path) then
-    Printf.printf "skip %s: not present in this sandbox\n" (basename path)
+  if not (Sys.file_exists path) then begin
+    incr failures;
+    Printf.printf "FAIL %s: file not found\n" (basename path)
+  end
   else
-    match parse (read_file path) with
-    | exception Parse_error msg ->
+    match Json.of_string (read_file path) with
+    | Error msg ->
         incr failures;
         Printf.printf "FAIL %s: JSON parse error: %s\n" (basename path) msg
-    | doc -> (
+    | Ok doc -> (
         match List.assoc_opt (basename path) expectations with
         | Some tracked -> List.iter (check_metric path doc) tracked
         | None -> (
             (* No pinned numbers: still insist the file is a bench document
                (BENCH_ENGINE.json is keyed by stage, not experiment). *)
             match (lookup schema_key doc, doc) with
-            | Some (Str _), _ | None, Obj (_ :: _) ->
+            | Some (Json.Str _), _ | None, Json.Obj (_ :: _) ->
                 Printf.printf "ok   %s: parses (no pinned metrics)\n"
                   (basename path)
             | _ ->
@@ -345,9 +194,17 @@ let () =
     exit 2
   end;
   List.iter check_file files;
+  let given = List.map basename files in
+  List.iter
+    (fun (pinned, _) ->
+      if not (List.mem pinned given) then begin
+        incr failures;
+        Printf.printf
+          "FAIL %s: pinned but not given (generate and commit it)\n" pinned
+      end)
+    expectations;
   if !failures > 0 then begin
-    Printf.printf "trajectory check FAILED: %d metric(s) regressed\n"
-      !failures;
+    Printf.printf "trajectory check FAILED: %d check(s) failed\n" !failures;
     exit 1
   end
   else print_endline "trajectory check ok"

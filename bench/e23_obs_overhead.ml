@@ -8,7 +8,7 @@ open Consensus_util
 open Consensus
 module Gen = Consensus_workload.Gen
 module Obs = Consensus_obs.Obs
-module Json = Consensus_obs.Json
+module Json = Consensus_util.Json
 
 (* The E13 rank workload: full rank-distribution context plus the footrule
    assignment — touches anxor, matching, core and engine probes. *)

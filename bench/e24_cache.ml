@@ -9,7 +9,7 @@ open Consensus_util
 open Consensus
 module Gen = Consensus_workload.Gen
 module Cache = Consensus_cache.Cache
-module Json = Consensus_obs.Json
+module Json = Consensus_util.Json
 
 (* One batch pass: three top-k query shapes, each repeated three times —
    the repeated-query profile the cache targets.  Every query goes through

@@ -11,7 +11,7 @@ open Consensus
 module Gen = Consensus_workload.Gen
 module Exact = Consensus_oracle.Exact
 module Fuzz = Consensus_oracle.Fuzz
-module Json = Consensus_obs.Json
+module Json = Consensus_util.Json
 
 let query = Api.World (Api.Set_sym_diff, Api.Mean)
 

@@ -11,7 +11,7 @@ open Consensus
 module Gen = Consensus_workload.Gen
 module Obs = Consensus_obs.Obs
 module Report = Consensus_obs.Report
-module Json = Consensus_obs.Json
+module Json = Consensus_util.Json
 
 (* The E24 batch workload: three top-k query shapes, each repeated three
    times, all through the [Api.run] entry the CLI uses — the workload the

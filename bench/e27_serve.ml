@@ -10,7 +10,7 @@ open Consensus_util
 module Gen = Consensus_workload.Gen
 module Daemon = Consensus_serve.Daemon
 module Scheduler = Consensus_serve.Scheduler
-module Json = Consensus_obs.Json
+module Json = Consensus_util.Json
 
 (* ---------- minimal loopback HTTP client ---------- *)
 

@@ -14,7 +14,7 @@ module Gen = Consensus_workload.Gen
 module Daemon = Consensus_serve.Daemon
 module Cache = Consensus_cache.Cache
 module Obs = Consensus_obs.Obs
-module Json = Consensus_obs.Json
+module Json = Consensus_util.Json
 
 (* Cost of one disabled probe on an empty thunk — the request-context tag
    lookup only happens once the enabled check passes, so this must match

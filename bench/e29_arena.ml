@@ -15,7 +15,7 @@
    cost).  Results go to BENCH_ARENA.json. *)
 
 open Consensus_anxor
-module Json = Consensus_obs.Json
+module Json = Consensus_util.Json
 
 (* A BID database as text: n/2 two-alternative blocks, distinct keys and
    values.  Built directly as a string so load time starts from bytes. *)

@@ -150,7 +150,7 @@ let print_table ~title rows =
   Harness.Tables.print table
 
 let json_rows rows =
-  let module Json = Consensus_obs.Json in
+  let module Json = Consensus_util.Json in
   Json.List
     (List.map
        (fun r ->
@@ -199,7 +199,7 @@ let run () =
      column) while the read-once tree is one linear pass — the speedup\n\
      there is the headline number.  Monte-Carlo pays a fixed 10k-sample\n\
      cost for ~1e-2 accuracy either way.";
-  let module Json = Consensus_obs.Json in
+  let module Json = Consensus_util.Json in
   let json =
     Json.Obj
       [

@@ -19,7 +19,7 @@ module Cache = Consensus_cache.Cache
 module Obs = Consensus_obs.Obs
 module Runtime = Consensus_obs.Runtime
 module Monitor = Consensus_obs.Monitor
-module Json = Consensus_obs.Json
+module Json = Consensus_util.Json
 
 (* ---------- disabled-probe costs ---------- *)
 

@@ -70,11 +70,11 @@ let pp ppf t =
       stages
   end
 
-(* Emitted through the shared [Consensus_obs.Json] builder: stage names are
+(* Emitted through the shared [Consensus_util.Json] builder: stage names are
    caller-supplied strings and must be escaped properly (a '"' in a stage
    label would otherwise produce invalid JSON). *)
 let to_json t =
-  let module J = Consensus_obs.Json in
+  let module J = Consensus_util.Json in
   let stage_json s =
     J.Obj
       [

@@ -24,7 +24,6 @@ type conn = {
 type t = {
   sock : Unix.file_descr;
   bound_port : int;
-  started : float; (* server start, for the /healthz uptime field *)
   read_timeout : float; (* SO_RCVTIMEO: bounds a stalled read and an idle wait *)
   handler : (request -> response option) option;
   stopping : bool Atomic.t;
@@ -288,6 +287,19 @@ let json_error ~status msg =
   response ~content_type:"application/json" ~status
     (json_body (Json.Obj [ ("error", Json.Str msg) ]))
 
+let version = "1.0.0"
+
+let healthz extra =
+  response ~content_type:"application/json" ~status:200
+    (json_body
+       (Json.Obj
+          ([
+             ("status", Json.Str (if Slo.degraded () then "degraded" else "ok"));
+             ("version", Json.Str version);
+             ("uptime_s", Json.Float (Unix.gettimeofday () -. Obs.start_time));
+           ]
+          @ extra)))
+
 let bad_param name expected got =
   json_error ~status:400
     (Printf.sprintf "parameter %s: expected %s, got %S" name expected got)
@@ -339,26 +351,14 @@ let history_route req =
 
 (* Built-in observability routes, served after the custom [handler] has
    passed.  [`Quit] releases {!wait_quit}. *)
-let default_route t req =
+let default_route req =
   match (req.meth, req.path) with
   | "GET", "/metrics" ->
       `Respond
         (response
            ~content_type:"text/plain; version=0.0.4; charset=utf-8"
            ~status:200 (Obs.metrics_text ()))
-  | "GET", "/healthz" ->
-      (* Services mount a richer /healthz through the handler hook (the
-         daemon adds inflight counts and resident databases); the built-in
-         answer keeps the same JSON shape, including SLO degradation. *)
-      `Respond
-        (response ~content_type:"application/json" ~status:200
-           (json_body
-              (Json.Obj
-                 [
-                   ( "status",
-                     Json.Str (if Slo.degraded () then "degraded" else "ok") );
-                   ("uptime_s", Json.Float (Unix.gettimeofday () -. t.started));
-                 ])))
+  | "GET", "/healthz" -> `Respond (healthz [])
   | "GET", "/trace" -> (
       (* ?limit=N bounds the export to the N newest spans so scraping a
          long-lived process cannot OOM the client (or the server building
@@ -409,7 +409,7 @@ let dispatch t req =
   match custom with
   | Some resp -> (resp, false)
   | None -> (
-      match default_route t req with
+      match default_route req with
       | `Respond resp -> (resp, false)
       | `Quit -> (response ~status:200 "bye\n", true))
 
@@ -524,7 +524,6 @@ let start ?(host = "127.0.0.1") ?(backlog = 128) ?(max_connections = 64)
     {
       sock;
       bound_port;
-      started = Unix.gettimeofday ();
       handler;
       stopping = Atomic.make false;
       quit_lock = Mutex.create ();

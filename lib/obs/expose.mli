@@ -23,9 +23,7 @@
     - [GET /metrics] — Prometheus text exposition ({!Obs.metrics_text}),
       including OpenMetrics exemplar suffixes on histogram buckets that
       observed a labelled sample;
-    - [GET /healthz] — liveness probe, a JSON object with at least
-      [{"status": "ok", "uptime_s": ...}] (the serve daemon overrides the
-      route with a richer payload);
+    - [GET /healthz] — liveness probe ({!healthz});
     - [GET /trace] — Chrome [trace_event] JSON snapshot of the spans
       recorded so far ({!Obs.trace_json}).  [?limit=N] keeps only the [N]
       newest spans (still in ascending start order), so scraping a
@@ -43,9 +41,7 @@
 
     Anything else is [404]; non-GET methods on the built-in routes are
     [405].  Malformed query parameters on the built-in routes answer
-    [400] with a JSON body [{"error": "..."}].  The built-in [/healthz]
-    reports ["degraded"] when an installed SLO's fast burn is tripped.
-    Services add routes (e.g. the daemon's [POST /query]) through the
+    [400] with a JSON body [{"error": "..."}].  Services add routes (e.g. the daemon's [POST /query]) through the
     [handler] hook.
 
     Request parsing is strict where ambiguity would be dangerous:
@@ -74,6 +70,15 @@ val response : ?content_type:string -> status:int -> string -> response
 (** [response ~status body] with [content_type] defaulting to
     ["text/plain"].  Standard status codes render with their reason
     phrases; unknown ones as the bare number. *)
+
+val healthz : (string * Json.t) list -> response
+(** [healthz extra] is the one [/healthz] payload, a JSON object:
+    [{"status": "ok" | "degraded", "version": ..., "uptime_s": ...}]
+    followed by the [extra] fields.  [status] is ["degraded"] while an
+    installed SLO's fast burn is tripped ({!Slo.degraded}); [uptime_s]
+    counts from process start.  The built-in route answers it with no
+    extra fields; a service that mounts its own [/healthz] (the serve
+    daemon) adds its fields here. *)
 
 (** {1 Server} *)
 

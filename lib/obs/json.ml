@@ -1,74 +1,1 @@
-type t =
-  | Null
-  | Bool of bool
-  | Int of int
-  | Float of float
-  | Str of string
-  | List of t list
-  | Obj of (string * t) list
-
-let escape_to_buffer buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\b' -> Buffer.add_string buf "\\b"
-      | '\012' -> Buffer.add_string buf "\\f"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
-
-let escape_string s =
-  let buf = Buffer.create (String.length s + 8) in
-  escape_to_buffer buf s;
-  Buffer.contents buf
-
-let number_of_float f =
-  if not (Float.is_finite f) then "null"
-  else begin
-    (* Shortest spelling that round-trips; fall back to full precision. *)
-    let short = Printf.sprintf "%.12g" f in
-    let s = if float_of_string short = f then short else Printf.sprintf "%.17g" f in
-    (* "1e-06" and "1.5" are valid JSON; "nan"/"inf" were handled above. *)
-    s
-  end
-
-let rec to_buffer buf t =
-  match t with
-  | Null -> Buffer.add_string buf "null"
-  | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Int i -> Buffer.add_string buf (string_of_int i)
-  | Float f -> Buffer.add_string buf (number_of_float f)
-  | Str s ->
-      Buffer.add_char buf '"';
-      escape_to_buffer buf s;
-      Buffer.add_char buf '"'
-  | List items ->
-      Buffer.add_char buf '[';
-      List.iteri
-        (fun i item ->
-          if i > 0 then Buffer.add_char buf ',';
-          to_buffer buf item)
-        items;
-      Buffer.add_char buf ']'
-  | Obj fields ->
-      Buffer.add_char buf '{';
-      List.iteri
-        (fun i (name, value) ->
-          if i > 0 then Buffer.add_char buf ',';
-          Buffer.add_char buf '"';
-          escape_to_buffer buf name;
-          Buffer.add_string buf "\":";
-          to_buffer buf value)
-        fields;
-      Buffer.add_char buf '}'
-
-let to_string t =
-  let buf = Buffer.create 256 in
-  to_buffer buf t;
-  Buffer.contents buf
+include Consensus_util.Json

@@ -1,27 +1,8 @@
-(** A minimal JSON tree and emitter — the one JSON writer of the code base
-    (trace export, metrics dumps, engine per-stage metrics).  Hand-rolled on
-    purpose: the project takes no external JSON dependency.
+(** {!Consensus_util.Json} under its historical name.  Nothing in the
+    repository needs the alias except the benchmark probe under
+    [perfbench/_probe], which names [Consensus_obs.Json] and cannot change
+    without changing the benchmark; new code uses [Consensus_util.Json]. *)
 
-    Strings are escaped per RFC 8259 (quotes, backslashes, control
-    characters); floats are emitted in a JSON-compatible spelling (no [nan],
-    [inf] or trailing-dot literals — non-finite values degrade to [null]). *)
-
-type t =
-  | Null
-  | Bool of bool
-  | Int of int
-  | Float of float
-  | Str of string
-  | List of t list
-  | Obj of (string * t) list
-
-val escape_string : string -> string
-(** [escape_string s] is [s] with JSON string escapes applied, without the
-    surrounding quotes. *)
-
-val number_of_float : float -> string
-(** JSON-safe spelling of a float: finite values round-trip through
-    [float_of_string]; [nan]/[infinity] become ["null"]. *)
-
-val to_buffer : Buffer.t -> t -> unit
-val to_string : t -> string
+include module type of struct
+  include Consensus_util.Json
+end

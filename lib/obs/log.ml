@@ -8,6 +8,8 @@
    atomic load and a branch, and field lists are built by closures so
    nothing is allocated for suppressed events. *)
 
+module Ring = Consensus_util.Ring
+
 type level = Debug | Info | Warn | Error
 
 let level_to_int = function Debug -> 0 | Info -> 1 | Warn -> 2 | Error -> 3
@@ -73,62 +75,18 @@ let write_stderr line =
   flush stderr;
   Mutex.unlock stderr_lock
 
-(* Bounded ring of the most recent events.  A plain circular array under a
-   mutex: writers are request-rate, not span-rate, so contention is not a
-   concern — correctness under concurrent writers is (wraparound must
-   neither lose the newest entries nor duplicate slots). *)
-let default_capacity = 1024
-let ring_lock = Mutex.create ()
-let ring = ref (Array.make default_capacity None)
-let ring_pos = ref 0 (* next slot to write *)
-let ring_len = ref 0
+(* The most recent events, served at /debug/log.  Writers are
+   request-rate, not span-rate, so the ring's lock is not contended. *)
+let ring_capacity = 1024
 
-let set_ring_capacity n =
-  if n < 1 then invalid_arg "Log.set_ring_capacity: capacity must be >= 1";
-  Mutex.lock ring_lock;
-  ring := Array.make n None;
-  ring_pos := 0;
-  ring_len := 0;
-  Mutex.unlock ring_lock
-
-let ring_capacity () =
-  Mutex.lock ring_lock;
-  let n = Array.length !ring in
-  Mutex.unlock ring_lock;
-  n
-
-let push_ring e =
-  Mutex.lock ring_lock;
-  let r = !ring in
-  let cap = Array.length r in
-  r.(!ring_pos) <- Some e;
-  ring_pos := (!ring_pos + 1) mod cap;
-  if !ring_len < cap then incr ring_len;
-  Mutex.unlock ring_lock
+let ring =
+  Ring.create ring_capacity
+    { ev_ts = 0.; ev_level = Debug; ev_name = ""; ev_request = None; ev_fields = [] }
 
 let recent ?limit () =
-  Mutex.lock ring_lock;
-  let r = !ring in
-  let cap = Array.length r in
-  let len = !ring_len in
-  let pos = !ring_pos in
-  let want = match limit with None -> len | Some l -> min (max 0 l) len in
-  (* Newest first: walk backwards from the slot before [pos]. *)
-  let out =
-    List.init want (fun i ->
-        match r.((pos - 1 - i + (2 * cap)) mod cap) with
-        | Some e -> e
-        | None -> assert false)
-  in
-  Mutex.unlock ring_lock;
-  out
+  List.rev (Ring.fold ?limit ring (fun acc e -> e :: acc) [])
 
-let reset () =
-  Mutex.lock ring_lock;
-  Array.fill !ring 0 (Array.length !ring) None;
-  ring_pos := 0;
-  ring_len := 0;
-  Mutex.unlock ring_lock
+let reset () = Ring.clear ring
 
 (* ---------- emission ---------- *)
 
@@ -148,7 +106,7 @@ let emit ?ctx lvl name fields =
         ev_fields = fields ();
       }
     in
-    push_ring e;
+    Ring.push ring e;
     if Atomic.get stderr_flag then write_stderr (render e)
   end
 

@@ -17,8 +17,8 @@
     The module is independent of the [Obs] tracing switch.
 
     Thread-safety: any domain or thread may emit concurrently; the ring is
-    a mutex-protected circular buffer (wraparound drops the oldest
-    events), and stderr lines are written whole under their own lock. *)
+    a {!Consensus_util.Ring} (wraparound drops the oldest events), and
+    stderr lines are written whole under their own lock. *)
 
 type level = Debug | Info | Warn | Error
 
@@ -58,12 +58,10 @@ val set_stderr : bool -> unit
 
 val recent : ?limit:int -> unit -> event list
 (** The most recent events, newest first ([limit] bounds the answer; the
-    ring holds at most {!ring_capacity} events). *)
+    ring holds the newest {!ring_capacity} events). *)
 
-val set_ring_capacity : int -> unit
-(** Resize the ring (>= 1; drops current contents).  Default 1024. *)
-
-val ring_capacity : unit -> int
+val ring_capacity : int
+(** 1024. *)
 
 val reset : unit -> unit
 (** Drop every ring entry (the level and sink switches are kept). *)

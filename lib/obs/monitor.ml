@@ -2,26 +2,28 @@
 
    A background domain wakes on a fixed interval, polls the runtime-events
    consumer, snapshots every registered metric ({!Obs.snapshot}) into
-   per-metric fixed-size ring buffers, and then runs registered tick hooks
-   (the SLO evaluator and the flight recorder's trigger check live there).
+   per-metric rings ({!Consensus_util.Ring}), and then runs registered
+   tick hooks (the SLO evaluator and the flight recorder's trigger check
+   live there).
 
    Everything historical derives from the rings: counter rates are deltas
    between samples, histogram rolling percentiles are extracted from
-   cumulative-bucket deltas.  Queries take the sampler lock briefly to
-   copy the relevant window and compute outside it. *)
+   cumulative-bucket deltas.  Queries fold the relevant window out of the
+   metric's ring and compute outside its lock. *)
+
+module Ring = Consensus_util.Ring
 
 type sample = { s_ts : float; s_value : Obs.metric_value }
 
-type ring = {
-  data : sample option array;
-  mutable pos : int;  (* next write index *)
-  mutable len : int;
-}
+(* Samples kept per metric: ten minutes at the default 1 s interval. *)
+let capacity = 600
+
+(* The ring filler: a constant, as {!Ring.create} asks. *)
+let no_sample = { s_ts = 0.; s_value = Obs.Counter_value 0 }
 
 type state = {
   st_interval : float;
-  st_capacity : int;
-  rings : (string, ring) Hashtbl.t;
+  rings : (string, sample Ring.t) Hashtbl.t;
   lock : Mutex.t;
   stop_r : Unix.file_descr;
   stop_w : Unix.file_descr;
@@ -51,11 +53,6 @@ let run_hooks () =
 
 (* ---------- sampling ---------- *)
 
-let push r s =
-  r.data.(r.pos) <- Some s;
-  r.pos <- (r.pos + 1) mod Array.length r.data;
-  if r.len < Array.length r.data then r.len <- r.len + 1
-
 let sample_now () =
   match !st with
   | None -> ()
@@ -69,11 +66,11 @@ let sample_now () =
             match Hashtbl.find_opt s.rings name with
             | Some r -> r
             | None ->
-                let r = { data = Array.make s.st_capacity None; pos = 0; len = 0 } in
+                let r = Ring.create capacity no_sample in
                 Hashtbl.add s.rings name r;
                 r
           in
-          push r { s_ts = ts; s_value = v })
+          Ring.push r { s_ts = ts; s_value = v })
         snap;
       Mutex.unlock s.lock
 
@@ -98,7 +95,7 @@ let rec loop s =
 let running () = !st <> None
 let interval () = Option.map (fun s -> s.st_interval) !st
 
-let start ?(interval = 1.0) ?(capacity = 600) () =
+let start ?(interval = 1.0) () =
   Mutex.lock st_lock;
   incr refcount;
   if !st = None then begin
@@ -106,7 +103,6 @@ let start ?(interval = 1.0) ?(capacity = 600) () =
     let s =
       {
         st_interval = Float.max 0.01 interval;
-        st_capacity = max 2 capacity;
         rings = Hashtbl.create 32;
         lock = Mutex.create ();
         stop_r;
@@ -149,25 +145,17 @@ let window_samples name ~window =
   | Some s ->
       Mutex.lock s.lock;
       let r = Hashtbl.find_opt s.rings name in
-      let out =
-        match r with
-        | None -> None
-        | Some r ->
-            let cap = Array.length r.data in
-            let cutoff = Unix.gettimeofday () -. window in
-            let baseline = ref None and inside = ref [] in
-            for j = 0 to r.len - 1 do
-              let idx = (r.pos - r.len + j + (2 * cap)) mod cap in
-              match r.data.(idx) with
-              | None -> ()
-              | Some sm ->
-                  if sm.s_ts < cutoff then baseline := Some sm
-                  else inside := sm :: !inside
-            done;
-            Some (!baseline, List.rev !inside)
-      in
       Mutex.unlock s.lock;
-      out
+      Option.map
+        (fun r ->
+          let cutoff = Unix.gettimeofday () -. window in
+          (* Newest first, so the walk ends at the baseline. *)
+          Ring.fold r
+            ~stop:(fun sm -> sm.s_ts < cutoff)
+            (fun (baseline, inside) sm ->
+              if sm.s_ts < cutoff then (Some sm, inside) else (baseline, sm :: inside))
+            (None, []))
+        r
 
 (* ---------- histogram-delta math ---------- *)
 

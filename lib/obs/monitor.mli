@@ -1,21 +1,21 @@
 (** Metrics time-series sampler.
 
     A background domain snapshots every registered metric
-    ({!Obs.snapshot}) on a fixed interval into per-metric fixed-size ring
-    buffers, then runs registered tick hooks (SLO evaluation, flight
-    recorder triggers).  History queries derive everything from the
+    ({!Obs.snapshot}) on a fixed interval into per-metric rings of the
+    newest 600 samples, then runs registered tick hooks (SLO evaluation,
+    flight recorder triggers).  History queries derive everything from the
     rings: counter rates are sample deltas, histogram rolling
     percentiles come from cumulative-bucket deltas ({!quantile}).
 
     Start/stop are reference-counted so stacked daemons compose; the
-    first {!start} fixes the interval and per-metric capacity. *)
+    first {!start} fixes the interval. *)
 
 type sample = { s_ts : float; s_value : Obs.metric_value }
 
-val start : ?interval:float -> ?capacity:int -> unit -> unit
+val start : ?interval:float -> unit -> unit
 (** Launch the sampler domain (refcounted; an already-running sampler
     keeps its original interval).  [interval] defaults to 1 s (clamped
-    to >= 10 ms), [capacity] to 600 samples per metric. *)
+    to >= 10 ms). *)
 
 val stop : unit -> unit
 (** Drop one reference; the last holder joins the sampler domain. *)

@@ -1,3 +1,5 @@
+module Ring = Consensus_util.Ring
+
 let enabled_flag = Atomic.make false
 let enabled () = Atomic.get enabled_flag
 let set_enabled b = Atomic.set enabled_flag b
@@ -42,47 +44,37 @@ type span = {
   span_request : string option;
 }
 
-(* Per-domain recording buffer.  Only the owning domain appends, so its lock
-   is uncontended except while an exporter snapshots — "lock-free-ish": the
-   hot path never blocks on another recorder.  Bounding works as a
-   two-window ring: when the live window fills half the budget it is
-   demoted to [older] (dropping the previous [older] window), so a
-   long-running daemon keeps the most recent [max/2 .. max] spans per
-   domain in O(1) amortized time instead of silently losing new ones. *)
-type buffer = {
-  tid : int;
-  lock : Mutex.t;
-  mutable events : span list; (* live window, newest first *)
-  mutable count : int;
-  mutable older : span list; (* previous window, newest first *)
-}
-
 (* Backstop against unbounded growth in a long-running process with
-   tracing on (the serve daemon always has it on): the oldest window of a
-   domain's spans is dropped.  Sized for a daemon, whose every domain
-   would otherwise retain up to this many spans for the life of the
-   process; it is still many times the spans of one large request. *)
+   tracing on (the serve daemon always has it on): each domain keeps its
+   newest spans, in a ring of this many.  Sized for a daemon, whose every
+   domain would otherwise retain spans for the life of the process; it is
+   still many times the spans of one large request. *)
 let max_events_per_domain = 1 lsl 14
-let window_events = max_events_per_domain / 2
 
-let buffers : buffer list ref = ref []
+let no_span =
+  {
+    span_name = "";
+    span_ts = 0.;
+    span_dur = 0.;
+    span_tid = 0;
+    span_attrs = [];
+    span_gc = None;
+    span_request = None;
+  }
+
+(* Per-domain recording ring.  Only the owning domain pushes, so its lock
+   is uncontended except while an exporter folds it: the hot path never
+   blocks on another recorder. *)
+let buffers : span Ring.t list ref = ref []
 let buffers_lock = Mutex.create ()
 
 let buffer_key =
   Domain.DLS.new_key (fun () ->
-      let b =
-        {
-          tid = (Domain.self () :> int);
-          lock = Mutex.create ();
-          events = [];
-          count = 0;
-          older = [];
-        }
-      in
+      let r = Ring.create max_events_per_domain no_span in
       Mutex.lock buffers_lock;
-      buffers := b :: !buffers;
+      buffers := r :: !buffers;
       Mutex.unlock buffers_lock;
-      b)
+      r)
 
 let record ~gen name t0 t1 attrs gc =
   (* Close-after-reset is a no-op: the span belongs to a generation whose
@@ -97,26 +89,16 @@ let record ~gen name t0 t1 attrs gc =
       | Some c ->
           (Some (Context.id c), ("span", Int (Context.next_span_id c)) :: attrs)
     in
-    let b = Domain.DLS.get buffer_key in
-    Mutex.lock b.lock;
-    if b.count >= window_events then begin
-      b.older <- b.events;
-      b.events <- [];
-      b.count <- 0
-    end;
-    b.events <-
+    Ring.push (Domain.DLS.get buffer_key)
       {
         span_name = name;
         span_ts = t0 -. epoch;
         span_dur = Float.max 0. (t1 -. t0);
-        span_tid = b.tid;
+        span_tid = (Domain.self () :> int);
         span_attrs = attrs;
         span_gc = gc;
         span_request = request;
       }
-      :: b.events;
-    b.count <- b.count + 1;
-    Mutex.unlock b.lock
   end
 
 (* [Gc.quick_stat].minor_words only advances at minor-collection boundaries;
@@ -153,14 +135,7 @@ let spans () =
     Mutex.lock buffers_lock;
     let bs = !buffers in
     Mutex.unlock buffers_lock;
-    List.concat_map
-      (fun b ->
-        Mutex.lock b.lock;
-        let events = b.events and older = b.older in
-        Mutex.unlock b.lock;
-        (* Both lists are immutable snapshots; concatenate off-lock. *)
-        events @ older)
-      bs
+    List.fold_left (fun acc r -> Ring.fold r (fun acc s -> s :: acc) acc) [] bs
   in
   (* Start order; longer spans first on equal starts, so a parent precedes
      the children sharing its start timestamp. *)
@@ -445,14 +420,7 @@ let reset () =
   Mutex.lock buffers_lock;
   let bs = !buffers in
   Mutex.unlock buffers_lock;
-  List.iter
-    (fun b ->
-      Mutex.lock b.lock;
-      b.events <- [];
-      b.count <- 0;
-      b.older <- [];
-      Mutex.unlock b.lock)
-    bs;
+  List.iter Ring.clear bs;
   sorted_metrics ()
   |> List.iter (fun (_, m) ->
          match m with

@@ -75,9 +75,8 @@ type span = {
 val spans : unit -> span list
 (** All recorded spans, sorted by start timestamp (ties by duration,
     longest first, so parents precede their children).  Per-domain
-    retention is bounded: a domain keeps its most recent spans, between
-    half of {!max_events_per_domain} and all of it, dropping the oldest
-    window beyond that. *)
+    retention is bounded: a domain keeps exactly its newest
+    {!max_events_per_domain} spans, dropping older ones. *)
 
 val max_events_per_domain : int
 (** The most spans one domain retains: [2^14]. *)

@@ -26,6 +26,7 @@
    drift stays bounded by the polling interval's scheduling noise. *)
 
 module RE = Runtime_events
+module Ring = Consensus_util.Ring
 
 type pause = {
   pw_domain : int;  (* runtime-events ring id, ~ domain id *)
@@ -69,10 +70,7 @@ let rings : (int, ring_state) Hashtbl.t = Hashtbl.create 8
 let clock_offset = ref nan
 let calib_mid = ref nan (* unix midpoint of the last calibration write *)
 
-let pause_capacity = 4096
-let pause_ring : pause array = Array.make pause_capacity { pw_domain = 0; pw_start = 0.; pw_dur = 0. }
-let pause_pos = ref 0
-let pause_len = ref 0
+let pause_ring = Ring.create 4096 { pw_domain = 0; pw_start = 0.; pw_dur = 0. }
 let pauses_seen = ref 0
 
 type RE.User.tag += Calibrate
@@ -123,11 +121,8 @@ let record_pause domain start_ns dur =
   Obs.Counter.incr m_pauses_total;
   Obs.Histogram.observe m_pause dur;
   let start_unix = ns_to_unix start_ns in
-  if dur >= min_attributable_pause && not (Float.is_nan start_unix) then begin
-    pause_ring.(!pause_pos) <- { pw_domain = domain; pw_start = start_unix; pw_dur = dur };
-    pause_pos := (!pause_pos + 1) mod pause_capacity;
-    if !pause_len < pause_capacity then incr pause_len
-  end
+  if dur >= min_attributable_pause && not (Float.is_nan start_unix) then
+    Ring.push pause_ring { pw_domain = domain; pw_start = start_unix; pw_dur = dur }
 
 (* A domain parked in the runtime's condition-wait (an idle domain waiting
    for a stop-the-world barrier to be requested, or terminating) is not a
@@ -241,54 +236,29 @@ let stop () =
      cursors churns file descriptors.  [pause] stops event collection. *)
   if last then try RE.pause () with _ -> ()
 
-let fold_pauses f init =
-  Mutex.lock lock;
-  let acc = ref init in
-  for i = 0 to !pause_len - 1 do
-    let idx = (!pause_pos - !pause_len + i + pause_capacity * 2) mod pause_capacity in
-    acc := f !acc pause_ring.(idx)
-  done;
-  Mutex.unlock lock;
-  !acc
-
-let recent_pauses ?(limit = pause_capacity) () =
-  let all = fold_pauses (fun acc p -> p :: acc) [] in
-  (* [all] is newest-first already (fold walks oldest->newest, consing) *)
-  let rec take n = function
-    | [] -> []
-    | x :: tl when n > 0 -> x :: take (n - 1) tl
-    | _ -> []
-  in
-  take limit all
+let recent_pauses ?limit () =
+  List.rev (Ring.fold ?limit pause_ring (fun acc p -> p :: acc) [])
 
 (* Request attribution runs on every scheduler worker at saturation, so
-   it must not take [lock]: the ring is an array of pointers to immutable
-   records, and a concurrent [record_pause] store is a single pointer
-   write — a racing reader sees the old or the new pause, never a torn
-   one.  Stale [pause_pos]/[pause_len] reads only shift which window of
-   history is scanned.  Walk newest-first and stop once entries start so
-   far before [t0] that no later (older) entry could still overlap —
-   drain batches interleave rings, so starts are only approximately
-   ordered; the [max_plausible_pause] duration cap plus a generous
-   reorder slack bounds how far back an overlapping pause can hide. *)
+   it must not wait on [lock], which a drain holds across [read_poll]:
+   it takes only the ring's own lock, for one bounded fold, while a drain
+   takes it for one push at a time.  Walk newest-first and stop at the
+   first pause that starts so far before [t0] that no later (older) entry
+   could still overlap — drain batches interleave rings, so starts are
+   only approximately ordered; the [max_plausible_pause] duration cap plus
+   a generous reorder slack bounds how far back an overlapping pause can
+   hide.  That stopping pause ends before [t0], so it adds nothing. *)
 let pause_s_between ?(max_scan = max_int) ~t0 ~t1 () =
   if t1 <= t0 then 0.
   else begin
-    let len = !pause_len and pos = !pause_pos in
     let horizon = t0 -. max_plausible_pause -. 30. in
-    let budget = min len max_scan in
-    let acc = ref 0. in
-    (try
-       for i = 1 to budget do
-         let idx = (pos - i + (pause_capacity * 2)) mod pause_capacity in
-         let p = Array.unsafe_get pause_ring idx in
-         if p.pw_start < horizon then raise Exit;
-         let pe = p.pw_start +. p.pw_dur in
-         let overlap = Float.min pe t1 -. Float.max p.pw_start t0 in
-         if overlap > 0. then acc := !acc +. overlap
-       done
-     with Exit -> ());
-    !acc
+    Ring.fold ~limit:max_scan
+      ~stop:(fun p -> p.pw_start < horizon)
+      pause_ring
+      (fun acc p ->
+        let overlap = Float.min (p.pw_start +. p.pw_dur) t1 -. Float.max p.pw_start t0 in
+        if overlap > 0. then acc +. overlap else acc)
+      0.
   end
 
 let pause_count () =

@@ -53,14 +53,15 @@ val pause_s_between : ?max_scan:int -> t0:float -> t1:float -> unit -> float
     summed over {e all} domains' recorded pauses.  This is a process-wide
     upper bound on the pause time a request running in that window could
     have experienced — with several worker domains, a pause on another
-    domain may not have stalled this request.  Lock-free: safe to call
-    from every scheduler worker at saturation.  [?max_scan] bounds how
-    many ring entries (newest first) are examined — the scheduler caps
-    the scan for fast requests, where full-ring precision costs more than
-    the attribution is worth. *)
+    domain may not have stalled this request.  It never waits on a drain
+    in progress (only on the pause ring's own lock, held for one push or
+    one scan), so every scheduler worker may call it at saturation.
+    [?max_scan] bounds how many ring entries (newest first) are examined
+    — the scheduler caps the scan for fast requests, where full-ring
+    precision costs more than the attribution is worth. *)
 
 val recent_pauses : ?limit:int -> unit -> pause list
-(** Most recent pauses, newest first (bounded ring of ~4096). *)
+(** Most recent pauses, newest first (a ring of the newest 4096). *)
 
 val pause_count : unit -> int
 (** Total top-level pauses observed since [start] (monotonic, not

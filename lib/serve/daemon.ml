@@ -8,14 +8,13 @@ module Context = Consensus_obs.Context
 module Log = Consensus_obs.Log
 module Report = Consensus_obs.Report
 module Expose = Consensus_obs.Expose
-module Json = Consensus_obs.Json
+module Json = Consensus_util.Json
 module Monitor = Consensus_obs.Monitor
 module Runtime = Consensus_obs.Runtime
 module Slo = Consensus_obs.Slo
 module Flight = Consensus_obs.Flight
 module Prng = Consensus_util.Prng
-
-let build_version = "1.0.0"
+module Ring = Consensus_util.Ring
 
 type config = {
   host : string;
@@ -66,9 +65,7 @@ type t = {
   sched : Scheduler.t;
   mutable server : Expose.t option;
   stopped : bool Atomic.t;
-  started : float;
-  slow_lock : Mutex.t;
-  mutable slow : Json.t list; (* newest first, <= slow_capacity entries *)
+  slow : Json.t Ring.t;
 }
 
 (* ---------- request plumbing ---------- *)
@@ -133,11 +130,6 @@ let schedule t ?deadline ?ctx work =
 
 (* ---------- per-request epilogue: access log and slow capture ---------- *)
 
-let rec take n = function
-  | [] -> []
-  | _ when n <= 0 -> []
-  | x :: tl -> x :: take (n - 1) tl
-
 (* Fold the request's spans (tagged by the ambient context the scheduler
    worker installed) into an explain profile. *)
 let profile_of ctx =
@@ -178,9 +170,7 @@ let finish_request t ctx ~route ~family ~status ~explain =
           @ timing_fields ctx
           @ [ ("profile", p) ])
       in
-      Mutex.lock t.slow_lock;
-      t.slow <- entry :: take (t.config.slow_capacity - 1) t.slow;
-      Mutex.unlock t.slow_lock
+      Ring.push t.slow entry
   | _ -> ());
   if t.config.access_log then Scheduler.log_access ctx ~route ~family ~status;
   profile
@@ -305,23 +295,15 @@ let serve_dbs t =
                 t.config.dbs) );
        ])
 
-(* Richer liveness payload than the Expose built-in: uptime, load and the
-   resident databases, so one probe answers "is it up and what is it
-   serving". *)
+(* The Expose payload plus load and the resident databases, so one probe
+   answers "is it up and what is it serving". *)
 let serve_healthz t =
-  json_response
-    (Json.Obj
-       [
-         ( "status",
-           Json.Str (if Slo.degraded () then "degraded" else "ok") );
-         ("version", Json.Str build_version);
-         ("uptime_s", Json.Float (Unix.gettimeofday () -. t.started));
-         ("inflight", Json.Int (Scheduler.inflight t.sched));
-         ("queue_depth", Json.Int (Scheduler.queued t.sched));
-         ( "dbs",
-           Json.List
-             (List.map (fun (name, _) -> Json.Str name) t.config.dbs) );
-       ])
+  Expose.healthz
+    [
+      ("inflight", Json.Int (Scheduler.inflight t.sched));
+      ("queue_depth", Json.Int (Scheduler.queued t.sched));
+      ("dbs", Json.List (List.map (fun (name, _) -> Json.Str name) t.config.dbs));
+    ]
 
 let limit_param req =
   let limit = int_param req "limit" ~default:max_int in
@@ -330,10 +312,8 @@ let limit_param req =
 
 let serve_slow t (req : Expose.request) =
   let limit = limit_param req in
-  Mutex.lock t.slow_lock;
-  let entries = t.slow in
-  Mutex.unlock t.slow_lock;
-  json_response (Json.Obj [ ("slow", Json.List (take limit entries)) ])
+  let entries = List.rev (Ring.fold ~limit t.slow (fun acc e -> e :: acc) []) in
+  json_response (Json.Obj [ ("slow", Json.List entries) ])
 
 let serve_log (req : Expose.request) =
   let limit = limit_param req in
@@ -409,9 +389,7 @@ let start config =
       sched;
       server = None;
       stopped = Atomic.make false;
-      started = Unix.gettimeofday ();
-      slow_lock = Mutex.create ();
-      slow = [];
+      slow = Ring.create config.slow_capacity Json.Null;
     }
   in
   (try

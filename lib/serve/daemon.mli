@@ -19,9 +19,9 @@
       per-query rng seeds [seed], [seed+1], ... (matching CLI batch).
       Always 200 on parse success; per-item errors are reported inline.
     - [GET /dbs] — the resident databases and their shapes.
-    - [GET /healthz] — overrides the Expose built-in with a richer JSON
-      payload: [status], build [version], [uptime_s], scheduler
-      [inflight] and [queue_depth], and the resident database names.
+    - [GET /healthz] — the {!Consensus_obs.Expose.healthz} payload
+      ([status], [version], [uptime_s]) followed by scheduler [inflight]
+      and [queue_depth] and the resident database names.
     - [GET /debug/slow?limit=N] — the slow-query ring, newest first: every
       request whose wall time (queue wait + run) reached
       [slow_threshold], with its timings, cache traffic and folded

@@ -1,7 +1,7 @@
 open Consensus_anxor
 module Api = Consensus.Api
 module Query_text = Consensus.Query_text
-module Json = Consensus_obs.Json
+module Json = Consensus_util.Json
 module Formats = Consensus_textio.Formats
 
 let significant l =

@@ -3,7 +3,7 @@
 
     Request bodies are the shared query wire syntax
     ({!Consensus.Query_text}); responses are JSON built with the
-    project's own emitter ({!Consensus_obs.Json}).  This module is pure —
+    project's own emitter ({!Consensus_util.Json}).  This module is pure —
     no sockets, no scheduler — so the protocol is testable in isolation
     and the daemon stays a thin routing layer. *)
 
@@ -22,7 +22,7 @@ val parse_batch_body : string -> (Consensus.Api.query list, string) result
     error here — a batch shares the resident database, and carries no
     matrix.  Empty batches are an error. *)
 
-val answer_json : Db.t -> Consensus.Api.answer -> Consensus_obs.Json.t
+val answer_json : Db.t -> Consensus.Api.answer -> Consensus_util.Json.t
 (** One answer as JSON: [{"family": ..., <payload>, "expected": {...}}]
     where the payload field is per family — [world] carries
     [{"leaves": [{"key", "value"}...]}] (alternatives resolved against
@@ -31,13 +31,13 @@ val answer_json : Db.t -> Consensus.Api.answer -> Consensus_obs.Json.t
 
 val result_json :
   ?request:string ->
-  ?profile:Consensus_obs.Json.t ->
+  ?profile:Consensus_util.Json.t ->
   db_name:string ->
   query:Consensus.Api.query ->
   elapsed:float ->
   db:Db.t ->
   (Consensus.Api.answer, Consensus.Api.Error.t) result ->
-  Consensus_obs.Json.t
+  Consensus_util.Json.t
 (** One evaluated request as JSON:
     [{"db", "query" (canonical wire line), "elapsed_ms", "answer"}] on
     [Ok], [{"db", "query", "elapsed_ms", "error", "reason"}] on [Error]

@@ -2,7 +2,7 @@ module Obs = Consensus_obs.Obs
 module Context = Consensus_obs.Context
 module Runtime = Consensus_obs.Runtime
 module Log = Consensus_obs.Log
-module Json = Consensus_obs.Json
+module Json = Consensus_util.Json
 module Pool = Consensus_engine.Pool
 module Task = Consensus_engine.Task
 module Deadline = Consensus_util.Deadline

@@ -37,175 +37,35 @@ let read_file path =
   close_in ic;
   s
 
-(* ---------- minimal JSON parser (RFC 8259 subset, enough for our output) *)
+module Json = Consensus_util.Json
 
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | List of json list
-  | Obj of (string * json) list
+(* Parse [contents] (named [what] in the failure message), or fail. *)
+let parse what contents =
+  match Json.of_string contents with
+  | Ok j -> j
+  | Error msg -> fail "%s: JSON parse error: %s" what msg
 
-exception Parse_error of string
+let parse_file path = parse path (read_file path)
+let member = Json.member
 
-let parse (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let error msg = raise (Parse_error (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') -> advance (); skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> error (Printf.sprintf "expected %c" c)
-  in
-  let literal word value =
-    let l = String.length word in
-    if !pos + l <= n && String.sub s !pos l = word then begin
-      pos := !pos + l;
-      value
-    end
-    else error (Printf.sprintf "expected %s" word)
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then error "unterminated string";
-      let c = s.[!pos] in
-      advance ();
-      if c = '"' then Buffer.contents buf
-      else if c = '\\' then begin
-        if !pos >= n then error "unterminated escape";
-        let e = s.[!pos] in
-        advance ();
-        (match e with
-        | '"' -> Buffer.add_char buf '"'
-        | '\\' -> Buffer.add_char buf '\\'
-        | '/' -> Buffer.add_char buf '/'
-        | 'b' -> Buffer.add_char buf '\b'
-        | 'f' -> Buffer.add_char buf '\012'
-        | 'n' -> Buffer.add_char buf '\n'
-        | 'r' -> Buffer.add_char buf '\r'
-        | 't' -> Buffer.add_char buf '\t'
-        | 'u' ->
-            if !pos + 4 > n then error "truncated \\u escape";
-            let hex = String.sub s !pos 4 in
-            pos := !pos + 4;
-            let code =
-              try int_of_string ("0x" ^ hex)
-              with _ -> error "bad \\u escape"
-            in
-            (* Our emitter only escapes control characters; a lossy byte is
-               fine for validation purposes. *)
-            if code < 256 then Buffer.add_char buf (Char.chr code)
-            else Buffer.add_string buf (Printf.sprintf "\\u%s" hex)
-        | _ -> error "bad escape");
-        go ()
-      end
-      else begin
-        Buffer.add_char buf c;
-        go ()
-      end
-    in
-    go ()
-  in
-  let parse_number () =
-    let start = !pos in
-    let numchar c =
-      match c with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while (match peek () with Some c when numchar c -> true | _ -> false) do
-      advance ()
-    done;
-    let text = String.sub s start (!pos - start) in
-    match float_of_string_opt text with
-    | Some f -> Num f
-    | None -> error (Printf.sprintf "bad number %S" text)
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | None -> error "unexpected end of input"
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin advance (); Obj [] end
-        else begin
-          let rec members acc =
-            skip_ws ();
-            let key = parse_string () in
-            skip_ws ();
-            expect ':';
-            let value = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' -> advance (); members ((key, value) :: acc)
-            | Some '}' -> advance (); Obj (List.rev ((key, value) :: acc))
-            | _ -> error "expected , or }"
-          in
-          members []
-        end
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin advance (); List [] end
-        else begin
-          let rec items acc =
-            let value = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' -> advance (); items (value :: acc)
-            | Some ']' -> advance (); List (List.rev (value :: acc))
-            | _ -> error "expected , or ]"
-          in
-          items []
-        end
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> parse_number ()
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then error "trailing garbage";
-  v
-
-let parse_file path =
-  try parse (read_file path)
-  with Parse_error msg -> fail "%s: JSON parse error: %s" path msg
-
-let member key = function
-  | Obj fields -> List.assoc_opt key fields
-  | _ -> None
-
-let get_num path what = function
-  | Some (Num f) -> f
-  | _ -> fail "%s: %s is not a number" path what
+let get_num path what v =
+  match Option.bind v Json.to_float with
+  | Some f -> f
+  | None -> fail "%s: %s is not a number" path what
 
 let get_str path what = function
-  | Some (Str s) -> s
+  | Some (Json.Str s) -> s
   | _ -> fail "%s: %s is not a string" path what
 
 (* ---------- trace mode *)
 
 let check_trace_string ?(require_layers = []) path contents =
   let j =
-    try parse contents
-    with Parse_error msg -> fail "%s: JSON parse error: %s" path msg
+    parse path contents
   in
   let events =
     match member "traceEvents" j with
-    | Some (List evs) -> evs
+    | Some (Json.List evs) -> evs
     | _ -> fail "%s: missing traceEvents array" path
   in
   if events = [] then fail "%s: trace has no events" path;
@@ -246,7 +106,7 @@ let check_trace_lite path = check_trace_string path (read_file path)
 
 let check_metrics_json path j =
   let fields =
-    match j with Obj fs -> fs | _ -> fail "%s: metrics JSON is not an object" path
+    match j with Json.Obj fs -> fs | _ -> fail "%s: metrics JSON is not an object" path
   in
   if fields = [] then fail "%s: no metrics exported" path;
   List.iter
@@ -258,7 +118,7 @@ let check_metrics_json path j =
           let count = get_num path (name ^ " count") (member "count" v) in
           let buckets =
             match member "buckets" v with
-            | Some (List bs) -> bs
+            | Some (Json.List bs) -> bs
             | _ -> fail "%s: %s has no buckets" path name
           in
           let last = ref 0. in
@@ -272,7 +132,7 @@ let check_metrics_json path j =
           (match List.rev buckets with
           | tail :: _ ->
               (match member "le" tail with
-              | Some (Str "+Inf") -> ()
+              | Some (Json.Str "+Inf") -> ()
               | _ -> fail "%s: %s last bucket is not +Inf" path name);
               if get_num path (name ^ " +Inf count") (member "count" tail)
                  <> count
@@ -294,9 +154,7 @@ let check_metrics_line path =
   match json_line with
   | None -> fail "%s: no metrics JSON object line" path
   | Some line -> (
-      match parse line with
-      | j -> check_metrics_json path j
-      | exception Parse_error msg -> fail "%s: JSON parse error: %s" path msg)
+      check_metrics_json path (parse path line))
 
 (* ---------- stderr-report mode *)
 
@@ -350,8 +208,7 @@ let check_batch out_path err_path =
     match json_line with
     | None -> fail "%s: no metrics JSON object on stderr" err_path
     | Some line -> (
-        try parse line
-        with Parse_error msg -> fail "%s: JSON parse error: %s" err_path msg)
+        parse err_path line)
   in
   let counter name =
     match member name j with
@@ -399,20 +256,19 @@ let check_explain_json out_path err_path =
     match json_line with
     | None -> fail "%s: no profile JSON object on stderr" err_path
     | Some line -> (
-        try parse line
-        with Parse_error msg -> fail "%s: JSON parse error: %s" err_path msg)
+        parse err_path line)
   in
   let wall = get_num err_path "wall_s" (member "wall_s" j) in
   if wall < 0. then fail "%s: wall_s is negative" err_path;
   (match member "gc" j with
-  | Some (Obj _) -> ()
+  | Some (Json.Obj _) -> ()
   | _ -> fail "%s: profile has no gc object" err_path);
   (match member "parallelism" j with
-  | Some (Obj _) -> ()
+  | Some (Json.Obj _) -> ()
   | _ -> fail "%s: profile has no parallelism object" err_path);
   let hotspots =
     match member "hotspots" j with
-    | Some (List rows) -> rows
+    | Some (Json.List rows) -> rows
     | _ -> fail "%s: profile has no hotspots array" err_path
   in
   if hotspots = [] then fail "%s: profile has no hotspot rows" err_path;
@@ -425,7 +281,7 @@ let check_explain_json out_path err_path =
       if self > total +. 1e-9 then
         fail "%s: %s self time exceeds its total" err_path name;
       match member "gc" row with
-      | Some (Obj _) -> ()
+      | Some (Json.Obj _) -> ()
       | _ -> fail "%s: hotspot %s has no gc object" err_path name)
     hotspots;
   Printf.printf "explain json ok: %d hotspot rows\n" (List.length hotspots)
@@ -531,11 +387,10 @@ let check_serve cli db batch =
      object since the exposition server grew one). *)
   let health = get_body "serve /healthz" port "/healthz" in
   let hj =
-    try parse (String.trim health)
-    with Parse_error msg -> fail "serve: /healthz JSON parse error: %s" msg
+    parse "serve: /healthz" health
   in
   (match member "status" hj with
-  | Some (Str "ok") -> ()
+  | Some (Json.Str "ok") -> ()
   | _ -> fail "serve: /healthz status is not ok: %s" (String.trim health));
   if get_num "serve /healthz" "uptime_s" (member "uptime_s" hj) < 0. then
     fail "serve: /healthz uptime is negative";
@@ -686,12 +541,10 @@ let check_serve_daemon cli db =
      version, uptime, scheduler load and the resident database names. *)
   let health = get_body "serve-daemon /healthz" port "/healthz" in
   let hj =
-    try parse (String.trim health)
-    with Parse_error msg ->
-      fail "serve-daemon: /healthz JSON parse error: %s" msg
+    parse "serve-daemon: /healthz" health
   in
   (match member "status" hj with
-  | Some (Str "ok") -> ()
+  | Some (Json.Str "ok") -> ()
   | _ -> fail "serve-daemon: /healthz status is not ok: %s" (String.trim health));
   if get_str "serve-daemon /healthz" "version" (member "version" hj) = "" then
     fail "serve-daemon: /healthz version is empty";
@@ -704,25 +557,23 @@ let check_serve_daemon cli db =
     < 0.
   then fail "serve-daemon: /healthz queue_depth is negative";
   (match member "dbs" hj with
-  | Some (List names) when List.mem (Str "main") names -> ()
+  | Some (Json.List names) when List.mem (Json.Str "main") names -> ()
   | _ -> fail "serve-daemon: /healthz dbs does not list main");
   (* --slow-ms 0 captures every request: the slow ring must hold our query
      with its explain profile. *)
   let slow = get_body "serve-daemon /debug/slow" port "/debug/slow" in
   let sj =
-    try parse (String.trim slow)
-    with Parse_error msg ->
-      fail "serve-daemon: /debug/slow JSON parse error: %s" msg
+    parse "serve-daemon: /debug/slow" slow
   in
   (match member "slow" sj with
-  | Some (List (entry :: _)) ->
+  | Some (Json.List (entry :: _)) ->
       (match member "profile" entry with
-      | Some (Obj _) -> ()
+      | Some (Json.Obj _) -> ()
       | _ -> fail "serve-daemon: slow entry has no profile object");
       (match member "request" entry with
-      | Some (Str _) -> ()
+      | Some (Json.Str _) -> ()
       | _ -> fail "serve-daemon: slow entry has no request id")
-  | Some (List []) -> fail "serve-daemon: slow ring is empty under --slow-ms 0"
+  | Some (Json.List []) -> fail "serve-daemon: slow ring is empty under --slow-ms 0"
   | _ -> fail "serve-daemon: /debug/slow has no slow array");
   (* Malformed query text is the client's fault: 400 with a JSON error. *)
   let bad =

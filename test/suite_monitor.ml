@@ -7,7 +7,7 @@
 
 module Obs = Consensus_obs.Obs
 module Log = Consensus_obs.Log
-module Json = Consensus_obs.Json
+module Json = Consensus_util.Json
 module Monitor = Consensus_obs.Monitor
 module Runtime = Consensus_obs.Runtime
 module Slo = Consensus_obs.Slo
@@ -17,7 +17,7 @@ module Daemon = Consensus_serve.Daemon
 (* Shared helpers from the other suites: the dependency-free JSON parser
    and the raw-socket HTTP client. *)
 let parse_json = Suite_obs.parse_json
-let member = Suite_obs.member
+let member = Json.member
 let http_request = Suite_serve.http_request
 let contains = Suite_serve.contains
 
@@ -103,16 +103,16 @@ let test_sampler_windows () =
       let j = parse_json (Json.to_string doc) in
       Alcotest.(check bool)
         "history kind" true
-        (member "kind" j = Some (Suite_obs.Str "counter"));
+        (member "kind" j = Some (Json.Str "counter"));
       (match member "samples" j with
-      | Some (Suite_obs.List samples) ->
+      | Some (Json.List samples) ->
           Alcotest.(check bool) "two samples" true (List.length samples >= 2)
       | _ -> Alcotest.fail "history has no samples");
       match member "window" j with
       | Some w ->
           Alcotest.(check bool)
             "window delta" true
-            (member "delta" w = Some (Suite_obs.Num 5.))
+            (member "delta" w = Some (Json.Int 5))
       | None -> Alcotest.fail "history has no window summary")
   | Error _ -> Alcotest.fail "history_json failed");
   (match Monitor.sparkline ~metric:"test_mon_depth" ~window:3600. with
@@ -251,7 +251,7 @@ let test_slo_burn () =
   let j = parse_json (Json.to_string (Slo.to_json ())) in
   Alcotest.(check bool)
     "to_json degraded" true
-    (member "degraded" j = Some (Suite_obs.Bool true));
+    (member "degraded" j = Some (Json.Bool true));
   Slo.clear ();
   Alcotest.(check bool) "cleared" false (Slo.degraded ());
   Alcotest.(check (list string)) "no objectives" []
@@ -312,7 +312,7 @@ let test_flight_dump_and_rate_limit () =
   | Some meta ->
       Alcotest.(check bool)
         "dump reason" true
-        (member "reason" meta = Some (Suite_obs.Str "test"))
+        (member "reason" meta = Some (Json.Str "test"))
   | None -> Alcotest.fail "no flight metadata");
   (* A trigger inside the rate-limit window is suppressed, not dumped. *)
   let files_before = List.length (flight_files dir) in
@@ -368,7 +368,7 @@ let test_log_ring_reset_race () =
   let events = Log.recent () in
   Alcotest.(check bool)
     "ring bounded" true
-    (List.length events <= Log.ring_capacity ());
+    (List.length events <= Log.ring_capacity);
   List.iter
     (fun (e : Log.event) ->
       Alcotest.(check string) "only race events survive" "race" e.Log.ev_name;
@@ -452,7 +452,7 @@ let test_daemon_debug_endpoints () =
   let j = parse_json body in
   Alcotest.(check bool)
     "history kind" true
-    (member "kind" j = Some (Suite_obs.Str "counter"));
+    (member "kind" j = Some (Json.Str "counter"));
   let status, body =
     http_request ~port ~meth:"GET"
       ~target:"/debug/history?metric=serve_request_seconds&format=spark" ""
@@ -491,7 +491,7 @@ let test_daemon_debug_endpoints () =
 let str_members key items =
   List.filter_map
     (fun item ->
-      match member key item with Some (Suite_obs.Str s) -> Some s | _ -> None)
+      match member key item with Some (Json.Str s) -> Some s | _ -> None)
     items
 
 let test_daemon_slo_flight_acceptance () =
@@ -521,16 +521,16 @@ let test_daemon_slo_flight_acceptance () =
   let j = parse_json body in
   Alcotest.(check bool)
     "slo degraded" true
-    (member "degraded" j = Some (Suite_obs.Bool true));
+    (member "degraded" j = Some (Json.Bool true));
   (match member "objectives" j with
-  | Some (Suite_obs.List (o :: _)) ->
-      (match member "burn_fast" o with
-      | Some (Suite_obs.Num burn) ->
+  | Some (Json.List (o :: _)) ->
+      (match Option.bind (member "burn_fast" o) Json.to_float with
+      | Some burn ->
           Alcotest.(check bool) "burn over threshold" true (burn >= 14.4)
       | _ -> Alcotest.fail "objective has no burn_fast");
       Alcotest.(check bool)
         "objective tripped" true
-        (member "fast_burn_tripped" o = Some (Suite_obs.Bool true))
+        (member "fast_burn_tripped" o = Some (Json.Bool true))
   | _ -> Alcotest.fail "no objectives in /debug/slo");
   (* The trip edge must produce a flight dump. *)
   poll_until "a flight dump" (fun () -> flight_files dir <> []);
@@ -547,16 +547,16 @@ let test_daemon_slo_flight_acceptance () =
   | Some meta ->
       Alcotest.(check bool)
         "dump reason is the trip" true
-        (member "reason" meta = Some (Suite_obs.Str "slo_fast_burn"))
+        (member "reason" meta = Some (Json.Str "slo_fast_burn"))
   | None -> Alcotest.fail "dump has no flight metadata");
   let span_ids =
     match member "spans" dump with
-    | Some (Suite_obs.List spans) -> str_members "request" spans
+    | Some (Json.List spans) -> str_members "request" spans
     | _ -> Alcotest.fail "dump has no spans"
   in
   let log_ids =
     match member "log" dump with
-    | Some (Suite_obs.List events) -> str_members "request" events
+    | Some (Json.List events) -> str_members "request" events
     | _ -> Alcotest.fail "dump has no log"
   in
   Alcotest.(check bool) "spans carry request ids" true (span_ids <> []);
@@ -572,13 +572,13 @@ let test_daemon_slo_flight_acceptance () =
         match member "serve_request_seconds" metrics with
         | Some hist -> (
             match member "buckets" hist with
-            | Some (Suite_obs.List buckets) ->
+            | Some (Json.List buckets) ->
                 List.filter_map
                   (fun b ->
                     match member "exemplar" b with
                     | Some ex -> (
                         match member "request" ex with
-                        | Some (Suite_obs.Str s) -> Some s
+                        | Some (Json.Str s) -> Some s
                         | _ -> None)
                     | None -> None)
                   buckets

@@ -7,6 +7,7 @@
 module Obs = Consensus_obs.Obs
 module Report = Consensus_obs.Report
 module Expose = Consensus_obs.Expose
+module Json = Consensus_util.Json
 module Pool = Consensus_engine.Pool
 
 let with_obs f =
@@ -117,9 +118,9 @@ let test_renderings () =
   Alcotest.(check bool) "text has the profile header" true
     (contains "profile:" text);
   (match Suite_obs.parse_json (Report.to_json ~top:2 t) with
-  | Suite_obs.Obj fields ->
+  | Json.Obj fields ->
       (match List.assoc_opt "hotspots" fields with
-      | Some (Suite_obs.List rows) ->
+      | Some (Json.List rows) ->
           Alcotest.(check int) "top bounds hotspots" 2 (List.length rows)
       | _ -> Alcotest.fail "profile JSON has no hotspots array");
       Alcotest.(check bool) "has cache object" true
@@ -240,12 +241,16 @@ let test_expose_scrape () =
   let port = Expose.port server in
   let health = check_status (http_get port "/healthz") "HTTP/1.1 200 OK" in
   (match Suite_obs.parse_json health with
-  | Suite_obs.Obj fields ->
+  | Json.Obj fields ->
       Alcotest.(check bool) "healthz status ok" true
-        (List.assoc_opt "status" fields = Some (Suite_obs.Str "ok"));
+        (List.assoc_opt "status" fields = Some (Json.Str "ok"));
+      Alcotest.(check bool) "healthz has a version" true
+        (match List.assoc_opt "version" fields with
+        | Some (Json.Str v) -> v <> ""
+        | _ -> false);
       Alcotest.(check bool) "healthz has uptime" true
-        (match List.assoc_opt "uptime_s" fields with
-        | Some (Suite_obs.Num s) -> s >= 0.
+        (match Option.bind (List.assoc_opt "uptime_s" fields) Json.to_float with
+        | Some s -> s >= 0.
         | _ -> false)
   | _ -> Alcotest.fail "/healthz body is not a JSON object");
   let metrics = check_status (http_get port "/metrics") "HTTP/1.1 200 OK" in
@@ -258,13 +263,13 @@ let test_expose_scrape () =
   Alcotest.(check bool) "our counter exposed" true
     (contains "test_report_scrape_total 1" metrics);
   let trace = check_status (http_get port "/trace") "HTTP/1.1 200 OK" in
-  (match Suite_obs.member "traceEvents" (Suite_obs.parse_json trace) with
-  | Some (Suite_obs.List evs) ->
+  (match Json.member "traceEvents" (Suite_obs.parse_json trace) with
+  | Some (Json.List evs) ->
       Alcotest.(check bool) "trace carries the span" true
         (List.exists
            (fun ev ->
-             Suite_obs.member "name" ev
-             = Some (Suite_obs.Str "test.report.scraped"))
+             Json.member "name" ev
+             = Some (Json.Str "test.report.scraped"))
            evs)
   | _ -> Alcotest.fail "/trace body is not a trace object");
   ignore (check_status (http_get port "/nope") "HTTP/1.1 404 Not Found")

@@ -12,7 +12,7 @@ module Gen = Consensus_workload.Gen
 module Prng = Consensus_util.Prng
 module Obs = Consensus_obs.Obs
 module Log = Consensus_obs.Log
-module Json = Consensus_obs.Json
+module Json = Consensus_util.Json
 module Expose = Consensus_obs.Expose
 
 (* ---------- query wire format: print/parse round-trip ---------- *)
@@ -462,7 +462,7 @@ let with_small_daemon ?(slow_threshold = infinity) ?(jobs = 2) ?db f =
    same query: its request id and wall time. *)
 let stable_fields payload =
   match Suite_obs.parse_json payload with
-  | Suite_obs.Obj fields ->
+  | Json.Obj fields ->
       List.filter (fun (k, _) -> k <> "request" && k <> "elapsed_ms") fields
   | _ -> Alcotest.fail "query body is not a JSON object"
 
@@ -630,17 +630,21 @@ let test_daemon_healthz () =
   let status, body = http_request ~port ~meth:"GET" ~target:"/healthz" "" in
   Alcotest.(check int) "healthz ok" 200 status;
   match Suite_obs.parse_json body with
-  | Suite_obs.Obj fields ->
+  | Json.Obj fields ->
       let str name =
         match List.assoc_opt name fields with
-        | Some (Suite_obs.Str s) -> s
+        | Some (Json.Str s) -> s
         | _ -> Alcotest.failf "healthz lacks string field %s" name
       in
       let num name =
-        match List.assoc_opt name fields with
-        | Some (Suite_obs.Num f) -> f
+        match Option.bind (List.assoc_opt name fields) Json.to_float with
+        | Some f -> f
         | _ -> Alcotest.failf "healthz lacks numeric field %s" name
       in
+      Alcotest.(check (list string))
+        "the Expose.healthz fields come first"
+        [ "status"; "version"; "uptime_s"; "inflight"; "queue_depth"; "dbs" ]
+        (List.map fst fields);
       Alcotest.(check string) "status" "ok" (str "status");
       Alcotest.(check bool) "version non-empty" true (str "version" <> "");
       Alcotest.(check bool) "uptime non-negative" true (num "uptime_s" >= 0.);
@@ -648,9 +652,9 @@ let test_daemon_healthz () =
         (num "inflight" >= 0. && num "inflight" <= 1.);
       Alcotest.(check bool) "queue depth present" true (num "queue_depth" >= 0.);
       (match List.assoc_opt "dbs" fields with
-      | Some (Suite_obs.List names) ->
+      | Some (Json.List names) ->
           Alcotest.(check bool) "resident db listed" true
-            (List.mem (Suite_obs.Str "main") names)
+            (List.mem (Json.Str "main") names)
       | _ -> Alcotest.fail "healthz lacks dbs array")
   | _ -> Alcotest.fail "healthz body is not a JSON object"
 
@@ -669,12 +673,12 @@ let test_daemon_tracing_acceptance () =
   Alcotest.(check int) "query ok" 200 status;
   let obj = Suite_obs.parse_json body in
   let req_id =
-    match Suite_obs.member "request" obj with
-    | Some (Suite_obs.Str id) -> id
+    match Json.member "request" obj with
+    | Some (Json.Str id) -> id
     | _ -> Alcotest.fail "response carries no request id"
   in
   let inline_profile =
-    match Suite_obs.member "profile" obj with
+    match Json.member "profile" obj with
     | Some p -> p
     | None -> Alcotest.fail "explain=true returned no inline profile"
   in
@@ -715,14 +719,14 @@ let test_daemon_tracing_acceptance () =
   in
   Alcotest.(check int) "debug/slow ok" 200 status;
   let entries =
-    match Suite_obs.member "slow" (Suite_obs.parse_json slow_body) with
-    | Some (Suite_obs.List es) -> es
+    match Json.member "slow" (Suite_obs.parse_json slow_body) with
+    | Some (Json.List es) -> es
     | _ -> Alcotest.fail "/debug/slow body has no slow array"
   in
   let entry =
     match
       List.find_opt
-        (fun e -> Suite_obs.member "request" e = Some (Suite_obs.Str req_id))
+        (fun e -> Json.member "request" e = Some (Json.Str req_id))
         entries
     with
     | Some e -> e
@@ -735,8 +739,8 @@ let test_daemon_tracing_acceptance () =
     | _ -> Alcotest.failf "access %s not numeric" name
   in
   let snum name =
-    match Suite_obs.member name entry with
-    | Some (Suite_obs.Num f) -> f
+    match Option.bind (Json.member name entry) Json.to_float with
+    | Some f -> f
     | _ -> Alcotest.failf "slow entry lacks %s" name
   in
   List.iter
@@ -744,7 +748,7 @@ let test_daemon_tracing_acceptance () =
       Alcotest.(check (float 1e-9)) ("agree on " ^ name) (anum name) (snum name))
     [ "queue_wait_ms"; "run_ms"; "cache_hits"; "cache_misses" ];
   (* The inline profile and the captured one are the same fold. *)
-  (match Suite_obs.member "profile" entry with
+  (match Json.member "profile" entry with
   | Some slow_profile ->
       Alcotest.(check bool) "inline profile = slow-ring profile" true
         (slow_profile = inline_profile)
@@ -754,8 +758,8 @@ let test_daemon_tracing_acceptance () =
     http_request ~port ~meth:"GET" ~target:"/debug/slow?limit=0" ""
   in
   Alcotest.(check int) "limit accepted" 200 status;
-  (match Suite_obs.member "slow" (Suite_obs.parse_json limited) with
-  | Some (Suite_obs.List []) -> ()
+  (match Json.member "slow" (Suite_obs.parse_json limited) with
+  | Some (Json.List []) -> ()
   | _ -> Alcotest.fail "limit=0 must keep nothing");
   (* /debug/log exposes the same events the in-process ring holds. *)
   let status, log_body =
@@ -814,18 +818,18 @@ let test_explain_telescopes_at_size () =
   in
   Alcotest.(check int) "query ok" 200 status;
   let profile =
-    match Suite_obs.member "profile" (Suite_obs.parse_json body) with
+    match Json.member "profile" (Suite_obs.parse_json body) with
     | Some p -> p
     | None -> Alcotest.fail "explain=true returned no profile"
   in
   let num name obj =
-    match Suite_obs.member name obj with
-    | Some (Suite_obs.Num f) -> f
+    match Option.bind (Json.member name obj) Json.to_float with
+    | Some f -> f
     | _ -> Alcotest.failf "profile lacks %s" name
   in
   let rows =
-    match Suite_obs.member "hotspots" profile with
-    | Some (Suite_obs.List rows) -> rows
+    match Json.member "hotspots" profile with
+    | Some (Json.List rows) -> rows
     | _ -> Alcotest.fail "profile lacks hotspots"
   in
   let self = List.fold_left (fun a r -> a +. num "self_s" r) 0. rows in
