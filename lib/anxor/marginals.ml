@@ -205,6 +205,21 @@ let rank_table_slow ?pool db ~k =
    alternatives and x-tuple mates alike — from the count of higher-ranked
    present tuples.
 
+   The divide is where precision goes.  Dividing by (c0 + m·x), c0 = 1 - m,
+   from the low degree up multiplies an error by m/c0 per degree; from the
+   top degree down, by c0/m.  Either way the error that [f] already carries
+   is not divisible by the factor, so it comes back amplified by up to
+   amp = 1/|m - |c0|| (the l1 norm of the stable-direction series) and stays
+   in [f] for every later divide: at k = n with the low-first divide alone,
+   100-key BID tables came out wrong by 1e47.  So while [f] is untruncated
+   (its degree — the number of blocks with positive mass — is below k,
+   always the case at k = n) the sweep divides in the stable direction and
+   keeps an l1 bound on [f]'s error, in units of machine epsilon; when a
+   divide would push the result's bound past [err_budget], [f / factor] is
+   rebuilt from scratch instead, which resets the bound.  A truncated [f]
+   has no top degree to divide from: it divides low-first while c0 >= 1/4
+   and rebuilds otherwise.
+
    All polynomials live in preallocated width-k buffers (Poly1.Buf): per
    alternative the sweep does one divide (or blit), one k-term
    accumulate and one in-place linear multiply — no allocation in the
@@ -344,14 +359,24 @@ let rank_table_dense db ~k =
   let f = Array.make w 0. in
   f.(0) <- 1.;
   let f_excl = Array.make w 0. in
+  (* degree of [f]: blocks with positive mass so far *)
+  let deg = ref 0 in
+  (* l1 error bound on [f] in units of epsilon, kept while [!deg < w] *)
+  let err = ref 0. in
+  let err_budget = 1e6 in
   (* from-scratch product of every block factor except [skip]'s, used when
      dividing by that factor would be ill-conditioned *)
   let recompute_excluding skip_block dst =
     B.set_const dst ~w 1.;
+    (* the product's degree grows by one per factor: multiply only the
+       prefix that can be nonzero *)
+    let d = ref 0 in
     for b = 0 to nblocks - 1 do
       let m = mass.(b) in
-      if b <> skip_block && m > 0. then
-        B.mul_linear_inplace ~c0:(1. -. m) ~c1:m dst ~w
+      if b <> skip_block && m > 0. then begin
+        if !d < w - 1 then incr d;
+        B.mul_linear_inplace ~c0:(1. -. m) ~c1:m dst ~w:(!d + 1)
+      end
     done
   in
   (* The linear-factor divide and multiply are inlined (same operations, in
@@ -364,17 +389,48 @@ let rank_table_dense db ~k =
     let block = Array.unsafe_get blocks l in
     let p = Array.unsafe_get marg l in
     let m = Array.unsafe_get mass block in
-    if m <= 0. then B.blit ~src:f ~dst:f_excl ~w
-    else if 1. -. m >= 0.25 then begin
-      let c0 = 1. -. m in
-      Array.unsafe_set f_excl 0 (Array.unsafe_get f 0 /. c0);
-      for j = 1 to w - 1 do
-        Array.unsafe_set f_excl j
-          ((Array.unsafe_get f j -. (m *. Array.unsafe_get f_excl (j - 1)))
-          /. c0)
-      done
+    if m <= 0. then begin
+      B.blit ~src:f ~dst:f_excl ~w;
+      err := !err +. 1.
     end
-    else recompute_excluding block f_excl;
+    else begin
+      let c0 = 1. -. m in
+      let untruncated = !deg < w in
+      let amp = 1. /. Float.abs (m -. Float.abs c0) in
+      if
+        (untruncated && amp *. (!err +. 2.) > err_budget)
+        || ((not untruncated) && c0 < 0.25)
+      then begin
+        recompute_excluding block f_excl;
+        err := (2. *. float_of_int !deg) +. 1.
+      end
+      else begin
+        if m < c0 || not untruncated then begin
+          Array.unsafe_set f_excl 0 (Array.unsafe_get f 0 /. c0);
+          for j = 1 to w - 1 do
+            Array.unsafe_set f_excl j
+              ((Array.unsafe_get f j -. (m *. Array.unsafe_get f_excl (j - 1)))
+              /. c0)
+          done
+        end
+        else begin
+          (* f = f_excl·(c0 + m x) with deg f_excl = deg - 1: solve from
+             the top coefficient down *)
+          let d = !deg in
+          for j = d to w - 1 do
+            Array.unsafe_set f_excl j 0.
+          done;
+          for j = d downto 1 do
+            Array.unsafe_set f_excl (j - 1)
+              ((Array.unsafe_get f j -. (c0 *. Array.unsafe_get f_excl j))
+              /. m)
+          done
+        end;
+        (* the carried error comes back as err·(1 + p·|x - 1|·amp), plus
+           the divide's and the multiply's own rounding *)
+        err := (!err *. (1. +. (2. *. p *. amp))) +. (2. *. amp) +. 1.
+      end
+    end;
     let base = Array.unsafe_get rows l * k in
     for j = 0 to k - 1 do
       Array.unsafe_set dense (base + j)
@@ -382,6 +438,7 @@ let rank_table_dense db ~k =
         +. (p *. Array.unsafe_get f_excl j))
     done;
     let m' = m +. p in
+    if m <= 0. && m' > 0. then incr deg;
     Array.unsafe_set mass block m';
     (* f <- f_excl * ((1-m') + m' x): the blit and the backward sweep fuse
        into one pass reading [f_excl], writing [f] — same values as
@@ -424,6 +481,40 @@ let rank_table ?pool db ~k =
         match Cache.memo key (fun () -> Cache.Rank_table (compute ())) with
         | Cache.Rank_table table -> table
         | _ -> assert false)
+
+(* Untruncated table: on BID/independent shapes the sweep at k = n is O(n²)
+   in total; other trees pay one O(n²) generating-function run per
+   alternative, parallel over keys.  [rank_table_slow]'s fixed-width kernel
+   is not used here: at full width it is several times slower than the
+   generic bipoly, which only grows each polynomial to its actual degree. *)
+let full_rank_table ?pool db =
+  let n = Db.num_alts db in
+  let compute () =
+    if n > 0 && (Db.is_bid db || Db.is_independent db) then begin
+      let keys, dense = rank_table_dense db ~k:n in
+      Array.init (Array.length keys) (fun r -> Array.sub dense (r * n) n)
+    end
+    else
+      Pool.parallel_map ?pool ~stage:"full_rank_dist"
+        (fun key ->
+          let acc = Array.make n 0. in
+          List.iter
+            (fun l ->
+              Array.iteri
+                (fun m p -> acc.(m) <- acc.(m) +. p)
+                (full_rank_dist_alt db l))
+            (Db.alts_of_key db key);
+          acc)
+        (Db.keys db)
+  in
+  if not (Cache.enabled ()) then compute ()
+  else
+    let key =
+      Cache.key ~family:"full_rank_dist" ~digest:(Db.digest db) ~params:[]
+    in
+    match Cache.memo key (fun () -> Cache.Matrix (compute ())) with
+    | Cache.Matrix m -> m
+    | _ -> assert false
 
 let rank_leq db key ~k = Array.fold_left ( +. ) 0. (rank_dist db key ~k)
 

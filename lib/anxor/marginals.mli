@@ -38,11 +38,24 @@ val rank_table_dense : Db.t -> k:int -> int array * float array
     [dists.(r*k + j) = Pr(r(keys.(r)) = j+1)].  One sweep over the
     score-sorted alternatives maintains the truncated product of per-block
     generating-function factors, updated by multiplying / dividing single
-    linear factors (with a from-scratch fallback when a division would be
-    ill-conditioned).  Raises [Invalid_argument] on other tree shapes.  The
+    linear factors.  While the product is untruncated (always at
+    [k = num_alts db]) a division runs in its numerically stable
+    direction under a bound on the accumulated error, rebuilding the
+    quotient from scratch when the bound would pass ~1e6 ulps; a truncated
+    product rebuilds when the division would be ill-conditioned.  Raises
+    [Invalid_argument] on other tree shapes.  The
     sweep allocates nothing beyond its few flat arrays (no per-key or
     per-alternative heap structures); this is the entry point for
     million-tuple tables. *)
+
+val full_rank_table : ?pool:Consensus_engine.Pool.t -> Db.t -> float array array
+(** The untruncated rank table: row [r] is the rank distribution of key
+    [(Db.keys db).(r)], entry [m] = Pr(r(key) = m+1), for m <
+    [num_alts db].  Uses the O(n²) sweep of {!rank_table_dense} on
+    independent/BID shapes and sums {!full_rank_dist_alt} over each key's
+    alternatives (parallel over keys on [pool]) on other trees.  Memoized
+    under the [full_rank_dist] cache family; the rows are shared with the
+    cache, so treat them as read-only. *)
 
 val rank_leq : Db.t -> int -> k:int -> float
 (** [Pr(r(key) <= k)]: probability the key ranks in the top-k. *)

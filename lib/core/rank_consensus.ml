@@ -16,9 +16,10 @@ type ctx = {
   pool : Pool.t; (* engine pool shared by every computation on this ctx *)
   keys : int array;
   key_pos : (int, int) Hashtbl.t;
-  (* full positional distribution per key index: full.(t).(j-1) = Pr(r = j) *)
-  full : float array array;
   present : float array;
+  (* full positional distribution per key index: full.(t).(j-1) = Pr(r = j);
+     built on first use — only the footrule reads it *)
+  mutable full : float array array option;
   mutable dis : float array array option; (* dis.(i).(j) = cost of i before j *)
 }
 
@@ -30,33 +31,21 @@ let make_ctx ?pool db =
   let keys = Db.keys db in
   let key_pos = Hashtbl.create (Array.length keys) in
   Array.iteri (fun i key -> Hashtbl.replace key_pos key i) keys;
-  (* Each key's untruncated rank distribution is an O(n²) generating-function
-     run over the shared immutable tree — the O(n³) total is the dominant
-     cost of full-ranking consensus and parallelizes perfectly over keys. *)
-  let full =
-    let compute () =
-      Pool.parallel_map ~pool ~stage:"full_rank_dist"
-        (fun key ->
-          let acc = Array.make (Db.num_alts db) 0. in
-          List.iter
-            (fun l ->
-              let d = Marginals.full_rank_dist_alt db l in
-              Array.iteri (fun m p -> acc.(m) <- acc.(m) +. p) d)
-            (Db.alts_of_key db key);
-          acc)
-        keys
-    in
-    if not (Cache.enabled ()) then compute ()
-    else
-      let key =
-        Cache.key ~family:"full_rank_dist" ~digest:(Db.digest db) ~params:[]
+  let present = Array.map (Db.key_marginal db) keys in
+  { db; pool; keys; key_pos; present; full = None; dis = None }
+
+(* Callers fill the table before fanning out over the pool: a lazy fill
+   from inside worker domains would race on [ctx.full]. *)
+let full_rank_table ctx =
+  match ctx.full with
+  | Some t -> t
+  | None ->
+      let t =
+        algo_span "full_rank_table" ~n:(Array.length ctx.keys) @@ fun () ->
+        Marginals.full_rank_table ~pool:ctx.pool ctx.db
       in
-      match Cache.memo key (fun () -> Cache.Matrix (compute ())) with
-      | Cache.Matrix m -> m
-      | _ -> assert false
-  in
-  let present = Array.map (Array.fold_left ( +. ) 0.) full in
-  { db; pool; keys; key_pos; full; present; dis = None }
+      ctx.full <- Some t;
+      t
 
 let db ctx = ctx.db
 let pool ctx = ctx.pool
@@ -83,20 +72,22 @@ let check_perm ctx sigma =
 
 (* Positional cost of placing key index [t] at position [pos] (1-based):
    E|pos - pos_pw(t)| with absent tuples at position n+1. *)
-let position_cost ctx t pos =
+let position_cost ctx full t pos =
   let n = n_keys ctx in
   let acc = ref ((1. -. ctx.present.(t)) *. float_of_int (n + 1 - pos)) in
   Array.iteri
     (fun m p ->
       if p <> 0. then acc := !acc +. (p *. float_of_int (abs (pos - (m + 1)))))
-    ctx.full.(t);
+    full.(t);
   !acc
 
 let expected_footrule ctx sigma =
   check_perm ctx sigma;
+  let full = full_rank_table ctx in
   let acc = ref 0. in
   Array.iteri
-    (fun pos0 key -> acc := !acc +. position_cost ctx (kidx ctx key) (pos0 + 1))
+    (fun pos0 key ->
+      acc := !acc +. position_cost ctx full (kidx ctx key) (pos0 + 1))
     sigma;
   !acc
 
@@ -145,9 +136,10 @@ let expected_kendall ctx sigma =
 let mean_footrule ctx =
   let n = n_keys ctx in
   algo_span "mean_footrule" ~n @@ fun () ->
+  let full = full_rank_table ctx in
   let cost =
     Pool.parallel_init ~pool:ctx.pool ~stage:"footrule_cost" n (fun t ->
-        Array.init n (fun pos0 -> position_cost ctx t (pos0 + 1)))
+        Array.init n (fun pos0 -> position_cost ctx full t (pos0 + 1)))
   in
   let assignment, total = Hungarian.minimize cost in
   let sigma = Array.make n 0 in

@@ -16,13 +16,16 @@
 open Consensus_anxor
 
 type ctx
-(** Full rank distributions of a database, pre-computed once. *)
+(** A database's per-key presence marginals, plus the intermediates each
+    metric needs, built on first use and kept: the full rank table
+    ({!Consensus_anxor.Marginals.full_rank_table}, footrule only) and the
+    disagreement matrix (Kendall). *)
 
 val make_ctx : ?pool:Consensus_engine.Pool.t -> Db.t -> ctx
-(** O(n²·total-alternatives) pre-computation, parallelized over the keys on
-    [pool] (default: the global engine pool).  The pool is retained by the
-    context for the later matrix builds.  Results are identical whatever
-    the pool's [jobs] setting. *)
+(** Cheap: key positions and presence marginals.  The context retains
+    [pool] (default: the global engine pool) for the later table and
+    matrix builds.  Results are identical whatever the pool's [jobs]
+    setting. *)
 
 val db : ctx -> Db.t
 val keys : ctx -> int array

@@ -395,17 +395,10 @@ let global_topk_pruned db ~k =
   (top_by_score ~k !exact, !evaluated)
 
 let prf db ~w ~k =
-  let n = Db.num_alts db in
-  Db.keys db |> Array.to_list
-  |> List.map (fun key ->
+  let table = Marginals.full_rank_table db in
+  Db.keys db
+  |> Array.mapi (fun r key ->
          let score = ref 0. in
-         List.iter
-           (fun l ->
-             let dist = Marginals.full_rank_dist_alt db l in
-             Array.iteri
-               (fun m p -> score := !score +. (w (m + 1) *. p))
-               dist)
-           (Db.alts_of_key db key);
-         ignore n;
+         Array.iteri (fun m p -> score := !score +. (w (m + 1) *. p)) table.(r);
          (key, !score))
-  |> top_by_score ~k
+  |> Array.to_list |> top_by_score ~k

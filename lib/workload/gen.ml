@@ -21,30 +21,42 @@ let independent_db ?(p_min = 0.05) ?(p_max = 0.95) rng n =
     (List.init n (fun i ->
          (i, scores.(i), p_min +. Prng.float rng (p_max -. p_min))))
 
-let bid_db ?(max_alts = 3) ?(forced_fraction = 0.2) rng n =
-  if n <= 0 then invalid_arg "Gen.bid_db: n must be positive";
+(* [n] xor blocks of 1..[max_alts] alternatives, as (probability, score)
+   lists; a [forced_fraction] of the blocks have mass 1. *)
+let bid_blocks ~max_alts ~forced_fraction rng n =
   let total_alts = ref 0 in
   let alts_per_key = Array.init n (fun _ -> 1 + Prng.int rng max_alts) in
   Array.iter (fun c -> total_alts := !total_alts + c) alts_per_key;
   let scores = distinct_scores rng !total_alts in
   let next_score = ref 0 in
-  let blocks =
-    List.init n (fun key ->
-        let c = alts_per_key.(key) in
-        let forced = Prng.uniform rng < forced_fraction in
-        let raw = Array.init c (fun _ -> 0.05 +. Prng.uniform rng) in
-        let total = Array.fold_left ( +. ) 0. raw in
-        let budget = if forced then 1.0 else 0.2 +. Prng.float rng 0.75 in
-        let alts =
-          List.init c (fun i ->
-              let p = raw.(i) /. total *. budget in
-              let s = scores.(!next_score) in
-              incr next_score;
-              (p, s))
-        in
-        (key, alts))
-  in
-  Db.bid blocks
+  List.init n (fun key ->
+      let c = alts_per_key.(key) in
+      let forced = Prng.uniform rng < forced_fraction in
+      let raw = Array.init c (fun _ -> 0.05 +. Prng.uniform rng) in
+      let total = Array.fold_left ( +. ) 0. raw in
+      let budget = if forced then 1.0 else 0.2 +. Prng.float rng 0.75 in
+      List.init c (fun i ->
+          let p = raw.(i) /. total *. budget in
+          let s = scores.(!next_score) in
+          incr next_score;
+          (p, s)))
+
+let bid_db ?(max_alts = 3) ?(forced_fraction = 0.2) rng n =
+  if n <= 0 then invalid_arg "Gen.bid_db: n must be positive";
+  Db.bid
+    (List.mapi (fun key alts -> (key, alts))
+       (bid_blocks ~max_alts ~forced_fraction rng n))
+
+let xtuple_db ?(max_alts = 3) ?(forced_fraction = 0.2) rng n =
+  if n <= 0 then invalid_arg "Gen.xtuple_db: n must be positive";
+  let next_key = ref (-1) in
+  Db.create
+    (Tree.bid
+       (List.map
+          (List.map (fun (p, value) ->
+               incr next_key;
+               (p, { Db.key = !next_key; value })))
+          (bid_blocks ~max_alts ~forced_fraction rng n)))
 
 let random_tree ?(max_depth = 6) ?(max_fanout = 4) rng n =
   if n <= 0 then invalid_arg "Gen.random_tree: n must be positive";

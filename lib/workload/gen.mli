@@ -27,6 +27,16 @@ val bid_db :
     have alternative probabilities summing to 1 (the key is certainly
     present). *)
 
+val xtuple_db :
+  ?max_alts:int ->
+  ?forced_fraction:float ->
+  Consensus_util.Prng.t ->
+  int ->
+  Db.t
+(** Like {!bid_db}, but every alternative carries its own key: [n]
+    x-tuples, blocks of mutually exclusive tuples with distinct keys.
+    Draws from [rng] exactly as {!bid_db} does. *)
+
 val random_tree :
   ?max_depth:int ->
   ?max_fanout:int ->

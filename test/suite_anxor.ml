@@ -390,37 +390,19 @@ let test_rank_table_fast_matches_slow () =
      mutually exclusive across keys (the bug class E7 caught: per-key mass
      tracking breaks here) *)
   for _ = 1 to 10 do
-    let n_blocks = 2 + Prng.int g 3 in
-    let next_key = ref 0 in
-    let blocks =
-      List.init n_blocks (fun _ ->
-          let c = 1 + Prng.int g 3 in
-          let raw = List.init c (fun _ -> 0.1 +. Prng.uniform g) in
-          let total = List.fold_left ( +. ) 0. raw in
-          let budget = 0.3 +. Prng.float g 0.65 in
-          List.map
-            (fun r ->
-              let key = !next_key in
-              incr next_key;
-              ( r /. total *. budget,
-                { Db.key; value = Prng.float g 100. } ))
-            raw)
-    in
-    let db = Db.create (Tree.bid blocks) in
-    if Db.scores_distinct db then begin
-      let k = 1 + Prng.int g 3 in
-      let fast = Marginals.rank_table db ~k in
-      List.iter
-        (fun (key, dist) ->
-          let direct = Marginals.rank_dist db key ~k in
-          Array.iteri
-            (fun j p ->
-              check_floatl
-                (Printf.sprintf "x-tuple Pr(r(%d)=%d)" key (j + 1))
-                direct.(j) p)
-            dist)
-        fast
-    end
+    let db = Consensus_workload.Gen.xtuple_db g (2 + Prng.int g 3) in
+    let k = 1 + Prng.int g 3 in
+    let fast = Marginals.rank_table db ~k in
+    List.iter
+      (fun (key, dist) ->
+        let direct = Marginals.rank_dist db key ~k in
+        Array.iteri
+          (fun j p ->
+            check_floatl
+              (Printf.sprintf "x-tuple Pr(r(%d)=%d)" key (j + 1))
+              direct.(j) p)
+          dist)
+      fast
   done;
   (* the sweep rejects correlated trees and empty tables, naming itself *)
   let db = Consensus_workload.Gen.random_tree_db g 6 in
@@ -527,6 +509,89 @@ let test_full_rank_dist () =
     check_floatl "sums to marginal" (Db.marginal db l) (Array.fold_left ( +. ) 0. d)
   done
 
+(* The general path's table: per-alternative generating functions summed
+   per key, in [Db.keys] order. *)
+let full_table_by_alts db =
+  Array.map
+    (fun key ->
+      let acc = Array.make (Db.num_alts db) 0. in
+      List.iter
+        (fun l ->
+          Array.iteri (fun m p -> acc.(m) <- acc.(m) +. p)
+            (Marginals.full_rank_dist_alt db l))
+        (Db.alts_of_key db key);
+      acc)
+    (Db.keys db)
+
+let check_full_table name db =
+  let expected = full_table_by_alts db in
+  let got = Marginals.full_rank_table db in
+  Alcotest.(check int) (name ^ ": rows") (Array.length expected) (Array.length got);
+  Array.iteri
+    (fun r row ->
+      Array.iteri
+        (fun m p ->
+          check_float (Printf.sprintf "%s: Pr(r(key row %d) = %d)" name r (m + 1)) p
+            got.(r).(m))
+        row)
+    expected
+
+(* The largest second probability [p2] with [p1 + p2] inside the xor mass
+   bound 1 + 1e-9 that [Tree.xor] accepts. *)
+let at_mass_bound p1 =
+  let bound = 1. +. 1e-9 in
+  let rec down p2 = if p1 +. p2 > bound then down (Float.pred p2) else p2 in
+  down (bound -. p1)
+
+(* Random BID-shaped blocks mixing the numeric edges in: alternatives
+   within 1e-12 of probability 0 and 1, and one block whose mass sits at
+   the 1 + 1e-9 bound.  [xtuple] gives every alternative its own key. *)
+let edge_blocks g ~xtuple n =
+  let scores = Consensus_workload.Gen.distinct_scores g (3 * n) in
+  let next = ref (-1) in
+  let alt block =
+    incr next;
+    { Db.key = (if xtuple then !next else block); value = scores.(!next) }
+  in
+  List.init n (fun b ->
+      let probs =
+        if b = 0 then [ 0.6; at_mass_bound 0.6 ]
+        else
+          match Prng.int g 5 with
+          | 0 -> [ 1e-12; 1. -. 2e-12 ]
+          | 1 -> [ 1. -. 1e-12 ]
+          | 2 -> [ 1e-12 ]
+          | _ ->
+              let c = 1 + Prng.int g 3 in
+              let mass = if Prng.int g 3 = 0 then 1. else Prng.float g 1. in
+              List.init c (fun _ -> mass /. float_of_int c)
+      in
+      List.map (fun p -> (p, alt b)) probs)
+
+let test_full_rank_table_dense_matches_general () =
+  let g = rng () in
+  let module Gen = Consensus_workload.Gen in
+  (* 100+ keys: a sweep that divides out block factors carelessly loses all
+     precision well before that size *)
+  List.iter
+    (fun n ->
+      check_full_table (Printf.sprintf "bid %d" n)
+        (Gen.bid_db ~max_alts:4 ~forced_fraction:0.5 g n);
+      check_full_table (Printf.sprintf "x-tuple %d" n)
+        (Gen.xtuple_db ~max_alts:4 ~forced_fraction:0.5 g n);
+      check_full_table (Printf.sprintf "independent %d" n) (Gen.independent_db g n))
+    [ 1; 6; 40; 120 ];
+  List.iter
+    (fun xtuple ->
+      let db = Db.create (Tree.bid (edge_blocks g ~xtuple 60)) in
+      Alcotest.(check bool) "edge db is BID-shaped" true (Db.is_bid db);
+      check_full_table (if xtuple then "x-tuple edges" else "bid edges") db)
+    [ false; true ];
+  check_full_table "independent edges"
+    (Db.independent
+       (List.init 50 (fun i ->
+            (i, float_of_int i, if i mod 2 = 0 then 1e-12 else 1. -. 1e-12))))
+
 (* ---------- Genfunc engines cross-validation ---------- *)
 
 let test_bipoly_engine_vs_bivariate () =
@@ -611,6 +676,8 @@ let suite =
     Alcotest.test_case "expected rank vs enumeration" `Quick test_expected_rank_vs_enumeration;
     Alcotest.test_case "expected value" `Quick test_expected_value;
     Alcotest.test_case "full rank dist" `Quick test_full_rank_dist;
+    Alcotest.test_case "full rank table dense = general" `Quick
+      test_full_rank_table_dense_matches_general;
     Alcotest.test_case "bipoly engine vs bivariate" `Quick test_bipoly_engine_vs_bivariate;
     Alcotest.test_case "mpoly engine vs enumeration" `Quick test_mpoly_engine_vs_enumeration;
   ]

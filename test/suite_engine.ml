@@ -318,6 +318,19 @@ let prop_kendall_jobs_invariant =
           let tau = Topk_consensus.mean_kendall_pivot (Prng.create ~seed ()) ctx in
           (tau, Topk_consensus.expected_kendall ctx tau)))
 
+(* A fresh ctx builds its full rank table inside [mean_footrule], before the
+   cost rows fan out over the pool: the BID sweep and the general tree's
+   per-key map must both give the same answer on every jobs setting. *)
+let prop_rank_footrule_jobs_invariant =
+  QCheck.Test.make ~name:"rank mean_footrule is jobs-invariant" ~count:10 arb_seed
+    (fun seed ->
+      let g = Prng.create ~seed () in
+      List.for_all
+        (fun db ->
+          on_jobs_grid (fun pool ->
+              Rank_consensus.mean_footrule (Rank_consensus.make_ctx ~pool db)))
+        [ Gen.bid_db g 12; Gen.random_keyed_tree g 9 ])
+
 let prop_cluster_sampling_jobs_invariant =
   QCheck.Test.make ~name:"best_of_worlds is jobs-invariant" ~count:10 arb_seed
     (fun seed ->
@@ -355,5 +368,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_parallel_map_jobs_invariant;
     QCheck_alcotest.to_alcotest prop_rank_table_jobs_invariant;
     QCheck_alcotest.to_alcotest prop_kendall_jobs_invariant;
+    QCheck_alcotest.to_alcotest prop_rank_footrule_jobs_invariant;
     QCheck_alcotest.to_alcotest prop_cluster_sampling_jobs_invariant;
   ]

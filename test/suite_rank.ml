@@ -10,13 +10,17 @@ let random_perm g keys =
   Prng.shuffle g p;
   p
 
+(* BID-shaped instances small enough for the enumeration oracles (at most
+   8 keys), so the rank-table sweep is checked against [Worlds.enumerate]
+   too: BID proper with certain and uncertain keys, and x-tuples (blocks
+   of mutually exclusive tuples with distinct keys). *)
+let bid_shaped_dbs g =
+  List.init 4 (fun _ -> Gen.bid_db ~forced_fraction:0.5 g (3 + Prng.int g 3))
+  @ List.init 4 (fun _ -> Gen.xtuple_db ~max_alts:2 g (2 + Prng.int g 2))
+
 let test_evaluators_vs_enum () =
   let g = rng () in
-  for iter = 1 to 12 do
-    let db =
-      if iter mod 2 = 0 then Gen.random_tree_db g (3 + Prng.int g 4)
-      else Gen.random_keyed_tree g (3 + Prng.int g 4)
-    in
+  let check db =
     let ctx = Rank_consensus.make_ctx db in
     let sigma = random_perm g (Rank_consensus.keys ctx) in
     check_float "footrule evaluator"
@@ -25,30 +29,67 @@ let test_evaluators_vs_enum () =
     check_float "kendall evaluator"
       (Rank_consensus.enum_expected_kendall ctx sigma)
       (Rank_consensus.expected_kendall ctx sigma)
-  done
+  in
+  for iter = 1 to 12 do
+    check
+      (if iter mod 2 = 0 then Gen.random_tree_db g (3 + Prng.int g 4)
+       else Gen.random_keyed_tree g (3 + Prng.int g 4))
+  done;
+  List.iter check (bid_shaped_dbs g)
 
 let test_mean_footrule_optimal () =
   let g = rng () in
-  for _ = 1 to 12 do
-    let db = Gen.random_tree_db g (3 + Prng.int g 3) in
+  let check db =
     let ctx = Rank_consensus.make_ctx db in
     let sigma, d = Rank_consensus.mean_footrule ctx in
     check_float "reported distance consistent" d
       (Rank_consensus.expected_footrule ctx sigma);
     let _, best = Rank_consensus.brute_force_mean ctx `Footrule in
     check_float "footrule assignment optimal" best d
-  done
+  in
+  for _ = 1 to 12 do
+    check (Gen.random_tree_db g (3 + Prng.int g 3))
+  done;
+  List.iter check (bid_shaped_dbs g)
 
 let test_mean_kendall_exact_optimal () =
   let g = rng () in
-  for _ = 1 to 12 do
-    let db = Gen.random_tree_db g (3 + Prng.int g 3) in
+  let check db =
     let ctx = Rank_consensus.make_ctx db in
     let sigma, d = Rank_consensus.mean_kendall_exact ctx in
     check_float "reported cost consistent" d (Rank_consensus.expected_kendall ctx sigma);
     let _, best = Rank_consensus.brute_force_mean ctx `Kendall in
     check_float "kemeny DP optimal" best d
-  done
+  in
+  for _ = 1 to 12 do
+    check (Gen.random_tree_db g (3 + Prng.int g 3))
+  done;
+  List.iter check (bid_shaped_dbs g)
+
+(* Kendall reads only presence marginals and pairwise disagreements: a
+   Kendall query must not build (or store) the full rank table, and a
+   footrule query on the same database must. *)
+let test_full_rank_table_only_for_footrule () =
+  let module Cache = Consensus_cache.Cache in
+  let db = Gen.bid_db (rng ()) 20 in
+  let full_key =
+    Cache.key ~family:"full_rank_dist" ~digest:(Consensus_anxor.Db.digest db)
+      ~params:[]
+  in
+  Cache.clear ();
+  Cache.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Cache.set_enabled false;
+      Cache.clear ();
+      Cache.reset_stats ())
+  @@ fun () ->
+  ignore (Api.run db (Api.Rank Api.Rank_kendall));
+  Alcotest.(check bool) "kendall leaves no full_rank_dist entry" true
+    (Cache.find full_key = None);
+  ignore (Api.run db (Api.Rank Api.Rank_footrule));
+  Alcotest.(check bool) "footrule stores full_rank_dist" true
+    (Cache.find full_key <> None)
 
 let test_kendall_approximations () =
   let g = rng () in
@@ -152,4 +193,6 @@ let suite =
     Alcotest.test_case "certain db = score order" `Quick test_certain_db_recovers_score_order;
     Alcotest.test_case "disagreement matrix bounds" `Quick test_disagreement_matrix_bounds;
     Alcotest.test_case "permutation validation" `Quick test_perm_validation;
+    Alcotest.test_case "full rank table only for footrule" `Quick
+      test_full_rank_table_only_for_footrule;
   ]
