@@ -71,7 +71,7 @@ let expectations =
     ( "BENCH_MONITOR.json",
       [
         t Higher_better
-          [ Field "monitor_on"; Field "throughput_rps" ]
+          [ Field "runtime_on"; Field "throughput_rps" ]
           2574.1;
         t ~tolerance:1.5 Lower_better [ Field "disabled_probe_ns" ] 3.5;
         t ~tolerance:1.5 Lower_better [ Field "runtime_gate_ns" ] 2.1;

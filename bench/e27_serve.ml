@@ -16,7 +16,8 @@ module Json = Consensus_util.Json
 
 (* One request on a fresh connection, read to end of stream: it asks the
    daemon to close after answering, which would otherwise keep it alive.
-   Returns the status code, or 0 when the connection itself failed. *)
+   Returns the status code (0 when the connection itself failed) and the
+   response body. *)
 let request port ~meth ~path ~body =
   match Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 with
   | exception Unix.Unix_error _ -> (0, "")
@@ -51,14 +52,23 @@ let request port ~meth ~path ~body =
             Buffer.contents buf)
       with
       | exception Unix.Unix_error _ -> (0, "")
-      | resp -> (
-          (* "HTTP/1.1 NNN ..." *)
-          match String.index_opt resp ' ' with
-          | Some i when String.length resp >= i + 4 -> (
-              match int_of_string_opt (String.sub resp (i + 1) 3) with
-              | Some code -> (code, resp)
-              | None -> (0, resp))
-          | _ -> (0, resp)))
+      | resp ->
+          (* "HTTP/1.1 NNN ...", headers, a blank line, the body. *)
+          let status =
+            match String.index_opt resp ' ' with
+            | Some i when String.length resp >= i + 4 ->
+                Option.value ~default:0
+                  (int_of_string_opt (String.sub resp (i + 1) 3))
+            | _ -> 0
+          in
+          let n = String.length resp in
+          let rec body_start i =
+            if i + 4 > n then n
+            else if String.sub resp i 4 = "\r\n\r\n" then i + 4
+            else body_start (i + 1)
+          in
+          let b = body_start 0 in
+          (status, String.sub resp b (n - b)))
 
 let post_query port ?(params = "") body =
   fst (request port ~meth:"POST" ~path:("/query" ^ params) ~body)
@@ -135,10 +145,6 @@ let run () =
         max_queue = 4 * clients;
         max_connections = 256;
         access_log = false;
-        (* Pin the continuous monitor (a later experiment's subject) off:
-           this experiment isolates the serving fabric itself, and its
-           committed baselines predate the sampler. *)
-        monitor_interval = 0.;
       }
   in
   let port1 = Daemon.port d1 in
@@ -242,10 +248,6 @@ let run () =
         max_queue = 2;
         max_connections = 256;
         access_log = false;
-        (* Pin the continuous monitor (a later experiment's subject) off:
-           this experiment isolates the serving fabric itself, and its
-           committed baselines predate the sampler. *)
-        monitor_interval = 0.;
       }
   in
   let port2 = Daemon.port d2 in

@@ -51,39 +51,10 @@ let shapes =
   |]
 
 (* E27's published saturation throughput, read back from BENCH_SERVE.json
-   when E27 ran earlier in this harness invocation (the experiments run in
-   order).  A bench-local scan, not a JSON parser: the file has exactly one
-   "throughput_rps" key (the saturation phase). *)
+   in the working directory (E27 rewrites it when it ran earlier in this
+   harness invocation: the experiments run in order). *)
 let e27_throughput () =
-  match
-    let ic = open_in "BENCH_SERVE.json" in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error _ -> None
-  | text -> (
-      let key = "\"throughput_rps\":" in
-      let klen = String.length key and n = String.length text in
-      let rec find i =
-        if i + klen > n then None
-        else if String.sub text i klen = key then Some (i + klen)
-        else find (i + 1)
-      in
-      match find 0 with
-      | None -> None
-      | Some j ->
-          let k = ref j in
-          while
-            !k < n
-            &&
-            match text.[!k] with
-            | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-            | _ -> false
-          do
-            incr k
-          done;
-          float_of_string_opt (String.sub text j (!k - j)))
+  Harness.committed_float "BENCH_SERVE.json" [ "saturation"; "throughput_rps" ]
 
 type load = {
   ok : int;
@@ -108,10 +79,6 @@ let serve_run db ~tracing ~clients ~per_client =
         max_queue = 4 * clients;
         max_connections = 256;
         access_log = false;
-        (* Pin the continuous monitor (a later experiment's subject) off:
-           this experiment isolates the serving fabric itself, and its
-           committed baselines predate the sampler. *)
-        monitor_interval = 0.;
       }
   in
   Obs.set_enabled tracing;

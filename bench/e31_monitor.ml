@@ -1,14 +1,15 @@
-(* E31 — continuous runtime telemetry overhead and GC-pause attribution.
-   PR "telemetry" adds the metrics time-series sampler (lib/obs/monitor),
-   the Runtime_events GC-pause consumer (lib/obs/runtime), SLO burn rates
-   and the flight recorder.  Three measurements: (1) the disabled probes —
-   the span probe and the [Runtime.active] gate on the scheduler's
-   per-request poll — must stay at a few ns; (2) the E28 saturation fleet
-   replayed with the monitor + runtime-events consumer on (the daemon
-   default, 1 s interval) vs forced off, with the req/s cost also compared
-   against E28's committed tracing-on baseline; (3) a tail-attribution run
-   (slow capture on, 50 ms sampling, allocation-heavy uncached queries)
-   that must surface slow-ring entries with nonzero [gc_pause_ms] backed
+(* E31 — runtime telemetry overhead and GC-pause attribution.  The
+   Runtime_events GC-pause consumer (lib/obs/runtime) attributes the
+   runtime pauses overlapping each request's run window to that request
+   ([gc_pause_ms]); [consensus serve] starts it, in-process daemons run
+   without it.  Three measurements: (1) the disabled probes — the span
+   probe and the [Runtime.active] gate on the scheduler's per-request poll
+   — must stay at a few ns; (2) the E28 saturation fleet replayed with the
+   consumer on (as [consensus serve] runs) vs off, with the req/s cost
+   also compared against E28's committed tracing-on baseline; (3) a
+   tail-attribution run (slow capture on, allocation-heavy uncached
+   queries, the consumer drained by the scheduler itself) that must
+   surface slow-ring entries with nonzero [gc_pause_ms] backed
    by recorded Runtime_events pause windows.  Results go to
    BENCH_MONITOR.json. *)
 
@@ -18,7 +19,6 @@ module Daemon = Consensus_serve.Daemon
 module Cache = Consensus_cache.Cache
 module Obs = Consensus_obs.Obs
 module Runtime = Consensus_obs.Runtime
-module Monitor = Consensus_obs.Monitor
 module Json = Consensus_util.Json
 
 (* ---------- disabled-probe costs ---------- *)
@@ -55,40 +55,12 @@ let runtime_gate_ns () =
 
 (* ---------- E28 baseline ---------- *)
 
-(* First "throughput_rps" in BENCH_REQTRACE.json is the tracing-on run —
-   the daemon default this experiment's monitor-on run extends. *)
+(* E28's tracing-on run: the daemon configuration this experiment's
+   runtime-on run extends. *)
 let e28_throughput () =
-  match
-    let ic = open_in "BENCH_REQTRACE.json" in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error _ -> None
-  | text -> (
-      let key = "\"throughput_rps\":" in
-      let klen = String.length key and n = String.length text in
-      let rec find i =
-        if i + klen > n then None
-        else if String.sub text i klen = key then Some (i + klen)
-        else find (i + 1)
-      in
-      match find 0 with
-      | None -> None
-      | Some j ->
-          let k = ref j in
-          while
-            !k < n
-            &&
-            match text.[!k] with
-            | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-            | _ -> false
-          do
-            incr k
-          done;
-          float_of_string_opt (String.sub text j (!k - j)))
+  Harness.committed_float "BENCH_REQTRACE.json" [ "tracing_on"; "throughput_rps" ]
 
-(* ---------- saturation fleet, monitor on vs off ---------- *)
+(* ---------- saturation fleet, runtime-events consumer on vs off ---------- *)
 
 let shapes =
   [|
@@ -112,7 +84,9 @@ type load = {
   p99 : float;
 }
 
-let serve_run db ~monitor_interval ~clients ~per_client =
+(* The consumer wraps the daemon, as in [consensus serve]. *)
+let serve_run db ~runtime ~clients ~per_client =
+  if runtime then Runtime.start ();
   let d =
     Daemon.start
       {
@@ -123,7 +97,6 @@ let serve_run db ~monitor_interval ~clients ~per_client =
         max_queue = 4 * clients;
         max_connections = 256;
         access_log = false;
-        monitor_interval;
       }
   in
   let port = Daemon.port d in
@@ -138,6 +111,7 @@ let serve_run db ~monitor_interval ~clients ~per_client =
         E27_serve.post_query port ~params:"?db=small" body)
   in
   Daemon.stop d;
+  if runtime then Runtime.stop ();
   let ok = E27_serve.count_status shots 200 in
   let latencies =
     List.filter (fun s -> s.E27_serve.status = 200) shots
@@ -156,32 +130,17 @@ let serve_run db ~monitor_interval ~clients ~per_client =
 
 (* ---------- tail attribution ---------- *)
 
-(* All "gc_pause_ms": VALUE occurrences in a /debug/slow body. *)
+(* The [gc_pause_ms] of every entry in a /debug/slow body. *)
 let gc_pause_values text =
-  let key = "\"gc_pause_ms\":" in
-  let klen = String.length key and n = String.length text in
-  let out = ref [] in
-  let rec scan i =
-    if i + klen > n then List.rev !out
-    else if String.sub text i klen = key then begin
-      let k = ref (i + klen) in
-      while
-        !k < n
-        &&
-        match text.[!k] with
-        | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-        | _ -> false
-      do
-        incr k
-      done;
-      (match float_of_string_opt (String.sub text (i + klen) (!k - i - klen)) with
-      | Some v -> out := v :: !out
-      | None -> ());
-      scan !k
-    end
-    else scan (i + 1)
-  in
-  scan 0
+  match Json.of_string text with
+  | Error _ -> []
+  | Ok doc -> (
+      match Json.member "slow" doc with
+      | Some (Json.List entries) ->
+          List.filter_map
+            (fun e -> Option.bind (Json.member "gc_pause_ms" e) Json.to_float)
+            entries
+      | _ -> [])
 
 type tail = {
   t_requests : int;
@@ -192,11 +151,14 @@ type tail = {
   t_pause_s : float;
 }
 
-(* Allocation-heavy uncached queries against a 50 ms sampler: every
-   request re-evaluates (cache=false), the minor heap churns, and the
-   scheduler attributes the Runtime_events pauses overlapping each
-   request's run window into its slow-ring entry. *)
+(* Allocation-heavy uncached queries: every request re-evaluates
+   (cache=false), the minor heap churns, and the scheduler attributes the
+   Runtime_events pauses overlapping each request's run window into its
+   slow-ring entry.  No sampler drains the consumer: the scheduler does,
+   fully after a request that ran 20 ms or more and at most every 0.2 s
+   otherwise, so a fast request sees only the pauses already drained. *)
 let tail_run db ~requests =
+  Runtime.start ();
   let pauses_before = Runtime.pause_count () in
   let d =
     Daemon.start
@@ -207,7 +169,6 @@ let tail_run db ~requests =
         max_inflight = 2;
         max_queue = 8;
         access_log = false;
-        monitor_interval = 0.05;
         slow_threshold = 0.;
         slow_capacity = requests + 1;
       }
@@ -223,11 +184,14 @@ let tail_run db ~requests =
   let _, slow_body =
     E27_serve.request port ~meth:"GET" ~path:"/debug/slow" ~body:""
   in
-  (* Snapshot the pause accounting while the consumer is still up. *)
+  (* Snapshot the pause accounting while the consumer is still up, after
+     one last drain (the slow entries above are already written). *)
+  Runtime.poll ();
   let pauses = Runtime.pause_count () - pauses_before in
   let now = Unix.gettimeofday () in
   let pause_s = Runtime.pause_s_between ~t0:(now -. 600.) ~t1:now () in
   Daemon.stop d;
+  Runtime.stop ();
   let values = gc_pause_values slow_body in
   {
     t_requests = requests;
@@ -239,7 +203,7 @@ let tail_run db ~requests =
   }
 
 let run () =
-  Harness.header "E31: runtime telemetry + monitor overhead (lib/obs)";
+  Harness.header "E31: runtime-events telemetry overhead (lib/obs)";
   let g = Prng.create ~seed:3101 () in
   let clients = if !Harness.quick then 200 else 1000 in
   let per_client = 2 in
@@ -250,22 +214,20 @@ let run () =
   let gate_ns = runtime_gate_ns () in
   (* The process's first fleet pays one-off costs (domain spawn paths,
      allocator growth, connection churn warmup); run a throwaway quarter
-     fleet so neither measured run is the cold one.  Then monitor on (the
-     daemon default), then the identical fleet with the sampler and
-     runtime-events consumer disabled. *)
+     fleet so neither measured run is the cold one.  Then the consumer on
+     (as [consensus serve] runs), then the identical fleet without it. *)
   ignore
-    (serve_run db ~monitor_interval:0. ~clients:(max 50 (clients / 4))
-       ~per_client);
+    (serve_run db ~runtime:false ~clients:(max 50 (clients / 4)) ~per_client);
   (* A single ~1 s fleet is noisy (scheduler wakeups, connection churn);
      interleave three runs of each configuration and keep the fastest, so
      a one-off stall doesn't masquerade as telemetry overhead. *)
   let best a b = if a.rps >= b.rps then a else b in
   let reps = if !Harness.quick then 2 else 3 in
-  let on = ref (serve_run db ~monitor_interval:1.0 ~clients ~per_client) in
-  let off = ref (serve_run db ~monitor_interval:0. ~clients ~per_client) in
+  let on = ref (serve_run db ~runtime:true ~clients ~per_client) in
+  let off = ref (serve_run db ~runtime:false ~clients ~per_client) in
   for _ = 2 to reps do
-    on := best !on (serve_run db ~monitor_interval:1.0 ~clients ~per_client);
-    off := best !off (serve_run db ~monitor_interval:0. ~clients ~per_client)
+    on := best !on (serve_run db ~runtime:true ~clients ~per_client);
+    off := best !off (serve_run db ~runtime:false ~clients ~per_client)
   done;
   let on = !on in
   let off = !off in
@@ -298,12 +260,12 @@ let run () =
         Harness.ms l.p99;
       ]
   in
-  row "monitor on (default, 1 s)" on;
-  row "monitor off" off;
+  row "runtime events on (serve default)" on;
+  row "runtime events off" off;
   Harness.Tables.print table;
   Harness.note "disabled span probe: %.1f ns/call; Runtime.active gate: %.1f ns"
     probe_ns gate_ns;
-  Harness.note "monitor-on req/s cost vs off: %+.2f%%" overhead_pct;
+  Harness.note "runtime-on req/s cost vs off: %+.2f%%" overhead_pct;
   let e28_rps = e28_throughput () in
   let vs_e28_pct =
     Option.map (fun rps -> (1. -. (on.rps /. rps)) *. 100.) e28_rps
@@ -337,14 +299,14 @@ let run () =
         ("experiment", Json.Str "e31_monitor");
         ( "workload",
           Json.Str
-            "E28 saturation fleet, monitor+runtime-events on vs off; \
-             uncached rank tail with 50 ms sampling" );
+            "E28 saturation fleet, runtime-events consumer on vs off; \
+             uncached rank tail, drained by the scheduler" );
         ("clients", Json.Int clients);
         ("requests_per_client", Json.Int per_client);
         ("disabled_probe_ns", Json.Float probe_ns);
         ("runtime_gate_ns", Json.Float gate_ns);
-        ("monitor_on", load_json on);
-        ("monitor_off", load_json off);
+        ("runtime_on", load_json on);
+        ("runtime_off", load_json off);
         ("rps_overhead_pct", Json.Float overhead_pct);
         ( "e28_baseline_rps",
           match e28_rps with Some v -> Json.Float v | None -> Json.Null );

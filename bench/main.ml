@@ -39,7 +39,7 @@ let experiments =
     ("E28", "request-tracing overhead (lib/serve + lib/obs)", E28_reqtrace.run);
     ("E29", "flat-arena load + buffer kernels (lib/anxor)", E29_arena.run);
     ("E30", "read-once factorization ablation (lib/pdb)", E30_readonce.run);
-    ("E31", "runtime telemetry + monitor overhead (lib/obs)", E31_monitor.run);
+    ("E31", "runtime-events telemetry overhead (lib/obs)", E31_monitor.run);
   ]
 
 let () =

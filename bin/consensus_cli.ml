@@ -877,37 +877,6 @@ let serve_cmd =
             "Emit one JSON access-log event per request (route, family, \
              status, queue-wait/run time, cache traffic).")
   in
-  let slo_args =
-    Arg.(
-      value & opt_all string []
-      & info [ "slo" ] ~docv:"SPEC"
-          ~doc:
-            "Declare a service-level objective (repeatable): \
-             $(b,latency=250ms:0.99) (99% of requests under 250 ms) or \
-             $(b,error_rate=0.01) (at most 1% 5xx responses).  Burn rates \
-             are published as $(b,slo_*) gauges, $(b,GET /debug/slo) and \
-             $(b,/healthz) degradation.")
-  in
-  let flight_dir_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "flight-dir" ] ~docv:"DIR"
-          ~doc:
-            "Enable the flight recorder: on SIGQUIT, a fast-burn SLO trip \
-             or a deadline-504 storm, dump recent spans, logs, metrics \
-             history and GC pauses as one JSON file into $(docv) (must \
-             exist and be writable).")
-  in
-  let monitor_interval_arg =
-    Arg.(
-      value & opt int 1000
-      & info [ "monitor-interval-ms" ] ~docv:"MS"
-          ~doc:
-            "Sampling interval of the metrics time-series monitor and the \
-             runtime-events GC-pause consumer ($(b,GET /debug/history), \
-             $(b,gc_pause_ms) attribution).  0 disables both.")
-  in
   let usage_error fmt =
     Printf.ksprintf
       (fun msg ->
@@ -923,8 +892,7 @@ let serve_cmd =
     | _ -> usage_error "option '--db': expected NAME=FILE (got '%s')" spec
   in
   let run db_specs port host max_inflight max_queue deadline_ms shed
-      max_connections no_cache slow_ms log_level access_log slo_specs
-      flight_dir monitor_interval_ms jobs =
+      max_connections no_cache slow_ms log_level access_log jobs =
     if db_specs = [] then
       usage_error "option '--db': at least one NAME=FILE database is required";
     if port < 0 || port > 65535 then
@@ -956,26 +924,6 @@ let serve_cmd =
              '%s')"
             log_level
     in
-    let slos =
-      List.map
-        (fun spec ->
-          match Consensus_obs.Slo.parse spec with
-          | Ok o -> o
-          | Error msg -> usage_error "option '--slo': %s" msg)
-        slo_specs
-    in
-    (match flight_dir with
-    | None -> ()
-    | Some dir ->
-        let is_dir = try Sys.is_directory dir with Sys_error _ -> false in
-        if not is_dir then
-          usage_error "option '--flight-dir': not a directory: '%s'" dir;
-        (try Unix.access dir [ Unix.W_OK ] with
-        | Unix.Unix_error _ ->
-            usage_error "option '--flight-dir': not writable: '%s'" dir));
-    if monitor_interval_ms < 0 then
-      usage_error "option '--monitor-interval-ms': value must be >= 0 (got %d)"
-        monitor_interval_ms;
     let specs = List.map parse_db_spec db_specs in
     let seen = Hashtbl.create 8 in
     List.iter
@@ -1021,10 +969,6 @@ let serve_cmd =
                 Consensus_serve.Daemon.default_config.slow_capacity;
               access_log;
               log_level;
-              monitor_interval = float_of_int monitor_interval_ms /. 1000.;
-              slos;
-              slo_config = Consensus_obs.Slo.default_config;
-              flight_dir;
             }
           in
           let daemon =
@@ -1035,12 +979,17 @@ let serve_cmd =
                   (Unix.error_message err);
                 raise (Exit_code 1)
           in
+          (* The runtime-events consumer attributes GC pauses to requests
+             (the access log's gc_pause_ms) and feeds the gc_pause_seconds
+             series. *)
+          Consensus_obs.Runtime.start ();
           Printf.eprintf "listening on %s:%d\n%!" host
             (Consensus_serve.Daemon.port daemon);
           (* Serve until a client POSTs/GETs /quit (the CI handshake) or the
              process is signalled. *)
           Consensus_serve.Daemon.wait_quit daemon;
-          Consensus_serve.Daemon.stop daemon)
+          Consensus_serve.Daemon.stop daemon;
+          Consensus_obs.Runtime.stop ())
     in
     if code <> 0 then exit code
   in
@@ -1054,8 +1003,7 @@ let serve_cmd =
     Term.(
       const run $ db_args $ port_arg $ host_arg $ max_inflight_arg
       $ max_queue_arg $ deadline_arg $ shed_arg $ max_connections_arg
-      $ no_cache $ slow_ms_arg $ log_level_arg $ access_log_arg $ slo_args
-      $ flight_dir_arg $ monitor_interval_arg $ jobs_arg)
+      $ no_cache $ slow_ms_arg $ log_level_arg $ access_log_arg $ jobs_arg)
 
 (* ---- demo ---- *)
 

@@ -281,12 +281,6 @@ let read_request conn =
 
 let json_body obj = Json.to_string obj ^ "\n"
 
-(* Parameter errors answer 400 with a JSON body so programmatic scrapers
-   of the debug endpoints get a machine-readable error everywhere. *)
-let json_error ~status msg =
-  response ~content_type:"application/json" ~status
-    (json_body (Json.Obj [ ("error", Json.Str msg) ]))
-
 let version = "1.0.0"
 
 let healthz extra =
@@ -294,60 +288,18 @@ let healthz extra =
     (json_body
        (Json.Obj
           ([
-             ("status", Json.Str (if Slo.degraded () then "degraded" else "ok"));
+             ("status", Json.Str "ok");
              ("version", Json.Str version);
              ("uptime_s", Json.Float (Unix.gettimeofday () -. Obs.start_time));
            ]
           @ extra)))
 
+(* Parameter errors answer 400 with a JSON body, so a programmatic scraper
+   gets a machine-readable error. *)
 let bad_param name expected got =
-  json_error ~status:400
-    (Printf.sprintf "parameter %s: expected %s, got %S" name expected got)
-
-(* [GET /debug/history?metric=NAME&window=SECONDS&format=json|spark] *)
-let history_route req =
-  let window =
-    match List.assoc_opt "window" req.query with
-    | None -> Ok 60.
-    | Some v -> (
-        match float_of_string_opt v with
-        | Some w when Float.is_finite w && w > 0. -> Ok w
-        | _ -> Error (bad_param "window" "a positive number of seconds" v))
-  in
-  let format =
-    match List.assoc_opt "format" req.query with
-    | None | Some "json" -> Ok `Json
-    | Some "spark" -> Ok `Spark
-    | Some v -> Error (bad_param "format" "json or spark" v)
-  in
-  match (List.assoc_opt "metric" req.query, window, format) with
-  | _, Error resp, _ | _, _, Error resp -> resp
-  | (None | Some ""), _, _ ->
-      bad_param "metric" "a metric name" ""
-  | Some metric, Ok window, Ok format -> (
-      let render =
-        match format with
-        | `Json -> (
-            fun () ->
-              match Monitor.history_json ~metric ~window with
-              | Ok doc ->
-                  Ok
-                    (response ~content_type:"application/json" ~status:200
-                       (json_body doc))
-              | Error e -> Error e)
-        | `Spark -> (
-            fun () ->
-              match Monitor.sparkline ~metric ~window with
-              | Ok text -> Ok (response ~status:200 text)
-              | Error e -> Error e)
-      in
-      match render () with
-      | Ok resp -> resp
-      | Error `Not_running ->
-          json_error ~status:503 "metrics monitor is not running"
-      | Error `Unknown_metric ->
-          json_error ~status:404
-            (Printf.sprintf "unknown metric %S (not yet sampled)" metric))
+  let msg = Printf.sprintf "parameter %s: expected %s, got %S" name expected got in
+  response ~content_type:"application/json" ~status:400
+    (json_body (Json.Obj [ ("error", Json.Str msg) ]))
 
 (* Built-in observability routes, served after the custom [handler] has
    passed.  [`Quit] releases {!wait_quit}. *)
@@ -378,13 +330,8 @@ let default_route req =
           `Respond
             (response ~content_type:"application/json" ~status:200
                (Obs.trace_json ?limit () ^ "\n")))
-  | "GET", "/debug/history" -> `Respond (history_route req)
-  | "GET", "/debug/slo" ->
-      `Respond
-        (response ~content_type:"application/json" ~status:200
-           (json_body (Slo.to_json ())))
   | "GET", "/quit" -> `Quit
-  | _, ("/metrics" | "/healthz" | "/trace" | "/quit" | "/debug/history" | "/debug/slo") ->
+  | _, ("/metrics" | "/healthz" | "/trace" | "/quit") ->
       `Respond (response ~status:405 "method not allowed\n")
   | _ -> `Respond (response ~status:404 "not found\n")
 

@@ -29,13 +29,6 @@
       newest spans (still in ascending start order), so scraping a
       long-lived daemon cannot OOM the client; a malformed [limit] is
       [400];
-    - [GET /debug/history?metric=NAME&window=SECONDS&format=json|spark] —
-      the {!Monitor} time series of one metric: sampled values with
-      counter rates and rolling histogram p50/p99, as JSON (default) or a
-      text sparkline.  [503] when the monitor is not running, [404] for a
-      metric it has never sampled;
-    - [GET /debug/slo] — installed objectives with fast/slow-window burn
-      rates ({!Slo.to_json});
     - [GET /quit] — acknowledges with ["bye\n"] and releases {!wait_quit}
       (test/CI handshake; see [--listen-hold]).
 
@@ -73,12 +66,11 @@ val response : ?content_type:string -> status:int -> string -> response
 
 val healthz : (string * Json.t) list -> response
 (** [healthz extra] is the one [/healthz] payload, a JSON object:
-    [{"status": "ok" | "degraded", "version": ..., "uptime_s": ...}]
-    followed by the [extra] fields.  [status] is ["degraded"] while an
-    installed SLO's fast burn is tripped ({!Slo.degraded}); [uptime_s]
-    counts from process start.  The built-in route answers it with no
-    extra fields; a service that mounts its own [/healthz] (the serve
-    daemon) adds its fields here. *)
+    [{"status": "ok", "version": ..., "uptime_s": ...}] followed by the
+    [extra] fields.  [status] is ["ok"] whenever the process answers;
+    [uptime_s] counts from process start.  The built-in route answers it
+    with no extra fields; a service that mounts its own [/healthz] (the
+    serve daemon) adds its fields here. *)
 
 (** {1 Server} *)
 

@@ -335,11 +335,11 @@ let sorted_metrics () =
   Mutex.unlock metrics_lock;
   List.sort (fun (a, _) (b, _) -> compare a b) all
 
-(* ---------- scrape hooks and typed snapshots ---------- *)
+(* ---------- scrape hooks ---------- *)
 
 (* Pull-style gauges (process uptime, live domain counts) register a hook
-   that refreshes their value right before any exposition or snapshot is
-   taken, so scrape-time reads are current without a background updater. *)
+   that refreshes their value right before any exposition is taken, so
+   scrape-time reads are current without a background updater. *)
 let scrape_hooks : (unit -> unit) list ref = ref []
 let scrape_lock = Mutex.create ()
 
@@ -367,50 +367,6 @@ let () =
   on_scrape (fun () ->
       Gauge.set process_start_gauge start_time;
       Gauge.set process_uptime_gauge (now () -. start_time))
-
-type histogram_snapshot = {
-  hs_bounds : float array;
-  hs_cumulative : int array;
-  hs_sum : float;
-  hs_count : int;
-}
-
-type metric_value =
-  | Counter_value of int
-  | Gauge_value of float
-  | Histogram_value of histogram_snapshot
-
-let snapshot () =
-  run_scrape_hooks ();
-  sorted_metrics ()
-  |> List.map (fun (name, m) ->
-         let v =
-           match m with
-           | C c -> Counter_value (Counter.value c)
-           | G g -> Gauge_value (Gauge.value g)
-           | H h ->
-               (* One lock acquisition so counts, sum and count agree. *)
-               Mutex.lock h.h_lock;
-               let counts = Array.copy h.counts in
-               let sum = h.h_sum and count = h.h_count in
-               Mutex.unlock h.h_lock;
-               let acc = ref 0 in
-               let cumulative =
-                 Array.map
-                   (fun c ->
-                     acc := !acc + c;
-                     !acc)
-                   counts
-               in
-               Histogram_value
-                 {
-                   hs_bounds = Array.copy h.bounds;
-                   hs_cumulative = cumulative;
-                   hs_sum = sum;
-                   hs_count = count;
-                 }
-         in
-         (name, v))
 
 (* ---------- reset ---------- *)
 
@@ -562,7 +518,7 @@ let metrics_text () =
                (Printf.sprintf "%s_count %d\n" name (Histogram.count h)));
   Buffer.contents buf
 
-let metrics_obj () =
+let metrics_json () =
   run_scrape_hooks ();
   let metric_json m =
     match m with
@@ -605,6 +561,5 @@ let metrics_obj () =
             ("buckets", Json.List buckets);
           ]
   in
-  Json.Obj (sorted_metrics () |> List.map (fun (name, m) -> (name, metric_json m)))
-
-let metrics_json () = Json.to_string (metrics_obj ())
+  Json.to_string
+    (Json.Obj (sorted_metrics () |> List.map (fun (name, m) -> (name, metric_json m))))

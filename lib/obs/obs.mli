@@ -164,40 +164,17 @@ val metrics_json : unit -> string
 (** JSON object keyed by metric name, with
     [{"type": ..., "value"/"count"/"sum"/"buckets": ...}] payloads. *)
 
-val metrics_obj : unit -> Json.t
-(** {!metrics_json} before serialization — the same object as a [Json.t],
-    for embedding in larger documents (the flight recorder). *)
-
-(** {1 Scrape hooks and typed snapshots} *)
+(** {1 Scrape hooks} *)
 
 val on_scrape : (unit -> unit) -> unit
 (** Register a hook run at the start of every exposition ({!metrics_text},
-    {!metrics_json}, {!snapshot}).  Pull-style gauges — process uptime,
-    live domain counts — refresh themselves here, so scrape-time reads are
-    current without a background updater.  Hooks must be fast and must not
-    raise (exceptions are swallowed); registrations are permanent. *)
+    {!metrics_json}).  Pull-style gauges — process uptime, live domain
+    counts, the GC-pause series — refresh themselves here, so scrape-time
+    reads are current without a background updater.  Hooks must be fast
+    and must not raise (exceptions are swallowed); registrations are
+    permanent. *)
 
 val start_time : float
 (** Unix time this module initialized (process start for our purposes);
     exported as the [process_start_time_seconds] gauge, with
     [process_uptime_seconds] derived from it at scrape time. *)
-
-type histogram_snapshot = {
-  hs_bounds : float array;  (** finite upper bounds, strictly increasing *)
-  hs_cumulative : int array;
-      (** cumulative counts per bucket; length is [bounds + 1], the last
-          entry being the [+Inf] bucket (equal to [hs_count]) *)
-  hs_sum : float;
-  hs_count : int;
-}
-
-type metric_value =
-  | Counter_value of int
-  | Gauge_value of float
-  | Histogram_value of histogram_snapshot
-
-val snapshot : unit -> (string * metric_value) list
-(** Typed point-in-time values of every registered metric, sorted by name.
-    Histogram buckets are captured under one lock acquisition so counts,
-    sum and total agree.  This is what the {!Monitor} sampler records into
-    its history rings. *)

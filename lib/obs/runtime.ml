@@ -13,8 +13,12 @@
      "pause" olly and eventlog tools use.
    - a bounded in-memory ring of recent pauses carrying wall-clock
      windows, so the serve scheduler can attribute the pauses overlapping
-     a request's run window to that request ([pause_s_between]) and the
-     flight recorder can dump them.
+     a request's run window to that request ([pause_s_between]).
+
+   Nothing samples in the background: the scheduler drains on slow
+   requests (and rate-limited on the rest), and every metrics exposition
+   drains through a scrape hook, so the series a scraper reads are
+   current.
 
    Clock calibration: Runtime_events timestamps are monotonic
    nanoseconds from an arbitrary origin, while request run windows are
@@ -193,6 +197,9 @@ let poll () =
     | _ -> ());
     Mutex.unlock lock
   end
+
+(* A scrape sees the pauses up to the moment it was taken. *)
+let () = Obs.on_scrape poll
 
 (* Drain only if nobody has within [max_age] seconds.  The serve
    scheduler calls this per request: at saturation thousands of fast

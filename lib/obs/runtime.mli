@@ -7,7 +7,9 @@
     (nested phases are part of their enclosing pause).  Pauses feed the
     [gc_pause_seconds] histogram, the [gc_pauses_total] /
     [runtime_events_lost_total] counters, and a bounded in-memory ring
-    used for request attribution and flight-recorder dumps.
+    used for request attribution.  While the consumer is active every
+    metrics exposition ({!Obs.on_scrape}) drains first, so the series are
+    current at each scrape without a background sampler.
 
     Runtime timestamps (monotonic ns) are mapped to Unix wall-clock
     seconds via a calibration user event written on each poll, so pause

@@ -9,10 +9,6 @@ module Log = Consensus_obs.Log
 module Report = Consensus_obs.Report
 module Expose = Consensus_obs.Expose
 module Json = Consensus_util.Json
-module Monitor = Consensus_obs.Monitor
-module Runtime = Consensus_obs.Runtime
-module Slo = Consensus_obs.Slo
-module Flight = Consensus_obs.Flight
 module Prng = Consensus_util.Prng
 module Ring = Consensus_util.Ring
 
@@ -31,10 +27,6 @@ type config = {
   slow_capacity : int;
   access_log : bool;
   log_level : Log.level;
-  monitor_interval : float;
-  slos : Slo.objective list;
-  slo_config : Slo.config;
-  flight_dir : string option;
 }
 
 let default_config =
@@ -53,10 +45,6 @@ let default_config =
     slow_capacity = 32;
     access_log = true;
     log_level = Log.Info;
-    monitor_interval = 1.0;
-    slos = [];
-    slo_config = Slo.default_config;
-    flight_dir = None;
   }
 
 type t = {
@@ -321,9 +309,10 @@ let serve_log (req : Expose.request) =
   json_response
     (Json.Obj [ ("events", Json.List (List.map Log.event_json events)) ])
 
-(* Response/error volume counters: the denominators and numerators of the
-   error-rate SLO.  Counted where every handler response funnels through,
-   so 4xx rejections and 5xx failures are both visible. *)
+(* Response/error volume counters: a scraper's error-rate inputs
+   ([rate(serve_errors_total[1h]) / rate(serve_responses_total[1h])]).
+   Counted where every handler response funnels through, so 4xx rejections
+   and 5xx failures are both visible. *)
 let m_responses =
   Obs.Counter.make ~help:"Responses produced by the daemon handler"
     "serve_responses_total"
@@ -405,26 +394,6 @@ let start config =
      Scheduler.shutdown sched;
      Pool.shutdown pool;
      raise e);
-  (* Continuous telemetry, brought up once the server is committed: the
-     runtime-events consumer (GC-pause attribution), the metrics sampler
-     (history rings + SLO evaluation + flight triggers on its tick), the
-     declared objectives and the flight recorder. *)
-  if config.monitor_interval > 0. then begin
-    Runtime.start ();
-    Monitor.start ~interval:config.monitor_interval ()
-  end;
-  if config.slos <> [] then Slo.install ~config:config.slo_config config.slos;
-  (match config.flight_dir with
-  | None -> ()
-  | Some dir ->
-      Flight.configure ~dir ();
-      (* SIGQUIT asks for a flight dump; the handler only sets a flag —
-         the dump happens on the next monitor tick, off signal context. *)
-      ignore
-        (try
-           Sys.signal Sys.sigquit
-             (Sys.Signal_handle (fun _ -> Flight.request "sigquit"))
-         with _ -> Sys.Signal_default));
   t
 
 let port t = match t.server with Some s -> Expose.port s | None -> t.config.port
@@ -441,11 +410,5 @@ let stop t =
        pool goes down. *)
     Option.iter Expose.stop t.server;
     Scheduler.shutdown t.sched;
-    Pool.shutdown t.pool;
-    if t.config.flight_dir <> None then Flight.disable ();
-    if t.config.slos <> [] then Slo.clear ();
-    if t.config.monitor_interval > 0. then begin
-      Monitor.stop ();
-      Runtime.stop ()
-    end
+    Pool.shutdown t.pool
   end

@@ -28,14 +28,12 @@
       explain profile.  At most [slow_capacity] entries are retained.
     - [GET /debug/log?limit=N] — the most recent structured log events
       ({!Consensus_obs.Log.recent}), newest first.
-    - [GET /debug/history] and [GET /debug/slo] fall through to the
-      Expose built-ins ({!Consensus_obs.Monitor} time series and
-      {!Consensus_obs.Slo} burn rates).
 
-    With the monitor enabled (default), requests additionally carry a
-    [gc_pause_ms] field in access-log lines, slow-ring entries and inline
-    profiles: the runtime (GC) pause time overlapping the request's run
-    window, attributed from [Runtime_events].
+    Requests carry a [gc_pause_ms] field in access-log lines, slow-ring
+    entries and inline profiles: the runtime (GC) pause time overlapping
+    the request's run window, attributed from [Runtime_events] while the
+    {!Consensus_obs.Runtime} consumer is active ([consensus serve] starts
+    it; [0] otherwise).
 
     Every request gets a fresh trace context ({!Consensus_obs.Context}):
     spans recorded during its evaluation are tagged with the request id
@@ -77,19 +75,6 @@ type config = {
   access_log : bool;  (** Emit one ["access"] log event per request. *)
   log_level : Consensus_obs.Log.level;
       (** Minimum structured-log level, applied at {!start}. *)
-  monitor_interval : float;
-      (** Sampling interval (seconds) for the metrics time-series monitor
-          and the runtime-events GC-pause consumer; [<= 0] disables both
-          (no sampler domain, no [gc_pause_ms] attribution).  Default 1 s. *)
-  slos : Consensus_obs.Slo.objective list;
-      (** Service-level objectives evaluated over the monitor history into
-          burn-rate gauges, [GET /debug/slo] and [/healthz] degradation. *)
-  slo_config : Consensus_obs.Slo.config;
-      (** Burn windows and trip threshold (tests shrink these). *)
-  flight_dir : string option;
-      (** When set, enables the flight recorder writing into this
-          directory (must exist and be writable) and installs a SIGQUIT
-          handler that requests a dump. *)
 }
 
 val default_config : config
@@ -97,7 +82,7 @@ val default_config : config
     [max_inflight = 4], [max_queue = 64], no shedding, no default
     deadline, [max_connections = 64], cache on, no slow capture
     ([slow_threshold = infinity], [slow_capacity = 32]), access log on,
-    log level [Info], monitor at 1 s, no SLOs, no flight recorder. *)
+    log level [Info]. *)
 
 type t
 

@@ -1,7 +1,6 @@
 (** A bounded ring that keeps the newest [capacity] values pushed into it —
     the one wraparound buffer of the code base (the log ring, the GC-pause
-    ring, the monitor's per-metric history, the daemon's slow-request ring
-    and the per-domain span buffers).
+    ring, the daemon's slow-request ring and the per-domain span buffers).
 
     Safe across domains and threads: a push and a fold each hold the
     ring's own mutex, and nothing else.  Slots are preallocated with a

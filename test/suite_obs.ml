@@ -1,13 +1,15 @@
 (* Observability tests: the global switch, span nesting and ordering,
-   histogram bucket boundaries, concurrent recording from pool workers, and
-   the property that exported trace JSON parses (with {!Consensus_util.Json})
-   into events with monotone timestamps and non-negative durations. *)
+   histogram bucket boundaries, concurrent recording from pool workers, the
+   property that exported trace JSON parses (with {!Consensus_util.Json})
+   into events with monotone timestamps and non-negative durations, the
+   structured log ring, and the Runtime_events GC-pause consumer. *)
 
 module Obs = Consensus_obs.Obs
 module Context = Consensus_obs.Context
 module Log = Consensus_obs.Log
 module Json = Consensus_util.Json
 module Pool = Consensus_engine.Pool
+module Runtime = Consensus_obs.Runtime
 
 (* Every test toggles the global switch; always restore the disabled default
    and drop recorded data so later suites see a clean slate. *)
@@ -523,6 +525,102 @@ let test_log_ring_wraparound () =
   Alcotest.(check int) "limit bounds the answer" 10
     (List.length (Log.recent ~limit:10 ()))
 
+(* Racing writers with repeated ring and metrics resets: the ring must
+   stay structurally sound whatever interleaving happens. *)
+let test_log_ring_reset_race () =
+  with_quiet_log @@ fun () ->
+  Obs.reset ();
+  let writers =
+    List.init 3 (fun d ->
+        Domain.spawn (fun () ->
+            for i = 1 to 400 do
+              Log.info
+                ~fields:(fun () ->
+                  [ ("writer", Json.Int d); ("i", Json.Int i) ])
+                "race"
+            done))
+  in
+  for _ = 1 to 40 do
+    Log.reset ();
+    Obs.reset ();
+    Unix.sleepf 0.0005
+  done;
+  List.iter Domain.join writers;
+  let events = Log.recent () in
+  Alcotest.(check bool)
+    "ring bounded" true
+    (List.length events <= Log.ring_capacity);
+  List.iter
+    (fun (e : Log.event) ->
+      Alcotest.(check string) "only race events survive" "race" e.Log.ev_name;
+      Alcotest.(check bool) "fields intact" true (List.length e.Log.ev_fields = 2))
+    events;
+  Log.reset ();
+  Alcotest.(check int) "reset empties the ring" 0 (List.length (Log.recent ()))
+
+(* ---------- runtime-events GC pauses ---------- *)
+
+(* Allocation churn with the data kept live, then a full major and a
+   compaction: guaranteed top-level runtime phases on this domain's ring,
+   including at least one pause long enough for the attribution ring's
+   [min_attributable_pause] floor. *)
+let churn_heap () =
+  let keep = ref [] in
+  for _ = 1 to 20 do
+    keep := List.init 5000 string_of_int :: !keep;
+    Gc.minor ()
+  done;
+  Gc.full_major ();
+  Gc.compact ();
+  ignore (Sys.opaque_identity !keep)
+
+let with_runtime f =
+  with_obs @@ fun () ->
+  Runtime.start ();
+  Fun.protect ~finally:Runtime.stop f
+
+(* The consumer's series, looked up by name ([make] is idempotent). *)
+let gc_pause_histogram () = Obs.Histogram.make "gc_pause_seconds"
+let gc_pauses_total () = Obs.Counter.value (Obs.Counter.make "gc_pauses_total")
+
+let test_runtime_pauses () =
+  with_runtime @@ fun () ->
+  let before = Runtime.pause_count () in
+  let t0 = Unix.gettimeofday () in
+  churn_heap ();
+  Runtime.poll ();
+  let t1 = Unix.gettimeofday () in
+  Alcotest.(check bool)
+    "pauses observed" true
+    (Runtime.pause_count () > before);
+  let recent = Runtime.recent_pauses ~limit:8 () in
+  Alcotest.(check bool) "recent pauses" true (recent <> []);
+  List.iter
+    (fun (p : Runtime.pause) ->
+      Alcotest.(check bool) "non-negative duration" true (p.pw_dur >= 0.);
+      Alcotest.(check bool)
+        "pause within the churn window" true
+        (p.pw_start >= t0 -. 60. && p.pw_start <= t1 +. 1.))
+    recent;
+  Alcotest.(check bool)
+    "window overlap positive" true
+    (Runtime.pause_s_between ~t0 ~t1 () > 0.);
+  Alcotest.(check bool)
+    "histogram fed" true
+    (Obs.Histogram.count (gc_pause_histogram ()) > 0)
+
+(* With no background sampler, a scrape must drain the consumer itself:
+   the exposition counts the pauses up to the moment it was taken. *)
+let test_scrape_drains_runtime () =
+  with_runtime @@ fun () ->
+  let before = gc_pauses_total () in
+  churn_heap ();
+  Gc.full_major ();
+  ignore (Obs.metrics_text ());
+  Alcotest.(check bool)
+    "gc_pauses_total advanced on scrape" true
+    (gc_pauses_total () > before)
+
 let suite =
   [
     Alcotest.test_case "disabled switch is inert" `Quick test_disabled_is_inert;
@@ -550,4 +648,10 @@ let suite =
     Alcotest.test_case "log levels and fields" `Quick test_log_levels_and_fields;
     Alcotest.test_case "log ring wraparound under concurrent writers" `Quick
       test_log_ring_wraparound;
+    Alcotest.test_case "log ring survives resets racing writers" `Quick
+      test_log_ring_reset_race;
+    Alcotest.test_case "runtime-events pauses are recorded and windowed" `Quick
+      test_runtime_pauses;
+    Alcotest.test_case "a scrape drains the runtime-events consumer" `Quick
+      test_scrape_drains_runtime;
   ]

@@ -658,6 +658,45 @@ let test_daemon_healthz () =
       | _ -> Alcotest.fail "healthz lacks dbs array")
   | _ -> Alcotest.fail "healthz body is not a JSON object"
 
+(* ---------- debug endpoints ---------- *)
+
+let check_json_error name ~port target frag =
+  let status, body = http_request ~port ~meth:"GET" ~target "" in
+  Alcotest.(check int) (name ^ " status") 400 status;
+  Alcotest.(check bool) (name ^ " json error") true (contains body "\"error\"");
+  Alcotest.(check bool) (name ^ " names the parameter") true (contains body frag)
+
+(* Malformed parameters on the debug routes answer 400 with a JSON error
+   naming the parameter, and the exposition carries the process-identity
+   gauges, the engine-pool domain count and the GC-pause series. *)
+let test_daemon_debug_endpoints () =
+  with_small_daemon @@ fun _daemon port ->
+  check_json_error "trace non-numeric limit" ~port "/trace?limit=abc" "limit";
+  check_json_error "trace negative limit" ~port "/trace?limit=-1" "limit";
+  check_json_error "slow non-numeric limit" ~port "/debug/slow?limit=abc" "limit";
+  check_json_error "slow negative limit" ~port "/debug/slow?limit=-1" "limit";
+  check_json_error "log non-numeric limit" ~port "/debug/log?limit=xyz" "limit";
+  let status, body = http_request ~port ~meth:"GET" ~target:"/metrics" "" in
+  Alcotest.(check int) "metrics ok" 200 status;
+  List.iter
+    (fun metric ->
+      Alcotest.(check bool) ("exposes " ^ metric) true (contains body metric))
+    [
+      "process_uptime_seconds";
+      "process_start_time_seconds";
+      "ocaml_domains_active";
+      "gc_pause_seconds";
+    ];
+  let domains =
+    String.split_on_char '\n' body
+    |> List.find_map (fun line ->
+           match String.split_on_char ' ' line with
+           | [ "ocaml_domains_active"; v ] -> float_of_string_opt v
+           | _ -> None)
+  in
+  Alcotest.(check bool) "live worker domains" true
+    (match domains with Some v -> v >= 1. | None -> false)
+
 (* ---------- request tracing end to end ---------- *)
 
 (* The acceptance path: a request served with slow capture on and
@@ -876,6 +915,8 @@ let suite =
         test_explain_telescopes_at_size;
       Alcotest.test_case "healthz reports daemon state" `Quick
         test_daemon_healthz;
+      Alcotest.test_case "daemon debug endpoints validate parameters" `Quick
+        test_daemon_debug_endpoints;
       Alcotest.test_case "request tracing end to end" `Quick
         test_daemon_tracing_acceptance;
       Alcotest.test_case "obs reset races in-flight requests" `Quick

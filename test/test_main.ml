@@ -23,5 +23,4 @@ let () =
       ("report", Suite_report.suite);
       ("oracle", Suite_oracle.suite);
       ("serve", Suite_serve.suite);
-      ("monitor", Suite_monitor.suite);
     ]
