@@ -93,6 +93,11 @@ let expectations =
         t Lower_better
           [ Field "sizes"; Index 2; Field "rank_table_dense_minor_words" ]
           60.;
+        (* One ordered top-k pair joint at n = 10^6 allocates its workspace
+           and nothing per node: 375 words at every size. *)
+        t Lower_better
+          [ Field "sizes"; Index 2; Field "topk_pair_minor_words" ]
+          375.;
       ] );
     ( "BENCH_READONCE.json",
       [

@@ -7,7 +7,9 @@
    2. the O(nk) rank-table sweep: the flat-buffer kernel
       ([Marginals.rank_table_dense]) and the list API on top of it
       ([Marginals.rank_table]);
-   3. minor-heap words allocated by each, via [Gc.minor_words].
+   3. the §5.5 pair kernel: one [Marginals.topk_pair_prob_ordered] of two
+      two-alternative keys (four full-tree arena walks);
+   4. minor-heap words allocated by each, via [Gc.minor_words].
 
    The BID workload keeps every block's mass at 0.7 so the sweep's
    divide-out stays well-conditioned (the fallback path is correctness-
@@ -66,6 +68,8 @@ type row = {
   rank_list_w : float;
   rank_dense_s : float;
   rank_dense_w : float;
+  pair_s : float;
+  pair_w : float;
 }
 
 let run_size n =
@@ -91,6 +95,11 @@ let run_size n =
   let _, rank_dense_s, rank_dense_w =
     measure (fun () -> Marginals.rank_table_dense db ~k)
   in
+  (* key 1 (values 2., 3.) above key 0 (values 0., 1.): all four
+     alternative pairs count *)
+  let _, pair_s, pair_w =
+    measure (fun () -> Marginals.topk_pair_prob_ordered db 1 0 ~k)
+  in
   {
     n;
     load_tree_s;
@@ -101,6 +110,8 @@ let run_size n =
     rank_list_w;
     rank_dense_s;
     rank_dense_w;
+    pair_s;
+    pair_w;
   }
 
 let run () =
@@ -156,9 +167,24 @@ let run () =
         ])
     rows;
   Harness.Tables.print rank_table;
+  let pair_table =
+    Harness.Tables.create ~title:"top-k pair kernel, k = 10"
+      [
+        ("n alternatives", Harness.Tables.Right);
+        ("ordered pair (ms)", Harness.Tables.Right);
+        ("minor words", Harness.Tables.Right);
+      ]
+  in
+  List.iter
+    (fun r ->
+      Harness.Tables.add_row pair_table
+        [ string_of_int r.n; Harness.ms r.pair_s; mwords r.pair_w ])
+    rows;
+  Harness.Tables.print pair_table;
   Harness.note
     "the list API's residual allocation is the result itself (one k-array\n\
-     per key); the dense kernel's sweep loop allocates nothing.  The\n\
+     per key); the dense kernel's sweep loop allocates nothing, and the\n\
+     pair kernel allocates only its workspace, whatever the size.  The\n\
      streaming loader's words/leaf figure is the whole budget per tuple —\n\
      the old tokenizer materialized hundreds of words of token list per\n\
      tuple before building anything.";
@@ -184,6 +210,8 @@ let run () =
                      ("rank_table_list_minor_words", Json.Float r.rank_list_w);
                      ("rank_table_dense_s", Json.Float r.rank_dense_s);
                      ("rank_table_dense_minor_words", Json.Float r.rank_dense_w);
+                     ("topk_pair_s", Json.Float r.pair_s);
+                     ("topk_pair_minor_words", Json.Float r.pair_w);
                    ])
                rows) );
       ]

@@ -17,6 +17,8 @@ type t = {
   (* Content hash of the arena, computed on first use.  Benign race:
      concurrent initializers write the same immutable string. *)
   mutable digest : string option;
+  (* [scores_distinct], computed on first use under the same benign race. *)
+  mutable distinct : bool option;
 }
 
 (* Serializes lazy forcing: [Lazy.force] from two domains at once raises
@@ -55,7 +57,8 @@ let of_arena_internal ?(check = true) ~tree_v arena =
   in
   let marginals = Arena.marginals arena in
   let paths = Arena.leaf_paths arena in
-  { arena; tree_v; alts; keys; alts_of_key; marginals; paths; digest = None }
+  { arena; tree_v; alts; keys; alts_of_key; marginals; paths; digest = None;
+    distinct = None }
 
 let of_arena ?check arena =
   let tree_v = lazy (Arena.to_tree arena ~leaf:(fun ~key ~value -> { key; value })) in
@@ -159,9 +162,19 @@ let blocks_single_key db =
       !ok
 
 let scores_distinct db =
-  let module FS = Set.Make (Float) in
-  let values = Array.fold_left (fun acc a -> FS.add a.value acc) FS.empty db.alts in
-  FS.cardinal values = Array.length db.alts
+  match db.distinct with
+  | Some d -> d
+  | None ->
+      (* Sort a copy of the values and compare neighbours, with
+         [Float.compare]'s equality: NaN equals NaN, -0. equals 0. *)
+      let v = Array.copy db.arena.Arena.leaf_value in
+      Array.sort Float.compare v;
+      let d = ref true in
+      for i = 1 to Array.length v - 1 do
+        if Float.compare v.(i - 1) v.(i) = 0 then d := false
+      done;
+      db.distinct <- Some !d;
+      !d
 
 let digest db =
   match db.digest with

@@ -108,6 +108,7 @@ val digest : t -> string
 
 val scores_distinct : t -> bool
 (** True iff all leaf values are pairwise distinct (the paper's tie-freeness
-    assumption for ranking). *)
+    assumption for ranking), equality being [Float.compare]'s: NaN equals
+    NaN and [-0.] equals [0.].  Computed once per database and memoized. *)
 
 val pp : Format.formatter -> t -> unit

@@ -135,17 +135,6 @@ let bipoly ?trunc s a =
     }
     s a
 
-let quadpoly ?trunc s a =
-  eval
-    {
-      const = Quadpoly.const;
-      add = Quadpoly.add;
-      mul = Quadpoly.mul ?trunc;
-      scale = Quadpoly.scale;
-      one = Quadpoly.one;
-    }
-    s a
-
 let mpoly ?max_degree s a =
   let mul =
     match max_degree with

@@ -49,9 +49,5 @@ val bipoly : ?trunc:int -> (int -> Consensus_poly.Bipoly.t) -> Arena.t -> Consen
 (** Engine for functions linear in a second variable [y]; the O(nk)
     rank-distribution workhorse (Example 3). *)
 
-val quadpoly : ?trunc:int -> (int -> Consensus_poly.Quadpoly.t) -> Arena.t -> Consensus_poly.Quadpoly.t
-(** Engine multilinear in two extra variables [y], [z]; joint top-k
-    membership (§5.5). *)
-
 val mpoly : ?max_degree:int -> (int -> Consensus_poly.Mpoly.t) -> Arena.t -> Consensus_poly.Mpoly.t
 (** Fully general sparse engine for a constant number of variables. *)

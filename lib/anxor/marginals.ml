@@ -25,140 +25,155 @@ let rank_bipoly db l ~trunc =
       else Bipoly.one)
     a
 
-(* ---------- allocation-free bipoly kernel over the arena ----------
+(* ---------- allocation-free kernels over the arena ----------
 
-   Specialization of [rank_bipoly] for bounded truncation: every polynomial
-   lives in the first [k] cells of a preallocated float row, one (a, b) row
-   pair per tree depth, so the inner loop never allocates.  Buffer updates
-   mirror [Bipoly.mul]/[add]/[scale] operation-for-operation (see Poly1.Buf),
-   so results are bit-identical to the generic engine. *)
-type rank_ws = {
-  w : int; (* working width = k: x-degrees 0..k-1 *)
+   Generating-function runs with bounded truncation: every polynomial part
+   lives in the first [w] cells of a preallocated float row, [parts] rows
+   per tree depth, so the inner loops never allocate.  Buffer updates
+   mirror the immutable ops (see Poly1.Buf) operation for operation: the
+   rank kernel is bit-identical to the generic [rank_bipoly] run. *)
+type ws = {
+  w : int; (* working width: x-degrees 0..w-1 *)
+  parts : int; (* rows per frame *)
   mutable fnode : int array; (* per open frame: node id *)
   mutable fnext : int array; (* per open frame: next child position *)
-  mutable ra : float array array; (* per open frame: a-part coefficients *)
-  mutable rb : float array array; (* per open frame: y-part coefficients *)
+  mutable rows : float array array; (* frame f's part r at f * parts + r *)
   tmp1 : float array;
   tmp2 : float array;
 }
 
-let make_rank_ws ~k =
+let make_ws ~w ~parts =
   {
-    w = k;
+    w;
+    parts;
     fnode = Array.make 16 0;
     fnext = Array.make 16 0;
-    ra = Array.make 16 [||];
-    rb = Array.make 16 [||];
-    tmp1 = Array.make k 0.;
-    tmp2 = Array.make k 0.;
+    rows = Array.make (16 * parts) [||];
+    tmp1 = Array.make w 0.;
+    tmp2 = Array.make w 0.;
   }
 
 let ws_ensure ws d =
   if d >= Array.length ws.fnode then begin
     let cap = 2 * Array.length ws.fnode in
-    let grow_int a = Array.append a (Array.make (cap - Array.length a) 0) in
-    let grow_rows a = Array.append a (Array.make (cap - Array.length a) [||]) in
-    ws.fnode <- grow_int ws.fnode;
-    ws.fnext <- grow_int ws.fnext;
-    ws.ra <- grow_rows ws.ra;
-    ws.rb <- grow_rows ws.rb
+    let grow a fill len = Array.append a (Array.make (len - Array.length a) fill) in
+    ws.fnode <- grow ws.fnode 0 cap;
+    ws.fnext <- grow ws.fnext 0 cap;
+    ws.rows <- grow ws.rows [||] (cap * ws.parts)
   end;
-  if ws.ra.(d) = [||] then begin
-    ws.ra.(d) <- Array.make ws.w 0.;
-    ws.rb.(d) <- Array.make ws.w 0.
-  end
+  let base = d * ws.parts in
+  if Array.length ws.rows.(base) = 0 then
+    for r = 0 to ws.parts - 1 do
+      ws.rows.(base + r) <- Array.make ws.w 0.
+    done
 
-(* [rank_dist_alt_into ws a l dst]: Pr(r(leaf l) = j+1) into dst.(j),
-   j < k = ws.w. *)
-let rank_dist_alt_into ws (a : Arena.t) l dst =
-  let module B = Poly1.Buf in
-  let w = ws.w in
-  let s = a.leaf_value.(l) in
-  (* leaf classes: 0 = one, 1 = x, 2 = y *)
-  let leaf_class li = if li = l then 2 else if a.leaf_value.(li) > s then 1 else 0 in
-  if Arena.is_leaf a a.root then begin
-    (* single-leaf database: f = y, so b = 1 *)
-    B.clear dst ~w;
-    dst.(0) <- 1.
-  end
-  else begin
-    let d = ref 0 in
-    let push n =
-      ws_ensure ws !d;
-      ws.fnode.(!d) <- n;
-      ws.fnext.(!d) <- 0;
-      let ra = ws.ra.(!d) and rb = ws.rb.(!d) in
-      if Arena.kind a n = Arena.kind_and then B.set_const ra ~w 1.
+(* Post-order walk of a non-leaf arena root with explicit frames, as
+   [Genfunc.eval] walks it.  A frame's part 0 starts at the node's constant
+   — 1 under And, the residual 1 - Σp under Xor — and its other parts at
+   zero; [leaf f c] folds leaf child [c] into frame [f], [absorb pf f] folds
+   the finished frame [f] into its parent frame [pf].  The root's parts are
+   frame 0's rows on return.  With [clamp], an over-full xor node (Σp up to
+   the 1 + 1e-9 bound [Tree.xor] accepts) gets residual 0, as possible-world
+   enumeration gives it, instead of the negative 1 - Σp. *)
+let walk ?(clamp = false) ws (a : Arena.t) ~leaf ~absorb =
+  let d = ref 0 in
+  let push n =
+    ws_ensure ws !d;
+    ws.fnode.(!d) <- n;
+    ws.fnext.(!d) <- 0;
+    let c0 =
+      if Arena.kind a n = Arena.kind_and then 1.
       else begin
         let st = a.child_start.(n) and c = a.child_count.(n) in
         let total = ref 0. in
         for i = st to st + c - 1 do
           total := !total +. a.eprob.(a.children.(i))
         done;
-        B.set_const ra ~w (1. -. !total)
-      end;
-      B.clear rb ~w;
-      incr d
+        if clamp then Float.max 0. (1. -. !total) else 1. -. !total
+      end
     in
-    push a.root;
-    while !d > 0 do
-      let f = !d - 1 in
-      let n = ws.fnode.(f) in
-      if ws.fnext.(f) < a.child_count.(n) then begin
-        let c = a.children.(a.child_start.(n) + ws.fnext.(f)) in
-        ws.fnext.(f) <- ws.fnext.(f) + 1;
-        if Arena.is_leaf a c then begin
-          let cls = leaf_class a.leaf_ix.(c) in
-          let ra = ws.ra.(f) and rb = ws.rb.(f) in
-          if Arena.kind a n = Arena.kind_and then begin
-            (* acc <- acc * leaf, exploiting the leaf's sparsity *)
-            match cls with
-            | 0 -> () (* * 1 *)
-            | 1 ->
-                (* * x: shift both parts up one degree *)
-                B.shift_up_inplace ra ~w;
-                B.shift_up_inplace rb ~w
-            | _ ->
-                (* * y: (a + y b) y = y a  (y² dropped: y marks one leaf) *)
-                B.blit ~src:ra ~dst:rb ~w;
-                B.clear ra ~w
-          end
-          else begin
-            (* acc <- acc + p * leaf *)
-            let p = a.eprob.(c) in
-            match cls with
-            | 0 -> ra.(0) <- ra.(0) +. (p *. 1.)
-            | 1 -> if w > 1 then ra.(1) <- ra.(1) +. (p *. 1.)
-            | _ -> rb.(0) <- rb.(0) +. (p *. 1.)
-          end
+    let base = !d * ws.parts in
+    for r = 0 to ws.parts - 1 do
+      Poly1.Buf.clear ws.rows.(base + r) ~w:ws.w
+    done;
+    ws.rows.(base).(0) <- c0;
+    incr d
+  in
+  push a.root;
+  while !d > 0 do
+    let f = !d - 1 in
+    let n = ws.fnode.(f) in
+    if ws.fnext.(f) < a.child_count.(n) then begin
+      let c = a.children.(a.child_start.(n) + ws.fnext.(f)) in
+      ws.fnext.(f) <- ws.fnext.(f) + 1;
+      if Arena.is_leaf a c then leaf f c else push c
+    end
+    else begin
+      decr d;
+      if !d > 0 then absorb (!d - 1) f
+    end
+  done
+
+let make_rank_ws ~k = make_ws ~w:k ~parts:2
+
+(* [rank_dist_alt_into ws a l dst]: Pr(r(leaf l) = j+1) into dst.(j),
+   j < k = ws.w.  The two parts of a frame are [rank_bipoly]'s a + y·b. *)
+let rank_dist_alt_into ws (a : Arena.t) l dst =
+  let module B = Poly1.Buf in
+  let w = ws.w in
+  let s = a.leaf_value.(l) in
+  if Arena.is_leaf a a.root then begin
+    (* single-leaf database: f = y, so b = 1 *)
+    B.clear dst ~w;
+    dst.(0) <- 1.
+  end
+  else begin
+    let leaf f c =
+      let li = a.leaf_ix.(c) in
+      let ra = ws.rows.(2 * f) and rb = ws.rows.((2 * f) + 1) in
+      if Arena.kind a ws.fnode.(f) = Arena.kind_and then begin
+        (* acc <- acc * leaf, exploiting the leaf's sparsity *)
+        if li = l then begin
+          (* * y: (a + y b) y = y a  (y² dropped: y marks one leaf) *)
+          B.blit ~src:ra ~dst:rb ~w;
+          B.clear ra ~w
         end
-        else push c
+        else if a.leaf_value.(li) > s then begin
+          (* * x: shift both parts up one degree *)
+          B.shift_up_inplace ra ~w;
+          B.shift_up_inplace rb ~w
+        end
       end
       else begin
-        (* frame complete: absorb into the parent (or finish) *)
-        decr d;
-        if !d > 0 then begin
-          let pf = !d - 1 in
-          let pa = ws.ra.(pf) and pb = ws.rb.(pf) in
-          let ca = ws.ra.(f) and cb = ws.rb.(f) in
-          if Arena.kind a ws.fnode.(pf) = Arena.kind_and then begin
-            (* (pa + y pb)(ca + y cb) = pa·ca + y(pa·cb + pb·ca) *)
-            B.mul_trunc_into ~p:pa ~q:cb ~dst:ws.tmp1 ~w;
-            B.mul_trunc_into ~p:pb ~q:ca ~dst:ws.tmp2 ~w;
-            B.blit ~src:ws.tmp1 ~dst:pb ~w;
-            B.add_into ~src:ws.tmp2 ~dst:pb ~w;
-            B.mul_trunc_into ~p:pa ~q:ca ~dst:ws.tmp1 ~w;
-            B.blit ~src:ws.tmp1 ~dst:pa ~w
-          end
-          else begin
-            let p = a.eprob.(n) in
-            B.axpy p ~src:ca ~dst:pa ~w;
-            B.axpy p ~src:cb ~dst:pb ~w
-          end
+        (* acc <- acc + p * leaf *)
+        let p = a.eprob.(c) in
+        if li = l then rb.(0) <- rb.(0) +. (p *. 1.)
+        else if a.leaf_value.(li) > s then begin
+          if w > 1 then ra.(1) <- ra.(1) +. (p *. 1.)
         end
+        else ra.(0) <- ra.(0) +. (p *. 1.)
       end
-    done;
-    B.blit ~src:ws.rb.(0) ~dst:dst ~w
+    in
+    let absorb pf f =
+      let pa = ws.rows.(2 * pf) and pb = ws.rows.((2 * pf) + 1) in
+      let ca = ws.rows.(2 * f) and cb = ws.rows.((2 * f) + 1) in
+      if Arena.kind a ws.fnode.(pf) = Arena.kind_and then begin
+        (* (pa + y pb)(ca + y cb) = pa·ca + y(pa·cb + pb·ca) *)
+        B.mul_trunc_into ~p:pa ~q:cb ~dst:ws.tmp1 ~w;
+        B.mul_trunc_into ~p:pb ~q:ca ~dst:ws.tmp2 ~w;
+        B.blit ~src:ws.tmp1 ~dst:pb ~w;
+        B.add_into ~src:ws.tmp2 ~dst:pb ~w;
+        B.mul_trunc_into ~p:pa ~q:ca ~dst:ws.tmp1 ~w;
+        B.blit ~src:ws.tmp1 ~dst:pa ~w
+      end
+      else begin
+        let p = a.eprob.(ws.fnode.(f)) in
+        B.axpy p ~src:ca ~dst:pa ~w;
+        B.axpy p ~src:cb ~dst:pb ~w
+      end
+    in
+    walk ws a ~leaf ~absorb;
+    B.blit ~src:ws.rows.(1) ~dst ~w
   end
 
 let rank_dist_alt db l ~k =
@@ -518,53 +533,162 @@ let full_rank_table ?pool db =
 
 let rank_leq db key ~k = Array.fold_left ( +. ) 0. (rank_dist db key ~k)
 
-(* Pr(alternative a present ∧ alternative b present ∧ both keys in top-k):
-   y on a, z on b, x on all other leaves of value > min(value a, value b);
-   both in top-k iff #x-marked present leaves <= k - 2 (the higher of the two
-   occupies one of the k slots itself). *)
-let topk_pair_alt db la lb ~k =
-  if k < 2 then 0.
+(* [tmp1] <- (or +=, when [started]) p·q, skipped when either operand is
+   zero as [Poly1.mul_trunc] skips it; returns whether [tmp1] holds a
+   term. *)
+let add_product ws ~p ~q ~zero started =
+  let module B = Poly1.Buf in
+  let w = ws.w in
+  if zero then started
+  else if not started then begin
+    B.mul_trunc_into ~p ~q ~dst:ws.tmp1 ~w;
+    true
+  end
   else begin
-    let arena = Db.arena db in
-    let value = arena.Arena.leaf_value in
-    let lo = Float.min value.(la) value.(lb) in
-    let f =
-      Genfunc.quadpoly ~trunc:(k - 2)
-        (fun i ->
-          if i = la then Quadpoly.y
-          else if i = lb then Quadpoly.z
-          else if value.(i) > lo then Quadpoly.x
-          else Quadpoly.one)
-        arena
+    B.mul_trunc_into ~p ~q ~dst:ws.tmp2 ~w;
+    B.add_into ~src:ws.tmp2 ~dst:ws.tmp1 ~w;
+    true
+  end
+
+let store_sum ws ~dst started =
+  if started then Poly1.Buf.blit ~src:ws.tmp1 ~dst ~w:ws.w
+  else Poly1.Buf.clear dst ~w:ws.w
+
+(* Pr(alternative la present ∧ alternative lb present ∧ both keys in the
+   top-k), for k >= 2 on a workspace of width k - 1 with four parts: the
+   generating function a + b·y + c·z + d·yz with y on la, z on lb and x on
+   every other leaf of value > min(value la, value lb).  Both are in the
+   top-k iff at most k - 2 x-marked leaves are present (the higher of the
+   two occupies one of the k slots itself), so the answer is the sum of
+   d's coefficients.  Products drop y² and z² (y and z each mark one leaf)
+   and follow
+     a = a1 a2,  b = a1 b2 + b1 a2,  c = a1 c2 + c1 a2,
+     d = ((a1 d2 + d1 a2) + b1 c2) + c1 b2
+   term for term, in that order.  Over-full xor nodes get residual 0 (see
+   [walk]): with 1 - Σp = -1e-9 the joint would miss the enumerated one by
+   up to 1e-9. *)
+let topk_pair_alt_into ws (a : Arena.t) la lb =
+  let module B = Poly1.Buf in
+  let w = ws.w in
+  if Arena.is_leaf a a.root then 0.
+  else begin
+    let lo = Float.min a.leaf_value.(la) a.leaf_value.(lb) in
+    let leaf f c =
+      let li = a.leaf_ix.(c) in
+      let ra = ws.rows.(4 * f)
+      and rb = ws.rows.((4 * f) + 1)
+      and rc = ws.rows.((4 * f) + 2)
+      and rd = ws.rows.((4 * f) + 3) in
+      if Arena.kind a ws.fnode.(f) = Arena.kind_and then begin
+        if li = la then begin
+          (* * y = a y + c yz *)
+          B.blit ~src:rc ~dst:rd ~w;
+          B.blit ~src:ra ~dst:rb ~w;
+          B.clear ra ~w;
+          B.clear rc ~w
+        end
+        else if li = lb then begin
+          (* * z = a z + b yz *)
+          B.blit ~src:rb ~dst:rd ~w;
+          B.blit ~src:ra ~dst:rc ~w;
+          B.clear ra ~w;
+          B.clear rb ~w
+        end
+        else if a.leaf_value.(li) > lo then begin
+          B.shift_up_inplace ra ~w;
+          B.shift_up_inplace rb ~w;
+          B.shift_up_inplace rc ~w;
+          B.shift_up_inplace rd ~w
+        end
+      end
+      else begin
+        let p = a.eprob.(c) in
+        if li = la then rb.(0) <- rb.(0) +. (p *. 1.)
+        else if li = lb then rc.(0) <- rc.(0) +. (p *. 1.)
+        else if a.leaf_value.(li) > lo then begin
+          if w > 1 then ra.(1) <- ra.(1) +. (p *. 1.)
+        end
+        else ra.(0) <- ra.(0) +. (p *. 1.)
+      end
     in
-    let d = f.Quadpoly.d in
+    let absorb pf f =
+      let pa = ws.rows.(4 * pf)
+      and pb = ws.rows.((4 * pf) + 1)
+      and pc = ws.rows.((4 * pf) + 2)
+      and pd = ws.rows.((4 * pf) + 3) in
+      let ca = ws.rows.(4 * f)
+      and cb = ws.rows.((4 * f) + 1)
+      and cc = ws.rows.((4 * f) + 2)
+      and cd = ws.rows.((4 * f) + 3) in
+      if Arena.kind a ws.fnode.(pf) = Arena.kind_and then begin
+        let zpa = B.is_zero pa ~w
+        and zpb = B.is_zero pb ~w
+        and zpc = B.is_zero pc ~w
+        and zpd = B.is_zero pd ~w in
+        let zca = B.is_zero ca ~w
+        and zcb = B.is_zero cb ~w
+        and zcc = B.is_zero cc ~w
+        and zcd = B.is_zero cd ~w in
+        (* d first: it reads every old parent part *)
+        add_product ws ~p:pa ~q:cd ~zero:(zpa || zcd) false
+        |> add_product ws ~p:pd ~q:ca ~zero:(zpd || zca)
+        |> add_product ws ~p:pb ~q:cc ~zero:(zpb || zcc)
+        |> add_product ws ~p:pc ~q:cb ~zero:(zpc || zcb)
+        |> store_sum ws ~dst:pd;
+        add_product ws ~p:pa ~q:cb ~zero:(zpa || zcb) false
+        |> add_product ws ~p:pb ~q:ca ~zero:(zpb || zca)
+        |> store_sum ws ~dst:pb;
+        add_product ws ~p:pa ~q:cc ~zero:(zpa || zcc) false
+        |> add_product ws ~p:pc ~q:ca ~zero:(zpc || zca)
+        |> store_sum ws ~dst:pc;
+        add_product ws ~p:pa ~q:ca ~zero:(zpa || zca) false
+        |> store_sum ws ~dst:pa
+      end
+      else begin
+        let p = a.eprob.(ws.fnode.(f)) in
+        B.axpy p ~src:ca ~dst:pa ~w;
+        B.axpy p ~src:cb ~dst:pb ~w;
+        B.axpy p ~src:cc ~dst:pc ~w;
+        B.axpy p ~src:cd ~dst:pd ~w
+      end
+    in
+    walk ~clamp:true ws a ~leaf ~absorb;
+    let rd = ws.rows.(3) in
     let acc = ref 0. in
-    for m = 0 to min (k - 2) (Poly1.degree d) do
-      acc := !acc +. Poly1.coeff d m
+    for m = 0 to w - 1 do
+      acc := !acc +. rd.(m)
     done;
     !acc
   end
 
+(* Sum of the alternative-pair joints of keys k1, k2; [ordered] keeps only
+   the pairs where k1's alternative scores higher.  Every joint is 0 below
+   k = 2. *)
+let topk_pair_sum db k1 k2 ~k ~ordered =
+  if k < 2 then 0.
+  else begin
+    let arena = Db.arena db in
+    let ws = make_ws ~w:(k - 1) ~parts:4 in
+    List.fold_left
+      (fun acc la ->
+        let va = (Db.alt db la).value in
+        List.fold_left
+          (fun acc lb ->
+            if (not ordered) || va > (Db.alt db lb).value then
+              acc +. topk_pair_alt_into ws arena la lb
+            else acc)
+          acc (Db.alts_of_key db k2))
+      0. (Db.alts_of_key db k1)
+  end
+
 let topk_pair_prob db k1 k2 ~k =
   if k1 = k2 then invalid_arg "Marginals.topk_pair_prob: keys must differ";
-  List.fold_left
-    (fun acc la ->
-      List.fold_left (fun acc lb -> acc +. topk_pair_alt db la lb ~k) acc
-        (Db.alts_of_key db k2))
-    0. (Db.alts_of_key db k1)
+  topk_pair_sum db k1 k2 ~k ~ordered:false
 
 let topk_pair_prob_ordered db k1 k2 ~k =
   if k1 = k2 then invalid_arg "Marginals.topk_pair_prob_ordered: keys must differ";
   (* k1 above k2: only alternative pairs where k1's value is larger. *)
-  List.fold_left
-    (fun acc la ->
-      let va = (Db.alt db la).value in
-      List.fold_left
-        (fun acc lb ->
-          if va > (Db.alt db lb).value then acc +. topk_pair_alt db la lb ~k
-          else acc)
-        acc (Db.alts_of_key db k2))
-    0. (Db.alts_of_key db k1)
+  topk_pair_sum db k1 k2 ~k ~ordered:true
 
 let beats db k1 k2 =
   if k1 = k2 then invalid_arg "Marginals.beats: keys must differ";

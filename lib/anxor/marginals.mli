@@ -62,7 +62,11 @@ val rank_leq : Db.t -> int -> k:int -> float
 
 val topk_pair_prob : Db.t -> int -> int -> k:int -> float
 (** [topk_pair_prob db key1 key2 ~k = Pr(r(key1) <= k ∧ r(key2) <= k)] for
-    distinct keys, via the trivariate engine (used by Kendall-tau, §5.5). *)
+    distinct keys (used by Kendall-tau, §5.5): one O(n·k²) run of the
+    allocation-free trivariate pair kernel over the arena per pair of the
+    keys' alternatives; 0 below [k = 2].  An over-full xor node (mass up
+    to the [1 + 1e-9] bound) counts as never empty, as possible-world
+    enumeration counts it. *)
 
 val topk_pair_prob_ordered : Db.t -> int -> int -> k:int -> float
 (** [topk_pair_prob_ordered db key1 key2 ~k =

@@ -4,7 +4,7 @@ module Context = Consensus_obs.Context
 type value =
   | Rank_table of (int * float array) list
   | Matrix of float array array
-  | Pairs of ((int * int) * float) array
+  | Pairs of int array * float array
   | Prob of float
 
 type stats = {
@@ -101,7 +101,8 @@ let value_cost = function
       List.fold_left (fun acc (_, dist) -> acc + 64 + (8 * Array.length dist)) 0 rows
   | Matrix m ->
       Array.fold_left (fun acc row -> acc + 16 + (8 * Array.length row)) 16 m
-  | Pairs a -> 16 + (48 * Array.length a)
+  | Pairs (codes, probs) ->
+      32 + (8 * Array.length codes) + (8 * Array.length probs)
   | Prob _ -> 16
 
 (* ---------- operations ---------- *)

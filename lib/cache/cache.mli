@@ -64,8 +64,10 @@ type value =
   | Matrix of float array array
       (** pairwise probability matrices: rank disagreements, clustering
           co-occurrence, Kendall tournament preferences. *)
-  | Pairs of ((int * int) * float) array
-      (** sparse ordered-pair joints, [Pr(r(i) < r(j) <= k)]. *)
+  | Pairs of int array * float array
+      (** sparse ordered-pair joints [Pr(r(i) < r(j) <= k)]: pair codes
+          [i·n + j] over the indices of the [n] keys of [Db.keys], and the
+          joint of each code at the same position. *)
   | Prob of float  (** one lineage-inference probability. *)
 
 val key : family:string -> digest:string -> params:string list -> string

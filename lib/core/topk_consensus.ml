@@ -6,6 +6,8 @@ module Pool = Consensus_engine.Pool
 module Obs = Consensus_obs.Obs
 module Cache = Consensus_cache.Cache
 
+module Itbl = Hashtbl.Make (Int)
+
 type ctx = {
   db : Db.t;
   k : int;
@@ -15,7 +17,8 @@ type ctx = {
   rank : float array array; (* per key index: Pr(r = i), i = 1..k *)
   leq : float array array; (* per key index: Pr(r <= i), i = 1..k *)
   sum_leq : float array; (* Σ_keys Pr(r <= i), i = 1..k (0-based i-1) *)
-  joint_ord : (int * int, float) Hashtbl.t; (* ordered joint top-k cache *)
+  joint_ord : float Itbl.t;
+      (* ordered joint top-k cache, keyed by [pair_code] of key indices *)
 }
 
 (* One span per public algorithm, labelled with the metric and the instance
@@ -40,35 +43,45 @@ let make_ctx ?pool db ~k =
   if k <= 0 then invalid_arg "Topk_consensus.make_ctx: k must be positive";
   if not (Db.scores_distinct db) then
     invalid_arg "Topk_consensus.make_ctx: scores must be pairwise distinct";
-  algo_span "make_ctx" ~k ~n:(Array.length (Db.keys db)) @@ fun () ->
+  algo_span "make_ctx" ~k ~n:(Db.num_keys db) @@ fun () ->
   let pool = Pool.resolve pool in
   let keys = Db.keys db in
   let nk = Array.length keys in
   let key_pos = Hashtbl.create nk in
   Array.iteri (fun i key -> Hashtbl.replace key_pos key i) keys;
-  (* rank_table dispatches to the O(nk) sweep on independent/BID shapes *)
-  let table = Marginals.rank_table ~pool db ~k in
-  let rank = Array.map (fun key -> List.assoc key table) keys in
+  (* rank_table dispatches to the O(nk) sweep on independent/BID shapes;
+     either path returns its rows in [Db.keys] order *)
+  let rank = Array.make nk [||] in
+  List.iteri
+    (fun i (key, dist) ->
+      if key <> keys.(i) then
+        invalid_arg "Topk_consensus.make_ctx: rank table out of key order";
+      rank.(i) <- dist)
+    (Marginals.rank_table ~pool db ~k);
   let leq =
     Array.map
       (fun dist ->
+        let row = Array.make k 0. in
         let acc = ref 0. in
-        Array.map
-          (fun p ->
-            acc := !acc +. p;
-            !acc)
-          dist)
+        for i = 0 to k - 1 do
+          acc := !acc +. dist.(i);
+          row.(i) <- !acc
+        done;
+        row)
       rank
   in
-  let sum_leq =
-    Array.init k (fun i ->
-        Array.fold_left (fun acc l -> acc +. l.(i)) 0. leq)
-  in
-  let joint_ord = Hashtbl.create 64 in
-  (if Cache.enabled () then
+  let sum_leq = Array.make k 0. in
+  Array.iter
+    (fun row ->
+      for i = 0 to k - 1 do
+        sum_leq.(i) <- sum_leq.(i) +. row.(i)
+      done)
+    leq;
+  let joint_ord = Itbl.create 64 in
+  (if k >= 2 && Cache.enabled () then
      match Cache.find (joints_cache_key db ~k) with
-     | Some (Cache.Pairs pairs) ->
-         Array.iter (fun (pair, p) -> Hashtbl.replace joint_ord pair p) pairs
+     | Some (Cache.Pairs (codes, probs)) ->
+         Array.iteri (fun i code -> Itbl.replace joint_ord code probs.(i)) codes
      | _ -> ());
   { db; k; pool; keys; key_pos; rank; leq; sum_leq; joint_ord }
 
@@ -83,25 +96,38 @@ let kidx ctx key =
 
 let rank_leq ctx key = ctx.leq.(kidx ctx key).(ctx.k - 1)
 
-let joint_ordered ctx key1 key2 =
-  match Hashtbl.find_opt ctx.joint_ord (key1, key2) with
-  | Some p -> p
-  | None ->
-      let p = Marginals.topk_pair_prob_ordered ctx.db key1 key2 ~k:ctx.k in
-      Hashtbl.replace ctx.joint_ord (key1, key2) p;
-      p
+(* Pr(r <= k) of the key at index [i]. *)
+let leq_k ctx i = ctx.leq.(i).(ctx.k - 1)
 
-(* Batch-fill the ordered-joint cache: the pair probabilities are the O(n·k)
-   trivariate-engine runs dominating every Kendall computation, and they are
-   independent of each other — compute the missing ones in parallel, then
-   insert sequentially (the cache is only ever touched by the submitting
-   domain). *)
-let ensure_joints ctx pairs =
+let pair_code ctx i j = (i * Array.length ctx.keys) + j
+
+(* Pr(r(keys.(i)) < r(keys.(j)) <= k), for key indices i <> j.  Every joint
+   is 0 below k = 2. *)
+let joint_ordered ctx i j =
+  if ctx.k < 2 then 0.
+  else
+    let code = pair_code ctx i j in
+    match Itbl.find_opt ctx.joint_ord code with
+    | Some p -> p
+    | None ->
+        let p =
+          Marginals.topk_pair_prob_ordered ctx.db ctx.keys.(i) ctx.keys.(j)
+            ~k:ctx.k
+        in
+        Itbl.replace ctx.joint_ord code p;
+        p
+
+(* Batch-fill the ordered-joint cache for [codes] (each at most once): the
+   pair probabilities are the trivariate kernel runs dominating every
+   Kendall computation, and they are independent of each other — compute
+   the missing ones in parallel, then insert sequentially (the cache is
+   only ever touched by the submitting domain). *)
+let ensure_joints ctx codes =
   let missing =
-    List.sort_uniq compare pairs
-    |> List.filter (fun (k1, k2) ->
-           k1 <> k2 && not (Hashtbl.mem ctx.joint_ord (k1, k2)))
-    |> Array.of_list
+    if ctx.k < 2 then [||]
+    else
+      Array.of_list
+        (List.filter (fun code -> not (Itbl.mem ctx.joint_ord code)) codes)
   in
   if Array.length missing > 0 then begin
     Obs.with_span
@@ -109,20 +135,30 @@ let ensure_joints ctx pairs =
         [ ("pairs", Obs.Int (Array.length missing)); ("k", Obs.Int ctx.k) ])
       "core.topk.kendall_joints"
     @@ fun () ->
+    let n = Array.length ctx.keys in
     let values =
       Pool.parallel_map ~pool:ctx.pool ~stage:"kendall_joints"
-        (fun (k1, k2) -> Marginals.topk_pair_prob_ordered ctx.db k1 k2 ~k:ctx.k)
+        (fun code ->
+          Marginals.topk_pair_prob_ordered ctx.db
+            ctx.keys.(code / n)
+            ctx.keys.(code mod n)
+            ~k:ctx.k)
         missing
     in
-    Array.iteri (fun i pair -> Hashtbl.replace ctx.joint_ord pair values.(i)) missing;
+    Array.iteri (fun i code -> Itbl.replace ctx.joint_ord code values.(i)) missing;
     if Cache.enabled () then begin
       (* Publish the grown table so later contexts on this database start
          from the warm set. *)
-      let snapshot =
-        Hashtbl.fold (fun pair p acc -> (pair, p) :: acc) ctx.joint_ord []
-        |> List.sort compare |> Array.of_list
-      in
-      Cache.store (joints_cache_key ctx.db ~k:ctx.k) (Cache.Pairs snapshot)
+      let size = Itbl.length ctx.joint_ord in
+      let codes = Array.make size 0 and probs = Array.make size 0. in
+      let next = ref 0 in
+      Itbl.iter
+        (fun code p ->
+          codes.(!next) <- code;
+          probs.(!next) <- p;
+          incr next)
+        ctx.joint_ord;
+      Cache.store (joints_cache_key ctx.db ~k:ctx.k) (Cache.Pairs (codes, probs))
     end
   end
 
@@ -181,40 +217,54 @@ let expected_footrule ctx tau =
     tau;
   total +. !adjust
 
-(* Both orderings of every pair {t ∈ τ} × {any key}: what the Kendall
-   evaluators consume. *)
-let tau_joint_pairs ctx tau =
-  let pairs = ref [] in
-  Array.iter
-    (fun t ->
-      Array.iter
-        (fun j -> if j <> t then pairs := (t, j) :: (j, t) :: !pairs)
-        ctx.keys)
-    tau;
-  !pairs
+(* Pair codes of both orderings of every pair {t ∈ τ} × {any other key},
+   each once, for τ given as key indices: what the Kendall evaluators
+   consume.  A key of τ pairs with the keys outside τ and with the keys
+   before it in τ. *)
+let tau_joint_codes ctx tis =
+  let n = Array.length ctx.keys in
+  let pos = Array.make n (-1) in
+  Array.iteri (fun a t -> pos.(t) <- a) tis;
+  let codes = ref [] in
+  Array.iteri
+    (fun a t ->
+      for j = 0 to n - 1 do
+        if pos.(j) < a then
+          codes := pair_code ctx t j :: pair_code ctx j t :: !codes
+      done)
+    tis;
+  !codes
+
+(* Key-index membership of [tis]. *)
+let index_set ctx tis =
+  let mem = Array.make (Array.length ctx.keys) false in
+  Array.iter (fun t -> mem.(t) <- true) tis;
+  mem
+
+(* Cost of placing key index i before key index j, both in the answer or
+   j outside it: the disagreement probability
+     Pr(both in top-k with j above i)            (order flipped)
+   + Pr(j in top-k ∧ i not in top-k).            (i missing) *)
+let contribution ctx i j =
+  joint_ordered ctx j i
+  +. (leq_k ctx j -. (joint_ordered ctx i j +. joint_ordered ctx j i))
 
 let expected_kendall ctx tau =
   Topk_list.validate ~k:ctx.k tau;
-  ensure_joints ctx (tau_joint_pairs ctx tau);
-  (* For every ordered key pair (i, j) with i ∈ τ and j required to come
-     after i (j later in τ, or j ∉ τ):
-       disagreement probability =
-         Pr(both in top-k with j above i)            (order flipped)
-       + Pr(j in top-k ∧ i not in top-k).            (i missing) *)
-  let contribution i j =
-    joint_ordered ctx j i
-    +. (rank_leq ctx j
-       -. (joint_ordered ctx i j +. joint_ordered ctx j i))
-  in
+  let tis = Array.map (kidx ctx) tau in
+  ensure_joints ctx (tau_joint_codes ctx tis);
+  (* Every ordered key pair (i, j) with i ∈ τ and j required to come after
+     i: j later in τ, or j ∉ τ. *)
+  let in_tau = index_set ctx tis in
   let acc = ref 0. in
-  let len = Array.length tau in
+  let len = Array.length tis in
   for a = 0 to len - 1 do
     for b = a + 1 to len - 1 do
-      acc := !acc +. contribution tau.(a) tau.(b)
+      acc := !acc +. contribution ctx tis.(a) tis.(b)
     done;
-    Array.iter
-      (fun j -> if not (Topk_list.mem tau j) then acc := !acc +. contribution tau.(a) j)
-      ctx.keys
+    for j = 0 to Array.length ctx.keys - 1 do
+      if not in_tau.(j) then acc := !acc +. contribution ctx tis.(a) j
+    done
   done;
   !acc
 
@@ -227,27 +277,30 @@ let expected_kendall_p ~p ctx tau =
     (* Undetermined pairs: both keys inside τ with neither in the world's
        top-k, or both outside τ with both in the world's top-k. *)
     let joint i j = joint_ordered ctx i j +. joint_ordered ctx j i in
+    let tis = Array.map (kidx ctx) tau in
     let inside = ref 0. in
-    let len = Array.length tau in
+    let len = Array.length tis in
     for a = 0 to len - 1 do
       for b = a + 1 to len - 1 do
-        let i = tau.(a) and j = tau.(b) in
-        inside :=
-          !inside +. (1. -. rank_leq ctx i -. rank_leq ctx j +. joint i j)
+        let i = tis.(a) and j = tis.(b) in
+        inside := !inside +. (1. -. leq_k ctx i -. leq_k ctx j +. joint i j)
       done
     done;
-    let outside = ref 0. in
+    let in_tau = index_set ctx tis in
     let others =
-      Array.to_list ctx.keys |> List.filter (fun key -> not (Topk_list.mem tau key))
+      List.filter (fun j -> not in_tau.(j)) (List.init (Array.length ctx.keys) Fun.id)
     in
-    let rec outside_pairs acc = function
+    let rec outside_codes acc = function
       | [] -> acc
       | i :: rest ->
-          outside_pairs
-            (List.fold_left (fun acc j -> (i, j) :: (j, i) :: acc) acc rest)
+          outside_codes
+            (List.fold_left
+               (fun acc j -> pair_code ctx i j :: pair_code ctx j i :: acc)
+               acc rest)
             rest
     in
-    ensure_joints ctx (outside_pairs [] others);
+    ensure_joints ctx (outside_codes [] others);
+    let outside = ref 0. in
     let rec pairs = function
       | [] -> ()
       | i :: rest ->
@@ -518,23 +571,20 @@ let mean_kendall_pool_exact ?pool ctx =
   Array.sort
     (fun a b -> Float.compare ctx.leq.(b).(ctx.k - 1) ctx.leq.(a).(ctx.k - 1))
     order;
-  let pool_keys = Array.init pool_size (fun i -> ctx.keys.(order.(i))) in
+  let pool_ix = Array.sub order 0 pool_size in
   (* Every subset evaluation consumes the ordered joints of pool × keys:
      batch them up front so the subset loop runs on the warm cache. *)
-  ensure_joints ctx (tau_joint_pairs ctx pool_keys);
-  (* cost of placing key i before key j, as in expected_kendall *)
-  let contribution i j =
-    joint_ordered ctx j i
-    +. (rank_leq ctx j -. (joint_ordered ctx i j +. joint_ordered ctx j i))
-  in
+  ensure_joints ctx (tau_joint_codes ctx pool_ix);
   (* the set-only part: pairs (i in τ, j outside τ) *)
   let set_cost subset =
-    let in_subset key = List.mem key subset in
+    let in_subset j = List.mem j subset in
     List.fold_left
       (fun acc i ->
-        Array.fold_left
-          (fun acc j -> if in_subset j then acc else acc +. contribution i j)
-          acc ctx.keys)
+        let acc = ref acc in
+        for j = 0 to n - 1 do
+          if not (in_subset j) then acc := !acc +. contribution ctx i j
+        done;
+        !acc)
       0. subset
   in
   let best = ref None in
@@ -544,26 +594,26 @@ let mean_kendall_pool_exact ?pool ctx =
     let pref =
       Array.init m (fun a ->
           Array.init m (fun b ->
-              if a = b then 0. else contribution arr.(b) arr.(a)))
+              if a = b then 0. else contribution ctx arr.(b) arr.(a)))
     in
     let perm, order_cost = Consensus_ranking.Aggregation.kemeny_exact pref in
     let total = order_cost +. set_cost subset in
     match !best with
     | Some (_, bd) when bd <= total -> ()
-    | _ -> best := Some (Array.map (fun i -> arr.(i)) perm, total)
+    | _ -> best := Some (Array.map (fun i -> ctx.keys.(arr.(i))) perm, total)
   in
   let rec subsets chosen remaining count =
     if count = 0 then consider (List.rev chosen)
     else
       match remaining with
       | [] -> ()
-      | key :: rest ->
+      | i :: rest ->
           if List.length rest + 1 >= count then begin
-            subsets (key :: chosen) rest (count - 1);
+            subsets (i :: chosen) rest (count - 1);
             subsets chosen rest count
           end
   in
-  subsets [] (Array.to_list pool_keys) k;
+  subsets [] (Array.to_list pool_ix) k;
   match !best with Some (answer, _) -> answer | None -> [||]
 
 (* ---------- sampled consensus ---------- *)

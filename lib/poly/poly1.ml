@@ -147,6 +147,13 @@ module Buf = struct
 
   let blit ~src ~dst ~w = Array.blit src 0 dst 0 w
 
+  let is_zero buf ~w =
+    let i = ref 0 in
+    while !i < w && Array.unsafe_get buf !i = 0. do
+      incr i
+    done;
+    !i = w
+
   let add_into ~src ~dst ~w =
     for i = 0 to w - 1 do
       Array.unsafe_set dst i

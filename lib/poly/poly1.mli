@@ -91,6 +91,9 @@ module Buf : sig
 
   val blit : src:float array -> dst:float array -> w:int -> unit
 
+  val is_zero : float array -> w:int -> bool
+  (** Every one of the first [w] cells is [0.] (or [-0.]). *)
+
   val add_into : src:float array -> dst:float array -> w:int -> unit
   (** [dst += src]. *)
 

@@ -111,6 +111,26 @@ let test_tree_validation () =
   | Tree.Xor [ (p, Tree.Leaf 1) ] -> check_float "kept edge" 0.5 p
   | _ -> Alcotest.fail "expected single-edge xor"
 
+(* Ties are [Float.compare] equality: NaN equals NaN, -0. equals 0. *)
+let test_scores_distinct () =
+  let distinct values =
+    Db.scores_distinct (Db.independent (List.mapi (fun key v -> (key, v, 0.5)) values))
+  in
+  let check name expected values =
+    Alcotest.(check bool) name expected (distinct values)
+  in
+  check "distinct" true [ 3.; 1.; 2. ];
+  check "duplicate" false [ 3.; 1.; 2.; 1. ];
+  check "-0. ties 0." false [ 0.; 1.; -0. ];
+  check "NaN ties NaN" false [ Float.nan; 1.; Float.nan ];
+  check "one NaN" true [ Float.nan; 1.; 0. ];
+  check "empty" true [];
+  (* duplicates across the alternatives of one key *)
+  let db = Db.bid [ (1, [ (0.3, 5.); (0.3, 5.) ]); (2, [ (0.5, 4.) ]) ] in
+  Alcotest.(check bool) "same-key duplicate" false (Db.scores_distinct db);
+  Alcotest.(check bool) "memoized" false (Db.scores_distinct db);
+  Alcotest.(check bool) "fig. 1(i)" true (Db.scores_distinct (fig1_i ()))
+
 let test_tree_shape () =
   let t = Tree.independent [ (0.5, 'a'); (0.3, 'b') ] in
   Alcotest.(check int) "leaves" 2 (Tree.num_leaves t);
@@ -415,34 +435,6 @@ let test_rank_table_fast_matches_slow () =
     (Invalid_argument "Marginals.rank_table_dense: k must be positive")
     (fun () -> ignore (Marginals.rank_table_dense (fig1_i ()) ~k:0))
 
-let test_topk_pair_vs_enumeration () =
-  let g = rng () in
-  for _ = 1 to 10 do
-    let db = Consensus_workload.Gen.random_tree_db g (4 + Prng.int g 5) in
-    let it = Tree.indexed (Db.tree db) in
-    let worlds = Worlds.enumerate it in
-    let keys = Db.keys db in
-    let k = 3 in
-    Array.iter
-      (fun k1 ->
-        Array.iter
-          (fun k2 ->
-            if k1 < k2 then begin
-              let joint = Marginals.topk_pair_prob db k1 k2 ~k in
-              let direct =
-                List.fold_left
-                  (fun acc (p, w) ->
-                    match (rank_of_key w [] k1, rank_of_key w [] k2) with
-                    | Some r1, Some r2 when r1 <= k && r2 <= k -> acc +. p
-                    | _ -> acc)
-                  0. worlds
-              in
-              check_floatl "joint top-k" direct joint
-            end)
-          keys)
-      keys
-  done
-
 let test_beats_vs_enumeration () =
   let g = rng () in
   for iter = 1 to 10 do
@@ -592,6 +584,76 @@ let test_full_rank_table_dense_matches_general () =
        (List.init 50 (fun i ->
             (i, float_of_int i, if i mod 2 = 0 then 1e-12 else 1. -. 1e-12))))
 
+(* Pair joints against enumeration, in both orders and at k = 1, 2, 3, on
+   general trees, BID and x-tuple databases, and at the numeric edges:
+   probabilities within 1e-12 of 0 and 1 and an xor block at the
+   1 + 1e-9 mass bound. *)
+let test_topk_pair_vs_enumeration () =
+  let g = rng () in
+  let module Gen = Consensus_workload.Gen in
+  let check_db name db =
+    let worlds = Worlds.enumerate (Tree.indexed (Db.tree db)) in
+    let keys = Db.keys db in
+    List.iter
+      (fun k ->
+        Array.iter
+          (fun k1 ->
+            Array.iter
+              (fun k2 ->
+                if k1 <> k2 then begin
+                  let direct pred =
+                    List.fold_left
+                      (fun acc (p, w) ->
+                        match (rank_of_key w [] k1, rank_of_key w [] k2) with
+                        | Some r1, Some r2 when pred r1 r2 -> acc +. p
+                        | _ -> acc)
+                      0. worlds
+                  in
+                  let joint = Marginals.topk_pair_prob db k1 k2 ~k in
+                  let above = Marginals.topk_pair_prob_ordered db k1 k2 ~k in
+                  let below = Marginals.topk_pair_prob_ordered db k2 k1 ~k in
+                  let label = Printf.sprintf "%s k=%d (%d, %d)" name k k1 k2 in
+                  check_float (label ^ ": joint top-k")
+                    (direct (fun r1 r2 -> r1 <= k && r2 <= k))
+                    joint;
+                  check_float (label ^ ": ordered")
+                    (direct (fun r1 r2 -> r1 < r2 && r2 <= k))
+                    above;
+                  check_float (label ^ ": orders sum to the joint") joint
+                    (above +. below)
+                end)
+              keys)
+          keys)
+      [ 1; 2; 3 ]
+  in
+  for _ = 1 to 5 do
+    check_db "tree" (Gen.random_tree_db g (4 + Prng.int g 5));
+    check_db "keyed tree" (Gen.random_keyed_tree g (4 + Prng.int g 5));
+    check_db "bid" (Gen.bid_db ~max_alts:3 ~forced_fraction:0.3 g (2 + Prng.int g 4));
+    check_db "x-tuple" (Gen.xtuple_db ~max_alts:3 g (2 + Prng.int g 3))
+  done;
+  List.iter
+    (fun xtuple ->
+      check_db
+        (if xtuple then "x-tuple edges" else "bid edges")
+        (Db.create (Tree.bid (edge_blocks g ~xtuple 5))))
+    [ false; true ];
+  (* a correlated (non-BID) tree with the same edges *)
+  let scores = Gen.distinct_scores g 8 in
+  let leaf i = Tree.leaf { Db.key = i; value = scores.(i) } in
+  check_db "tree edges"
+    (Db.create
+       (Tree.and_
+          [
+            Tree.xor [ (0.6, Tree.and_ [ leaf 0; leaf 1 ]); (at_mass_bound 0.6, leaf 2) ];
+            Tree.xor
+              [
+                (1e-12, leaf 3);
+                (1. -. 2e-12, Tree.and_ [ leaf 4; Tree.xor [ (1. -. 1e-12, leaf 5) ] ]);
+              ];
+            Tree.xor [ (1e-12, Tree.and_ [ leaf 6; leaf 7 ]) ];
+          ]))
+
 (* ---------- Genfunc engines cross-validation ---------- *)
 
 let test_bipoly_engine_vs_bivariate () =
@@ -657,6 +719,7 @@ let suite =
     Alcotest.test_case "figure 1(iii) enumeration" `Quick test_enumerate_figure1_iii;
     Alcotest.test_case "tree validation" `Quick test_tree_validation;
     Alcotest.test_case "tree shape accessors" `Quick test_tree_shape;
+    Alcotest.test_case "scores distinct" `Quick test_scores_distinct;
     Alcotest.test_case "key constraint" `Quick test_tree_key_constraint;
     Alcotest.test_case "count worlds" `Quick test_count_worlds;
     Alcotest.test_case "filter leaves" `Quick test_filter_leaves;

@@ -383,6 +383,42 @@ let test_ctx_requires_distinct_scores () =
     Alcotest.fail "tied scores accepted"
   with Invalid_argument _ -> ()
 
+(* The context takes each key's rank row from the rank table by position.
+   On every shape — the BID/x-tuple sweep and the per-key path of general
+   trees — and with keys that are neither consecutive nor in generation
+   order, every key's Pr(r <= k) must be the one [Marginals.rank_leq]
+   computes for that key. *)
+let test_ctx_rank_rows_aligned () =
+  let g = rng () in
+  let scatter db =
+    Db.create
+      (Consensus_anxor.Tree.map
+         (fun (a : Db.alt) -> { a with Db.key = (a.Db.key * 37 mod 101 * 3) + 1 })
+         (Db.tree db))
+  in
+  List.iter
+    (fun (shape, make) ->
+      for _ = 1 to 4 do
+        let db = scatter (make ()) in
+        List.iter
+          (fun k ->
+            let ctx = Topk_consensus.make_ctx db ~k in
+            Array.iter
+              (fun key ->
+                Alcotest.(check (float 1e-9))
+                  (Printf.sprintf "%s k=%d key %d" shape k key)
+                  (Marginals.rank_leq db key ~k)
+                  (Topk_consensus.rank_leq ctx key))
+              (Db.keys db))
+          [ 1; 2; 5 ]
+      done)
+    [
+      ("bid", fun () -> Gen.bid_db g (3 + Prng.int g 10));
+      ("x-tuple", fun () -> Gen.xtuple_db g (2 + Prng.int g 6));
+      ("tree", fun () -> Gen.random_tree_db g (3 + Prng.int g 10));
+      ("keyed tree", fun () -> Gen.random_keyed_tree g (3 + Prng.int g 10));
+    ]
+
 (* =================== Aggregates (§6.1) =================== *)
 
 let test_aggregate_mean_and_variance () =
@@ -605,4 +641,5 @@ let suite =
     Alcotest.test_case "cluster local search" `Quick test_cluster_local_search;
     Alcotest.test_case "cluster distance axioms" `Quick test_cluster_distance_axioms;
     Alcotest.test_case "cluster best of worlds" `Quick test_cluster_best_of_worlds;
+    Alcotest.test_case "ctx rank rows aligned" `Quick test_ctx_rank_rows_aligned;
   ]

@@ -199,21 +199,6 @@ let test_bipoly_vs_poly2 () =
   let p2 = List.fold_left (fun acc f -> Poly2.mul acc (to_poly2 f)) Poly2.one fs in
   Alcotest.check poly2_testable "bipoly = poly2" p2 (to_poly2 b)
 
-(* ---------- Quadpoly ---------- *)
-
-let test_quadpoly_mul () =
-  (* (0.5 + 0.5y)(0.5 + 0.5z)(1 + x):
-     yz coefficient should be 0.25 (1 + x). *)
-  let f1 = Quadpoly.add_const 0.5 (Quadpoly.scale 0.5 Quadpoly.y) in
-  let f2 = Quadpoly.add_const 0.5 (Quadpoly.scale 0.5 Quadpoly.z) in
-  let f3 = Quadpoly.add_const 1. Quadpoly.x in
-  let r = Quadpoly.mul (Quadpoly.mul f1 f2) f3 in
-  check_float "d0" 0.25 (Poly1.coeff r.Quadpoly.d 0);
-  check_float "d1" 0.25 (Poly1.coeff r.Quadpoly.d 1);
-  check_float "a0" 0.25 (Poly1.coeff r.Quadpoly.a 0);
-  check_float "b0" 0.25 (Poly1.coeff r.Quadpoly.b 0);
-  check_float "c1" 0.25 (Poly1.coeff r.Quadpoly.c 1)
-
 (* ---------- Mpoly ---------- *)
 
 let test_mpoly_basic () =
@@ -302,7 +287,6 @@ let suite =
     Alcotest.test_case "bipoly trunc" `Quick test_bipoly_trunc;
     Alcotest.test_case "bipoly strict" `Quick test_bipoly_strict;
     Alcotest.test_case "bipoly vs poly2" `Quick test_bipoly_vs_poly2;
-    Alcotest.test_case "quadpoly mul" `Quick test_quadpoly_mul;
     Alcotest.test_case "mpoly basics" `Quick test_mpoly_basic;
     Alcotest.test_case "mpoly eval/restrict" `Quick test_mpoly_eval_restrict;
     Alcotest.test_case "mpoly trunc" `Quick test_mpoly_trunc;
