@@ -31,7 +31,7 @@ let gf_seconds =
    single mutable record (the node id tells us the kind), children come from
    the CSR range, and the leaf callback receives the depth-first leaf
    index.  Fold order is left-to-right [mul] under [And], left-to-right
-   [add]/[scale] seeded with the residual under [Xor]. *)
+   [add]/[scale] seeded with the residual (clamped at 0) under [Xor]. *)
 type 'p frame = {
   node : int;
   mutable next : int;  (** next child position to visit *)
@@ -74,7 +74,7 @@ let eval ops s (a : Arena.t) =
         total := !total +. a.eprob.(a.children.(i))
       done;
       stack :=
-        { node = n; next = 0; cur = 0.; acc = ops.const (1. -. !total) }
+        { node = n; next = 0; cur = 0.; acc = ops.const (Float.max 0. (1. -. !total)) }
         :: !stack
     end
   in

@@ -14,9 +14,11 @@
 
     The walk keeps its frames on the heap (no OCaml-stack recursion, so
     arbitrarily deep trees evaluate) and folds children left to right:
-    [mul] under [And], [add]/[scale] seeded with the residual under [Xor].
-    The leaf callback receives the depth-first leaf index, the numbering of
-    [Tree.index] and [Arena.leaf_key]/[Arena.leaf_value]. *)
+    [mul] under [And], [add]/[scale] seeded with the residual under [Xor]
+    ([1 - Σp], clamped at 0 for an over-full node up to the [1 + 1e-9]
+    bound, as possible-world enumeration gives it).  The leaf callback
+    receives the depth-first leaf index, the numbering of [Tree.index] and
+    [Arena.leaf_key]/[Arena.leaf_value]. *)
 
 type 'p ops = {
   const : float -> 'p;

@@ -72,10 +72,10 @@ let ws_ensure ws d =
    — 1 under And, the residual 1 - Σp under Xor — and its other parts at
    zero; [leaf f c] folds leaf child [c] into frame [f], [absorb pf f] folds
    the finished frame [f] into its parent frame [pf].  The root's parts are
-   frame 0's rows on return.  With [clamp], an over-full xor node (Σp up to
-   the 1 + 1e-9 bound [Tree.xor] accepts) gets residual 0, as possible-world
-   enumeration gives it, instead of the negative 1 - Σp. *)
-let walk ?(clamp = false) ws (a : Arena.t) ~leaf ~absorb =
+   frame 0's rows on return.  An over-full xor node (Σp up to the 1 + 1e-9
+   bound [Tree.xor] accepts) gets residual 0, as possible-world enumeration
+   gives it, instead of the negative 1 - Σp. *)
+let walk ws (a : Arena.t) ~leaf ~absorb =
   let d = ref 0 in
   let push n =
     ws_ensure ws !d;
@@ -89,7 +89,7 @@ let walk ?(clamp = false) ws (a : Arena.t) ~leaf ~absorb =
         for i = st to st + c - 1 do
           total := !total +. a.eprob.(a.children.(i))
         done;
-        if clamp then Float.max 0. (1. -. !total) else 1. -. !total
+        Float.max 0. (1. -. !total)
       end
     in
     let base = !d * ws.parts in
@@ -367,7 +367,10 @@ let rank_table_dense db ~k =
   sort_by_value_desc value order;
   (* exclusion mass is tracked per xor block: block-mates are mutually
      exclusive with the current alternative whatever their keys (x-tuples),
-     and same-key alternatives always share a block (key constraint) *)
+     and same-key alternatives always share a block (key constraint).  A
+     block's factor is (1 - m) + m·x with the residual 1 - m clamped at 0,
+     as [walk] clamps it, for a block whose mass passes 1 (up to the
+     1 + 1e-9 bound [Tree.xor] accepts) *)
   let nblocks = arena.Arena.child_count.(arena.Arena.root) in
   let mass = Array.make (max 1 nblocks) 0. in
   let w = k in
@@ -390,7 +393,8 @@ let rank_table_dense db ~k =
       let m = mass.(b) in
       if b <> skip_block && m > 0. then begin
         if !d < w - 1 then incr d;
-        B.mul_linear_inplace ~c0:(1. -. m) ~c1:m dst ~w:(!d + 1)
+        let c0 = 1. -. m in
+        B.mul_linear_inplace ~c0:(if c0 < 0. then 0. else c0) ~c1:m dst ~w:(!d + 1)
       end
     done
   in
@@ -410,6 +414,7 @@ let rank_table_dense db ~k =
     end
     else begin
       let c0 = 1. -. m in
+      let c0 = if c0 < 0. then 0. else c0 in
       let untruncated = !deg < w in
       let amp = 1. /. Float.abs (m -. Float.abs c0) in
       if
@@ -459,6 +464,7 @@ let rank_table_dense db ~k =
        into one pass reading [f_excl], writing [f] — same values as
        [blit; mul_linear_inplace] *)
     let c0 = 1. -. m' in
+    let c0 = if c0 < 0. then 0. else c0 in
     for j = w - 1 downto 1 do
       Array.unsafe_set f j
         ((m' *. Array.unsafe_get f_excl (j - 1))
@@ -652,7 +658,7 @@ let topk_pair_alt_into ws (a : Arena.t) la lb =
         B.axpy p ~src:cd ~dst:pd ~w
       end
     in
-    walk ~clamp:true ws a ~leaf ~absorb;
+    walk ws a ~leaf ~absorb;
     let rd = ws.rows.(3) in
     let acc = ref 0. in
     for m = 0 to w - 1 do

@@ -1,5 +1,6 @@
 module Mcf = Consensus_matching.Min_cost_flow
 module Hk = Consensus_matching.Hopcroft_karp
+module Obs = Consensus_obs.Obs
 
 type t = { probs : float array array; n : int; m : int }
 
@@ -30,7 +31,12 @@ let probs t = Array.map Array.copy t.probs
 
 let mean t =
   let r = Array.make t.m 0. in
-  Array.iter (fun row -> Array.iteri (fun v p -> r.(v) <- r.(v) +. p) row) t.probs;
+  Array.iter
+    (fun row ->
+      for v = 0 to t.m - 1 do
+        r.(v) <- r.(v) +. row.(v)
+      done)
+    t.probs;
   r
 
 let variance t =
@@ -53,65 +59,200 @@ let counts_of_assignment t assignment =
   ignore t;
   r
 
-let support t v =
-  (* tuples that may take group v *)
-  let acc = ref [] in
-  for i = t.n - 1 downto 0 do
-    if t.probs.(i).(v) > 0. then acc := i :: !acc
-  done;
-  !acc
-
-(* Node layout for the flow networks: 0 = source, 1..n = tuples,
+(* Node layout for the Theorem 5 network: 0 = source, 1..n = tuples,
    n+1..n+m = groups, n+m+1 = sink. *)
 let tuple_node i = 1 + i
 let group_node t v = 1 + t.n + v
 
-let extract_assignment t net tuple_edges =
-  let assignment = Array.make t.n (-1) in
-  Array.iteri
-    (fun i edges ->
-      List.iter
-        (fun (v, id) -> if Mcf.flow_on net id = 1 then assignment.(i) <- v)
-        edges)
-    tuple_edges;
-  Array.iteri
-    (fun i v ->
-      if v < 0 then
-        invalid_arg (Printf.sprintf "Aggregate_consensus: tuple %d unassigned" i))
-    assignment;
-  assignment
+(* Successive shortest paths on the convex-cost network, specialised.  The
+   network: tuple i -> group v (capacity 1, cost 0) for every v in i's
+   support, and group v -> sink carrying units of which the u-th costs
+   2u - 1 - 2·r̄_v, so an assignment with counts c costs ‖c - r̄‖² - ‖r̄‖².
+   Each tuple is a unit supply, routed to the sink along a shortest residual
+   path one tuple at a time; the residual graph then never holds a negative
+   cycle, and the last flow is min-cost.
 
+   Every tuple -> group arc costs 0, so a residual path from the new tuple is
+   a zero-cost alternating walk over groups: into a group g of its support,
+   back along the reverse arc of some tuple j now assigned to g, forward into
+   another group g' of j's support, and so on, until it leaves some group z
+   for the sink through z's next unit, at cost 2·c_z + 1 - 2·r̄_z (convexity
+   keeps z's c_z cheaper units the used ones).  A path that passes through
+   the sink, comes back along a reverse unit arc and reaches it again
+   contains a cycle, which the invariant makes non-negative, so such paths
+   can be ignored: the shortest path ends at the cheapest group reachable by
+   the walk, ties going to the lowest index.  The search is a BFS over the m
+   groups, with an arc g -> g' while the number of tuples assigned to g with
+   g' in their support is positive.  Only groups that hold tuples have
+   out-arcs, so only they get a row of that count matrix: at most min(n, m)
+   hold tuples at any time, and the matrix is min(n, m)·m, never larger than
+   the input.  A group whose members' supports add up to fewer than m entries
+   is expanded by scanning those supports instead of its row, so the search
+   is O(min(n·s, min(n, m)·m)) per tuple for supports of size s.  Either scan
+   reaches the same groups, and so the same z.  The path is applied by
+   moving one witness tuple back along each arc, from z towards the new
+   tuple, which then takes the path's first group. *)
 let median t =
+  let n = t.n and m = t.m in
   let r_bar = mean t in
-  let sink = 1 + t.n + t.m in
-  let net = Mcf.create (sink + 1) in
-  for i = 0 to t.n - 1 do
-    ignore (Mcf.add_edge net ~src:0 ~dst:(tuple_node i) ~cap:1 ~cost:0.)
+  let moves = ref 0 in
+  Obs.with_span
+    ~attrs:(fun () ->
+      [
+        ("tuples", Obs.Int n);
+        ("groups", Obs.Int m);
+        ("witness_moves", Obs.Int !moves);
+      ])
+    "core.aggregate.median"
+  @@ fun () ->
+  (* supports in CSR form: tuple i's groups are sup.(sup_start.(i) ..
+     sup_start.(i+1) - 1), ascending *)
+  let sup_start = Array.make (n + 1) 0 in
+  for i = 0 to n - 1 do
+    let row = t.probs.(i) and c = ref 0 in
+    for v = 0 to m - 1 do
+      if row.(v) > 0. then incr c
+    done;
+    sup_start.(i + 1) <- sup_start.(i) + !c
   done;
-  let tuple_edges =
-    Array.init t.n (fun i ->
-        List.filter_map
-          (fun v ->
-            if t.probs.(i).(v) > 0. then
-              Some (v, Mcf.add_edge net ~src:(tuple_node i) ~dst:(group_node t v) ~cap:1 ~cost:0.)
-            else None)
-          (List.init t.m Fun.id))
-  in
-  (* Convex unit costs: the u-th unit routed into group v changes
-     (r_v - r̄_v)² by 2u - 1 - 2 r̄_v; successive-shortest-path fills the
-     cheap units first, so the flow cost is exactly ‖r - r̄‖² - ‖r̄‖². *)
-  for v = 0 to t.m - 1 do
-    let deg = List.length (support t v) in
-    for u = 1 to deg do
-      ignore
-        (Mcf.add_edge net ~src:(group_node t v) ~dst:sink ~cap:1
-           ~cost:(float_of_int ((2 * u) - 1) -. (2. *. r_bar.(v))))
+  let sup = Array.make sup_start.(n) 0 in
+  (* group v's members live in members.(mem_start.(v) .. + count.(v) - 1);
+     its capacity is the number of tuples that have v in their support *)
+  let mem_start = Array.make (m + 1) 0 in
+  for i = 0 to n - 1 do
+    let row = t.probs.(i) and s = ref sup_start.(i) in
+    for v = 0 to m - 1 do
+      if row.(v) > 0. then begin
+        sup.(!s) <- v;
+        incr s;
+        mem_start.(v + 1) <- mem_start.(v + 1) + 1
+      end
     done
   done;
-  let flow, _ = Mcf.min_cost_flow net ~source:0 ~sink ~max_flow:t.n () in
-  if flow <> t.n then
-    invalid_arg "Aggregate_consensus.median: infeasible instance";
-  let assignment = extract_assignment t net tuple_edges in
+  for v = 0 to m - 1 do
+    mem_start.(v + 1) <- mem_start.(v + 1) + mem_start.(v)
+  done;
+  let members = Array.make sup_start.(n) 0 in
+  let pos = Array.make n 0 in
+  let assignment = Array.make n (-1) in
+  let count = Array.make m 0 in
+  (* row.(v) is v's row of [arcs] while v holds tuples, else -1; a group
+     that empties pushes its row, all zeros again, back on [free] *)
+  let rows = min n m in
+  let row = Array.make m (-1) in
+  let free = Array.init rows Fun.id in
+  let nfree = ref rows in
+  let arcs = Array.make (rows * m) 0 in
+  (* total support size of the tuples assigned to each group *)
+  let fan = Array.make m 0 in
+  (* BFS state: parent -2 = unreached, -1 = in the new tuple's support *)
+  let parent = Array.make m (-2) in
+  let queue = Array.make m 0 in
+  let update_arcs j v delta =
+    let base = row.(v) * m in
+    fan.(v) <- fan.(v) + (delta * (sup_start.(j + 1) - sup_start.(j)));
+    for s = sup_start.(j) to sup_start.(j + 1) - 1 do
+      let h = sup.(s) in
+      if h <> v then arcs.(base + h) <- arcs.(base + h) + delta
+    done
+  in
+  let place j v =
+    if count.(v) = 0 then begin
+      decr nfree;
+      row.(v) <- free.(!nfree)
+    end;
+    let p = mem_start.(v) + count.(v) in
+    members.(p) <- j;
+    pos.(j) <- p;
+    count.(v) <- count.(v) + 1;
+    assignment.(j) <- v;
+    update_arcs j v 1
+  in
+  let unplace j =
+    let v = assignment.(j) in
+    let last = mem_start.(v) + count.(v) - 1 in
+    let k = members.(last) in
+    members.(pos.(j)) <- k;
+    pos.(k) <- pos.(j);
+    count.(v) <- count.(v) - 1;
+    update_arcs j v (-1);
+    if count.(v) = 0 then begin
+      free.(!nfree) <- row.(v);
+      incr nfree;
+      row.(v) <- -1
+    end
+  in
+  (* a tuple assigned to g with h in its support: one exists while g's arc
+     count for h is positive *)
+  let witness g h =
+    let p = ref mem_start.(g) and found = ref (-1) in
+    while !found < 0 do
+      let j = members.(!p) in
+      let s = ref sup_start.(j) in
+      while !s < sup_start.(j + 1) && sup.(!s) <> h do
+        incr s
+      done;
+      if !s < sup_start.(j + 1) then found := j else incr p
+    done;
+    !found
+  in
+  for i = 0 to n - 1 do
+    Array.fill parent 0 m (-2);
+    let tail = ref 0 in
+    for s = sup_start.(i) to sup_start.(i + 1) - 1 do
+      parent.(sup.(s)) <- -1;
+      queue.(!tail) <- sup.(s);
+      incr tail
+    done;
+    let head = ref 0 in
+    while !head < !tail do
+      let g = queue.(!head) in
+      incr head;
+      if fan.(g) < m then
+        for p = mem_start.(g) to mem_start.(g) + count.(g) - 1 do
+          let j = members.(p) in
+          for s = sup_start.(j) to sup_start.(j + 1) - 1 do
+            let h = sup.(s) in
+            if parent.(h) = -2 then begin
+              parent.(h) <- g;
+              queue.(!tail) <- h;
+              incr tail
+            end
+          done
+        done
+      else begin
+        (* fan.(g) >= m > 0: g holds tuples, so it has a row *)
+        let base = row.(g) * m in
+        for h = 0 to m - 1 do
+          if parent.(h) = -2 && arcs.(base + h) > 0 then begin
+            parent.(h) <- g;
+            queue.(!tail) <- h;
+            incr tail
+          end
+        done
+      end
+    done;
+    let z = ref (-1) and best = ref infinity in
+    for v = 0 to m - 1 do
+      if parent.(v) <> -2 then begin
+        let c = float_of_int ((2 * count.(v)) + 1) -. (2. *. r_bar.(v)) in
+        if c < !best then begin
+          best := c;
+          z := v
+        end
+      end
+    done;
+    let h = ref !z in
+    while parent.(!h) >= 0 do
+      let g = parent.(!h) in
+      let j = witness g !h in
+      unplace j;
+      place j !h;
+      incr moves;
+      h := g
+    done;
+    place i !h
+  done;
   (assignment, counts_of_assignment t assignment)
 
 let median_paper_network t =

@@ -28,10 +28,14 @@ val expected_sq_dist : t -> float array -> float
 
 val median : t -> int array * float array
 (** The {e exact} median answer: the possible count vector closest to [r̄],
-    found by a min-cost flow with convex per-unit group costs
-    [2u - 1 - 2·r̄_v] for the u-th unit of group [v].  Returns a witness
-    assignment (tuple → group, a possible world realizing the vector) and
-    the count vector.
+    a min-cost flow with convex per-unit group costs [2u - 1 - 2·r̄_v] for
+    the u-th unit of group [v], solved by successive shortest paths whose
+    search runs over the [m] groups: O(min(n·s, min(n, m)·m)) per tuple
+    ([s] the support size), on flat arrays of O(n·s + min(n, m)·m) ints,
+    never more than the input, allocated once per call.
+    Equal marginal costs go to the lowest group index.
+    Returns a witness assignment (tuple → group, a possible world realizing
+    the vector) and the count vector.
 
     Note: the paper reaches this vector through Lemma 3 + Theorem 5 and
     bounds its quality by a factor 4 (Corollary 2); by the bias–variance
@@ -43,8 +47,9 @@ val median_paper_network : t -> int array * float array
     [e1] of value ⌊r̄_v⌋ (lower bound = upper bound) and a unit edge [e2] of
     cost (⌈r̄_v⌉-r̄_v)² - (⌊r̄_v⌋-r̄_v)², shifted to be non-negative (every
     flow saturates the same number of e2 edges, so the argmin is
-    unchanged); solved with the lower-bound min-cost-flow reduction.
-    Restricted to the floor/ceil vectors of Lemma 3. *)
+    unchanged); solved with the lower-bound min-cost-flow reduction
+    ([Min_cost_flow.solve_bounded]).  Restricted to the floor/ceil vectors
+    of Lemma 3; the independent reference for {!median}. *)
 
 val is_possible : t -> int array -> bool
 (** Is the count vector a possible answer?  Checked with a Hopcroft–Karp

@@ -582,7 +582,60 @@ let test_full_rank_table_dense_matches_general () =
   check_full_table "independent edges"
     (Db.independent
        (List.init 50 (fun i ->
-            (i, float_of_int i, if i mod 2 = 0 then 1e-12 else 1. -. 1e-12))))
+            (i, float_of_int i, if i mod 2 = 0 then 1e-12 else 1. -. 1e-12))));
+  (* the sweep against possible worlds where an over-full block's residual
+     is 0 *)
+  List.iter
+    (fun xtuple ->
+      let db = Db.create (Tree.bid (edge_blocks g ~xtuple 5)) in
+      let name = if xtuple then "x-tuple edges" else "bid edges" in
+      let worlds = Worlds.enumerate (Tree.indexed (Db.tree db)) in
+      let got = Marginals.full_rank_table db in
+      Array.iteri
+        (fun r key ->
+          Array.iteri
+            (fun m p ->
+              let direct =
+                List.fold_left
+                  (fun acc (q, w) ->
+                    match rank_of_key w [] key with
+                    | Some rank when rank = m + 1 -> acc +. q
+                    | _ -> acc)
+                  0. worlds
+              in
+              check_float
+                (Printf.sprintf "%s: Pr(r(%d) = %d) vs enumeration" name key (m + 1))
+                direct p)
+            got.(r))
+        (Db.keys db))
+    [ false; true ];
+  (* The enumeration above is within 1e-9 with or without the clamp.  Here
+     an unclamped residual 1 - Σp = -1e-9 would show as a negative
+     probability: block 0 is over-full and outranks everything, block 1 is
+     full with a small second alternative (at k = 1 its factor is divided
+     out by recomputing the other blocks' product), and block 2's lone
+     tuple ranks last. *)
+  let db =
+    Db.create
+      (Tree.bid
+         [
+           [ (0.6, { Db.key = 0; value = 10. }); (at_mass_bound 0.6, { key = 0; value = 9. }) ];
+           [ (0.9, { key = 1; value = 8. }); (0.1, { key = 1; value = 7. }) ];
+           [ (0.5, { key = 2; value = 1. }) ];
+         ])
+  in
+  let non_negative name ps =
+    Array.iteri
+      (fun i p -> if p < 0. then Alcotest.failf "%s: entry %d is %g" name i p)
+      ps
+  in
+  non_negative "size distribution (Genfunc)"
+    (Array.init 4 (Poly1.coeff (Marginals.size_distribution db)));
+  non_negative "rank walk" (Marginals.rank_dist db 2 ~k:3);
+  List.iter
+    (fun (key, row) -> non_negative (Printf.sprintf "rank_table k=1, key %d" key) row)
+    (Marginals.rank_table db ~k:1);
+  Array.iter (non_negative "full_rank_table") (Marginals.full_rank_table db)
 
 (* Pair joints against enumeration, in both orders and at k = 1, 2, 3, on
    general trees, BID and x-tuple databases, and at the numeric edges:

@@ -482,7 +482,64 @@ let test_aggregate_paper_network_agrees () =
     check_float "Theorem 5 network agrees with convex flow"
       (Aggregate_consensus.expected_sq_dist inst c1)
       (Aggregate_consensus.expected_sq_dist inst c2)
-  done
+  done;
+  (* At scale the verbatim network is the reference, and the group search
+     must also hand back a witness that realizes its counts. *)
+  let agrees name p =
+    let inst = Aggregate_consensus.create p in
+    let assignment, c1 = Aggregate_consensus.median inst in
+    let _, c2 = Aggregate_consensus.median_paper_network inst in
+    let d1 = Aggregate_consensus.expected_sq_dist inst c1
+    and d2 = Aggregate_consensus.expected_sq_dist inst c2 in
+    if not (Fcmp.approx ~eps:1e-9 d1 d2) then
+      Alcotest.failf "%s: group search %.12g, Theorem 5 network %.12g" name d1 d2;
+    Alcotest.(check (array (float 1e-9)))
+      (name ^ ": witness counts match")
+      (Aggregate_consensus.counts_of_assignment inst assignment)
+      c1;
+    Array.iteri
+      (fun i v ->
+        if not (p.(i).(v) > 0.) then
+          Alcotest.failf "%s: tuple %d assigned outside its support" name i)
+      assignment
+  in
+  List.iter
+    (fun (n, m, zipf) ->
+      agrees
+        (Printf.sprintf "groupby %dx%d zipf %g" n m zipf)
+        (Gen.groupby_matrix ~zipf g ~n ~m))
+    (List.concat_map
+       (fun n ->
+         List.concat_map (fun m -> [ (n, m, 0.); (n, m, 2.) ]) [ 1; 4; 16; 32 ])
+       [ 50; 300; 600 ]);
+  (* Row i supports {i mod m, (i+1) mod m}: the early half leans on the
+     group the next row needs, so later rows reach a cheap group only
+     through long alternating paths. *)
+  let chain ~n ~m =
+    Array.init n (fun i ->
+        let row = Array.make m 0. in
+        let lean = if 2 * i < n then 0.9 else 0.1 in
+        row.(i mod m) <- 1. -. lean;
+        row.((i + 1) mod m) <- lean;
+        row)
+  in
+  let single ~n ~m =
+    Array.init n (fun _ ->
+        let row = Array.make m 0. in
+        row.(Prng.int g m) <- 1.;
+        row)
+  in
+  (* every marginal cost ties *)
+  let uniform ~n ~m = Array.init n (fun _ -> Array.make m (1. /. float_of_int m)) in
+  List.iter
+    (fun (n, m) ->
+      agrees (Printf.sprintf "chain %dx%d" n m) (chain ~n ~m);
+      agrees (Printf.sprintf "single support %dx%d" n m) (single ~n ~m);
+      agrees (Printf.sprintf "uniform %dx%d" n m) (uniform ~n ~m))
+    [ (50, 4); (300, 16); (600, 32); (40, 2000); (2, 20000) ];
+  (* far more groups than tuples: the search's count matrix must stay the
+     size of the input, not m² *)
+  agrees "groupby 2x20000" (Gen.groupby_matrix ~zipf:0. g ~n:2 ~m:20000)
 
 let test_aggregate_4_approx_certificate () =
   (* Corollary 2 bound: E[d(r*, r)] <= 4 E[d(median, r)]; with the exact
