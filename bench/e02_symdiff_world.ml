@@ -5,6 +5,7 @@ open Consensus_util
 open Consensus_anxor
 open Consensus
 module Gen = Consensus_workload.Gen
+module Exact = Consensus_oracle.Exact
 
 let correctness () =
   let g = Prng.create ~seed:201 () in
@@ -13,15 +14,12 @@ let correctness () =
   for _ = 1 to trials do
     let db = Gen.random_tree_db g (4 + Prng.int g 7) in
     let mean = Set_consensus.mean_sym_diff db in
-    let _, best_mean =
-      Set_consensus.brute_force_mean ~dist:Set_consensus.expected_sym_diff db
-    in
+    let t = Exact.prepare db in
+    let _, best_mean = Exact.solve t (Api.World (Api.Set_sym_diff, Api.Mean)) in
     if Fcmp.approx ~eps:1e-9 best_mean (Set_consensus.expected_sym_diff db mean)
     then incr mean_ok;
     let median = Set_consensus.median_sym_diff db in
-    let _, best_median =
-      Set_consensus.brute_force_median ~dist:Set_consensus.expected_sym_diff db
-    in
+    let _, best_median = Exact.solve t (Api.World (Api.Set_sym_diff, Api.Median)) in
     if Fcmp.approx ~eps:1e-9 best_median (Set_consensus.expected_sym_diff db median)
     then incr median_ok
   done;

@@ -5,6 +5,7 @@ open Consensus_util
 open Consensus_anxor
 open Consensus
 module Gen = Consensus_workload.Gen
+module Exact = Consensus_oracle.Exact
 
 let correctness () =
   let g = Prng.create ~seed:301 () in
@@ -14,7 +15,7 @@ let correctness () =
     let db = Gen.independent_db g (3 + Prng.int g 5) in
     let mean = Set_consensus.mean_jaccard db in
     let _, best =
-      Set_consensus.brute_force_mean ~dist:Set_consensus.expected_jaccard db
+      Exact.solve (Exact.prepare db) (Api.World (Api.Set_jaccard, Api.Mean))
     in
     if Fcmp.approx ~eps:1e-9 best (Set_consensus.expected_jaccard db mean) then
       incr mean_ok
@@ -24,7 +25,7 @@ let correctness () =
     incr bid_trials;
     let med = Set_consensus.median_jaccard_bid db in
     let _, best =
-      Set_consensus.brute_force_median ~dist:Set_consensus.expected_jaccard db
+      Exact.solve (Exact.prepare db) (Api.World (Api.Set_jaccard, Api.Median))
     in
     if Fcmp.approx ~eps:1e-9 best (Set_consensus.expected_jaccard db med) then
       incr bid_ok

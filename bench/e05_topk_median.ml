@@ -4,6 +4,7 @@
 open Consensus_util
 open Consensus
 module Gen = Consensus_workload.Gen
+module Exact = Consensus_oracle.Exact
 
 let correctness () =
   let g = Prng.create ~seed:501 () in
@@ -16,7 +17,9 @@ let correctness () =
     in
     let ctx = Topk_consensus.make_ctx db ~k:2 in
     let median = Topk_consensus.median_sym_diff ctx in
-    let _, best = Topk_consensus.brute_force_median ctx Topk_consensus.Sym_diff in
+    let _, best =
+      Exact.solve (Exact.prepare db) (Api.Topk (2, Api.Sym_diff, Api.Median))
+    in
     if
       Fcmp.approx ~eps:1e-9 best (Topk_consensus.expected_sym_diff ctx median)
     then incr ok

@@ -4,6 +4,7 @@
 open Consensus_util
 open Consensus
 module Gen = Consensus_workload.Gen
+module Exact = Consensus_oracle.Exact
 
 let small_instance_ratios () =
   let g = Prng.create ~seed:701 () in
@@ -16,11 +17,12 @@ let small_instance_ratios () =
     let ctx = Topk_consensus.make_ctx db ~k:2 in
     (* footrule exactness *)
     let fr = Topk_consensus.mean_footrule ctx in
-    let _, best_fr = Topk_consensus.brute_force_mean ctx Topk_consensus.Footrule in
+    let t = Exact.prepare db in
+    let _, best_fr = Exact.solve t (Api.Topk (2, Api.Footrule, Api.Mean)) in
     if Fcmp.approx ~eps:1e-9 best_fr (Topk_consensus.expected_footrule ctx fr) then
       incr fr_ok;
     (* kendall ratios *)
-    let _, best_k = Topk_consensus.brute_force_mean ctx Topk_consensus.Kendall in
+    let _, best_k = Exact.solve t (Api.Topk (2, Api.Kendall, Api.Mean)) in
     let ratio answer =
       let d = Topk_consensus.expected_kendall ctx answer in
       if best_k > 1e-12 then d /. best_k else 1.

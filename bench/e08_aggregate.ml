@@ -5,6 +5,7 @@
 open Consensus_util
 open Consensus
 module Gen = Consensus_workload.Gen
+module Exact = Consensus_oracle.Exact
 
 let correctness () =
   let g = Prng.create ~seed:801 () in
@@ -12,9 +13,10 @@ let correctness () =
   let exact = ref 0 and agree = ref 0 and worst_ratio = ref 1. in
   for _ = 1 to trials do
     let n = 3 + Prng.int g 4 and m = 2 + Prng.int g 3 in
-    let inst = Aggregate_consensus.create (Gen.groupby_matrix g ~n ~m) in
+    let probs = Gen.groupby_matrix g ~n ~m in
+    let inst = Aggregate_consensus.create probs in
     let _, flow_counts = Aggregate_consensus.median inst in
-    let _, brute_counts = Aggregate_consensus.brute_force_median inst in
+    let brute_counts, _ = Exact.solve_aggregate probs Api.Median in
     let d_flow = Aggregate_consensus.expected_sq_dist inst flow_counts in
     let d_brute = Aggregate_consensus.expected_sq_dist inst brute_counts in
     if Fcmp.approx ~eps:1e-9 d_flow d_brute then incr exact;

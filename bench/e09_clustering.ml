@@ -4,6 +4,7 @@
 open Consensus_util
 open Consensus
 module Gen = Consensus_workload.Gen
+module Exact = Consensus_oracle.Exact
 
 let quality () =
   let g = Prng.create ~seed:901 () in
@@ -18,7 +19,12 @@ let quality () =
   for _ = 1 to trials do
     let db = Gen.clustering_db g (4 + Prng.int g 4) in
     let t = Cluster_consensus.make db in
-    let _, opt = Cluster_consensus.brute_force t in
+    (* up to 7 keys x 3 alternatives = 21 leaves, past the oracle's default 18 *)
+    let _, opt =
+      Exact.solve
+        (Exact.prepare ~max_leaves:24 db)
+        (Api.Cluster { trials = 1; samples = None })
+    in
     let ratio c =
       let d = Cluster_consensus.expected_dist t c in
       if opt > 1e-12 then d /. opt else 1.

@@ -6,6 +6,7 @@
 open Consensus_util
 open Consensus
 module Gen = Consensus_workload.Gen
+module Exact = Consensus_oracle.Exact
 
 let correctness () =
   let g = Prng.create ~seed:1301 () in
@@ -17,10 +18,11 @@ let correctness () =
     let db = Gen.random_tree_db g (3 + Prng.int g 3) in
     let ctx = Rank_consensus.make_ctx db in
     let _, d_fr = Rank_consensus.mean_footrule ctx in
-    let _, best_fr = Rank_consensus.brute_force_mean ctx `Footrule in
+    let t = Exact.prepare db in
+    let _, best_fr = Exact.solve t (Api.Rank Api.Rank_footrule) in
     if Fcmp.approx ~eps:1e-9 best_fr d_fr then incr fr_ok;
     let _, d_kem = Rank_consensus.mean_kendall_exact ctx in
-    let _, best_kem = Rank_consensus.brute_force_mean ctx `Kendall in
+    let _, best_kem = Exact.solve t (Api.Rank Api.Rank_kendall) in
     if Fcmp.approx ~eps:1e-9 best_kem d_kem then incr kem_ok;
     let ratio d = if best_kem > 1e-12 then d /. best_kem else 1. in
     let _, d_piv = Rank_consensus.mean_kendall_pivot g ctx in

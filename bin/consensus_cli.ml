@@ -136,6 +136,16 @@ let handle f =
       Printf.eprintf "consensus: invalid input: %s\n" msg;
       2
 
+(* [load f path] inside a [handle] body: an input file that cannot be read
+   ([Sys_error]) or does not parse (the [Failure] of
+   [Consensus_textio.Formats]) is a clean input error, exit 2.  Both
+   messages already lead with the path. *)
+let load f path =
+  try f path
+  with Sys_error msg | Failure msg ->
+    Printf.eprintf "consensus: %s\n" msg;
+    raise (Exit_code 2)
+
 (* ---- live exposition (--listen) ---- *)
 
 let listen_arg =
@@ -198,7 +208,7 @@ let topk_cmd =
     let pool = setup_pool ~trace ~metrics jobs in
     let code =
       handle (fun () ->
-        let db = Consensus_textio.Formats.load_db input in
+        let db = load Consensus_textio.Formats.load_db input in
         let rng = Consensus_util.Prng.create ~seed () in
         match Api.run ~pool ~rng db (Api.Topk (k, metric, flavor_of_median median)) with
         | Api.Topk_answer { keys; expected } ->
@@ -235,7 +245,7 @@ let world_cmd =
     let pool = setup_pool ~trace ~metrics jobs in
     let code =
       handle (fun () ->
-        let db = Consensus_textio.Formats.load_db input in
+        let db = load Consensus_textio.Formats.load_db input in
         match Api.run ~pool db (Api.World (metric, flavor_of_median median)) with
         | Api.World_answer { leaves; expected } ->
             Printf.printf "world: {%s}\n" (pp_world db leaves);
@@ -260,7 +270,7 @@ let aggregate_cmd =
     let pool = setup_pool ~trace ~metrics jobs in
     let code =
       handle (fun () ->
-        let probs = Consensus_textio.Formats.load_matrix input in
+        let probs = load Consensus_textio.Formats.load_matrix input in
         match Api.run ~pool (Db.independent []) (Api.Aggregate (probs, flavor_of_median median)) with
         | Api.Aggregate_answer { counts; expected } ->
             let d = List.assoc "sq_dist" expected in
@@ -306,7 +316,7 @@ let cluster_cmd =
     let pool = setup_pool ~trace ~metrics jobs in
     let code =
       handle (fun () ->
-        let db = Consensus_textio.Formats.load_db input in
+        let db = load Consensus_textio.Formats.load_db input in
         let rng = Consensus_util.Prng.create ~seed () in
         match Api.run ~pool ~rng db (Api.Cluster { trials; samples }) with
         | Api.Cluster_answer { labels; expected } ->
@@ -349,7 +359,7 @@ let rank_cmd =
     let pool = setup_pool ~trace ~metrics jobs in
     let code =
       handle (fun () ->
-        let db = Consensus_textio.Formats.load_db input in
+        let db = load Consensus_textio.Formats.load_db input in
         let rng = Consensus_util.Prng.create ~seed () in
         match Api.run ~pool ~rng db (Api.Rank metric) with
         | Api.Rank_answer { keys; expected } ->
@@ -432,12 +442,15 @@ let batch_cmd =
     let server = start_listener listen in
     let code =
       handle (fun () ->
-        let db = Consensus_textio.Formats.load_db input in
+        let db = load Consensus_textio.Formats.load_db input in
         let contents =
-          let ic = open_in batch_file in
-          Fun.protect
-            ~finally:(fun () -> close_in_noerr ic)
-            (fun () -> really_input_string ic (in_channel_length ic))
+          load
+            (fun path ->
+              let ic = open_in path in
+              Fun.protect
+                ~finally:(fun () -> close_in_noerr ic)
+                (fun () -> really_input_string ic (in_channel_length ic)))
+            batch_file
         in
         let queries =
           match Query_text.parse_string contents with
@@ -731,11 +744,11 @@ let explain_cmd =
           in
           let db, query =
             match proto with
-            | Query_text.Db_query q -> (Consensus_textio.Formats.load_db input, q)
+            | Query_text.Db_query q -> (load Consensus_textio.Formats.load_db input, q)
             | Query_text.Aggregate_query flavor ->
                 ( Db.independent [],
                   Api.Aggregate
-                    (Consensus_textio.Formats.load_matrix input, flavor) )
+                    (load Consensus_textio.Formats.load_matrix input, flavor) )
           in
           let rng = Consensus_util.Prng.create ~seed () in
           (* Profile the evaluation only, not input parsing. *)
@@ -763,15 +776,19 @@ let explain_cmd =
 
 let maxsat_cmd =
   let run input =
-    let num_vars, clauses = Consensus_textio.Formats.load_cnf input in
-    let inst = Consensus_pdb.Maxsat.make ~num_vars ~clauses in
-    let assign, opt = Consensus_pdb.Maxsat.solve_exact inst in
-    Printf.printf "median world size = MAX-2-SAT optimum = %d / %d clauses\n" opt
-      (Array.length clauses);
-    Printf.printf "assignment: %s\n"
-      (Array.to_list assign
-      |> List.mapi (fun i b -> Printf.sprintf "x%d=%b" (i + 1) b)
-      |> String.concat " ")
+    let code =
+      handle (fun () ->
+          let num_vars, clauses = load Consensus_textio.Formats.load_cnf input in
+          let inst = Consensus_pdb.Maxsat.make ~num_vars ~clauses in
+          let assign, opt = Consensus_pdb.Maxsat.solve_exact inst in
+          Printf.printf "median world size = MAX-2-SAT optimum = %d / %d clauses\n"
+            opt (Array.length clauses);
+          Printf.printf "assignment: %s\n"
+            (Array.to_list assign
+            |> List.mapi (fun i b -> Printf.sprintf "x%d=%b" (i + 1) b)
+            |> String.concat " "))
+    in
+    if code <> 0 then exit code
   in
   Cmd.v
     (Cmd.info "maxsat"

@@ -97,8 +97,6 @@ let to_seq t =
 let fold t ~init ~f =
   Seq.fold_left (fun acc (p, w) -> f acc p w) init (to_seq t)
 
-let count t = Seq.fold_left (fun acc _ -> acc + 1) 0 (to_seq t)
-
 (* Iterative with an explicit work-list of arena node ids: sampling runs on
    production-sized databases where a recursive walk would overflow the
    OCaml stack.  One uniform draw per visited xor node, in depth-first

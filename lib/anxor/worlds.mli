@@ -33,9 +33,6 @@ val to_seq : 'a Tree.t -> (float * 'a list) Seq.t
 val fold : 'a Tree.t -> init:'b -> f:('b -> float -> 'a list -> 'b) -> 'b
 (** [fold t ~init ~f] folds [f] over {!to_seq}. *)
 
-val count : 'a Tree.t -> int
-(** Number of worlds {!to_seq} produces (choice paths, not merged). *)
-
 val sample : Consensus_util.Prng.t -> Arena.t -> int list
 (** Draw one possible world: its leaf indices, increasing (depth-first
     order).  One uniform draw per visited xor node, in depth-first order. *)

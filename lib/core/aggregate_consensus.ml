@@ -340,55 +340,3 @@ let is_possible t r =
     let ml = Hk.max_matching ~n_left:t.n ~n_right:total !edges in
     Hk.is_perfect_left ml
   end
-
-let enum_expected_sq_dist t c =
-  if t.m <= 0 || float_of_int t.m ** float_of_int t.n > 2e6 then
-    invalid_arg "Aggregate_consensus.enum_expected_sq_dist: instance too large";
-  let rec go i prob counts acc =
-    if i = t.n then begin
-      let d = ref 0. in
-      Array.iteri (fun v cv -> d := !d +. ((cv -. float_of_int counts.(v)) ** 2.)) c;
-      acc +. (prob *. !d)
-    end
-    else begin
-      let acc = ref acc in
-      for v = 0 to t.m - 1 do
-        let p = t.probs.(i).(v) in
-        if p > 0. then begin
-          counts.(v) <- counts.(v) + 1;
-          acc := go (i + 1) (prob *. p) counts !acc;
-          counts.(v) <- counts.(v) - 1
-        end
-      done;
-      !acc
-    end
-  in
-  go 0 1. (Array.make t.m 0) 0.
-
-let brute_force_median t =
-  if float_of_int t.m ** float_of_int t.n > 2e6 then
-    invalid_arg "Aggregate_consensus.brute_force_median: instance too large";
-  let best = ref None in
-  let assignment = Array.make t.n 0 in
-  let rec go i prob =
-    if i = t.n then begin
-      if prob > 0. then begin
-        let counts = counts_of_assignment t assignment in
-        let d = expected_sq_dist t counts in
-        match !best with
-        | Some (_, _, bd) when bd <= d -> ()
-        | _ -> best := Some (Array.copy assignment, counts, d)
-      end
-    end
-    else
-      for v = 0 to t.m - 1 do
-        if t.probs.(i).(v) > 0. then begin
-          assignment.(i) <- v;
-          go (i + 1) (prob *. t.probs.(i).(v))
-        end
-      done
-  in
-  go 0 1.;
-  match !best with
-  | None -> invalid_arg "Aggregate_consensus.brute_force_median: no possible world"
-  | Some (a, c, _) -> (a, c)

@@ -55,12 +55,5 @@ val is_possible : t -> int array -> bool
 (** Is the count vector a possible answer?  Checked with a Hopcroft–Karp
     matching of tuples to (group, slot) pairs. *)
 
-val brute_force_median : t -> int array * float array
-(** Enumerate all [mⁿ] worlds (tiny instances): the possible vector
-    minimizing the exact expected distance, with a witness assignment. *)
-
-val enum_expected_sq_dist : t -> float array -> float
-(** Enumeration twin of {!expected_sq_dist} (test oracle). *)
-
 val counts_of_assignment : t -> int array -> float array
 (** Count vector of a tuple→group assignment. *)

@@ -240,32 +240,3 @@ let normalize c =
           Hashtbl.replace mapping l l';
           l')
     c
-
-let brute_force t =
-  let nk = num_keys t in
-  if nk > 10 then invalid_arg "Cluster_consensus.brute_force: too many keys";
-  (* Enumerate set partitions in restricted-growth-string form. *)
-  let best = ref None in
-  let labels = Array.make nk 0 in
-  let rec go i max_label =
-    if i = nk then begin
-      let d = expected_dist t labels in
-      match !best with
-      | Some (_, bd) when bd <= d -> ()
-      | _ -> best := Some (Array.copy labels, d)
-    end
-    else
-      for l = 0 to max_label + 1 do
-        labels.(i) <- l;
-        go (i + 1) (max max_label l)
-      done
-  in
-  go 0 (-1);
-  Option.get !best
-
-let enum_expected_dist t c =
-  Worlds.enumerate (Db.tree t.db)
-  |> List.fold_left
-       (fun acc (p, w) ->
-         acc +. (p *. float_of_int (distance c (clustering_of_world t w))))
-       0.

@@ -64,11 +64,5 @@ val distance : clustering -> clustering -> int
 (** Pairwise-disagreement distance between two clusterings of the same
     keys. *)
 
-val brute_force : t -> clustering * float
-(** Exact mean clustering by enumerating all set partitions (keys <= 10). *)
-
-val enum_expected_dist : t -> clustering -> float
-(** Enumeration twin of {!expected_dist} (test oracle). *)
-
 val normalize : clustering -> clustering
 (** Canonical labelling (first occurrence order), for comparisons. *)

@@ -234,40 +234,6 @@ let exact db query =
   | Rank Rank_kendall -> Db.num_keys db <= 16 (* exact Kemeny DP cutoff *)
   | Cluster _ -> false (* CC-Pivot + local search *)
 
-let enum_expected ?pool db query answer =
-  match (query, answer) with
-  | World _, World_answer { leaves; _ } ->
-      [
-        ("symdiff", Set_consensus.enum_expected_sym_diff db leaves);
-        ("jaccard", Set_consensus.enum_expected_jaccard db leaves);
-      ]
-  | Topk (k, _, _), Topk_answer { keys; _ } ->
-      let ctx = Topk_consensus.make_ctx ?pool db ~k in
-      List.map
-        (fun (name, metric) -> (name, Topk_consensus.enum_expected ctx metric keys))
-        [
-          ("symdiff", Sym_diff);
-          ("intersection", Intersection);
-          ("footrule", Footrule);
-          ("kendall", Kendall);
-        ]
-  | Rank metric, Rank_answer { keys; _ } ->
-      let ctx = Rank_consensus.make_ctx ?pool db in
-      let d =
-        match metric with
-        | Rank_footrule -> Rank_consensus.enum_expected_footrule ctx keys
-        | Rank_kendall -> Rank_consensus.enum_expected_kendall ctx keys
-      in
-      [ (rank_metric_name metric, d) ]
-  | Aggregate (probs, _), Aggregate_answer { counts; _ } ->
-      let inst = Aggregate_consensus.create probs in
-      [ ("sq_dist", Aggregate_consensus.enum_expected_sq_dist inst counts) ]
-  | Cluster _, Cluster_answer { labels; _ } ->
-      let t = Cluster_consensus.make ?pool db in
-      [ ("disagreements", Cluster_consensus.enum_expected_dist t labels) ]
-  | _ ->
-      invalid_arg "Engine_api.enum_expected: answer does not match the query family"
-
 let run ?pool ?rng ?label db query =
   let rng = match rng with Some g -> g | None -> Prng.create ~seed:42 () in
   (* The per-query root span: explain plans ([Obs.Report]) anchor wall time

@@ -209,13 +209,6 @@ val exact : Db.t -> query -> bool
     KwikSort, clustering via CC-Pivot, full-ranking Kendall beyond the
     16-key exact-DP cutoff), whose answers are only bounded. *)
 
-val enum_expected : ?pool:Consensus_engine.Pool.t -> Db.t -> query -> answer -> (string * float) list
-(** Enumeration-based twin of the answer's [expected] list: the same metric
-    names, each value recomputed by full possible-world enumeration instead
-    of closed-form generating functions.  Exponential — small instances
-    only.  Raises [Invalid_argument] if the answer is not from this query's
-    family. *)
-
 val flavor_name : flavor -> string
 
 val query_name : query -> string

@@ -182,82 +182,3 @@ let mean_kendall_copeland ctx =
 let mean_kendall_via_footrule ctx =
   let sigma, _ = mean_footrule ctx in
   (sigma, expected_kendall ctx sigma)
-
-(* ---------- enumeration oracles ---------- *)
-
-let world_positions ctx world =
-  (* key index -> Some rank (1-based) for present keys *)
-  let n = n_keys ctx in
-  let pos = Array.make n None in
-  let sorted =
-    List.sort (fun (a : Db.alt) b -> Float.compare b.value a.value) world
-  in
-  List.iteri
-    (fun i (a : Db.alt) -> pos.(kidx ctx a.key) <- Some (i + 1))
-    sorted;
-  pos
-
-let enum_expected_footrule ctx sigma =
-  check_perm ctx sigma;
-  let n = n_keys ctx in
-  Worlds.enumerate (Db.tree ctx.db)
-  |> List.fold_left
-       (fun acc (p, world) ->
-         let pos = world_positions ctx world in
-         let d = ref 0. in
-         Array.iteri
-           (fun pos0 key ->
-             let target =
-               match pos.(kidx ctx key) with Some r -> r | None -> n + 1
-             in
-             d := !d +. float_of_int (abs (pos0 + 1 - target)))
-           sigma;
-         acc +. (p *. !d))
-       0.
-
-let enum_expected_kendall ctx sigma =
-  check_perm ctx sigma;
-  Worlds.enumerate (Db.tree ctx.db)
-  |> List.fold_left
-       (fun acc (p, world) ->
-         let pos = world_positions ctx world in
-         let d = ref 0 in
-         let n = Array.length sigma in
-         for a = 0 to n - 1 do
-           for b = a + 1 to n - 1 do
-             match (pos.(kidx ctx sigma.(a)), pos.(kidx ctx sigma.(b))) with
-             | Some ra, Some rb -> if rb < ra then incr d
-             | None, Some _ -> incr d (* earlier-in-σ key is absent *)
-             | _ -> ()
-           done
-         done;
-         acc +. (p *. float_of_int !d))
-       0.
-
-let rec permutations = function
-  | [] -> [ [] ]
-  | xs ->
-      List.concat_map
-        (fun x ->
-          List.map (fun rest -> x :: rest)
-            (permutations (List.filter (fun y -> y <> x) xs)))
-        xs
-
-let brute_force_mean ctx metric =
-  if n_keys ctx > 8 then invalid_arg "Rank_consensus.brute_force_mean: too many keys";
-  let eval =
-    match metric with
-    | `Footrule -> enum_expected_footrule ctx
-    | `Kendall -> enum_expected_kendall ctx
-  in
-  permutations (Array.to_list ctx.keys)
-  |> List.map (fun p ->
-         let sigma = Array.of_list p in
-         (sigma, eval sigma))
-  |> List.fold_left
-       (fun acc (sigma, d) ->
-         match acc with
-         | Some (_, bd) when bd <= d -> acc
-         | _ -> Some (sigma, d))
-       None
-  |> Option.get

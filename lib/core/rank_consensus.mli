@@ -70,13 +70,3 @@ val disagreement_matrix : ctx -> float array array
 (** [w.(i).(j)]: probability that ordering key [i] before key [j]
     disagrees with the world (j present above i, or j present and i
     absent); the Kemeny weights. *)
-
-val enum_expected_footrule : ctx -> int array -> float
-(** Enumeration oracle for tests. *)
-
-val enum_expected_kendall : ctx -> int array -> float
-(** Enumeration oracle for tests. *)
-
-val brute_force_mean :
-  ctx -> [ `Footrule | `Kendall ] -> int array * float
-(** Argmin over all permutations (<= 8 keys). *)

@@ -199,56 +199,3 @@ let median_jaccard_bid db =
       if d < snd !best then best := (w, d))
     optional_alts;
   fst !best
-
-(* ---------- enumeration oracles ---------- *)
-
-let subsets n =
-  if n > 20 then invalid_arg "Set_consensus: too many leaves for brute force";
-  List.init (1 lsl n) (fun mask ->
-      List.init n Fun.id |> List.filter (fun i -> mask land (1 lsl i) <> 0))
-
-let brute_force_mean ~dist db =
-  let candidates = subsets (Db.num_alts db) in
-  List.fold_left
-    (fun (bw, bd) w ->
-      let d = dist db w in
-      if d < bd then (w, d) else (bw, bd))
-    ([], dist db []) candidates
-
-let brute_force_median ~dist db =
-  let worlds = Worlds.enumerate_merged (Db.tree db) in
-  List.fold_left
-    (fun acc ((ids, _), p) ->
-      if p <= 0. then acc
-      else
-        let d = dist db ids in
-        match acc with
-        | Some (_, bd) when bd <= d -> acc
-        | _ -> Some (ids, d))
-    None worlds
-  |> Option.get
-
-let sym_diff_lists w1 w2 =
-  let module S = Set.Make (Int) in
-  let s1 = S.of_list w1 and s2 = S.of_list w2 in
-  S.cardinal (S.diff s1 s2) + S.cardinal (S.diff s2 s1)
-
-let enum_expected_sym_diff db w =
-  Worlds.enumerate (fst (Tree.index (Db.tree db)))
-  |> List.fold_left
-       (fun acc (p, pw) -> acc +. (p *. float_of_int (sym_diff_lists w pw)))
-       0.
-
-let enum_expected_jaccard db w =
-  let module S = Set.Make (Int) in
-  let sw = S.of_list w in
-  Worlds.enumerate (fst (Tree.index (Db.tree db)))
-  |> List.fold_left
-       (fun acc (p, pw) ->
-         let spw = S.of_list pw in
-         let union = S.cardinal (S.union sw spw) in
-         if union = 0 then acc
-         else
-           let diff = sym_diff_lists w pw in
-           acc +. (p *. float_of_int diff /. float_of_int union))
-       0.

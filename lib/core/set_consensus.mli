@@ -64,19 +64,3 @@ val median_jaccard_bid : Db.t -> world
     keys (alternatives summing to 1) always included, optional keys added in
     decreasing probability order.  Raises [Invalid_argument] if the database
     is not BID. *)
-
-(** {1 Enumeration oracles (tests / small instances)} *)
-
-val brute_force_mean :
-  dist:(Db.t -> world -> float) -> Db.t -> world * float
-(** Argmin of the expected distance over {e all} 2ⁿ leaf subsets. *)
-
-val brute_force_median :
-  dist:(Db.t -> world -> float) -> Db.t -> world * float
-(** Argmin over the possible worlds only. *)
-
-val enum_expected_sym_diff : Db.t -> world -> float
-(** Enumeration-based twin of {!expected_sym_diff} (test oracle). *)
-
-val enum_expected_jaccard : Db.t -> world -> float
-(** Enumeration-based twin of {!expected_jaccard} (test oracle). *)

@@ -682,7 +682,7 @@ let sampled_mean_footrule rng ~samples db ~k =
   let assignment, _ = Hungarian.minimize cost in
   Array.map (fun ti -> keys.(ti)) assignment
 
-(* ---------- enumeration oracles ---------- *)
+(* ---------- metrics ---------- *)
 
 type metric = Sym_diff | Intersection | Footrule | Kendall
 
@@ -692,82 +692,3 @@ let eval_metric metric ~k t1 t2 =
   | Intersection -> Topk_list.intersection ~k t1 t2
   | Footrule -> Topk_list.footrule ~k t1 t2
   | Kendall -> Topk_list.kendall ~k t1 t2
-
-let enum_expected ctx metric tau =
-  Worlds.enumerate (Db.tree ctx.db)
-  |> List.fold_left
-       (fun acc (p, w) ->
-         acc +. (p *. eval_metric metric ~k:ctx.k tau (Topk_list.of_world ~k:ctx.k w)))
-       0.
-
-let mc_expected rng ~samples ctx metric tau =
-  if samples <= 0 then invalid_arg "Topk_consensus.mc_expected: samples must be positive";
-  let arena = Db.arena ctx.db in
-  let acc = ref 0. in
-  for _ = 1 to samples do
-    let w = Worlds.sample rng arena |> List.map (Db.alt ctx.db) in
-    acc := !acc +. eval_metric metric ~k:ctx.k tau (Topk_list.of_world ~k:ctx.k w)
-  done;
-  !acc /. float_of_int samples
-
-let rec ordered_tuples xs size =
-  if size = 0 then [ [] ]
-  else
-    List.concat_map
-      (fun x ->
-        List.map (fun rest -> x :: rest)
-          (ordered_tuples (List.filter (fun y -> y <> x) xs) (size - 1)))
-      xs
-
-let brute_force_mean ctx metric =
-  let keys = Array.to_list ctx.keys in
-  if List.length keys > 8 then
-    invalid_arg "Topk_consensus.brute_force_mean: too many keys";
-  (* The mean answer space Ω is the ordered lists of size exactly k (§3.4,
-     §5): shorter lists are possible *worlds'* answers and belong to the
-     median problem only. *)
-  let candidates =
-    ordered_tuples keys (min ctx.k (List.length keys))
-    |> List.map Array.of_list |> Array.of_list
-  in
-  algo_span "brute_force_mean" ~k:ctx.k ~n:(List.length keys)
-    ~attrs:(fun () -> [ ("candidates", Obs.Int (Array.length candidates)) ])
-  @@ fun () ->
-  if Array.length candidates = 0 then ([||], enum_expected ctx metric [||])
-  else begin
-    (* Evaluate every candidate in parallel (each enumeration is
-       independent), then take the first minimum in candidate order — the
-       same answer the sequential fold picked. *)
-    let dists =
-      Pool.parallel_map ~pool:ctx.pool ~stage:"brute_force_mean"
-        (fun t -> enum_expected ctx metric t)
-        candidates
-    in
-    let best = ref (candidates.(0), dists.(0)) in
-    Array.iteri
-      (fun i d -> if d < snd !best -. 1e-12 then best := (candidates.(i), d))
-      dists;
-    !best
-  end
-
-let brute_force_median ctx metric =
-  let worlds = Worlds.enumerate (Db.tree ctx.db) in
-  let answers =
-    List.filter_map
-      (fun (p, w) -> if p > 0. then Some (Topk_list.of_world ~k:ctx.k w) else None)
-      worlds
-    |> List.sort_uniq compare |> Array.of_list
-  in
-  let dists =
-    Pool.parallel_map ~pool:ctx.pool ~stage:"brute_force_median"
-      (fun t -> enum_expected ctx metric t)
-      answers
-  in
-  let best = ref None in
-  Array.iteri
-    (fun i d ->
-      match !best with
-      | Some (_, bd) when bd <= d -> ()
-      | _ -> best := Some (answers.(i), d))
-    dists;
-  Option.get !best

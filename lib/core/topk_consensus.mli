@@ -29,6 +29,14 @@ val pool : ctx -> Consensus_engine.Pool.t
 val rank_leq : ctx -> int -> float
 (** [Pr(r(key) <= k)] from the context table. *)
 
+(** {1 Metrics} *)
+
+type metric = Sym_diff | Intersection | Footrule | Kendall
+
+val eval_metric : metric -> k:int -> Topk_list.t -> Topk_list.t -> float
+(** [eval_metric m ~k t1 t2]: the distance between two concrete top-k
+    answers under [m] ({!Consensus_ranking.Topk_list}). *)
+
 (** {1 Expected-distance evaluators (closed forms)} *)
 
 val expected_sym_diff : ctx -> Topk_list.t -> float
@@ -113,26 +121,3 @@ val sampled_mean_footrule :
 (** Footrule aggregation of the sampled answers (positions of missing keys
     at k+1) via the assignment problem: the sampling estimate of §5.4's
     answer. *)
-
-(** {1 Enumeration oracles} *)
-
-type metric = Sym_diff | Intersection | Footrule | Kendall
-
-val eval_metric : metric -> k:int -> Topk_list.t -> Topk_list.t -> float
-
-val enum_expected : ctx -> metric -> Topk_list.t -> float
-(** Expected distance by full world enumeration (test oracle). *)
-
-val mc_expected :
-  Consensus_util.Prng.t -> samples:int -> ctx -> metric -> Topk_list.t -> float
-(** Monte-Carlo estimate of the expected distance by world sampling;
-    validates the closed-form evaluators at scales where enumeration is
-    impossible (EXPERIMENTS.md E4). *)
-
-val brute_force_mean : ctx -> metric -> Topk_list.t * float
-(** Argmin of {!enum_expected} over all ordered k-tuples of keys (tiny
-    instances only). *)
-
-val brute_force_median : ctx -> metric -> Topk_list.t * float
-(** Argmin over the distinct top-k answers of the possible worlds, by
-    enumeration. *)

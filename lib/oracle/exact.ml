@@ -368,6 +368,22 @@ let expected t (q : Api.query) answer =
   | Api.Cluster _, Clustering c -> expected_clustering t c
   | _ -> invalid_arg "Exact.expected: answer does not match the query family"
 
+(* The metrics an answer's [expected] list reports are the target metrics of
+   its sibling queries: both set metrics for a world, all four top-k
+   metrics, and the one optimized metric elsewhere. *)
+let expected_all t (q : Api.query) answer =
+  let queries =
+    match q with
+    | Api.World (_, f) ->
+        [ Api.World (Api.Set_sym_diff, f); Api.World (Api.Set_jaccard, f) ]
+    | Api.Topk (k, _, f) ->
+        List.map
+          (fun m -> Api.Topk (k, m, f))
+          [ Api.Sym_diff; Api.Intersection; Api.Footrule; Api.Kendall ]
+    | Api.Rank _ | Api.Aggregate _ | Api.Cluster _ -> [ q ]
+  in
+  List.map (fun q -> (Api.target_metric q, expected t q answer)) queries
+
 let nk t = Array.length t.keys
 
 let solvable t (q : Api.query) =
@@ -416,6 +432,8 @@ let solve t (q : Api.query) =
       let candidates =
         match flavor with
         | Api.Mean ->
+            (* The mean answer space is the lists of exactly k keys (§3.4,
+               §5); shorter lists are worlds' answers, median-only. *)
             arrangements (Array.to_list t.keys) (min k (nk t))
             |> List.map Array.of_list
         | Api.Median -> dedup_arrays (Array.to_list (topk_lists t ~k))

@@ -56,6 +56,12 @@ val expected : t -> Api.query -> answer -> float
 (** Expected distance of a candidate answer under the query's target
     metric, by enumeration over the prepared worlds. *)
 
+val expected_all : t -> Api.query -> answer -> (string * float) list
+(** Every metric the optimized answer's [expected] list reports
+    ({!Api.answer_expected}), under the same names and in the same order,
+    each by {!expected}.  Aggregate queries ignore [t]: their instance is
+    the query's matrix. *)
+
 val solve : t -> Api.query -> answer * float
 (** Exhaustive argmin: one optimal answer and the optimal expected
     distance.  Mean flavors search the full answer space (all leaf subsets,

@@ -92,7 +92,7 @@ type verdict = { checks : int; failure : (string * string) option }
 
 exception Fail of string * string
 
-(* Closed forms and their enumeration twins sum the same terms in different
+(* Closed forms and the oracle's enumeration sum the same terms in different
    orders; exact answers on rewritten trees likewise.  Equality up to a
    relative 1e-6 keeps genuine off-by-ones visible (they shift whole units
    of distance) while absorbing float-association noise. *)
@@ -135,9 +135,11 @@ let check_case ~pool ~pool1 (case : Corpus.case) =
       ensure "config-grid"
         (fun () -> "answers differ between jobs=N and jobs=1")
         (a_jobs1 = a);
-      (* 2. evaluators: closed forms vs possible-world enumeration. *)
+      (* 2. evaluators: closed forms vs possible-world enumeration, on the
+         worlds layer 3 checks too (aggregates ignore them). *)
+      let t = Exact.prepare db in
       let reported = Api.answer_expected a in
-      let enum = Api.enum_expected ~pool db q a in
+      let enum = Exact.expected_all t q (Exact.of_api a) in
       List.iter2
         (fun (name, v) (name', v') ->
           assert (name = name');
@@ -172,7 +174,6 @@ let check_case ~pool ~pool1 (case : Corpus.case) =
               Some opt
             end
         | _ ->
-            let t = Exact.prepare db in
             ensure "oracle-worlds"
               (fun () ->
                 Printf.sprintf "world probabilities sum to %.12g"

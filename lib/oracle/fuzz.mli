@@ -7,8 +7,8 @@
       return structurally identical answers (the engine's determinism
       contract);
     - {e evaluators}: every closed-form expected distance an answer reports
-      must match its possible-world enumeration twin
-      ({!Api.enum_expected});
+      must match the oracle's possible-world enumeration
+      ({!Exact.expected_all});
     - {e optimality}: the reported optimum must equal the brute-force
       oracle's ({!Exact.solve}) for exact algorithms, and stay within a
       factor-2 ratio bound for the heuristic paths (top-k Kendall mean,

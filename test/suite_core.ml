@@ -2,9 +2,24 @@ open Consensus_util
 open Consensus_anxor
 open Consensus
 module Gen = Consensus_workload.Gen
+module Exact = Consensus_oracle.Exact
 
 let check_float = Alcotest.(check (float 1e-6))
 let rng () = Prng.create ~seed:2025 ()
+
+(* References: the possible-worlds oracle, Definition 1 by enumeration. *)
+let exact_expected db q answer = Exact.expected (Exact.prepare db) q answer
+let exact_optimum db q = snd (Exact.solve (Exact.prepare db) q)
+
+let topk_expected ctx metric tau =
+  exact_expected (Topk_consensus.db ctx)
+    (Api.Topk (Topk_consensus.k ctx, metric, Api.Mean))
+    (Exact.Topk tau)
+
+let topk_optimum ctx metric flavor =
+  exact_optimum (Topk_consensus.db ctx) (Api.Topk (Topk_consensus.k ctx, metric, flavor))
+
+let cluster_q = Api.Cluster { trials = 1; samples = None }
 
 (* =================== Set consensus (§4) =================== *)
 
@@ -16,7 +31,7 @@ let test_expected_sym_diff_closed_form () =
       List.init (Db.num_alts db) Fun.id |> List.filter (fun i -> i mod 2 = 0)
     in
     check_float "closed form = enumeration"
-      (Set_consensus.enum_expected_sym_diff db w)
+      (exact_expected db (Api.World (Api.Set_sym_diff, Api.Mean)) (Exact.World w))
       (Set_consensus.expected_sym_diff db w)
   done
 
@@ -26,9 +41,7 @@ let test_mean_sym_diff_optimal () =
   for _ = 1 to 15 do
     let db = Gen.random_tree_db g (3 + Prng.int g 6) in
     let mean = Set_consensus.mean_sym_diff db in
-    let _, best =
-      Set_consensus.brute_force_mean ~dist:Set_consensus.expected_sym_diff db
-    in
+    let best = exact_optimum db (Api.World (Api.Set_sym_diff, Api.Mean)) in
     check_float "theorem 2" best (Set_consensus.expected_sym_diff db mean)
   done
 
@@ -38,9 +51,7 @@ let test_median_sym_diff_optimal () =
   for _ = 1 to 20 do
     let db = Gen.random_tree_db g (3 + Prng.int g 7) in
     let median = Set_consensus.median_sym_diff db in
-    let _, best =
-      Set_consensus.brute_force_median ~dist:Set_consensus.expected_sym_diff db
-    in
+    let best = exact_optimum db (Api.World (Api.Set_sym_diff, Api.Median)) in
     check_float "median optimal" best (Set_consensus.expected_sym_diff db median);
     (* and it must be a possible world *)
     Alcotest.(check bool) "median is possible" true
@@ -75,7 +86,7 @@ let test_expected_jaccard_vs_enum () =
     for trial = 0 to 2 do
       let w = List.init n Fun.id |> List.filter (fun i -> (i + trial) mod 2 = 0) in
       check_float "jaccard genfunc = enumeration"
-        (Set_consensus.enum_expected_jaccard db w)
+        (exact_expected db (Api.World (Api.Set_jaccard, Api.Mean)) (Exact.World w))
         (Set_consensus.expected_jaccard db w)
     done
   done
@@ -86,9 +97,7 @@ let test_mean_jaccard_optimal () =
   for _ = 1 to 15 do
     let db = Gen.independent_db g (2 + Prng.int g 6) in
     let mean = Set_consensus.mean_jaccard db in
-    let _, best =
-      Set_consensus.brute_force_mean ~dist:Set_consensus.expected_jaccard db
-    in
+    let best = exact_optimum db (Api.World (Api.Set_jaccard, Api.Mean)) in
     check_float "lemma 2" best (Set_consensus.expected_jaccard db mean)
   done
 
@@ -117,9 +126,7 @@ let test_median_jaccard_independent () =
       else Gen.independent_db g n
     in
     let med = Set_consensus.median_jaccard db in
-    let _, best =
-      Set_consensus.brute_force_median ~dist:Set_consensus.expected_jaccard db
-    in
+    let best = exact_optimum db (Api.World (Api.Set_jaccard, Api.Median)) in
     check_float "independent Jaccard median" best
       (Set_consensus.expected_jaccard db med);
     Alcotest.(check bool) "median is possible" true
@@ -168,9 +175,7 @@ let test_median_jaccard_bid () =
   for _ = 1 to 25 do
     let db = Gen.bid_db ~max_alts:2 g (2 + Prng.int g 4) in
     let med = Set_consensus.median_jaccard_bid db in
-    let _, best =
-      Set_consensus.brute_force_median ~dist:Set_consensus.expected_jaccard db
-    in
+    let best = exact_optimum db (Api.World (Api.Set_jaccard, Api.Median)) in
     incr total;
     if Fcmp.approx ~eps:1e-9 best (Set_consensus.expected_jaccard db med) then
       incr agree;
@@ -209,16 +214,16 @@ let test_topk_evaluators_vs_enum () =
         if Array.length keys >= 2 then begin
           let tau = [| keys.(0); keys.(1) |] in
           check_float "sym diff evaluator"
-            (Topk_consensus.enum_expected ctx Topk_consensus.Sym_diff tau)
+            (topk_expected ctx Api.Sym_diff tau)
             (Topk_consensus.expected_sym_diff ctx tau);
           check_float "intersection evaluator"
-            (Topk_consensus.enum_expected ctx Topk_consensus.Intersection tau)
+            (topk_expected ctx Api.Intersection tau)
             (Topk_consensus.expected_intersection ctx tau);
           check_float "footrule evaluator"
-            (Topk_consensus.enum_expected ctx Topk_consensus.Footrule tau)
+            (topk_expected ctx Api.Footrule tau)
             (Topk_consensus.expected_footrule ctx tau);
           check_float "kendall evaluator"
-            (Topk_consensus.enum_expected ctx Topk_consensus.Kendall tau)
+            (topk_expected ctx Api.Kendall tau)
             (Topk_consensus.expected_kendall ctx tau)
         end
       done)
@@ -231,13 +236,13 @@ let test_topk_evaluators_partial_lists () =
     let keys = Db.keys (Topk_consensus.db ctx) in
     let tau = [| keys.(0) |] in
     check_float "short list symdiff"
-      (Topk_consensus.enum_expected ctx Topk_consensus.Sym_diff tau)
+      (topk_expected ctx Api.Sym_diff tau)
       (Topk_consensus.expected_sym_diff ctx tau);
     check_float "short list intersection"
-      (Topk_consensus.enum_expected ctx Topk_consensus.Intersection tau)
+      (topk_expected ctx Api.Intersection tau)
       (Topk_consensus.expected_intersection ctx tau);
     check_float "empty list symdiff"
-      (Topk_consensus.enum_expected ctx Topk_consensus.Sym_diff [||])
+      (topk_expected ctx Api.Sym_diff [||])
       (Topk_consensus.expected_sym_diff ctx [||])
   done
 
@@ -248,7 +253,7 @@ let test_theorem3_mean_sym_diff () =
       for _ = 1 to 5 do
         let ctx = random_ctx g ~n:(4 + Prng.int g 3) ~k:2 kind in
         let mean = Topk_consensus.mean_sym_diff ctx in
-        let _, best = Topk_consensus.brute_force_mean ctx Topk_consensus.Sym_diff in
+        let best = topk_optimum ctx Api.Sym_diff Api.Mean in
         check_float "theorem 3" best (Topk_consensus.expected_sym_diff ctx mean)
       done)
     kinds
@@ -260,7 +265,7 @@ let test_theorem4_median_sym_diff () =
       for _ = 1 to 6 do
         let ctx = random_ctx g ~n:(4 + Prng.int g 3) ~k:2 kind in
         let median = Topk_consensus.median_sym_diff ctx in
-        let _, best = Topk_consensus.brute_force_median ctx Topk_consensus.Sym_diff in
+        let best = topk_optimum ctx Api.Sym_diff Api.Median in
         check_float "theorem 4 DP optimal" best
           (Topk_consensus.expected_sym_diff ctx median)
       done)
@@ -291,9 +296,7 @@ let test_mean_intersection_optimal () =
       for _ = 1 to 4 do
         let ctx = random_ctx g ~n:(4 + Prng.int g 2) ~k:2 kind in
         let mean = Topk_consensus.mean_intersection ctx in
-        let _, best =
-          Topk_consensus.brute_force_mean ctx Topk_consensus.Intersection
-        in
+        let best = topk_optimum ctx Api.Intersection Api.Mean in
         check_float "assignment optimal (§5.3)" best
           (Topk_consensus.expected_intersection ctx mean)
       done)
@@ -322,7 +325,7 @@ let test_mean_footrule_optimal () =
       for _ = 1 to 4 do
         let ctx = random_ctx g ~n:(4 + Prng.int g 2) ~k:2 kind in
         let mean = Topk_consensus.mean_footrule ctx in
-        let _, best = Topk_consensus.brute_force_mean ctx Topk_consensus.Footrule in
+        let best = topk_optimum ctx Api.Footrule Api.Mean in
         check_float "footrule assignment optimal (§5.4)" best
           (Topk_consensus.expected_footrule ctx mean)
       done)
@@ -332,7 +335,7 @@ let test_kendall_heuristics_quality () =
   let g = rng () in
   for _ = 1 to 8 do
     let ctx = random_ctx g ~n:5 ~k:2 `Tree in
-    let _, best = Topk_consensus.brute_force_mean ctx Topk_consensus.Kendall in
+    let best = topk_optimum ctx Api.Kendall Api.Mean in
     let piv = Topk_consensus.mean_kendall_pivot g ctx in
     let d_piv = Topk_consensus.expected_kendall ctx piv in
     Alcotest.(check bool)
@@ -355,7 +358,11 @@ let test_mc_estimator_matches_closed_forms () =
   let ctx = Topk_consensus.make_ctx db ~k:5 in
   let tau = Topk_consensus.mean_sym_diff ctx in
   let close exact metric =
-    let est = Topk_consensus.mc_expected g ~samples:20_000 ctx metric tau in
+    let est =
+      Worlds.monte_carlo g ~samples:20_000 (Db.arena db) ~f:(fun ids ->
+          Topk_consensus.eval_metric metric ~k:5 tau
+            (Consensus_ranking.Topk_list.of_world ~k:5 (List.map (Db.alt db) ids)))
+    in
     Alcotest.(check bool)
       (Printf.sprintf "MC close (%g vs %g)" est exact)
       true
@@ -371,7 +378,7 @@ let test_kendall_pool_exact () =
   for _ = 1 to 6 do
     let ctx = random_ctx g ~n:5 ~k:2 `Tree in
     let answer = Topk_consensus.mean_kendall_pool_exact ~pool:5 ctx in
-    let _, best = Topk_consensus.brute_force_mean ctx Topk_consensus.Kendall in
+    let best = topk_optimum ctx Api.Kendall Api.Mean in
     check_float "pool-exact matches brute force" best
       (Topk_consensus.expected_kendall ctx answer)
   done
@@ -425,15 +432,16 @@ let test_aggregate_mean_and_variance () =
   let g = rng () in
   for _ = 1 to 10 do
     let n = 2 + Prng.int g 4 and m = 2 + Prng.int g 2 in
-    let inst = Aggregate_consensus.create (Gen.groupby_matrix g ~n ~m) in
+    let probs = Gen.groupby_matrix g ~n ~m in
+    let inst = Aggregate_consensus.create probs in
     let r_bar = Aggregate_consensus.mean inst in
     check_float "mean via enumeration"
-      (Aggregate_consensus.enum_expected_sq_dist inst r_bar)
+      (Exact.expected_aggregate probs r_bar)
       (Aggregate_consensus.expected_sq_dist inst r_bar);
     (* A deliberately off-mean candidate. *)
     let c = Array.map (fun v -> v +. 0.5) r_bar in
     check_float "bias-variance identity"
-      (Aggregate_consensus.enum_expected_sq_dist inst c)
+      (Exact.expected_aggregate probs c)
       (Aggregate_consensus.expected_sq_dist inst c)
   done
 
@@ -441,9 +449,10 @@ let test_aggregate_median_exact () =
   let g = rng () in
   for _ = 1 to 15 do
     let n = 2 + Prng.int g 4 and m = 2 + Prng.int g 2 in
-    let inst = Aggregate_consensus.create (Gen.groupby_matrix g ~n ~m) in
+    let probs = Gen.groupby_matrix g ~n ~m in
+    let inst = Aggregate_consensus.create probs in
     let _, counts = Aggregate_consensus.median inst in
-    let _, brute_counts = Aggregate_consensus.brute_force_median inst in
+    let brute_counts, _ = Exact.solve_aggregate probs Api.Median in
     check_float "flow median = brute force median"
       (Aggregate_consensus.expected_sq_dist inst brute_counts)
       (Aggregate_consensus.expected_sq_dist inst counts)
@@ -548,9 +557,10 @@ let test_aggregate_4_approx_certificate () =
   let g = rng () in
   for _ = 1 to 10 do
     let n = 2 + Prng.int g 3 and m = 2 + Prng.int g 2 in
-    let inst = Aggregate_consensus.create (Gen.groupby_matrix g ~n ~m) in
+    let probs = Gen.groupby_matrix g ~n ~m in
+    let inst = Aggregate_consensus.create probs in
     let _, counts = Aggregate_consensus.median inst in
-    let _, brute = Aggregate_consensus.brute_force_median inst in
+    let brute, _ = Exact.solve_aggregate probs Api.Median in
     let d_flow = Aggregate_consensus.expected_sq_dist inst counts in
     let d_brute = Aggregate_consensus.expected_sq_dist inst brute in
     Alcotest.(check bool) "ratio = 1" true (Fcmp.approx ~eps:1e-6 d_flow d_brute)
@@ -608,7 +618,7 @@ let test_cluster_expected_dist_vs_enum () =
     let nk = Cluster_consensus.num_keys t in
     let c = Array.init nk (fun i -> i mod 2) in
     check_float "expected distance closed form"
-      (Cluster_consensus.enum_expected_dist t c)
+      (exact_expected db cluster_q (Exact.Clustering c))
       (Cluster_consensus.expected_dist t c)
   done
 
@@ -617,7 +627,7 @@ let test_cluster_pivot_quality () =
   for _ = 1 to 10 do
     let db = Gen.clustering_db g (3 + Prng.int g 3) in
     let t = Cluster_consensus.make db in
-    let _, opt = Cluster_consensus.brute_force t in
+    let opt = exact_optimum db cluster_q in
     let c = Cluster_consensus.best_pivot_of g ~trials:5 t in
     let d = Cluster_consensus.expected_dist t c in
     Alcotest.(check bool)
@@ -655,7 +665,7 @@ let test_cluster_best_of_worlds () =
   let db = Gen.clustering_db g 4 in
   let t = Cluster_consensus.make db in
   let c = Cluster_consensus.best_of_worlds g ~samples:50 t in
-  let _, opt = Cluster_consensus.brute_force t in
+  let opt = exact_optimum db cluster_q in
   (* sampled best-of-worlds is a 2-approximation in expectation; allow 3x
      for sampling noise. *)
   Alcotest.(check bool) "best-of-worlds reasonable" true

@@ -330,13 +330,15 @@ let test_sampled_answers_golden () =
     (fun i expected ->
       let seed = i + 1 in
       let db = Gen.random_keyed_tree (Prng.create ~seed:(3000 + seed) ()) 9 in
-      let ctx = Topk_consensus.make_ctx db ~k:2 in
       let keys = Db.keys db in
+      let tau = [| keys.(0); keys.(1) |] in
       Alcotest.(check (float 0.))
-        (Printf.sprintf "mc_expected seed %d" seed)
+        (Printf.sprintf "monte_carlo seed %d" seed)
         expected
-        (Topk_consensus.mc_expected (Prng.create ~seed ()) ~samples:20 ctx
-           Topk_consensus.Sym_diff [| keys.(0); keys.(1) |]))
+        (Worlds.monte_carlo (Prng.create ~seed ()) ~samples:20 (Db.arena db)
+           ~f:(fun ids ->
+             Topk_consensus.eval_metric Topk_consensus.Sym_diff ~k:2 tau
+               (Topk_list.of_world ~k:2 (List.map (Db.alt db) ids)))))
     [ 0.8625; 0.3625; 0.4375 ]
 
 (* ---------- safe plans ---------- *)

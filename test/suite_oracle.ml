@@ -1,10 +1,9 @@
 (* Differential oracle & metamorphic fuzzing subsystem (lib/oracle).
 
    Unit and property tests of each layer — worlds streaming, the exact
-   oracle (cross-checked against the repository's older per-family
-   brute-force helpers), metamorphic rewrites, corpus round-trips,
-   shrinking — plus a short all-families fuzz campaign that must come back
-   clean.  The longer per-family campaigns and the corpus replay live in
+   oracle (cross-checked against the closed-form evaluators), metamorphic
+   rewrites, corpus round-trips, shrinking — plus a short all-families fuzz
+   campaign that must come back clean.  The longer per-family campaigns and the corpus replay live in
    the @fuzz alias (test/fuzz/dune), which dune runtest also runs. *)
 
 open Consensus_util
@@ -81,38 +80,64 @@ let test_gen_digest_regression () =
   Alcotest.(check string)
     "seed 3" "9284c00cfaaa1caa5f6e4671a67687c7" (digest 3)
 
-(* ---------- Exact oracle vs the older per-family brute forces ---------- *)
+(* ---------- Exact oracle vs the closed forms ----------
 
-let prop_oracle_world_matches_brute_force =
-  QCheck.Test.make ~name:"oracle world optimum = Set_consensus brute force"
+   The oracle is the only possible-worlds reference, so it is anchored to
+   code it shares nothing with: on every candidate it must equal the
+   generating-function / co-occurrence closed forms, and its optimum must
+   be the argmin of those closed forms over the same candidate space. *)
+
+let prop_oracle_world_matches_closed_form =
+  QCheck.Test.make ~name:"oracle world optimum = Set_consensus closed form"
     ~count:40 arb_seed (fun seed ->
       with_rng seed (fun g ->
           let db = Gen.small_db g ~max_leaves:8 in
+          let n = Db.num_alts db in
           let t = Exact.prepare db in
-          let _, mean =
-            Exact.solve t (Api.World (Api.Set_sym_diff, Api.Mean))
-          in
-          let _, mean' =
-            Set_consensus.brute_force_mean ~dist:Set_consensus.expected_sym_diff db
-          in
+          let q = Api.World (Api.Set_sym_diff, Api.Mean) in
+          let tree = fst (Tree.index (Db.tree db)) in
+          let agree = ref true and mean' = ref infinity and med' = ref infinity in
+          for mask = 0 to (1 lsl n) - 1 do
+            let w = List.filter (fun i -> mask land (1 lsl i) <> 0) (List.init n Fun.id) in
+            let d = Set_consensus.expected_sym_diff db w in
+            agree :=
+              !agree && Fcmp.approx ~eps:1e-6 d (Exact.expected t q (Exact.World w));
+            mean' := Float.min !mean' d;
+            if Tree.world_is_possible ~eq:( = ) tree w then med' := Float.min !med' d
+          done;
+          let _, mean = Exact.solve t q in
           let _, med = Exact.solve t (Api.World (Api.Set_sym_diff, Api.Median)) in
-          let _, med' =
-            Set_consensus.brute_force_median ~dist:Set_consensus.expected_sym_diff db
-          in
-          Fcmp.approx ~eps:1e-6 mean mean' && Fcmp.approx ~eps:1e-6 med med'))
+          !agree && Fcmp.approx ~eps:1e-6 mean !mean' && Fcmp.approx ~eps:1e-6 med !med'))
 
-let prop_oracle_cluster_matches_brute_force =
-  QCheck.Test.make ~name:"oracle clustering optimum = Cluster_consensus.brute_force"
+(* Set partitions of [n] keys as restricted-growth label arrays. *)
+let rec partitions n =
+  if n = 0 then [ [] ]
+  else
+    List.concat_map
+      (fun p ->
+        let top = List.fold_left max (-1) p in
+        List.init (top + 2) (fun l -> p @ [ l ]))
+      (partitions (n - 1))
+
+let prop_oracle_cluster_matches_closed_form =
+  QCheck.Test.make ~name:"oracle clustering optimum = Cluster_consensus closed form"
     ~count:30 arb_seed (fun seed ->
       with_rng seed (fun g ->
           let db = Gen.small_clustering_db g ~max_keys:5 ~max_leaves:10 in
           let t = Exact.prepare db in
-          let _, opt =
-            Exact.solve t (Api.Cluster { trials = 1; samples = None })
-          in
+          let q = Api.Cluster { trials = 1; samples = None } in
           let inst = Cluster_consensus.make db in
-          let _, opt' = Cluster_consensus.brute_force inst in
-          Fcmp.approx ~eps:1e-6 opt opt'))
+          let agree = ref true and opt' = ref infinity in
+          List.iter
+            (fun p ->
+              let c = Array.of_list p in
+              let d = Cluster_consensus.expected_dist inst c in
+              let d' = Exact.expected t q (Exact.Clustering c) in
+              agree := !agree && Fcmp.approx ~eps:1e-6 d d';
+              opt' := Float.min !opt' d)
+            (partitions (Cluster_consensus.num_keys inst));
+          let _, opt = Exact.solve t q in
+          !agree && Fcmp.approx ~eps:1e-6 opt !opt'))
 
 let prop_oracle_aggregate_matches_closed_form =
   QCheck.Test.make ~name:"oracle aggregate mean = closed-form expectation"
@@ -380,8 +405,8 @@ let suite =
     qcheck prop_worlds_marginals_match;
     qcheck prop_gen_deterministic;
     Alcotest.test_case "generator digest regression" `Quick test_gen_digest_regression;
-    qcheck prop_oracle_world_matches_brute_force;
-    qcheck prop_oracle_cluster_matches_brute_force;
+    qcheck prop_oracle_world_matches_closed_form;
+    qcheck prop_oracle_cluster_matches_closed_form;
     qcheck prop_oracle_aggregate_matches_closed_form;
     Alcotest.test_case "oracle budget guards" `Quick test_oracle_guards;
     qcheck prop_rewrites_preserve_distribution;

@@ -161,15 +161,14 @@ let prop_topk_evaluator_consistency =
           Prng.shuffle g perm;
           let tau = Array.sub perm 0 (min k (Array.length perm)) in
           let close a b = Fcmp.approx ~eps:1e-6 a b in
-          close
-            (Topk_consensus.expected_sym_diff ctx tau)
-            (Topk_consensus.enum_expected ctx Topk_consensus.Sym_diff tau)
-          && close
-               (Topk_consensus.expected_footrule ctx tau)
-               (Topk_consensus.enum_expected ctx Topk_consensus.Footrule tau)
-          && close
-               (Topk_consensus.expected_kendall ctx tau)
-               (Topk_consensus.enum_expected ctx Topk_consensus.Kendall tau)))
+          let t = Consensus_oracle.Exact.prepare db in
+          let enum metric =
+            Consensus_oracle.Exact.(
+              expected t (Api.Topk (k, metric, Api.Mean)) (Topk tau))
+          in
+          close (Topk_consensus.expected_sym_diff ctx tau) (enum Api.Sym_diff)
+          && close (Topk_consensus.expected_footrule ctx tau) (enum Api.Footrule)
+          && close (Topk_consensus.expected_kendall ctx tau) (enum Api.Kendall)))
 
 let prop_assignment_metrics_never_worse_than_greedy =
   QCheck.Test.make

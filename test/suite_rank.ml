@@ -1,6 +1,7 @@
 open Consensus_util
 open Consensus
 module Gen = Consensus_workload.Gen
+module Exact = Consensus_oracle.Exact
 
 let check_float = Alcotest.(check (float 1e-6))
 let rng () = Prng.create ~seed:5150 ()
@@ -10,10 +11,10 @@ let random_perm g keys =
   Prng.shuffle g p;
   p
 
-(* BID-shaped instances small enough for the enumeration oracles (at most
-   8 keys), so the rank-table sweep is checked against [Worlds.enumerate]
-   too: BID proper with certain and uncertain keys, and x-tuples (blocks
-   of mutually exclusive tuples with distinct keys). *)
+(* BID-shaped instances small enough for the possible-worlds oracle (at
+   most 8 keys), so the rank-table sweep is checked against it too: BID
+   proper with certain and uncertain keys, and x-tuples (blocks of mutually
+   exclusive tuples with distinct keys). *)
 let bid_shaped_dbs g =
   List.init 4 (fun _ -> Gen.bid_db ~forced_fraction:0.5 g (3 + Prng.int g 3))
   @ List.init 4 (fun _ -> Gen.xtuple_db ~max_alts:2 g (2 + Prng.int g 2))
@@ -23,11 +24,12 @@ let test_evaluators_vs_enum () =
   let check db =
     let ctx = Rank_consensus.make_ctx db in
     let sigma = random_perm g (Rank_consensus.keys ctx) in
+    let t = Exact.prepare db in
     check_float "footrule evaluator"
-      (Rank_consensus.enum_expected_footrule ctx sigma)
+      (Exact.expected t (Api.Rank Api.Rank_footrule) (Exact.Rank sigma))
       (Rank_consensus.expected_footrule ctx sigma);
     check_float "kendall evaluator"
-      (Rank_consensus.enum_expected_kendall ctx sigma)
+      (Exact.expected t (Api.Rank Api.Rank_kendall) (Exact.Rank sigma))
       (Rank_consensus.expected_kendall ctx sigma)
   in
   for iter = 1 to 12 do
@@ -44,7 +46,7 @@ let test_mean_footrule_optimal () =
     let sigma, d = Rank_consensus.mean_footrule ctx in
     check_float "reported distance consistent" d
       (Rank_consensus.expected_footrule ctx sigma);
-    let _, best = Rank_consensus.brute_force_mean ctx `Footrule in
+    let _, best = Exact.solve (Exact.prepare db) (Api.Rank Api.Rank_footrule) in
     check_float "footrule assignment optimal" best d
   in
   for _ = 1 to 12 do
@@ -58,7 +60,7 @@ let test_mean_kendall_exact_optimal () =
     let ctx = Rank_consensus.make_ctx db in
     let sigma, d = Rank_consensus.mean_kendall_exact ctx in
     check_float "reported cost consistent" d (Rank_consensus.expected_kendall ctx sigma);
-    let _, best = Rank_consensus.brute_force_mean ctx `Kendall in
+    let _, best = Exact.solve (Exact.prepare db) (Api.Rank Api.Rank_kendall) in
     check_float "kemeny DP optimal" best d
   in
   for _ = 1 to 12 do
