@@ -53,37 +53,21 @@ type tracked = {
 let t ?(tolerance = 0.25) direction path expected =
   { path; expected; direction; tolerance }
 
-(* Headline metrics per committed bench file, pinned from the regenerated
-   runs of 2026-08.  Throughputs carry the default 25% band (fleet noise
-   is ~±10%); nanosecond-scale probe costs get a wider band because a
-   single timing run swings ±35% on a loaded box — the probe checks exist
-   to catch "someone put real work behind the disabled path", which shows
-   up as x10, not +30%. *)
+(* Headline metrics per committed bench file.  Served throughput is not
+   pinned here: perfbench's serve_hot workload gates it against the parent
+   commit.  Nanosecond-scale probe costs get a wide band because a single
+   timing run swings ±35% on a loaded box — the probe checks exist to
+   catch "someone put real work behind the disabled path", which shows up
+   as x10, not +30%. *)
 let expectations =
   [
-    ( "BENCH_REQTRACE.json",
+    ( "BENCH_OBS.json",
       [
-        t Higher_better
-          [ Field "tracing_on"; Field "throughput_rps" ]
-          2600.9;
-        t ~tolerance:1.5 Lower_better [ Field "disabled_probe_ns" ] 4.7;
-      ] );
-    ( "BENCH_MONITOR.json",
-      [
-        t Higher_better
-          [ Field "runtime_on"; Field "throughput_rps" ]
-          2574.1;
+        (* One atomic load and a branch each: the disabled span probe and
+           the scheduler's [Runtime.active] gate with the GC-pause consumer
+           off. *)
         t ~tolerance:1.5 Lower_better [ Field "disabled_probe_ns" ] 3.5;
         t ~tolerance:1.5 Lower_better [ Field "runtime_gate_ns" ] 2.1;
-        t Higher_better
-          [ Field "tail_attribution"; Field "nonzero_gc_pause_ms" ]
-          1.0;
-      ] );
-    ( "BENCH_SERVE.json",
-      [
-        t Higher_better
-          [ Field "saturation"; Field "throughput_rps" ]
-          2322.3;
       ] );
     ( "BENCH_ARENA.json",
       [

@@ -21,20 +21,6 @@ let header title =
 
 let note fmt = Printf.ksprintf (fun s -> Printf.printf "%s\n" s) fmt
 
-(* The number at [fields] in the committed bench file [file] (an earlier
-   experiment's baseline); [None] when the file is absent, does not parse
-   or has no number there. *)
-let committed_float file fields =
-  match In_channel.with_open_bin file In_channel.input_all with
-  | exception Sys_error _ -> None
-  | text -> (
-      let module Json = Consensus_util.Json in
-      match Json.of_string text with
-      | Error _ -> None
-      | Ok doc ->
-          List.fold_left (fun j f -> Option.bind j (Json.member f)) (Some doc) fields
-          |> Fun.flip Option.bind Json.to_float)
-
 module Tables = Consensus_util.Tables
 module Pool = Consensus_engine.Pool
 module Metrics = Consensus_engine.Metrics

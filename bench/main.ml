@@ -34,12 +34,8 @@ let experiments =
     ("E23", "observability overhead (lib/obs)", E23_obs_overhead.run);
     ("E24", "shared probability cache (lib/cache)", E24_cache.run);
     ("E25", "brute-force oracle vs optimized (lib/oracle)", E25_oracle.run);
-    ("E26", "explain-plan profiling overhead (lib/obs/report)", E26_profile.run);
-    ("E27", "query daemon under load (lib/serve)", E27_serve.run);
-    ("E28", "request-tracing overhead (lib/serve + lib/obs)", E28_reqtrace.run);
     ("E29", "flat-arena load + buffer kernels (lib/anxor)", E29_arena.run);
     ("E30", "read-once factorization ablation (lib/pdb)", E30_readonce.run);
-    ("E31", "runtime-events telemetry overhead (lib/obs)", E31_monitor.run);
   ]
 
 let () =

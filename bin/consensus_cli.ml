@@ -723,8 +723,8 @@ let explain_cmd =
   in
   let run input query_line format top cache seed jobs =
     let pool = setup_pool jobs in
-    (* explain IS the observability: recording (and the default-on GC
-       probes) are unconditional here. *)
+    (* explain IS the observability: recording (GC deltas included) is
+       unconditional here. *)
     Obs.set_enabled true;
     if cache then Api.Cache.set_enabled true;
     let code =
@@ -1028,19 +1028,25 @@ let demo_cmd =
   let n = Arg.(value & opt int 30 & info [ "n" ] ~doc:"Number of keys.") in
   let run n k seed jobs =
     let pool = setup_pool jobs in
-    let rng = Consensus_util.Prng.create ~seed () in
-    let db = Consensus_workload.Gen.bid_db rng n in
-    Printf.printf "random BID database: %d keys, %d alternatives\n" (Db.num_keys db)
-      (Db.num_alts db);
-    let ctx = Topk_consensus.make_ctx ~pool db ~k in
-    Printf.printf "consensus mean top-%d (symdiff):   [%s]\n" k
-      (pp_answer (Topk_consensus.mean_sym_diff ctx));
-    Printf.printf "consensus median top-%d (symdiff): [%s]\n" k
-      (pp_answer (Topk_consensus.median_sym_diff ctx));
-    Printf.printf "consensus mean top-%d (footrule):  [%s]\n" k
-      (pp_answer (Topk_consensus.mean_footrule ctx));
-    Printf.printf "mean world: {%s}\n" (pp_world db (Set_consensus.mean_sym_diff db));
-    Printf.printf "median world: {%s}\n" (pp_world db (Set_consensus.median_sym_diff db))
+    let code =
+      handle (fun () ->
+        let rng = Consensus_util.Prng.create ~seed () in
+        let db = Consensus_workload.Gen.bid_db rng n in
+        Printf.printf "random BID database: %d keys, %d alternatives\n"
+          (Db.num_keys db) (Db.num_alts db);
+        let ctx = Topk_consensus.make_ctx ~pool db ~k in
+        Printf.printf "consensus mean top-%d (symdiff):   [%s]\n" k
+          (pp_answer (Topk_consensus.mean_sym_diff ctx));
+        Printf.printf "consensus median top-%d (symdiff): [%s]\n" k
+          (pp_answer (Topk_consensus.median_sym_diff ctx));
+        Printf.printf "consensus mean top-%d (footrule):  [%s]\n" k
+          (pp_answer (Topk_consensus.mean_footrule ctx));
+        Printf.printf "mean world: {%s}\n"
+          (pp_world db (Set_consensus.mean_sym_diff db));
+        Printf.printf "median world: {%s}\n"
+          (pp_world db (Set_consensus.median_sym_diff db)))
+    in
+    if code <> 0 then exit code
   in
   Cmd.v
     (Cmd.info "demo" ~doc:"Run all consensus algorithms on a random database.")

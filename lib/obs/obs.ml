@@ -4,13 +4,6 @@ let enabled_flag = Atomic.make false
 let enabled () = Atomic.get enabled_flag
 let set_enabled b = Atomic.set enabled_flag b
 
-(* GC accounting rides along with spans (it only costs anything while the
-   subsystem is on), but keeps its own switch so the marginal cost of the
-   [Gc.quick_stat] probes is measurable (bench E26). *)
-let gc_probes_flag = Atomic.make true
-let gc_probes () = Atomic.get gc_probes_flag
-let set_gc_probes b = Atomic.set gc_probes_flag b
-
 (* Bumped by [reset]: a span opened before a reset must not be recorded by
    its close after the reset (it would resurrect pre-reset data into the
    supposedly clean buffers). *)
@@ -34,13 +27,22 @@ type gc_delta = {
   gc_major_collections : int;
 }
 
+let zero_gc =
+  {
+    gc_minor_words = 0.;
+    gc_major_words = 0.;
+    gc_promoted_words = 0.;
+    gc_minor_collections = 0;
+    gc_major_collections = 0;
+  }
+
 type span = {
   span_name : string;
   span_ts : float;
   span_dur : float;
   span_tid : int;
   span_attrs : (string * attr) list;
-  span_gc : gc_delta option;
+  span_gc : gc_delta;
   span_request : string option;
 }
 
@@ -58,7 +60,7 @@ let no_span =
     span_dur = 0.;
     span_tid = 0;
     span_attrs = [];
-    span_gc = None;
+    span_gc = zero_gc;
     span_request = None;
   }
 
@@ -119,12 +121,12 @@ let with_span ?attrs name f =
   if not (Atomic.get enabled_flag) then f ()
   else begin
     let gen = Atomic.get generation in
-    let gc0 = if Atomic.get gc_probes_flag then Some (gc_sample ()) else None in
+    let gc0 = gc_sample () in
     let t0 = now () in
     Fun.protect
       ~finally:(fun () ->
         let t1 = now () in
-        let gc = Option.map (fun s0 -> gc_delta s0 (gc_sample ())) gc0 in
+        let gc = gc_delta gc0 (gc_sample ()) in
         let attrs = match attrs with None -> [] | Some g -> g () in
         record ~gen name t0 t1 attrs gc)
       f
@@ -413,17 +415,15 @@ let span_json s =
       ("dur", Json.Float (s.span_dur *. 1e6));
     ]
   in
+  let g = s.span_gc in
   let gc_fields =
-    match s.span_gc with
-    | None -> []
-    | Some g ->
-        [
-          ("gc_minor_words", Json.Float g.gc_minor_words);
-          ("gc_major_words", Json.Float g.gc_major_words);
-          ("gc_promoted_words", Json.Float g.gc_promoted_words);
-          ("gc_minor_collections", Json.Int g.gc_minor_collections);
-          ("gc_major_collections", Json.Int g.gc_major_collections);
-        ]
+    [
+      ("gc_minor_words", Json.Float g.gc_minor_words);
+      ("gc_major_words", Json.Float g.gc_major_words);
+      ("gc_promoted_words", Json.Float g.gc_promoted_words);
+      ("gc_minor_collections", Json.Int g.gc_minor_collections);
+      ("gc_major_collections", Json.Int g.gc_major_collections);
+    ]
   in
   let request_fields =
     match s.span_request with
@@ -431,15 +431,11 @@ let span_json s =
     | Some id -> [ ("request", Json.Str id) ]
   in
   let args =
-    match
-      request_fields
-      @ List.map (fun (k, v) -> (k, attr_json v)) s.span_attrs
-      @ gc_fields
-    with
-    | [] -> []
-    | fields -> [ ("args", Json.Obj fields) ]
+    request_fields
+    @ List.map (fun (k, v) -> (k, attr_json v)) s.span_attrs
+    @ gc_fields
   in
-  Json.Obj (base @ args)
+  Json.Obj (base @ [ ("args", Json.Obj args) ])
 
 (* Drop the first [n] elements (the oldest spans of an ascending list). *)
 let rec drop n l =

@@ -24,13 +24,6 @@
 val enabled : unit -> bool
 val set_enabled : bool -> unit
 
-val gc_probes : unit -> bool
-val set_gc_probes : bool -> unit
-(** Whether enabled spans also capture {!type:gc_delta}s (default: [true]).
-    Only consulted while {!enabled} — the disabled path stays one atomic
-    load and a branch regardless.  Exists so the marginal cost of the two
-    [Gc.quick_stat] calls per span is measurable (bench E26). *)
-
 val reset : unit -> unit
 (** Drop all recorded spans and zero every registered metric (registrations
     are kept).  Intended for tests and benchmark harnesses.  A span open
@@ -51,12 +44,15 @@ type gc_delta = {
 (** [Gc.quick_stat] deltas over a span — words allocated (including any
     nested spans' allocations) and collections run while it was open. *)
 
+val zero_gc : gc_delta
+(** The all-zero delta: the identity for summing deltas. *)
+
 val with_span : ?attrs:(unit -> (string * attr) list) -> string -> (unit -> 'a) -> 'a
 (** [with_span name f] runs [f ()], recording a span covering its execution
     when {!enabled}.  The [attrs] closure is evaluated once, after [f]
     returns (or raises — the span is recorded either way).  Spans nest:
-    a span started inside [f] is fully contained in this one.  When
-    {!gc_probes} is on the span carries the [Gc.quick_stat] delta of [f]. *)
+    a span started inside [f] is fully contained in this one.  The span
+    carries the [Gc.quick_stat] delta of [f]. *)
 
 type span = {
   span_name : string;
@@ -64,7 +60,7 @@ type span = {
   span_dur : float;  (** duration in seconds, always [>= 0.] *)
   span_tid : int;  (** recording domain id *)
   span_attrs : (string * attr) list;
-  span_gc : gc_delta option;  (** [None] when {!gc_probes} was off *)
+  span_gc : gc_delta;
   span_request : string option;
       (** The {!Context} request id ambient when the span closed — every
           span records the owning request automatically (the engine pool

@@ -32,15 +32,6 @@ type t = {
   gc_total : Obs.gc_delta;
 }
 
-let zero_gc =
-  {
-    Obs.gc_minor_words = 0.;
-    gc_major_words = 0.;
-    gc_promoted_words = 0.;
-    gc_minor_collections = 0;
-    gc_major_collections = 0;
-  }
-
 let add_gc a b =
   {
     Obs.gc_minor_words = a.Obs.gc_minor_words +. b.Obs.gc_minor_words;
@@ -101,7 +92,7 @@ let empty =
     rows = [];
     parallelism = { par_wall_s = 0.; par_busy_s = 0.; par_jobs = 0; par_ratio = 1. };
     cache = { ca_hits = 0; ca_misses = 0; ca_families = [] };
-    gc_total = zero_gc;
+    gc_total = Obs.zero_gc;
   }
 
 let of_spans spans =
@@ -122,7 +113,7 @@ let of_spans spans =
       in
       let domains = Hashtbl.create 8 in
       let t_min = ref infinity and t_max = ref neg_infinity in
-      let accounted = ref 0. and gc_total = ref zero_gc in
+      let accounted = ref 0. and gc_total = ref Obs.zero_gc in
       let par_wall = ref 0. and par_busy = ref 0. and par_jobs = ref 0 in
       let cache_hits = ref 0 and cache_misses = ref 0 in
       let families : (string, int * int) Hashtbl.t = Hashtbl.create 8 in
@@ -133,16 +124,12 @@ let of_spans spans =
       let fold_into_agg node =
         let s = node.span in
         let self = Float.max 0. (s.Obs.span_dur -. node.child_s) in
-        let self_gc =
-          match s.Obs.span_gc with
-          | None -> zero_gc
-          | Some g -> sub_gc g node.child_gc
-        in
+        let self_gc = sub_gc s.Obs.span_gc node.child_gc in
         let count, total, self_acc, gc_acc =
           match Hashtbl.find_opt agg s.Obs.span_name with
           | Some cell -> cell
           | None ->
-              let cell = (ref 0, ref 0., ref 0., ref zero_gc) in
+              let cell = (ref 0, ref 0., ref 0., ref Obs.zero_gc) in
               Hashtbl.add agg s.Obs.span_name cell;
               cell
         in
@@ -201,14 +188,12 @@ let of_spans spans =
           (match !stack with
           | parent :: _ ->
               parent.child_s <- parent.child_s +. s.Obs.span_dur;
-              Option.iter
-                (fun g -> parent.child_gc <- add_gc parent.child_gc g)
-                s.Obs.span_gc
+              parent.child_gc <- add_gc parent.child_gc s.Obs.span_gc
           | [] ->
               (* A root span of its domain. *)
               accounted := !accounted +. s.Obs.span_dur;
-              Option.iter (fun g -> gc_total := add_gc !gc_total g) s.Obs.span_gc);
-          stack := { span = s; child_s = 0.; child_gc = zero_gc } :: !stack)
+              gc_total := add_gc !gc_total s.Obs.span_gc);
+          stack := { span = s; child_s = 0.; child_gc = Obs.zero_gc } :: !stack)
         spans;
       flush_stack ();
       let rows =

@@ -109,23 +109,14 @@ let test_reset_during_span () =
 
 let test_gc_delta () =
   with_obs @@ fun () ->
-  Alcotest.(check bool) "gc probes default on" true (Obs.gc_probes ());
   Obs.with_span "test.obs.alloc" (fun () ->
       ignore (Sys.opaque_identity (Array.init 10_000 (fun i -> float_of_int i))));
-  (match Obs.spans () with
-  | [ { Obs.span_gc = Some g; _ } ] ->
+  match Obs.spans () with
+  | [ { Obs.span_gc = g; _ } ] ->
       Alcotest.(check bool) "minor words counted" true (g.Obs.gc_minor_words > 0.);
       Alcotest.(check bool) "collections non-negative" true
         (g.Obs.gc_minor_collections >= 0 && g.Obs.gc_major_collections >= 0)
-  | [ { Obs.span_gc = None; _ } ] -> Alcotest.fail "span has no GC delta"
-  | spans -> Alcotest.failf "expected one span, got %d" (List.length spans));
-  Obs.reset ();
-  Obs.set_gc_probes false;
-  Fun.protect ~finally:(fun () -> Obs.set_gc_probes true) @@ fun () ->
-  Obs.with_span "test.obs.noprobe" (fun () -> ());
-  match Obs.spans () with
-  | [ { Obs.span_gc = None; _ } ] -> ()
-  | _ -> Alcotest.fail "GC delta recorded with probes off"
+  | spans -> Alcotest.failf "expected one span, got %d" (List.length spans)
 
 (* ---------- metrics ---------- *)
 
@@ -240,8 +231,8 @@ let test_trace_json_roundtrip () =
   in
   Alcotest.(check bool) "escaped name survives" true
     (List.mem "test.obs.escape\twins" names);
-  (* args also carries the gc_* fields when GC probes are on; the attribute
-     must survive among them. *)
+  (* args also carries the span's gc_* fields; the attribute must survive
+     among them. *)
   match member "args" (List.hd evs) with
   | Some (Json.Obj fields) -> (
       match List.assoc_opt "path" fields with

@@ -19,15 +19,7 @@ let with_obs f =
       Obs.reset ())
     f
 
-let gc words =
-  Some
-    {
-      Obs.gc_minor_words = words;
-      gc_major_words = 0.;
-      gc_promoted_words = 0.;
-      gc_minor_collections = 0;
-      gc_major_collections = 0;
-    }
+let gc words = { Obs.zero_gc with gc_minor_words = words }
 
 let span ?(attrs = []) ?(gc_words = 0.) name ~tid ~ts ~dur =
   {

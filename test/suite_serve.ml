@@ -14,6 +14,7 @@ module Obs = Consensus_obs.Obs
 module Log = Consensus_obs.Log
 module Json = Consensus_util.Json
 module Expose = Consensus_obs.Expose
+module Runtime = Consensus_obs.Runtime
 
 (* ---------- query wire format: print/parse round-trip ---------- *)
 
@@ -365,6 +366,15 @@ let http_request ~port ~meth ~target body =
 
 let contains haystack needle = find_sub haystack needle <> None
 
+(* The value of one unlabelled series in a Prometheus exposition. *)
+let metric_value text name =
+  String.split_on_char '\n' text
+  |> List.find_map (fun line ->
+         match String.split_on_char ' ' line with
+         | [ n; v ] when n = name -> float_of_string_opt v
+         | _ -> None)
+  |> Option.value ~default:0.
+
 let test_daemon_end_to_end () =
   let db = small_db () in
   let daemon =
@@ -687,15 +697,8 @@ let test_daemon_debug_endpoints () =
       "ocaml_domains_active";
       "gc_pause_seconds";
     ];
-  let domains =
-    String.split_on_char '\n' body
-    |> List.find_map (fun line ->
-           match String.split_on_char ' ' line with
-           | [ "ocaml_domains_active"; v ] -> float_of_string_opt v
-           | _ -> None)
-  in
   Alcotest.(check bool) "live worker domains" true
-    (match domains with Some v -> v >= 1. | None -> false)
+    (metric_value body "ocaml_domains_active" >= 1.)
 
 (* ---------- request tracing end to end ---------- *)
 
@@ -876,6 +879,121 @@ let test_explain_telescopes_at_size () =
   Alcotest.(check bool) "spans recorded" true (num "spans" profile > 0.);
   Alcotest.(check (float (1e-9 +. (1e-6 *. roots)))) "self sums to roots" roots self
 
+(* ---------- overload and GC-pause attribution over sockets ---------- *)
+
+(* Backpressure end to end: a barrier-released burst of uncached top-k
+   queries against one running slot and one queue slot is shed with 429,
+   never blocked or dropped; every rejection shows in serve_rejected_total;
+   and once the burst is answered the scheduler gauges are back to 0. *)
+let test_daemon_backpressure () =
+  let db = Gen.bid_db (Prng.create ~seed:27 ()) 60 in
+  let daemon =
+    Daemon.start
+      {
+        Daemon.default_config with
+        Daemon.dbs = [ ("main", db) ];
+        jobs = 2;
+        max_inflight = 1;
+        max_queue = 1;
+        access_log = false;
+      }
+  in
+  Fun.protect ~finally:(fun () -> Daemon.stop daemon) @@ fun () ->
+  let port = Daemon.port daemon in
+  let rejected_total () =
+    let status, body = http_request ~port ~meth:"GET" ~target:"/metrics" "" in
+    Alcotest.(check int) "metrics ok" 200 status;
+    metric_value body "serve_rejected_total"
+  in
+  let rejected_before = rejected_total () in
+  let clients = 8 in
+  let statuses = Array.make clients 0 in
+  let lock = Mutex.create () and cond = Condition.create () in
+  let ready = ref 0 and go = ref false in
+  let client i =
+    Mutex.lock lock;
+    incr ready;
+    Condition.broadcast cond;
+    while not !go do
+      Condition.wait cond lock
+    done;
+    Mutex.unlock lock;
+    (* A failed exchange leaves status -1, which the check below reports. *)
+    statuses.(i) <-
+      (try
+         fst
+           (http_request ~port ~meth:"POST" ~target:"/query?cache=false"
+              "topk k=8 metric=footrule")
+       with _ -> -1)
+  in
+  let threads = List.init clients (Thread.create client) in
+  Mutex.lock lock;
+  while !ready < clients do
+    Condition.wait cond lock
+  done;
+  go := true;
+  Condition.broadcast cond;
+  Mutex.unlock lock;
+  List.iter Thread.join threads;
+  let count code = Array.fold_left (fun n s -> if s = code then n + 1 else n) 0 statuses in
+  Alcotest.(check (list int))
+    "every status is 200 or 429" []
+    (List.filter (fun s -> s <> 200 && s <> 429) (Array.to_list statuses));
+  Alcotest.(check bool) "the burst overflowed the queue" true (count 429 >= 1);
+  Alcotest.(check (float 0.))
+    "serve_rejected_total counts every 429"
+    (float_of_int (count 429))
+    (rejected_total () -. rejected_before);
+  let status, body = http_request ~port ~meth:"GET" ~target:"/healthz" "" in
+  Alcotest.(check int) "healthz ok" 200 status;
+  let health = Suite_obs.parse_json body in
+  List.iter
+    (fun gauge ->
+      Alcotest.(check (option (float 0.)))
+        (gauge ^ " drained") (Some 0.)
+        (Option.bind (Json.member gauge health) Json.to_float))
+    [ "inflight"; "queue_depth" ]
+
+(* GC-pause attribution reaches the slow ring.  With the runtime-events
+   consumer started (as `consensus serve` runs) and every request
+   slow-captured, uncached footrule rankings of a 100-key database run past
+   the scheduler's 20 ms full-drain threshold, so each slow entry sees the
+   pauses inside its own run window.  Faster requests see only pauses an
+   earlier drain recorded, so the test first asserts that a run did reach
+   20 ms: a future speed-up fails that precondition instead of flaking. *)
+let test_daemon_gc_pause_attribution () =
+  let db = Gen.bid_db (Prng.create ~seed:31 ()) 100 in
+  Runtime.start ();
+  Fun.protect ~finally:Runtime.stop @@ fun () ->
+  with_small_daemon ~slow_threshold:0. ~db @@ fun _daemon port ->
+  for _ = 1 to 5 do
+    let status, _ =
+      http_request ~port ~meth:"POST" ~target:"/query?cache=false"
+        "rank metric=footrule"
+    in
+    Alcotest.(check int) "rank ok" 200 status
+  done;
+  let status, body = http_request ~port ~meth:"GET" ~target:"/debug/slow" "" in
+  Alcotest.(check int) "slow ring ok" 200 status;
+  let entries =
+    match Json.member "slow" (Suite_obs.parse_json body) with
+    | Some (Json.List entries) -> entries
+    | _ -> Alcotest.fail "/debug/slow lacks its slow array"
+  in
+  let field name e =
+    match Option.bind (Json.member name e) Json.to_float with
+    | Some v -> v
+    | None -> Alcotest.failf "slow entry lacks %s" name
+  in
+  Alcotest.(check int) "every request captured" 5 (List.length entries);
+  let longest = List.fold_left (fun m e -> Float.max m (field "run_ms" e)) 0. entries in
+  if longest < 20. then
+    Alcotest.failf
+      "precondition: no run reached the 20 ms drain threshold (longest %.1f ms)"
+      longest;
+  Alcotest.(check bool) "a slow entry carries a GC pause" true
+    (List.exists (fun e -> field "gc_pause_ms" e > 0.) entries)
+
 let suite =
   qcheck_tests
   @ [
@@ -919,6 +1037,10 @@ let suite =
         test_daemon_debug_endpoints;
       Alcotest.test_case "request tracing end to end" `Quick
         test_daemon_tracing_acceptance;
+      Alcotest.test_case "daemon sheds a burst with 429" `Quick
+        test_daemon_backpressure;
+      Alcotest.test_case "slow entries carry GC pauses" `Quick
+        test_daemon_gc_pause_attribution;
       Alcotest.test_case "obs reset races in-flight requests" `Quick
         test_daemon_obs_reset_race;
     ]
