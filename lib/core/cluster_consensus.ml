@@ -115,49 +115,111 @@ let best_pivot_of rng ~trials t =
   done;
   fst (Option.get !best)
 
+(* Single-key moves until none improves.  Putting key i in cluster l costs
+   Σ_{j≠i} (c_j = l ? 1 − w_ij : w_ij) = W_i + S_l(i), with
+   W_i = Σ_{j≠i} w_ij and S_l(i) = Σ_{j≠i, c_j = l} (1 − 2·w_ij).  One flat
+   column S_l per label makes a candidate O(1) and a move O(n) (two columns
+   updated).  Labels live in slots sorted by label value: the labels of [c0],
+   then fresh labels (one above the highest used label).  Every slot above
+   the highest used one is empty, so a fresh label reuses the next slot or
+   appends one; an emptied slot's column is reset to exact zeros. *)
 let local_search t c0 =
   let nk = num_keys t in
+  if Array.length c0 <> nk then
+    invalid_arg "Cluster_consensus.local_search: wrong clustering size";
   algo_span "local_search" ~n:nk @@ fun () ->
-  let c = Array.copy c0 in
-  (* Gain of assigning key i to label l: Σ_{j≠i} (together? 1-w : w). *)
-  let cost_with label i =
-    let acc = ref 0. in
-    for j = 0 to nk - 1 do
-      if j <> i then
-        if c.(j) = label then acc := !acc +. (1. -. t.w.(i).(j))
-        else acc := !acc +. t.w.(i).(j)
-    done;
-    !acc
+  let value = ref (Array.of_list (List.sort_uniq compare (Array.to_list c0))) in
+  let slots = ref (Array.length !value) in
+  let slot_of label =
+    let rec find lo hi =
+      let mid = (lo + hi) / 2 in
+      if !value.(mid) = label then mid
+      else if !value.(mid) < label then find (mid + 1) hi
+      else find lo (mid - 1)
+    in
+    find 0 (!slots - 1)
   in
-  let fresh_label () =
-    let used = Array.fold_left (fun acc l -> max acc l) (-1) c in
-    used + 1
+  let slot = Array.map slot_of c0 in
+  let count = ref (Array.make !slots 0) in
+  Array.iter (fun s -> !count.(s) <- !count.(s) + 1) slot;
+  let col = ref (Array.init !slots (fun _ -> Array.make nk 0.)) in
+  let wsum = Array.make nk 0. in
+  for j = 0 to nk - 1 do
+    let wj = t.w.(j) and sj = !col.(slot.(j)) in
+    for i = 0 to nk - 1 do
+      if i <> j then begin
+        wsum.(i) <- wsum.(i) +. wj.(i);
+        sj.(i) <- sj.(i) +. (1. -. (2. *. wj.(i)))
+      end
+    done
+  done;
+  let top = ref (!slots - 1) in
+  (* Make slot [!top + 1] the fresh label, appending a slot if needed. *)
+  let open_fresh () =
+    let s = !top + 1 in
+    if s = !slots then begin
+      if s = Array.length !value then begin
+        let grow a fill = Array.append a (Array.make s fill) in
+        value := grow !value 0;
+        count := grow !count 0;
+        col := grow !col [||]
+      end;
+      !col.(s) <- Array.make nk 0.;
+      incr slots
+    end;
+    !value.(s) <- !value.(!top) + 1;
+    s
+  in
+  let move i target =
+    let from = slot.(i) in
+    let target = if target > !top then open_fresh () else target in
+    let wi = t.w.(i) and sf = !col.(from) and st = !col.(target) in
+    for k = 0 to nk - 1 do
+      if k <> i then begin
+        let d = 1. -. (2. *. wi.(k)) in
+        sf.(k) <- sf.(k) -. d;
+        st.(k) <- st.(k) +. d
+      end
+    done;
+    slot.(i) <- target;
+    !count.(from) <- !count.(from) - 1;
+    !count.(target) <- !count.(target) + 1;
+    if !count.(from) = 0 then Array.fill sf 0 nk 0.;
+    if target > !top then top := target;
+    while !count.(!top) = 0 do
+      decr top
+    done
   in
   let improved = ref true in
   while !improved do
     improved := false;
     Deadline.check_current ();
     for i = 0 to nk - 1 do
-      let current = cost_with c.(i) i in
-      let labels =
-        fresh_label () :: (Array.to_list c |> List.sort_uniq compare)
-      in
-      let best =
-        List.fold_left
-          (fun (bl, bc) l ->
-            if l = c.(i) then (bl, bc)
-            else
-              let cost = cost_with l i in
-              if cost < bc -. 1e-12 then (l, cost) else (bl, bc))
-          (c.(i), current) labels
-      in
-      if fst best <> c.(i) then begin
-        c.(i) <- fst best;
+      let own = slot.(i) and wi = wsum.(i) in
+      let best = ref own and best_cost = ref (wi +. !col.(own).(i)) in
+      (* The fresh label (no members, so cost W_i) first, then the used
+         labels ascending; only strict improvements count, so this order
+         breaks near-ties. *)
+      if wi < !best_cost -. 1e-12 then begin
+        best := !top + 1;
+        best_cost := wi
+      end;
+      for s = 0 to !top do
+        if s <> own && !count.(s) > 0 then begin
+          let cost = wi +. !col.(s).(i) in
+          if cost < !best_cost -. 1e-12 then begin
+            best := s;
+            best_cost := cost
+          end
+        end
+      done;
+      if !best <> own then begin
+        move i !best;
         improved := true
       end
     done
   done;
-  c
+  Array.map (fun s -> !value.(s)) slot
 
 let clustering_of_world t world =
   let nk = num_keys t in

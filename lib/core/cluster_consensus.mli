@@ -46,7 +46,10 @@ val best_pivot_of : Consensus_util.Prng.t -> trials:int -> t -> clustering
 
 val local_search : t -> clustering -> clustering
 (** Move single keys between clusters (or to fresh singletons) until no move
-    improves the expected distance. *)
+    improves the expected distance by more than 1e-12.  Each key tries a
+    fresh label first, then the used labels in ascending order; a candidate
+    costs O(1) and a move O(n).  Raises [Invalid_argument] on a clustering
+    of the wrong size. *)
 
 val best_of_worlds :
   Consensus_util.Prng.t -> samples:int -> t -> clustering

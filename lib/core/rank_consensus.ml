@@ -71,15 +71,22 @@ let check_perm ctx sigma =
     sigma
 
 (* Positional cost of placing key index [t] at position [pos] (1-based):
-   E|pos - pos_pw(t)| with absent tuples at position n+1. *)
-let position_cost ctx full t pos =
+   E|pos - pos_pw(t)| with absent tuples at position n+1.  The definition,
+   O(n) per cell; [footrule_cost_row] builds a whole row in O(n). *)
+let position_cost_idx ctx full t pos =
   let n = n_keys ctx in
+  let dist = full.(t) in
   let acc = ref ((1. -. ctx.present.(t)) *. float_of_int (n + 1 - pos)) in
-  Array.iteri
-    (fun m p ->
-      if p <> 0. then acc := !acc +. (p *. float_of_int (abs (pos - (m + 1)))))
-    full.(t);
+  for m = 0 to Array.length dist - 1 do
+    let p = dist.(m) in
+    if p <> 0. then acc := !acc +. (p *. float_of_int (abs (pos - (m + 1))))
+  done;
   !acc
+
+let position_cost ctx key pos =
+  if pos < 1 || pos > n_keys ctx then
+    invalid_arg "Rank_consensus.position_cost: position out of range";
+  position_cost_idx ctx (full_rank_table ctx) (kidx ctx key) pos
 
 let expected_footrule ctx sigma =
   check_perm ctx sigma;
@@ -87,9 +94,37 @@ let expected_footrule ctx sigma =
   let acc = ref 0. in
   Array.iteri
     (fun pos0 key ->
-      acc := !acc +. position_cost ctx full (kidx ctx key) (pos0 + 1))
+      acc := !acc +. position_cost_idx ctx full (kidx ctx key) (pos0 + 1))
     sigma;
   !acc
+
+(* Row [t] of the footrule cost matrix, row.(pos - 1) = position_cost t pos,
+   in O(n).  Moving from [pos] to [pos + 1] brings every world rank beyond
+   [pos], and the absent position n+1, one closer, and takes every rank at
+   or before [pos] one further away: the cost changes by
+   2·Pr(r ≤ pos) − Σ_m Pr(r = m) − Pr(absent), which is 2·Pr(r ≤ pos) − 1
+   when the row sums to the presence marginal.  Rank rows hold at least n
+   entries (every key has an alternative). *)
+let footrule_cost_row ctx full t =
+  let n = n_keys ctx in
+  let dist = full.(t) in
+  let mass = ref 0. in
+  for m = 0 to Array.length dist - 1 do
+    mass := !mass +. dist.(m)
+  done;
+  let step = !mass +. (1. -. ctx.present.(t)) in
+  let row = Array.make n (position_cost_idx ctx full t 1) in
+  let below = ref 0. in
+  for pos = 1 to n - 1 do
+    below := !below +. dist.(pos - 1);
+    row.(pos) <- row.(pos - 1) +. ((2. *. !below) -. step)
+  done;
+  row
+
+let footrule_costs ctx =
+  let full = full_rank_table ctx in
+  Pool.parallel_init ~pool:ctx.pool ~stage:"footrule_cost" (n_keys ctx)
+    (footrule_cost_row ctx full)
 
 let disagreement_matrix ctx =
   match ctx.dis with
@@ -136,12 +171,7 @@ let expected_kendall ctx sigma =
 let mean_footrule ctx =
   let n = n_keys ctx in
   algo_span "mean_footrule" ~n @@ fun () ->
-  let full = full_rank_table ctx in
-  let cost =
-    Pool.parallel_init ~pool:ctx.pool ~stage:"footrule_cost" n (fun t ->
-        Array.init n (fun pos0 -> position_cost ctx full t (pos0 + 1)))
-  in
-  let assignment, total = Hungarian.minimize cost in
+  let assignment, total = Hungarian.minimize (footrule_costs ctx) in
   let sigma = Array.make n 0 in
   Array.iteri (fun t pos -> sigma.(pos) <- ctx.keys.(t)) assignment;
   (sigma, total)

@@ -37,13 +37,25 @@ val expected_footrule : ctx -> int array -> float
 (** [E Σ_t |σ(t) - pos_pw(t)|] for a permutation [σ] of all keys, where
     absent tuples sit at position n+1. *)
 
+val position_cost : ctx -> int -> int -> float
+(** [position_cost ctx key pos] = [E|pos - pos_pw(key)|] for 1 ≤ [pos] ≤ n,
+    with absent tuples at position n+1: one cell of the footrule cost
+    matrix, by its definition, in O(n). *)
+
+val footrule_costs : ctx -> float array array
+(** The footrule assignment matrix: row [r] is key [(keys ctx).(r)], entry
+    [pos - 1] its {!position_cost} at [pos].  Each row is built in O(n) by
+    the recurrence cost(pos + 1) = cost(pos) + 2·Pr(r ≤ pos) − 1, so the
+    matrix costs O(n²); rows are built in parallel on the context's pool. *)
+
 val expected_kendall : ctx -> int array -> float
 (** Expected number of forced pairwise disagreements between [σ] and the
     world ranking. *)
 
 val mean_footrule : ctx -> int array * float
-(** Exact mean ranking under the footrule via the Hungarian algorithm;
-    returns (permutation, expected distance). *)
+(** Exact mean ranking under the footrule: the Hungarian algorithm, O(n³),
+    on {!footrule_costs}, O(n²); returns (permutation, expected
+    distance). *)
 
 val mean_kendall_pivot :
   Consensus_util.Prng.t -> ?trials:int -> ctx -> int array * float

@@ -636,17 +636,95 @@ let test_cluster_pivot_quality () =
       (d <= (2. *. opt) +. 1e-9)
   done
 
+(* Local search is no worse than its start and ends at a stable point of
+   the definition: with cost_with recomputed naively, O(n) per candidate, no
+   single move of any key to any used label or to a fresh one improves the
+   expected distance by more than 1e-9.  Starts cover pivot labellings,
+   gapped negative relabellings of them, and random labellings (whose
+   clusters empty and refill). *)
 let test_cluster_local_search () =
   let g = rng () in
-  for _ = 1 to 10 do
-    let db = Gen.clustering_db g (3 + Prng.int g 4) in
+  for iter = 1 to 45 do
+    let n = 2 + Prng.int g 60 in
+    let db =
+      if iter mod 2 = 0 then Gen.clustering_db g n else Gen.bid_db ~max_alts:2 g n
+    in
     let t = Cluster_consensus.make db in
-    let c0 = Cluster_consensus.pivot g t in
-    let c1 = Cluster_consensus.local_search t c0 in
+    let c0 =
+      match iter mod 3 with
+      | 0 -> Cluster_consensus.pivot g t
+      | 1 -> Array.map (fun l -> (3 * l) - 4) (Cluster_consensus.pivot g t)
+      | _ -> Array.init n (fun _ -> Prng.int g 6)
+    in
+    let c = Cluster_consensus.local_search t c0 in
     Alcotest.(check bool) "local search no worse" true
-      (Cluster_consensus.expected_dist t c1
-      <= Cluster_consensus.expected_dist t c0 +. 1e-9)
+      (Cluster_consensus.expected_dist t c
+      <= Cluster_consensus.expected_dist t c0 +. 1e-9);
+    let cost_with l i =
+      let acc = ref 0. in
+      for j = 0 to n - 1 do
+        if j <> i then
+          let w = Cluster_consensus.weight t i j in
+          acc := !acc +. if c.(j) = l then 1. -. w else w
+      done;
+      !acc
+    in
+    let fresh = 1 + Array.fold_left max min_int c in
+    let labels = fresh :: List.sort_uniq compare (Array.to_list c) in
+    for i = 0 to n - 1 do
+      let current = cost_with c.(i) i in
+      List.iter
+        (fun l ->
+          let d = current -. cost_with l i in
+          if d > 1e-9 then
+            Alcotest.failf "moving key %d of %d from label %d to %d gains %g" i n
+              c.(i) l d)
+        labels
+    done
   done
+
+(* Labels as the per-candidate search gave them, on a 4-key instance with
+   gapped starting labels: the searches empty the highest label and then
+   open a fresh one, one above the highest used label (7 after 6, where 9
+   was). *)
+let test_cluster_local_search_labels () =
+  let db =
+    Db.bid
+      [
+        (0, [ (1.0, 1.) ]);
+        (1, [ (0.519299, 1.) ]);
+        (2, [ (0.266808, 1.); (0.313924, 2.) ]);
+        (3, [ (0.458504, 0.); (0.154148, 2.) ]);
+      ]
+  in
+  let t = Cluster_consensus.make db in
+  List.iter
+    (fun (c0, expected) ->
+      Alcotest.(check (array int)) "labels" expected (Cluster_consensus.local_search t c0))
+    [
+      ([| 9; 6; 0; 0 |], [| 6; 6; 7; 0 |]);
+      ([| 6; 3; 0; 0 |], [| 3; 3; 4; 0 |]);
+      ([| 9; 6; 3; 3 |], [| 6; 6; 7; 3 |]);
+      ([| 6; 0; 3; 3 |], [| 0; 0; 4; 3 |]);
+      ([| 0; 3; 6; 9 |], [| 3; 3; 6; 9 |]);
+    ]
+
+(* A local-search candidate is O(1) and a move O(n), on per-label columns
+   updated in place: on one domain, from the best of 8 pivots, the search at
+   300 keys allocates a fraction of a minor word per key pair.  The
+   per-candidate recomputation and per-key label sort it replaced allocated
+   ~95 per pair here and fail this bound. *)
+let test_cluster_local_search_allocation_bound () =
+  let n = 300 in
+  Consensus_engine.Pool.with_pool ~jobs:1 @@ fun pool ->
+  let g = rng () in
+  let t = Cluster_consensus.make ~pool (Gen.bid_db ~max_alts:2 g n) in
+  let c0 = Cluster_consensus.best_pivot_of g ~trials:8 t in
+  let before = Gc.minor_words () in
+  ignore (Cluster_consensus.local_search t c0);
+  let per_pair = (Gc.minor_words () -. before) /. float_of_int (n * n) in
+  if per_pair > 2. then
+    Alcotest.failf "local_search allocates %.2f minor words per key pair" per_pair
 
 let test_cluster_distance_axioms () =
   let c1 = [| 0; 0; 1 |] and c2 = [| 0; 1; 1 |] and c3 = [| 0; 1; 2 |] in
@@ -706,6 +784,10 @@ let suite =
     Alcotest.test_case "cluster expected dist" `Quick test_cluster_expected_dist_vs_enum;
     Alcotest.test_case "cluster pivot quality" `Quick test_cluster_pivot_quality;
     Alcotest.test_case "cluster local search" `Quick test_cluster_local_search;
+    Alcotest.test_case "cluster local search labels" `Quick
+      test_cluster_local_search_labels;
+    Alcotest.test_case "cluster local search allocation bound" `Quick
+      test_cluster_local_search_allocation_bound;
     Alcotest.test_case "cluster distance axioms" `Quick test_cluster_distance_axioms;
     Alcotest.test_case "cluster best of worlds" `Quick test_cluster_best_of_worlds;
     Alcotest.test_case "ctx rank rows aligned" `Quick test_ctx_rank_rows_aligned;

@@ -68,6 +68,89 @@ let test_mean_kendall_exact_optimal () =
   done;
   List.iter check (bid_shaped_dbs g)
 
+(* A random tree whose top-level xor blocks carry the numeric edges: an edge
+   of probability 1e-12, one of 1 − 1e-12 and a pair whose mass sits at the
+   1 + 1e-9 bound, each over a random subtree of fresh keys. *)
+let edge_tree_db g =
+  let module Tree = Consensus_anxor.Tree in
+  let scores = Gen.distinct_scores g 64 in
+  let next = ref (-1) in
+  let subtree n =
+    Tree.map
+      (fun _ ->
+        incr next;
+        { Consensus_anxor.Db.key = !next; value = scores.(!next) })
+      (Gen.random_tree g n)
+  in
+  Consensus_anxor.Db.create
+    (Tree.and_
+       [
+         Tree.xor [ (1e-12, subtree 5) ];
+         Tree.xor [ (1. -. 1e-12, subtree 8) ];
+         Tree.xor [ (0.6, subtree 6); (Suite_anxor.at_mass_bound 0.6, subtree 7) ];
+         subtree 10;
+       ])
+
+(* Every O(n) footrule cost row equals the per-cell definition: BID,
+   x-tuple and random-tree databases, and blocks of mass 1e-12, 1 − 1e-12
+   and 1 + 1e-9. *)
+let test_footrule_rows_match_definition () =
+  let g = rng () in
+  let check name db =
+    let ctx = Rank_consensus.make_ctx db in
+    let keys = Rank_consensus.keys ctx in
+    let worst = ref (0., 0, 0) in
+    Array.iteri
+      (fun r row ->
+        Array.iteri
+          (fun pos0 cost ->
+            let d =
+              Float.abs (cost -. Rank_consensus.position_cost ctx keys.(r) (pos0 + 1))
+            in
+            let wd, _, _ = !worst in
+            if not (d <= wd) then worst := (d, keys.(r), pos0 + 1))
+          row)
+      (Rank_consensus.footrule_costs ctx);
+    let d, key, pos = !worst in
+    if not (d <= 1e-9) then
+      Alcotest.failf "%s: row of key %d differs from position_cost at %d by %g"
+        name key pos d
+  in
+  List.iter
+    (fun n ->
+      check (Printf.sprintf "bid %d" n) (Gen.bid_db ~max_alts:4 ~forced_fraction:0.5 g n);
+      check (Printf.sprintf "x-tuple %d" n)
+        (Gen.xtuple_db ~max_alts:4 ~forced_fraction:0.5 g n);
+      check (Printf.sprintf "tree %d" n) (Gen.random_tree_db g n);
+      check (Printf.sprintf "keyed tree %d" n) (Gen.random_keyed_tree g n))
+    [ 1; 7; 60; 150 ];
+  List.iter
+    (fun xtuple ->
+      check
+        (if xtuple then "x-tuple edges" else "bid edges")
+        (Consensus_anxor.Db.create
+           (Consensus_anxor.Tree.bid (Suite_anxor.edge_blocks g ~xtuple 80))))
+    [ false; true ];
+  for _ = 1 to 3 do
+    check "tree edges" (edge_tree_db g)
+  done
+
+(* The footrule mean builds its cost matrix row by row in O(n) into unboxed
+   rows: on one domain, with the rank table built beforehand, the whole
+   solve at 300 keys allocates about 2 minor words per cell, Hungarian's
+   scratch included.  The per-cell definition walk it replaced allocated
+   ~856 per cell here and fails this bound. *)
+let test_mean_footrule_allocation_bound () =
+  let n = 300 in
+  Consensus_engine.Pool.with_pool ~jobs:1 @@ fun pool ->
+  let ctx = Rank_consensus.make_ctx ~pool (Gen.bid_db ~max_alts:1 (rng ()) n) in
+  ignore (Rank_consensus.position_cost ctx (Rank_consensus.keys ctx).(0) 1);
+  let before = Gc.minor_words () in
+  ignore (Rank_consensus.mean_footrule ctx);
+  let per_cell = (Gc.minor_words () -. before) /. float_of_int (n * n) in
+  if per_cell > 10. then
+    Alcotest.failf "mean_footrule allocates %.1f minor words per cell" per_cell
+
 (* Kendall reads only presence marginals and pairwise disagreements: a
    Kendall query must not build (or store) the full rank table, and a
    footrule query on the same database must. *)
@@ -188,6 +271,10 @@ let suite =
   [
     Alcotest.test_case "evaluators vs enumeration" `Quick test_evaluators_vs_enum;
     Alcotest.test_case "mean footrule optimal" `Quick test_mean_footrule_optimal;
+    Alcotest.test_case "footrule rows match definition" `Quick
+      test_footrule_rows_match_definition;
+    Alcotest.test_case "footrule allocation bound" `Quick
+      test_mean_footrule_allocation_bound;
     Alcotest.test_case "kemeny DP optimal" `Quick test_mean_kendall_exact_optimal;
     Alcotest.test_case "kendall approximations" `Quick test_kendall_approximations;
     Alcotest.test_case "mc4/copeland baselines" `Quick test_mc4_copeland_baselines;

@@ -956,13 +956,15 @@ let test_daemon_backpressure () =
 
 (* GC-pause attribution reaches the slow ring.  With the runtime-events
    consumer started (as `consensus serve` runs) and every request
-   slow-captured, uncached footrule rankings of a 100-key database run past
+   slow-captured, uncached footrule rankings of a 400-key database run past
    the scheduler's 20 ms full-drain threshold, so each slow entry sees the
-   pauses inside its own run window.  Faster requests see only pauses an
-   earlier drain recorded, so the test first asserts that a run did reach
-   20 ms: a future speed-up fails that precondition instead of flaking. *)
+   pauses inside its own run window.  Such a ranking is an O(n²) cost matrix
+   and an O(n³) Hungarian solve: 73–136 ms at 400 keys on a 2-vCPU host in
+   the default build profile, over 3× the threshold.  Faster requests see only pauses an earlier drain recorded, so
+   the test first asserts that a run did reach 20 ms: a future speed-up
+   fails that precondition instead of flaking. *)
 let test_daemon_gc_pause_attribution () =
-  let db = Gen.bid_db (Prng.create ~seed:31 ()) 100 in
+  let db = Gen.bid_db (Prng.create ~seed:31 ()) 400 in
   Runtime.start ();
   Fun.protect ~finally:Runtime.stop @@ fun () ->
   with_small_daemon ~slow_threshold:0. ~db @@ fun _daemon port ->
