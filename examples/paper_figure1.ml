@@ -50,20 +50,21 @@ let () =
     (Worlds.enumerate (Db.tree db3));
 
   (* The annotated generating function 0.3 y + 0.3 x^2 + 0.4 x: y on the
-     leaf (t3,6), x on every leaf with score > 6. *)
+     leaf (t3,6), x on every leaf with score > 6.  It is linear in y, so
+     the Bipoly engine computes it exactly. *)
   let f =
-    Genfunc.bivariate
+    Genfunc.bipoly
       (fun l ->
         let a = Db.alt db3 l in
-        if a.key = 3 && a.value = 6. then Poly2.y
-        else if a.value > 6. then Poly2.x
-        else Poly2.one)
+        if a.key = 3 && a.value = 6. then Bipoly.y
+        else if a.value > 6. then Bipoly.x
+        else Bipoly.one)
       (Db.arena db3)
   in
   Printf.printf "\ngenerating function with y on (t3,6), x on higher scores\n";
-  Printf.printf "(paper: 0.3y + 0.3x^2 + 0.4x):\n  %s\n" (Poly2.to_string f);
+  Format.printf "(paper: 0.3y + 0.3x^2 + 0.4x):\n  %a@." Bipoly.pp f;
   Printf.printf "coefficient of y = Pr(alternative (t3,6) ranked first) = %g\n"
-    (Poly2.coeff f 0 1);
+    (Poly1.coeff f.Bipoly.b 0);
 
   Printf.printf "\nrank distribution of every key (k = 3):\n";
   List.iter

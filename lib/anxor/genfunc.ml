@@ -111,19 +111,6 @@ let size_distribution a = univariate (fun _ -> Poly1.x) a
 let subset_size_distribution mem a =
   univariate (fun i -> if mem i then Poly1.x else Poly1.one) a
 
-let bivariate ?trunc_x ?trunc_y s a =
-  let mul =
-    match (trunc_x, trunc_y) with
-    | None, None -> Poly2.mul
-    | dx, dy ->
-        let dx = Option.value dx ~default:max_int in
-        let dy = Option.value dy ~default:max_int in
-        Poly2.mul_trunc dx dy
-  in
-  eval
-    { const = Poly2.const; add = Poly2.add; mul; scale = Poly2.scale; one = Poly2.one }
-    s a
-
 let bipoly ?trunc s a =
   eval
     {

@@ -44,12 +44,12 @@ val subset_size_distribution : (int -> bool) -> Arena.t -> Consensus_poly.Poly1.
     [Pr(|pw ∩ S| = i)] for [S] the leaf indices satisfying [mem]
     (Example 2). *)
 
-val bivariate : ?trunc_x:int -> ?trunc_y:int -> (int -> Consensus_poly.Poly2.t) -> Arena.t -> Consensus_poly.Poly2.t
-(** Two-variable engine (dense); used for the Jaccard computations (§4.2). *)
-
 val bipoly : ?trunc:int -> (int -> Consensus_poly.Bipoly.t) -> Arena.t -> Consensus_poly.Bipoly.t
-(** Engine for functions linear in a second variable [y]; the O(nk)
-    rank-distribution workhorse (Example 3). *)
+(** Engine for functions linear in a second variable [y], i.e. dual numbers
+    [a + b·ε] over univariate polynomials: the O(nk) rank-distribution
+    workhorse (Example 3), and Jaccard's Lemma 1 (§4.2), which maps the
+    leaves of a world to [1 + ε] so that [b] is the derivative at 1 of
+    their variable. *)
 
 val mpoly : ?max_degree:int -> (int -> Consensus_poly.Mpoly.t) -> Arena.t -> Consensus_poly.Mpoly.t
 (** Fully general sparse engine for a constant number of variables. *)

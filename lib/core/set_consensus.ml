@@ -2,6 +2,7 @@ open Consensus_poly
 open Consensus_anxor
 module Fcmp = Consensus_util.Fcmp
 module Obs = Consensus_obs.Obs
+module Deadline = Consensus_util.Deadline
 
 (* Shared forced-tuple test: a marginal (or block mass) within Fcmp
    tolerance of 1 denotes a tuple present in every possible world.  Both
@@ -105,37 +106,51 @@ let expected_jaccard db w =
   let in_w = Array.make (Db.num_alts db) false in
   List.iter (fun i -> in_w.(i) <- true) w;
   let size_w = List.length w in
+  (* Lemma 1 with I = |pw ∩ W| and J = |pw \ W|: d_J = (|W| - I + J) /
+     (|W| + J), with 0/0 = 0, is linear in I, so only F(1, y) and
+     ∂F/∂x(1, y) matter.  A leaf of W maps to the dual number x = 1 + ε,
+     every other leaf to y, so coefficient j of [a] is Pr(J = j) and of
+     [b] is E[I·1{J = j}]. *)
   let f =
-    Genfunc.bivariate
-      (fun i -> if in_w.(i) then Poly2.x else Poly2.y)
+    Genfunc.bipoly
+      (fun i -> if in_w.(i) then Bipoly.make ~a:Poly1.one ~b:Poly1.one else Bipoly.x)
       (Db.arena db)
   in
-  (* coefficient of x^i y^j: Pr(|pw ∩ W| = i ∧ |pw \ W| = j);
-     d_J = (|W| - i + j) / (|W| + j), with 0/0 = 0. *)
-  Poly2.fold
-    (fun i j c acc ->
-      let num = float_of_int (size_w - i + j) in
-      let den = float_of_int (size_w + j) in
-      if den = 0. then acc else acc +. (c *. num /. den))
-    f 0.
+  let acc = ref 0. in
+  for j = 0 to Poly1.degree f.a do
+    let den = float_of_int (size_w + j) in
+    if den > 0. then acc := !acc +. Poly1.coeff f.a j -. (Poly1.coeff f.b j /. den)
+  done;
+  !acc
+
+(* Lemma 2's sweep, shared by the mean and both medians: [base] is in every
+   candidate and [candidates] join it one at a time, in order; the first
+   prefix of least expected distance wins. *)
+let best_prefix db ~base candidates =
+  let eval w =
+    Deadline.check_current ();
+    let w = List.sort compare w in
+    (w, expected_jaccard db w)
+  in
+  let rec go ((_, d_best) as best) current = function
+    | [] -> fst best
+    | l :: rest ->
+        let current = l :: current in
+        let ((_, d) as cand) = eval current in
+        go (if d < d_best then cand else best) current rest
+  in
+  go (eval base) base candidates
+
+let by_marginal_desc db i j = Float.compare (Db.marginal db j) (Db.marginal db i)
 
 let mean_jaccard db =
   if not (Db.is_independent db) then
     invalid_arg "Set_consensus.mean_jaccard: requires a tuple-independent database";
   algo_span "mean_jaccard" db @@ fun () ->
-  let n = Db.num_alts db in
-  let order = Array.init n Fun.id in
-  Array.sort (fun i j -> Float.compare (Db.marginal db j) (Db.marginal db i)) order;
+  let order = Array.init (Db.num_alts db) Fun.id in
+  Array.sort (by_marginal_desc db) order;
   (* Lemma 2: the mean world is one of the n+1 probability-sorted prefixes. *)
-  let best = ref ([], expected_jaccard db []) in
-  let prefix = ref [] in
-  for i = 0 to n - 1 do
-    prefix := order.(i) :: !prefix;
-    let w = List.sort compare !prefix in
-    let d = expected_jaccard db w in
-    if d < snd !best then best := (w, d)
-  done;
-  fst !best
+  best_prefix db ~base:[] (Array.to_list order)
 
 let median_jaccard db =
   if not (Db.is_independent db) then
@@ -150,52 +165,34 @@ let median_jaccard db =
     |> List.filter (fun i ->
            let m = Db.marginal db i in
            Fcmp.gt m 0. && not (forced_marginal m))
-    |> List.sort (fun i j -> Float.compare (Db.marginal db j) (Db.marginal db i))
+    |> List.sort (by_marginal_desc db)
   in
-  let best = ref (List.sort compare forced, expected_jaccard db forced) in
-  let current = ref forced in
-  List.iter
-    (fun i ->
-      current := i :: !current;
-      let w = List.sort compare !current in
-      let d = expected_jaccard db w in
-      if d < snd !best then best := (w, d))
-    optional;
-  fst !best
+  best_prefix db ~base:forced optional
 
 let median_jaccard_bid db =
-  if not (Db.is_bid db) then
-    invalid_arg "Set_consensus.median_jaccard_bid: requires a BID database";
+  let blocks =
+    match Db.xor_blocks db with
+    | Some blocks -> blocks
+    | None -> invalid_arg "Set_consensus.median_jaccard_bid: requires a BID database"
+  in
   algo_span "median_jaccard_bid" db @@ fun () ->
-  (* Highest-probability alternative per key; forced keys (block mass 1)
-     are present in every world, so every candidate includes them. *)
-  let keys = Db.keys db in
-  let best_alt key =
-    List.fold_left
-      (fun acc l ->
-        match acc with
-        | Some b when Db.marginal db b >= Db.marginal db l -> acc
-        | _ -> Some l)
-      None (Db.alts_of_key db key)
-    |> Option.get
-  in
+  (* Per xor block (a block's leaves are mutually exclusive whatever their
+     keys): its highest-probability alternative, first in leaf order on
+     ties, and its mass.  Forced blocks (mass 1) are present in every
+     world, so every candidate includes their best alternative. *)
+  let nb = Array.fold_left (fun acc b -> max acc (b + 1)) 0 blocks in
+  let best = Array.make nb (-1) and mass = Array.make nb 0. in
+  Array.iteri
+    (fun l b ->
+      let m = Db.marginal db l in
+      mass.(b) <- mass.(b) +. m;
+      if best.(b) < 0 || m > Db.marginal db best.(b) then best.(b) <- l)
+    blocks;
   let forced, optional =
-    Array.to_list keys
-    |> List.partition (fun key -> forced_marginal (Db.key_marginal db key))
+    List.init nb Fun.id
+    (* a block whose edges all had probability 0 holds no leaf *)
+    |> List.filter (fun b -> best.(b) >= 0)
+    |> List.partition (fun b -> forced_marginal mass.(b))
   in
-  let base = List.map best_alt forced in
-  let optional_alts =
-    List.map best_alt optional
-    |> List.sort (fun a b -> Float.compare (Db.marginal db b) (Db.marginal db a))
-  in
-  let candidate w = List.sort compare w in
-  let best = ref (candidate base, expected_jaccard db (candidate base)) in
-  let current = ref base in
-  List.iter
-    (fun l ->
-      current := l :: !current;
-      let w = candidate !current in
-      let d = expected_jaccard db w in
-      if d < snd !best then best := (w, d))
-    optional_alts;
-  fst !best
+  best_prefix db ~base:(List.map (Array.get best) forced)
+    (List.map (Array.get best) optional |> List.sort (by_marginal_desc db))

@@ -39,15 +39,21 @@ val median_sym_diff : Db.t -> world
 (** {1 Jaccard distance (§4.2)} *)
 
 val expected_jaccard : Db.t -> world -> float
-(** Lemma 1: exact [E d_J(W, pw)] via a bivariate generating function with
-    [x] on the leaves of [W] and [y] elsewhere; the coefficient of [x^i y^j]
-    weights distance [(|W| - i + j) / (|W| + j)].  [d_J(∅, ∅) = 0]. *)
+(** Lemma 1: exact [E d_J(W, pw)].  With [I = |pw ∩ W|] and
+    [J = |pw \ W|], [d_J = (|W| - I + J) / (|W| + J)] is linear in [I],
+    so one {!Genfunc.bipoly} run suffices: a leaf of [W] maps to the dual
+    number [1 + ε], every other leaf to [y].  Coefficient [j] of the real
+    part is [Pr(J = j)], of the [ε] part [E(I·1{J = j})], and
+    [E d_J = Σ_j (Pr(J = j) - E(I·1{J = j}) / (|W| + j))], skipping
+    [|W| + j = 0] ([d_J(∅, ∅) = 0]).  O(n²) for n leaves. *)
 
 val mean_jaccard : Db.t -> world
 (** Lemma 2's algorithm: for a {e tuple-independent} database the mean world
     is a prefix of the tuples sorted by decreasing probability; evaluates
-    all prefixes with {!expected_jaccard}.  Raises [Invalid_argument] if the
-    database is not tuple-independent. *)
+    all prefixes with {!expected_jaccard}, O(n³).  This sweep, shared with
+    both medians, polls [Consensus_util.Deadline.check_current] once per
+    prefix, so an expired request token raises [Deadline.Expired].  Raises
+    [Invalid_argument] if the database is not tuple-independent. *)
 
 val median_jaccard : Db.t -> world
 (** Median world under Jaccard for a {e tuple-independent} database: when
@@ -59,8 +65,10 @@ val median_jaccard : Db.t -> world
     tuple-independent. *)
 
 val median_jaccard_bid : Db.t -> world
-(** Median world under Jaccard for a {e BID} database (§4.2): candidate
-    worlds keep only the highest-probability alternative per key, forced
-    keys (alternatives summing to 1) always included, optional keys added in
-    decreasing probability order.  Raises [Invalid_argument] if the database
-    is not BID. *)
+(** Median world under Jaccard for a {e BID-shaped} database (§4.2),
+    x-tuple blocks included: candidate worlds keep only the
+    highest-probability alternative per xor block, forced blocks
+    (alternatives summing to 1) always included, optional blocks added in
+    decreasing probability order.  Every candidate is a possible world,
+    but the prefix scan can miss the optimum.  Raises [Invalid_argument]
+    if the database is not BID-shaped. *)

@@ -21,12 +21,6 @@ let mul ?trunc p q =
     b = Poly1.add (mul1 ?trunc p.a q.b) (mul1 ?trunc p.b q.a);
   }
 
-let mul_strict ?trunc p q =
-  let y2 = Poly1.mul p.b q.b in
-  if not (Poly1.equal ~eps:1e-12 y2 Poly1.zero) then
-    invalid_arg "Bipoly.mul_strict: non-zero y^2 term";
-  mul ?trunc p q
-
 let equal ?eps p q = Poly1.equal ?eps p.a q.a && Poly1.equal ?eps p.b q.b
 
 let pp ppf p =

@@ -709,31 +709,33 @@ let test_topk_pair_vs_enumeration () =
 
 (* ---------- Genfunc engines cross-validation ---------- *)
 
-let test_bipoly_engine_vs_bivariate () =
+let test_bipoly_engine_vs_mpoly () =
+  (* Against the general engine with x = var 0 and y = var 1, cut to first
+     order in y: y on leaf 0 (Example 3, linear in y), and 1 + y on the odd
+     leaves (the dual numbers of Jaccard's Lemma 1). *)
   let g = rng () in
+  let x = Mpoly.var 0 and y = Mpoly.var 1 in
+  let one_eps = Bipoly.make ~a:Poly1.one ~b:Poly1.one in
+  let cases =
+    [ ((fun i -> if i = 0 then Bipoly.y else if i mod 2 = 1 then Bipoly.x else Bipoly.one),
+       fun i -> if i = 0 then y else if i mod 2 = 1 then x else Mpoly.one);
+      ((fun i -> if i mod 2 = 1 then one_eps else Bipoly.x),
+       fun i -> if i mod 2 = 1 then Mpoly.add_const 1. y else x) ]
+  in
   for _ = 1 to 10 do
     let a = arena_of (Consensus_workload.Gen.random_tree g 7) in
-    (* y on leaf 0, x on odd leaves. *)
-    let bip =
-      Genfunc.bipoly
-        (fun i ->
-          if i = 0 then Bipoly.y
-          else if i mod 2 = 1 then Bipoly.x
-          else Bipoly.one)
-        a
-    in
-    let p2 =
-      Genfunc.bivariate
-        (fun i ->
-          if i = 0 then Poly2.y
-          else if i mod 2 = 1 then Poly2.x
-          else Poly2.one)
-        a
-    in
-    for d = 0 to max (Poly1.degree bip.Bipoly.a) (Poly2.degree_x p2) do
-      check_floatl "y^0 parts agree" (Poly2.coeff p2 d 0) (Poly1.coeff bip.Bipoly.a d);
-      check_floatl "y^1 parts agree" (Poly2.coeff p2 d 1) (Poly1.coeff bip.Bipoly.b d)
-    done
+    List.iter
+      (fun (sb, sm) ->
+        let bip = Genfunc.bipoly sb a and m = Genfunc.mpoly sm a in
+        for d = 0 to Arena.num_leaves a do
+          let xd = if d = 0 then [] else [ (0, d) ] in
+          check_floatl "y^0 parts agree"
+            (Mpoly.coeff m (Mpoly.mono_of_list xd)) (Poly1.coeff bip.Bipoly.a d);
+          check_floatl "y^1 parts agree"
+            (Mpoly.coeff m (Mpoly.mono_of_list (xd @ [ (1, 1) ])))
+            (Poly1.coeff bip.Bipoly.b d)
+        done)
+      cases
   done
 
 let test_mpoly_engine_vs_enumeration () =
@@ -794,6 +796,6 @@ let suite =
     Alcotest.test_case "full rank dist" `Quick test_full_rank_dist;
     Alcotest.test_case "full rank table dense = general" `Quick
       test_full_rank_table_dense_matches_general;
-    Alcotest.test_case "bipoly engine vs bivariate" `Quick test_bipoly_engine_vs_bivariate;
+    Alcotest.test_case "bipoly engine vs mpoly" `Quick test_bipoly_engine_vs_mpoly;
     Alcotest.test_case "mpoly engine vs enumeration" `Quick test_mpoly_engine_vs_enumeration;
   ]

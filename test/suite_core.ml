@@ -78,18 +78,43 @@ let test_corollary1_consistency () =
   done;
   Alcotest.(check int) "corollary 1 holds whenever applicable" !total !agree
 
+(* BID-shaped blocks at the numeric edges: probabilities 1e-12, 1 - 1e-12
+   and 0.5 ± 1 ulp, and one block whose mass is the largest that [Tree.xor]
+   accepts under its 1 + 1e-9 bound.  [xtuple] gives every alternative its
+   own key. *)
+let edge_db ~xtuple =
+  let over = ref (1. +. 1e-9 -. 0.6) in
+  while 0.6 +. !over > 1. +. 1e-9 do over := Float.pred !over done;
+  let up = Float.succ 0.5 and down = Float.pred 0.5 in
+  let next = ref (-1) in
+  let alt block p =
+    incr next;
+    (p, { Db.key = (if xtuple then !next else block); value = float_of_int (10 * !next) })
+  in
+  [ [ 0.6; !over ]; [ 1e-12; 1. -. 1e-12 ]; [ 1. -. 1e-12 ]; [ 1e-12 ]; [ up; down ];
+    [ up ]; [ down; 0.25 ] ]
+  |> List.mapi (fun b ps -> List.map (alt b) ps)
+  |> Tree.bid |> Db.create
+
 let test_expected_jaccard_vs_enum () =
+  let check db =
+    let all = List.init (Db.num_alts db) Fun.id in
+    List.iter
+      (fun w ->
+        check_float "jaccard genfunc = enumeration"
+          (exact_expected db (Api.World (Api.Set_jaccard, Api.Mean)) (Exact.World w))
+          (Set_consensus.expected_jaccard db w))
+      ([] :: all :: List.map (fun r -> List.filter (fun i -> (i + r) mod 2 = 0) all) [ 0; 1 ])
+  in
   let g = rng () in
   for _ = 1 to 15 do
-    let db = Gen.random_tree_db g (3 + Prng.int g 5) in
-    let n = Db.num_alts db in
-    for trial = 0 to 2 do
-      let w = List.init n Fun.id |> List.filter (fun i -> (i + trial) mod 2 = 0) in
-      check_float "jaccard genfunc = enumeration"
-        (exact_expected db (Api.World (Api.Set_jaccard, Api.Mean)) (Exact.World w))
-        (Set_consensus.expected_jaccard db w)
-    done
-  done
+    check (Gen.random_tree_db g (3 + Prng.int g 5))
+  done;
+  for _ = 1 to 5 do
+    check (Gen.bid_db g (2 + Prng.int g 3));
+    check (Gen.xtuple_db g (2 + Prng.int g 3))
+  done;
+  List.iter (fun xtuple -> check (edge_db ~xtuple)) [ false; true ]
 
 let test_mean_jaccard_optimal () =
   (* Lemma 2: prefix algorithm matches brute force on independent dbs. *)
@@ -188,7 +213,35 @@ let test_median_jaccard_bid () =
   Alcotest.(check bool)
     (Printf.sprintf "BID median agreement %d/%d" !agree !total)
     true
-    (!agree >= (!total * 3) / 5)
+    (!agree >= (!total * 3) / 5);
+  (* x-tuple blocks hold several keys: the candidates pick per block, so
+     two alternatives of one block are never returned together. *)
+  for _ = 1 to 25 do
+    let db = Gen.xtuple_db ~max_alts:3 g (2 + Prng.int g 3) in
+    Alcotest.(check bool) "x-tuple candidate is possible" true
+      (Tree.world_is_possible ~eq:( = ) (fst (Tree.index (Db.tree db)))
+         (Set_consensus.median_jaccard_bid db))
+  done;
+  (* a block whose only edge has probability 0 keeps no leaf *)
+  let alt key p = (p, { Db.key; value = float_of_int key }) in
+  let db = Db.create (Tree.bid [ [ alt 0 0. ]; [ alt 1 0.6; alt 2 0.4 ]; [ alt 3 0.7 ] ]) in
+  check_float "empty block"
+    (exact_optimum db (Api.World (Api.Set_jaccard, Api.Median)))
+    (Set_consensus.expected_jaccard db (Set_consensus.median_jaccard_bid db))
+
+(* The prefix sweep polls the ambient deadline once per prefix. *)
+let test_jaccard_sweep_deadline () =
+  let g = rng () in
+  let token = Deadline.make () in
+  Deadline.cancel token;
+  List.iter
+    (fun (name, f, db) ->
+      match Deadline.with_current token (fun () -> f db) with
+      | _ -> Alcotest.failf "%s ignored a cancelled deadline" name
+      | exception Deadline.Expired -> ())
+    [ ("mean_jaccard", Set_consensus.mean_jaccard, Gen.independent_db g 8);
+      ("median_jaccard", Set_consensus.median_jaccard, Gen.independent_db g 8);
+      ("median_jaccard_bid", Set_consensus.median_jaccard_bid, Gen.bid_db g 4) ]
 
 (* =================== Top-k consensus (§5) =================== *)
 
@@ -791,4 +844,5 @@ let suite =
     Alcotest.test_case "cluster distance axioms" `Quick test_cluster_distance_axioms;
     Alcotest.test_case "cluster best of worlds" `Quick test_cluster_best_of_worlds;
     Alcotest.test_case "ctx rank rows aligned" `Quick test_ctx_rank_rows_aligned;
+    Alcotest.test_case "jaccard sweep honours deadlines" `Quick test_jaccard_sweep_deadline;
   ]

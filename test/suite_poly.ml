@@ -127,40 +127,6 @@ let prop_trunc_consistent =
     (QCheck.triple arb_poly1 arb_poly1 (QCheck.int_range 0 10)) (fun (p, q, d) ->
       Poly1.equal ~eps:1e-9 (Poly1.mul_trunc d p q) (Poly1.truncate d (Poly1.mul p q)))
 
-(* ---------- Poly2 ---------- *)
-
-let poly2_testable = Alcotest.testable Poly2.pp (fun p q -> Poly2.equal ~eps:1e-9 p q)
-
-let test_p2_basic () =
-  let p = Poly2.monomial 1 2 3. in
-  check_float "coeff" 3. (Poly2.coeff p 1 2);
-  Alcotest.(check int) "dx" 1 (Poly2.degree_x p);
-  Alcotest.(check int) "dy" 2 (Poly2.degree_y p);
-  check_float "eval" (3. *. 2. *. 9.) (Poly2.eval p 2. 3.)
-
-let test_p2_arith () =
-  let p = Poly2.add Poly2.x Poly2.y in
-  let sq = Poly2.mul p p in
-  check_float "x^2" 1. (Poly2.coeff sq 2 0);
-  check_float "xy" 2. (Poly2.coeff sq 1 1);
-  check_float "y^2" 1. (Poly2.coeff sq 0 2);
-  let tr = Poly2.mul_trunc 1 1 p p in
-  check_float "truncated x^2 gone" 0. (Poly2.coeff tr 2 0);
-  check_float "truncated xy kept" 2. (Poly2.coeff tr 1 1);
-  Alcotest.check poly2_testable "sub self" Poly2.zero (Poly2.sub p p)
-
-let test_p2_inject () =
-  let p1 = Poly1.of_coeffs [| 1.; 2. |] in
-  let px = Poly2.of_poly1_x p1 and py = Poly2.of_poly1_y p1 in
-  check_float "x inject" 2. (Poly2.coeff px 1 0);
-  check_float "y inject" 2. (Poly2.coeff py 0 1);
-  check_float "sum preserved" (Poly1.sum_coeffs p1) (Poly2.sum_coeffs px)
-
-let test_p2_fold () =
-  let p = Poly2.add (Poly2.monomial 1 0 2.) (Poly2.monomial 0 2 3.) in
-  let total = Poly2.fold (fun _ _ c acc -> acc +. c) p 0. in
-  check_float "fold sums" 5. total
-
 (* ---------- Bipoly ---------- *)
 
 let test_bipoly_mul () =
@@ -178,26 +144,37 @@ let test_bipoly_trunc () =
   let r = Bipoly.mul ~trunc:1 (Bipoly.mul ~trunc:1 p p) p in
   Alcotest.(check int) "degree capped" 1 (Poly1.degree r.Bipoly.a)
 
-let test_bipoly_strict () =
-  Alcotest.check_raises "y^2 detected" (Invalid_argument "Bipoly.mul_strict: non-zero y^2 term")
-    (fun () -> ignore (Bipoly.mul_strict Bipoly.y Bipoly.y));
-  (* mul silently drops the y^2 term *)
-  let r = Bipoly.mul Bipoly.y Bipoly.y in
-  Alcotest.(check bool) "dropped" true (Bipoly.equal r Bipoly.zero)
+let mpoly_testable = Alcotest.testable Mpoly.pp (fun p q -> Mpoly.equal ~eps:1e-9 p q)
 
-let test_bipoly_vs_poly2 () =
-  (* Bipoly product must agree with the dense bivariate product when the
-     y-degree stays <= 1. *)
+(* The two-variable reference for a Bipoly: x = var 0, y = var 1. *)
+let mpoly_of_bipoly (f : Bipoly.t) =
+  let of_poly1 y p =
+    Array.to_list (Poly1.coeffs p)
+    |> List.mapi (fun i c ->
+           let x = if i = 0 then [] else [ (0, i) ] in
+           Mpoly.monomial (Mpoly.mono_of_list (x @ y)) c)
+    |> List.fold_left Mpoly.add Mpoly.zero
+  in
+  Mpoly.add (of_poly1 [] f.Bipoly.a) (of_poly1 [ (1, 1) ] f.Bipoly.b)
+
+let test_bipoly_vs_mpoly () =
+  (* The Bipoly product is the two-variable product with its y^2 terms
+     dropped: exact while one factor carries y, and the first-order (dual
+     number) part when several do, as for 1 + y. *)
   let fs = [ Bipoly.add_const 0.3 (Bipoly.scale 0.7 Bipoly.x);
              Bipoly.add_const 0.5 (Bipoly.scale 0.5 Bipoly.y);
-             Bipoly.add_const 0.2 (Bipoly.scale 0.8 Bipoly.x) ] in
+             Bipoly.add_const 0.2 (Bipoly.scale 0.8 Bipoly.x);
+             Bipoly.make ~a:Poly1.one ~b:Poly1.one;
+             Bipoly.add (Bipoly.scale 0.4 Bipoly.x) (Bipoly.scale 0.6 Bipoly.y) ] in
   let b = List.fold_left Bipoly.mul Bipoly.one fs in
-  let to_poly2 (f : Bipoly.t) =
-    Poly2.add (Poly2.of_poly1_x f.Bipoly.a)
-      (Poly2.mul Poly2.y (Poly2.of_poly1_x f.Bipoly.b))
+  let m = List.fold_left (fun acc f -> Mpoly.mul acc (mpoly_of_bipoly f)) Mpoly.one fs in
+  let first_order =
+    Mpoly.add (Mpoly.restrict m 1 0) (Mpoly.mul (Mpoly.var 1) (Mpoly.restrict m 1 1))
   in
-  let p2 = List.fold_left (fun acc f -> Poly2.mul acc (to_poly2 f)) Poly2.one fs in
-  Alcotest.check poly2_testable "bipoly = poly2" p2 (to_poly2 b)
+  Alcotest.check mpoly_testable "bipoly = mpoly to first order in y" first_order
+    (mpoly_of_bipoly b);
+  Alcotest.(check bool) "y^2 dropped" true
+    (Bipoly.equal (Bipoly.mul Bipoly.y Bipoly.y) Bipoly.zero)
 
 (* ---------- Mpoly ---------- *)
 
@@ -279,14 +256,9 @@ let suite =
     Alcotest.test_case "poly1 buf kernels" `Quick test_p1_buf;
     Alcotest.test_case "poly1 derive/pow" `Quick test_p1_derive_pow;
     Alcotest.test_case "poly1 monomial" `Quick test_p1_monomial;
-    Alcotest.test_case "poly2 basics" `Quick test_p2_basic;
-    Alcotest.test_case "poly2 arithmetic" `Quick test_p2_arith;
-    Alcotest.test_case "poly2 inject" `Quick test_p2_inject;
-    Alcotest.test_case "poly2 fold" `Quick test_p2_fold;
     Alcotest.test_case "bipoly mul" `Quick test_bipoly_mul;
     Alcotest.test_case "bipoly trunc" `Quick test_bipoly_trunc;
-    Alcotest.test_case "bipoly strict" `Quick test_bipoly_strict;
-    Alcotest.test_case "bipoly vs poly2" `Quick test_bipoly_vs_poly2;
+    Alcotest.test_case "bipoly vs mpoly" `Quick test_bipoly_vs_mpoly;
     Alcotest.test_case "mpoly basics" `Quick test_mpoly_basic;
     Alcotest.test_case "mpoly eval/restrict" `Quick test_mpoly_eval_restrict;
     Alcotest.test_case "mpoly trunc" `Quick test_mpoly_trunc;
