@@ -151,13 +151,18 @@ let run_topk ?pool ~rng db k metric flavor =
         ];
     }
 
+(* Largest database whose Kendall rank answer runs the exact Kemeny DP
+   (2ⁿ·n steps) rather than KwikSort + local search: both the served path
+   and the oracle's exactness contract read it. *)
+let exact_kemeny_max_keys = 16
+
 let run_rank ?pool ~rng db metric =
   let ctx = Rank_consensus.make_ctx ?pool db in
   let keys, d =
     match metric with
     | Rank_footrule -> Rank_consensus.mean_footrule ctx
     | Rank_kendall ->
-        if Array.length (Rank_consensus.keys ctx) <= 16 then
+        if Array.length (Rank_consensus.keys ctx) <= exact_kemeny_max_keys then
           Rank_consensus.mean_kendall_exact ctx
         else Rank_consensus.mean_kendall_pivot rng ctx
   in
@@ -231,7 +236,7 @@ let exact db query =
   | Topk (_, Kendall, Median) -> true (* raises Unsupported before answering *)
   | Topk (_, Kendall, Mean) -> false (* KwikSort pivot + local search *)
   | Rank Rank_footrule -> true
-  | Rank Rank_kendall -> Db.num_keys db <= 16 (* exact Kemeny DP cutoff *)
+  | Rank Rank_kendall -> Db.num_keys db <= exact_kemeny_max_keys
   | Cluster _ -> false (* CC-Pivot + local search *)
 
 let run ?pool ?rng ?label db query =

@@ -191,18 +191,36 @@ let expected_intersection ctx tau =
    in_list t i  = E|pos_τ(t) - pos_pw(t)| when τ(i) = t
    base t       = the same when t ∉ τ (τ-position k+1). *)
 let footrule_in_list ctx ti i =
+  let rank = ctx.rank.(ti) in
   let acc = ref 0. in
-  Array.iteri
-    (fun j p -> acc := !acc +. (p *. float_of_int (abs (i - (j + 1)))))
-    ctx.rank.(ti);
+  for j = 0 to ctx.k - 1 do
+    acc := !acc +. (rank.(j) *. float_of_int (abs (i - (j + 1))))
+  done;
   !acc +. ((1. -. ctx.leq.(ti).(ctx.k - 1)) *. float_of_int (ctx.k + 1 - i))
 
 let footrule_base ctx ti =
+  let rank = ctx.rank.(ti) in
   let acc = ref 0. in
-  Array.iteri
-    (fun j p -> acc := !acc +. (p *. float_of_int (ctx.k + 1 - (j + 1))))
-    ctx.rank.(ti);
+  for j = 0 to ctx.k - 1 do
+    acc := !acc +. (rank.(j) *. float_of_int (ctx.k + 1 - (j + 1)))
+  done;
   !acc
+
+(* Row [ti] of the footrule cost matrix over τ-positions 1..positions,
+   row.(i - 1) = footrule_in_list ti i − footrule_base ti, in O(k).  Moving
+   from position i to i + 1 takes every world rank at or before i one
+   further away and brings every later rank, and the absent position k+1,
+   one closer: the cost changes by 2·Pr(r ≤ i) − Pr(r ≤ k) − Pr(r > k). *)
+let footrule_cost_row ctx ~positions ti =
+  let leq = ctx.leq.(ti) in
+  let step = leq_k ctx ti +. (1. -. leq_k ctx ti) in
+  let row =
+    Array.make positions (footrule_in_list ctx ti 1 -. footrule_base ctx ti)
+  in
+  for i = 1 to positions - 1 do
+    row.(i) <- row.(i - 1) +. ((2. *. leq.(i - 1)) -. step)
+  done;
+  row
 
 let expected_footrule ctx tau =
   Topk_list.validate ~k:ctx.k tau;
@@ -217,20 +235,23 @@ let expected_footrule ctx tau =
     tau;
   total +. !adjust
 
-(* Pair codes of both orderings of every pair {t ∈ τ} × {any other key},
-   each once, for τ given as key indices: what the Kendall evaluators
-   consume.  A key of τ pairs with the keys outside τ and with the keys
-   before it in τ. *)
-let tau_joint_codes ctx tis =
+(* Pair codes of the ordered pairs (t, j) with t = tis.(a) and j a key
+   that τ places after t, later in τ or outside it, each once, for τ given
+   as key indices: what [expected_kendall] consumes.  [~both] adds the
+   reverse (j, t) of every pair inside τ, for the evaluators that read both
+   orders of those. *)
+let tau_joint_codes ?(both = false) ctx tis =
   let n = Array.length ctx.keys in
-  let pos = Array.make n (-1) in
+  let pos = Array.make n max_int in
   Array.iteri (fun a t -> pos.(t) <- a) tis;
   let codes = ref [] in
   Array.iteri
     (fun a t ->
       for j = 0 to n - 1 do
-        if pos.(j) < a then
-          codes := pair_code ctx t j :: pair_code ctx j t :: !codes
+        if pos.(j) > a then begin
+          codes := pair_code ctx t j :: !codes;
+          if both && pos.(j) < max_int then codes := pair_code ctx j t :: !codes
+        end
       done)
     tis;
   !codes
@@ -244,10 +265,9 @@ let index_set ctx tis =
 (* Cost of placing key index i before key index j, both in the answer or
    j outside it: the disagreement probability
      Pr(both in top-k with j above i)            (order flipped)
-   + Pr(j in top-k ∧ i not in top-k).            (i missing) *)
-let contribution ctx i j =
-  joint_ordered ctx j i
-  +. (leq_k ctx j -. (joint_ordered ctx i j +. joint_ordered ctx j i))
+   + Pr(j in top-k ∧ i not in top-k)             (i missing)
+   = Pr(j in top-k) − Pr(both in top-k with i above j). *)
+let contribution ctx i j = leq_k ctx j -. joint_ordered ctx i j
 
 let expected_kendall ctx tau =
   Topk_list.validate ~k:ctx.k tau;
@@ -271,21 +291,10 @@ let expected_kendall ctx tau =
 let expected_kendall_p ~p ctx tau =
   if p < 0. || p > 1. then
     invalid_arg "Topk_consensus.expected_kendall_p: p must be in [0,1]";
-  let base = expected_kendall ctx tau in
-  if p = 0. then base
+  if p = 0. then expected_kendall ctx tau
   else begin
-    (* Undetermined pairs: both keys inside τ with neither in the world's
-       top-k, or both outside τ with both in the world's top-k. *)
-    let joint i j = joint_ordered ctx i j +. joint_ordered ctx j i in
+    Topk_list.validate ~k:ctx.k tau;
     let tis = Array.map (kidx ctx) tau in
-    let inside = ref 0. in
-    let len = Array.length tis in
-    for a = 0 to len - 1 do
-      for b = a + 1 to len - 1 do
-        let i = tis.(a) and j = tis.(b) in
-        inside := !inside +. (1. -. leq_k ctx i -. leq_k ctx j +. joint i j)
-      done
-    done;
     let in_tau = index_set ctx tis in
     let others =
       List.filter (fun j -> not in_tau.(j)) (List.init (Array.length ctx.keys) Fun.id)
@@ -299,7 +308,22 @@ let expected_kendall_p ~p ctx tau =
                acc rest)
             rest
     in
-    ensure_joints ctx (outside_codes [] others);
+    (* One batch for every joint read below: both orders of the pairs
+       inside τ and outside it, and the (τ-earlier, later) pairs of the
+       base distance. *)
+    ensure_joints ctx (outside_codes (tau_joint_codes ~both:true ctx tis) others);
+    let base = expected_kendall ctx tau in
+    (* Undetermined pairs: both keys inside τ with neither in the world's
+       top-k, or both outside τ with both in the world's top-k. *)
+    let joint i j = joint_ordered ctx i j +. joint_ordered ctx j i in
+    let inside = ref 0. in
+    let len = Array.length tis in
+    for a = 0 to len - 1 do
+      for b = a + 1 to len - 1 do
+        let i = tis.(a) and j = tis.(b) in
+        inside := !inside +. (1. -. leq_k ctx i -. leq_k ctx j +. joint i j)
+      done
+    done;
     let outside = ref 0. in
     let rec pairs = function
       | [] -> ()
@@ -466,24 +490,32 @@ let median_sym_diff ctx =
       |> List.map (fun (a : Db.alt) -> a.key)
       |> Array.of_list
 
+(* The position × key matrix the assignment solvers take, from per-key
+   rows over the positions. *)
+let by_position rows positions =
+  Array.init positions (fun j -> Array.map (fun row -> row.(j)) rows)
+
 let mean_intersection ctx =
   let n = Array.length ctx.keys in
   (* With fewer keys than k the answer holds all keys and only their order
      is assigned; the per-position profits still sum to the true k. *)
   let positions = min ctx.k n in
   algo_span "mean_intersection" ~k:ctx.k ~n @@ fun () ->
-  (* profit of placing key t at position j (1-based): Σ_{i>=j} Pr(r<=i)/i *)
-  let profit =
-    Pool.parallel_init ~pool:ctx.pool ~stage:"intersection_profit" positions
-      (fun j0 ->
-        Array.init n (fun ti ->
-            let acc = ref 0. in
-            for i = j0 + 1 to ctx.k do
-              acc := !acc +. (ctx.leq.(ti).(i - 1) /. float_of_int i)
-            done;
-            !acc))
+  (* profit of placing key t at position j (1-based): Σ_{i>=j} Pr(r<=i)/i,
+     one suffix sum per key *)
+  let rows =
+    Array.map
+      (fun leq ->
+        let row = Array.make positions 0. in
+        let acc = ref 0. in
+        for i = ctx.k downto 1 do
+          acc := !acc +. (leq.(i - 1) /. float_of_int i);
+          if i <= positions then row.(i - 1) <- !acc
+        done;
+        row)
+      ctx.leq
   in
-  let assignment, _ = Hungarian.maximize profit in
+  let assignment, _ = Hungarian.maximize (by_position rows positions) in
   Array.map (fun ti -> ctx.keys.(ti)) assignment
 
 let mean_intersection_upsilon ctx =
@@ -498,12 +530,8 @@ let mean_footrule ctx =
   let n = Array.length ctx.keys in
   let positions = min ctx.k n in
   algo_span "mean_footrule" ~k:ctx.k ~n @@ fun () ->
-  let cost =
-    Pool.parallel_init ~pool:ctx.pool ~stage:"footrule_cost" positions (fun i0 ->
-        Array.init n (fun ti ->
-            footrule_in_list ctx ti (i0 + 1) -. footrule_base ctx ti))
-  in
-  let assignment, _ = Hungarian.minimize cost in
+  let rows = Array.init n (footrule_cost_row ctx ~positions) in
+  let assignment, _ = Hungarian.minimize (by_position rows positions) in
   Array.map (fun ti -> ctx.keys.(ti)) assignment
 
 let mean_kendall_footrule = mean_footrule
@@ -572,9 +600,10 @@ let mean_kendall_pool_exact ?pool ctx =
     (fun a b -> Float.compare ctx.leq.(b).(ctx.k - 1) ctx.leq.(a).(ctx.k - 1))
     order;
   let pool_ix = Array.sub order 0 pool_size in
-  (* Every subset evaluation consumes the ordered joints of pool × keys:
-     batch them up front so the subset loop runs on the warm cache. *)
-  ensure_joints ctx (tau_joint_codes ctx pool_ix);
+  (* Every subset evaluation consumes the ordered joints (i, j) with i in
+     the pool: batch them up front so the subset loop runs on the warm
+     cache. *)
+  ensure_joints ctx (tau_joint_codes ~both:true ctx pool_ix);
   (* the set-only part: pairs (i in τ, j outside τ) *)
   let set_cost subset =
     let in_subset j = List.mem j subset in

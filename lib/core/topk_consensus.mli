@@ -51,8 +51,10 @@ val expected_footrule : ctx -> Topk_list.t -> float
 
 val expected_kendall : ctx -> Topk_list.t -> float
 (** [E d_K(τ, τ_pw)] for the minimizing Kendall distance K_min, exact via
-    pairwise joint top-k probabilities (§5.5).  O(n·k) pair evaluations of
-    O(n·k) each on first use; joints are cached in the context. *)
+    pairwise joint top-k probabilities (§5.5): a pair (i, j) that τ orders
+    i first, or with j outside τ, costs [Pr(r(j) <= k) − Pr(r(i) < r(j) <= k)],
+    so it reads one ordered joint.  O(n·k) pair evaluations of O(n·k) each
+    on first use; joints are cached in the context. *)
 
 val expected_kendall_p : p:float -> ctx -> Topk_list.t -> float
 (** Exact expectation of Fagin's [K^(p)] (penalty parameter) distance:
@@ -74,7 +76,8 @@ val median_sym_diff : ctx -> Topk_list.t
 
 val mean_intersection : ctx -> Topk_list.t
 (** Exact mean under the intersection metric via a maximum-weight assignment
-    of tuples to positions with profit [Σ_{i>=j} Pr(r(t)<=i)/i] (§5.3). *)
+    of tuples to positions with profit [Σ_{i>=j} Pr(r(t)<=i)/i] (§5.3), each
+    key's profits one suffix sum: O(k·n) for the matrix. *)
 
 val mean_intersection_upsilon : ctx -> Topk_list.t
 (** The ΥH-ranking answer: an H_k-approximation of {!mean_intersection}
@@ -82,7 +85,9 @@ val mean_intersection_upsilon : ctx -> Topk_list.t
 
 val mean_footrule : ctx -> Topk_list.t
 (** Exact mean under the footrule metric via a minimum-cost assignment with
-    the position costs of Figure 2 (§5.4). *)
+    the position costs of Figure 2 (§5.4); each key's costs over the
+    positions follow from the first by the step 2·Pr(r ≤ i) − 1, so the
+    matrix costs O(k·n). *)
 
 val mean_kendall_pivot :
   Consensus_util.Prng.t -> ?trials:int -> ctx -> Topk_list.t

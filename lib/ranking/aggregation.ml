@@ -23,32 +23,58 @@ let kemeny_exact pref =
   if n = 0 then ([||], 0.)
   else begin
     let size = 1 lsl n in
+    (* Subset sums of every row over the two halves of the items, h = n/2:
+       lo.(m * n + v) = Σ pref.(v).(u) over the bits u of m (u < h),
+       hi.(m * n + v) = the same over the bits u - h of m (u >= h).
+       Each entry adds its highest item to the entry without it, so both
+       halves sum in increasing item order. *)
+    let h = n / 2 in
+    let subset_sums sets offset =
+      let table = Array.make (sets * n) 0. in
+      let top = ref 0 in
+      for m = 1 to sets - 1 do
+        if m = 2 lsl !top then incr top;
+        let here = m * n and prev = (m lxor (1 lsl !top)) * n in
+        let u = offset + !top in
+        for v = 0 to n - 1 do
+          table.(here + v) <- table.(prev + v) +. pref.(v).(u)
+        done
+      done;
+      table
+    in
+    let lo = subset_sums (1 lsl h) 0 and hi = subset_sums (1 lsl (n - h)) h in
     let dp = Array.make size infinity in
     let choice = Array.make size (-1) in
     dp.(0) <- 0.;
     (* dp.(mask): minimum cost of ordering the items of [mask] as a prefix.
        Appending v after the set [mask] pays pref.(v).(u) for all u in mask
        (v is ordered after every u, so each pair (u, v) contributes the
-       weight of preferring v before u). *)
-    for mask = 0 to size - 1 do
-      (* Cooperative cancellation: this DP is the one exponential kernel, so
-         an expired request must be able to bail out mid-subset-sweep. *)
+       weight of preferring v before u): two table loads.  Each set tries
+       its last item v from the highest down and keeps a later v only when
+       it is cheaper by more than 1e-15, so among tied orders the highest
+       item goes last (an all-equal matrix gives the identity order). *)
+    let lmask = (1 lsl h) - 1 in
+    (* Cooperative cancellation: this DP is the one exponential kernel, so
+       an expired request must be able to bail out mid-subset-sweep. *)
+    Deadline.check_current ();
+    for mask = 1 to size - 1 do
       if mask land 0xfff = 0 then Deadline.check_current ();
-      if dp.(mask) < infinity then
-        for v = 0 to n - 1 do
-          if mask land (1 lsl v) = 0 then begin
-            let extra = ref 0. in
-            for u = 0 to n - 1 do
-              if mask land (1 lsl u) <> 0 then extra := !extra +. pref.(v).(u)
-            done;
-            let next = mask lor (1 lsl v) in
-            let c = dp.(mask) +. !extra in
-            if c < dp.(next) -. 1e-15 then begin
-              dp.(next) <- c;
-              choice.(next) <- v
-            end
-          end
-        done
+      let best = ref infinity and last = ref (-1) in
+      (* An item v outside [mask] needs no test: [prev] is then a superset
+         of [mask], still at infinity, so its candidate never wins. *)
+      for v = n - 1 downto 0 do
+        let prev = mask lxor (1 lsl v) in
+        let extra =
+          lo.(((prev land lmask) * n) + v) +. hi.(((prev lsr h) * n) + v)
+        in
+        let c = dp.(prev) +. extra in
+        if c < !best -. 1e-15 then begin
+          best := c;
+          last := v
+        end
+      done;
+      dp.(mask) <- !best;
+      choice.(mask) <- !last
     done;
     let order = Array.make n 0 in
     let mask = ref (size - 1) in

@@ -12,8 +12,11 @@ val cost : float array array -> int array -> float
 (** Expected Kendall cost of the permutation (item ids in order). *)
 
 val kemeny_exact : float array array -> int array * float
-(** Optimal aggregation by Held–Karp bitmask DP in O(2ⁿ·n²); requires
-    [n <= 22].  The small-instance oracle used in tests and benches. *)
+(** Optimal aggregation by Held–Karp bitmask DP in O(2ⁿ·n) time and
+    O(2ⁿ + n·2^⌈n/2⌉) memory: the weight of appending an item after a set
+    is two loads from per-row subset-sum tables over the low and high
+    halves of the items.  Requires [n <= 22].  Polls the ambient
+    {!Consensus_util.Deadline} token every 4096 subsets.  The small-instance oracle used in tests and benches. *)
 
 val pivot :
   Consensus_util.Prng.t -> float array array -> int array * float

@@ -436,6 +436,60 @@ let test_kendall_pool_exact () =
       (Topk_consensus.expected_kendall ctx answer)
   done
 
+(* The §5.5 evaluators against the enumeration oracle on full-length
+   answers that leave keys out: [expected_kendall] reads one ordered joint
+   per (τ-earlier, later-or-outside) pair, [expected_kendall_p] and the
+   pool search read both orders of the pairs they score.  The pool holds
+   every key, so the pool search is the exact optimum. *)
+let test_kendall_evaluators_vs_oracle () =
+  let g = rng () in
+  let shapes =
+    [
+      ("tree", fun k -> Gen.random_tree_db g (k + 1 + Prng.int g 4));
+      ("bid", fun k -> Gen.bid_db g (k + 1 + Prng.int g 2));
+      ("xtuple", fun _ -> Gen.xtuple_db g (2 + Prng.int g 2));
+    ]
+  in
+  let rec draw make k =
+    let db = make k in
+    if Db.num_keys db > k && Db.num_alts db <= 12 then db else draw make k
+  in
+  List.iter
+    (fun k ->
+      List.iter
+        (fun (shape, make) ->
+          for _ = 1 to 3 do
+            let db = draw make k in
+            let ctx = Topk_consensus.make_ctx db ~k in
+            let keys = Array.copy (Db.keys db) in
+            Prng.shuffle g keys;
+            let tau = Array.sub keys 0 k in
+            let name what = Printf.sprintf "%s k=%d: %s" shape k what in
+            check_float (name "kendall evaluator")
+              (topk_expected ctx Api.Kendall tau)
+              (Topk_consensus.expected_kendall ctx tau);
+            List.iter
+              (fun p ->
+                let direct =
+                  Worlds.fold (Db.tree db) ~init:0. ~f:(fun acc q w ->
+                      acc
+                      +. q
+                         *. Consensus_ranking.Topk_list.(
+                              kendall_p ~p ~k tau (of_world ~k w)))
+                in
+                check_float (name (Printf.sprintf "kendall p=%g" p)) direct
+                  (Topk_consensus.expected_kendall_p ~p ctx tau))
+              [ 0.5; 1. ];
+            let answer =
+              Topk_consensus.mean_kendall_pool_exact ~pool:(Array.length keys) ctx
+            in
+            check_float (name "pool-exact optimum")
+              (topk_optimum ctx Api.Kendall Api.Mean)
+              (Topk_consensus.expected_kendall ctx answer)
+          done)
+        shapes)
+    [ 2; 3; 4 ]
+
 let test_ctx_requires_distinct_scores () =
   let db = Db.independent [ (0, 1., 0.5); (1, 1., 0.5) ] in
   try
@@ -845,4 +899,6 @@ let suite =
     Alcotest.test_case "cluster best of worlds" `Quick test_cluster_best_of_worlds;
     Alcotest.test_case "ctx rank rows aligned" `Quick test_ctx_rank_rows_aligned;
     Alcotest.test_case "jaccard sweep honours deadlines" `Quick test_jaccard_sweep_deadline;
+    Alcotest.test_case "kendall evaluators vs oracle" `Quick
+      test_kendall_evaluators_vs_oracle;
   ]

@@ -114,14 +114,42 @@ let brute_kemeny pref =
   |> List.map (fun p -> Aggregation.cost pref (Array.of_list p))
   |> List.fold_left Float.min infinity
 
+(* n = 1..8 covers the empty low half of the subset-sum split (n = 1) and
+   both odd and even splits. *)
 let test_kemeny_exact_vs_brute () =
   let g = rng () in
-  for _ = 1 to 20 do
-    let n = 2 + Prng.int g 5 in
-    let pref = random_pref g n in
-    let _, c = Aggregation.kemeny_exact pref in
-    check_float "kemeny matches brute force" (brute_kemeny pref) c
+  for n = 1 to 8 do
+    for _ = 1 to 4 do
+      let pref = random_pref g n in
+      let order, c = Aggregation.kemeny_exact pref in
+      check_float "kemeny matches brute force" (brute_kemeny pref) c;
+      check_float "kemeny cost is its order's" (Aggregation.cost pref order) c
+    done
   done
+
+(* Every order of an all-equal matrix costs the same; the DP keeps the
+   first candidate it meets, the highest item last, down to the identity. *)
+let test_kemeny_exact_ties () =
+  List.iter
+    (fun w ->
+      for n = 1 to 10 do
+        let pref = Array.init n (fun i -> Array.init n (fun j -> if i = j then 0. else w)) in
+        Alcotest.(check (array int))
+          (Printf.sprintf "identity order n=%d w=%g" n w)
+          (Array.init n Fun.id)
+          (fst (Aggregation.kemeny_exact pref))
+      done)
+    [ 0.5; 0.3; 1. ]
+
+(* The exponential sweep polls the ambient deadline: a 16-item instance
+   under an already expired token must raise, not run to the end. *)
+let test_kemeny_exact_deadline () =
+  let token = Deadline.make () in
+  Deadline.cancel token;
+  let pref = random_pref (rng ()) 16 in
+  match Deadline.with_current token (fun () -> Aggregation.kemeny_exact pref) with
+  | _ -> Alcotest.fail "kemeny_exact ignored an expired deadline"
+  | exception Deadline.Expired -> ()
 
 let test_pivot_quality () =
   let g = rng () in
@@ -379,4 +407,6 @@ let suite =
     Alcotest.test_case "upsilon-h k=1" `Quick test_upsilon_h_equals_global_top1;
     Alcotest.test_case "prf specializes" `Quick test_prf_specializes_to_global_topk;
     Alcotest.test_case "pt-k threshold" `Quick test_pt_k_threshold;
+    Alcotest.test_case "kemeny exact ties" `Quick test_kemeny_exact_ties;
+    Alcotest.test_case "kemeny exact honours deadlines" `Quick test_kemeny_exact_deadline;
   ]
