@@ -10,6 +10,7 @@ open Consensus_util
 open Consensus
 module Gen = Consensus_workload.Gen
 module Exact = Consensus_oracle.Exact
+module Campaign = Consensus_oracle.Campaign
 module Fuzz = Consensus_oracle.Fuzz
 module Json = Consensus_util.Json
 
@@ -59,7 +60,7 @@ let run () =
   (* Fuzz throughput: one short all-family campaign, checks per second.
      This is the number that sizes the @fuzz tier in test/fuzz/dune. *)
   let iters = if !Harness.quick then 40 else 200 in
-  let report = ref { Fuzz.cases = 0; total_checks = 0; discrepancies = [] } in
+  let report = ref { Campaign.cases = 0; total_checks = 0; discrepancies = [] } in
   let campaign_t =
     Harness.time_only (fun () ->
         report :=
@@ -67,9 +68,9 @@ let run () =
   in
   let r = !report in
   Harness.note "fuzz: %d cases, %d checks in %.2f s (%.0f checks/s), %d discrepancies"
-    r.Fuzz.cases r.Fuzz.total_checks campaign_t
-    (float_of_int r.Fuzz.total_checks /. campaign_t)
-    (List.length r.Fuzz.discrepancies);
+    r.Campaign.cases r.Campaign.total_checks campaign_t
+    (float_of_int r.Campaign.total_checks /. campaign_t)
+    (List.length r.Campaign.discrepancies);
   let json =
     Json.Obj
       [
@@ -92,12 +93,12 @@ let run () =
           Json.Obj
             [
               ("iters_per_family", Json.Int iters);
-              ("cases", Json.Int r.Fuzz.cases);
-              ("checks", Json.Int r.Fuzz.total_checks);
+              ("cases", Json.Int r.Campaign.cases);
+              ("checks", Json.Int r.Campaign.total_checks);
               ("wall_s", Json.Float campaign_t);
               ( "checks_per_s",
-                Json.Float (float_of_int r.Fuzz.total_checks /. campaign_t) );
-              ("discrepancies", Json.Int (List.length r.Fuzz.discrepancies));
+                Json.Float (float_of_int r.Campaign.total_checks /. campaign_t) );
+              ("discrepancies", Json.Int (List.length r.Campaign.discrepancies));
             ] );
       ]
   in

@@ -491,7 +491,9 @@ let batch_cmd =
 (* ---- fuzz ---- *)
 
 let fuzz_cmd =
+  let module Campaign = Consensus_oracle.Campaign in
   let module Fuzz = Consensus_oracle.Fuzz in
+  let module Lfuzz = Consensus_oracle.Lineage_fuzz in
   let iters_arg =
     Arg.(
       value & opt int 200
@@ -508,14 +510,8 @@ let fuzz_cmd =
       value
       & opt_all
           (Arg.enum
-             [
-               ("world", `Core Fuzz.World);
-               ("topk", `Core Fuzz.Topk);
-               ("rank", `Core Fuzz.Rank);
-               ("aggregate", `Core Fuzz.Aggregate);
-               ("cluster", `Core Fuzz.Cluster);
-               ("lineage", `Lineage);
-             ])
+             (List.map (fun f -> (Fuzz.family_name f, `Core f)) Fuzz.all_families
+             @ [ ("lineage", `Lineage) ]))
           []
       & info [ "family" ] ~docv:"FAMILY"
           ~doc:
@@ -551,21 +547,6 @@ let fuzz_cmd =
             "Replay the corpus directory instead of fuzzing (requires \
              $(b,--corpus)).")
   in
-  let pp_case (case : Consensus_oracle.Corpus.case) =
-    match case.query with
-    | Api.Aggregate (probs, _) ->
-        Printf.sprintf "%s, %dx%d matrix" (Api.query_name case.query)
-          (Array.length probs)
-          (Array.length probs.(0))
-    | _ ->
-        Printf.sprintf "%s, %d leaves" (Api.query_name case.query)
-          (Db.num_alts case.db)
-  in
-  let pp_lineage_case (case : Consensus_oracle.Lineage_fuzz.case) =
-    Printf.sprintf "lineage %s, %d vars, %d nodes" case.shape
-      (List.length (Consensus_pdb.Lineage.vars case.lineage))
-      (Consensus_pdb.Lineage.size case.lineage)
-  in
   let run seed iters max_leaves families corpus replay readonce jobs stats
       metrics trace listen listen_hold =
     let pool = setup_pool ~trace ~metrics jobs in
@@ -583,63 +564,51 @@ let fuzz_cmd =
       exit 124
     end;
     let server = start_listener listen in
-    let pool1 = Pool.create ~jobs:1 () in
     let code =
-      Fun.protect ~finally:(fun () -> Pool.shutdown pool1) @@ fun () ->
+      Pool.with_pool ~jobs:1 @@ fun pool1 ->
       handle (fun () ->
         if replay then begin
-          let module Lfuzz = Consensus_oracle.Lineage_fuzz in
           let dir = Option.get corpus in
-          let cases = Consensus_oracle.Corpus.load_dir dir in
-          let lcases = Lfuzz.load_dir dir in
-          if cases = [] && lcases = [] then begin
+          (* Every family's cases share the directory, told apart by their
+             file-name prefix; a malformed case file is an input error. *)
+          let replay_family family = load (fun dir -> Campaign.replay family ~dir) dir in
+          let cases = replay_family (Fuzz.family ~pool ~pool1) in
+          let verdicts = cases @ replay_family (Lfuzz.family ~readonce) in
+          if verdicts = [] then begin
             Printf.eprintf
               "consensus: %s: no corpus cases (case-*.txt or lcase-*.txt)\n" dir;
             raise (Exit_code 2)
           end;
           let failures =
-            (if cases = [] then [] else Fuzz.replay ~pool ~pool1 ~dir ())
-            @ (if lcases = [] then [] else Lfuzz.replay ~dir ())
+            List.filter_map
+              (fun (file, (v : Campaign.verdict)) ->
+                Option.map
+                  (fun (check, detail) -> Printf.sprintf "FAIL %s: %s: %s" file check detail)
+                  v.failure)
+              verdicts
           in
-          List.iter
-            (fun (file, check, detail) ->
-              Printf.printf "FAIL %s: %s: %s\n" file check detail)
-            failures;
+          List.iter print_endline failures;
           Printf.printf "replayed %d corpus cases, %d failures\n"
-            (List.length cases + List.length lcases)
-            (List.length failures);
+            (List.length verdicts) (List.length failures);
           if failures <> [] then raise (Exit_code 1)
         end
         else begin
-          let module Lfuzz = Consensus_oracle.Lineage_fuzz in
+          let families =
+            if families = [] then List.map (fun f -> `Core f) Fuzz.all_families @ [ `Lineage ]
+            else families
+          in
           let core_families =
             List.filter_map (function `Core f -> Some f | `Lineage -> None) families
           in
-          let lineage = families = [] || List.mem `Lineage families in
-          let core_families =
-            if families = [] then Fuzz.all_families else core_families
-          in
-          let family_names =
-            List.map Fuzz.family_name core_families
-            @ if lineage then [ "lineage" ] else []
-          in
+          let lineage = List.mem `Lineage families in
           let cases = ref 0 and checks = ref 0 and bad = ref 0 in
-          if core_families <> [] then begin
-            let config =
-              {
-                Fuzz.seed;
-                iters;
-                max_leaves;
-                families = core_families;
-                corpus_dir = corpus;
-              }
-            in
-            let report = Fuzz.run ~pool ~pool1 config in
+          (* One printer for every campaign's discrepancies and counts. *)
+          let print describe (report : _ Campaign.report) =
             List.iter
-              (fun (d : Fuzz.discrepancy) ->
-                Printf.printf "DISCREPANCY (%s) %s: %s\n" (pp_case d.case) d.check
+              (fun (d : _ Campaign.discrepancy) ->
+                Printf.printf "DISCREPANCY (%s) %s: %s\n" (describe d.case) d.check
                   d.detail;
-                Printf.printf "  shrunk to (%s) in %d steps%s\n" (pp_case d.shrunk)
+                Printf.printf "  shrunk to (%s) in %d steps%s\n" (describe d.shrunk)
                   d.shrink_steps
                   (match d.path with
                   | None -> ""
@@ -648,27 +617,18 @@ let fuzz_cmd =
             cases := !cases + report.cases;
             checks := !checks + report.total_checks;
             bad := !bad + List.length report.discrepancies
-          end;
-          if lineage then begin
-            let config = { Lfuzz.seed; iters; readonce; corpus_dir = corpus } in
-            let report = Lfuzz.run config in
-            List.iter
-              (fun (d : Lfuzz.discrepancy) ->
-                Printf.printf "DISCREPANCY (%s) %s: %s\n"
-                  (pp_lineage_case d.case) d.check d.detail;
-                Printf.printf "  shrunk to (%s) in %d steps%s\n"
-                  (pp_lineage_case d.shrunk) d.shrink_steps
-                  (match d.path with
-                  | None -> ""
-                  | Some p -> Printf.sprintf "; saved to %s" p))
-              report.discrepancies;
-            cases := !cases + report.cases;
-            checks := !checks + report.total_checks;
-            bad := !bad + List.length report.discrepancies
-          end;
+          in
+          if core_families <> [] then
+            print Fuzz.describe
+              (Fuzz.run ~pool ~pool1
+                 { Fuzz.seed; iters; max_leaves; families = core_families; corpus_dir = corpus });
+          if lineage then
+            print Lfuzz.describe
+              (Lfuzz.run { Lfuzz.seed; iters; readonce; corpus_dir = corpus });
           Printf.printf "fuzz: %d cases (families: %s), %d checks, %d discrepancies\n"
             !cases
-            (String.concat "," family_names)
+            (String.concat ","
+               (List.map Fuzz.family_name core_families @ if lineage then [ "lineage" ] else []))
             !checks !bad;
           if !bad > 0 then raise (Exit_code 1)
         end)

@@ -27,7 +27,6 @@ end
 module Options = struct
   type t = {
     pool : Pool.t option;
-    jobs : int option;
     rng : Prng.t option;
     cache : bool;
     deadline : float option;
@@ -37,15 +36,14 @@ module Options = struct
   let default =
     {
       pool = None;
-      jobs = None;
       rng = None;
       cache = true;
       deadline = None;
       label = None;
     }
 
-  let make ?pool ?jobs ?rng ?(cache = true) ?deadline ?label () =
-    { pool; jobs; rng; cache; deadline; label }
+  let make ?pool ?rng ?(cache = true) ?deadline ?label () =
+    { pool; rng; cache; deadline; label }
 end
 
 type flavor = Mean | Median
@@ -262,16 +260,9 @@ let run ?pool ?rng ?label db query =
   | Cluster { trials; samples } -> run_cluster ?pool ~rng db ~trials ~samples
 
 let run_result ?(options = Options.default) db query =
-  let eval pool =
-    run ?pool ?rng:options.Options.rng ?label:options.Options.label db query
-  in
-  (* An explicit [pool] wins over [jobs]; [jobs] spins up (and tears down) a
-     private pool for this one request; otherwise the ambient default. *)
-  let with_pool k =
-    match (options.Options.pool, options.Options.jobs) with
-    | (Some _ as pool), _ -> k pool
-    | None, Some jobs -> Pool.with_pool ~jobs (fun pool -> k (Some pool))
-    | None, None -> k None
+  let eval () =
+    run ?pool:options.Options.pool ?rng:options.Options.rng
+      ?label:options.Options.label db query
   in
   (* [deadline = None] inherits the ambient token (the serve scheduler
      installs one per request); installing a fresh infinite token here would
@@ -288,7 +279,7 @@ let run_result ?(options = Options.default) db query =
   let with_cache f =
     if options.Options.cache then f () else Cache.with_bypass true f
   in
-  match with_deadline (fun () -> with_cache (fun () -> with_pool eval)) with
+  match with_deadline (fun () -> with_cache eval) with
   | answer -> Ok answer
   | exception Unsupported reason -> Result.Error (Error.Unsupported reason)
   | exception Deadline.Expired -> Result.Error Error.Deadline_exceeded

@@ -75,12 +75,8 @@ end
 module Options : sig
   type t = {
     pool : Consensus_engine.Pool.t option;
-        (** Engine pool carrying the parallel stages (wins over [jobs];
-            default: the process-global pool). *)
-    jobs : int option;
-        (** When no [pool] is given, run on a private pool of this many
-            slots, torn down after the request.  Spawning domains
-            per-request is costly — prefer a shared [pool] in servers. *)
+        (** Engine pool carrying the parallel stages (default: the
+            process-global pool). *)
     rng : Consensus_util.Prng.t option;
         (** Randomness for the pivot/sampling algorithms (default seed
             42, fresh per call — so equal requests get equal answers). *)
@@ -99,11 +95,10 @@ module Options : sig
   }
 
   val default : t
-  (** No pool/jobs/rng/deadline/label overrides, cache on. *)
+  (** No pool/rng/deadline/label overrides, cache on. *)
 
   val make :
     ?pool:Consensus_engine.Pool.t ->
-    ?jobs:int ->
     ?rng:Consensus_util.Prng.t ->
     ?cache:bool ->
     ?deadline:float ->

@@ -266,8 +266,8 @@ let sequential pool ~stage ~tasks bodies =
      raise e);
   finish ()
 
-let run_bodies pool ~cutoff ~stage ~tasks bodies =
-  let seq = pool.jobs = 1 || tasks < cutoff || Array.length bodies <= 1 in
+let run_bodies pool ~stage ~tasks bodies =
+  let seq = pool.jobs = 1 || Array.length bodies <= 1 in
   Obs.with_span
     ~attrs:(fun () ->
       [
@@ -282,48 +282,19 @@ let run_bodies pool ~cutoff ~stage ~tasks bodies =
       if seq then sequential pool ~stage ~tasks bodies
       else run_chunks pool ~stage ~tasks bodies)
 
-let parallel_init ?pool ?(cutoff = 2) ?chunk_size ?(stage = "init") n f =
+(* Index 0 is computed up front (it seeds the output array), so [n] items
+   make [n - 1] bodies, one per index, and two items or fewer run
+   sequentially. *)
+let parallel_init ?pool ?(stage = "init") n f =
   if n < 0 then invalid_arg "Pool.parallel_init: negative size";
   let pool = resolve pool in
   if n = 0 then [||]
   else begin
     let out = Array.make n (f 0) in
-    let bodies =
-      Chunk.ranges ?chunk_size (n - 1)
-      |> Array.map (fun (lo, hi) () ->
-             for i = lo + 1 to hi do
-               out.(i) <- f i
-             done)
-    in
-    run_bodies pool ~cutoff ~stage ~tasks:n bodies;
+    let bodies = Array.init (n - 1) (fun i () -> out.(i + 1) <- f (i + 1)) in
+    run_bodies pool ~stage ~tasks:n bodies;
     out
   end
 
-let parallel_map ?pool ?cutoff ?chunk_size ?(stage = "map") f a =
-  parallel_init ?pool ?cutoff ?chunk_size ~stage (Array.length a) (fun i ->
-      f a.(i))
-
-let parallel_reduce ?pool ?(cutoff = 2) ?chunk_size ?(stage = "reduce") ~init
-    ~combine f n =
-  if n < 0 then invalid_arg "Pool.parallel_reduce: negative size";
-  let pool = resolve pool in
-  if n = 0 then init
-  else begin
-    (* Chunk boundaries depend on [n] and [chunk_size] only, and partial
-       results are combined in chunk order: the float result is identical
-       whatever [jobs] is. *)
-    let ranges = Chunk.ranges ?chunk_size n in
-    let accs = Array.make (Array.length ranges) init in
-    let bodies =
-      Array.mapi
-        (fun c (lo, hi) () ->
-          let acc = ref init in
-          for i = lo to hi - 1 do
-            acc := combine !acc (f i)
-          done;
-          accs.(c) <- !acc)
-        ranges
-    in
-    run_bodies pool ~cutoff ~stage ~tasks:n bodies;
-    Array.fold_left combine init accs
-  end
+let parallel_map ?pool ?(stage = "map") f a =
+  parallel_init ?pool ~stage (Array.length a) (fun i -> f a.(i))

@@ -2,22 +2,18 @@
 
     {2 Determinism guarantees}
 
-    - {!parallel_init} and {!parallel_map} write every result into its own
-      index of the output array, so the output is independent of scheduling
-      and of the [jobs] setting: for a pure [f] the result is bit-identical
-      to the sequential computation.
-    - {!parallel_reduce} combines partial results in a fixed chunk order
-      whose boundaries depend only on the input size (see {!Chunk}), so
-      floating-point reductions are reproducible run-to-run and across
-      [jobs] settings (for the same [chunk_size]).
+    {!parallel_init} and {!parallel_map} write every result into its own
+    index of the output array, so the output is independent of scheduling
+    and of the [jobs] setting: for a pure [f] the result is bit-identical to
+    the sequential computation.
 
     {2 Scheduling}
 
     A pool with [jobs = j] owns [j - 1] worker domains plus the submitting
     domain, which participates in executing chunk tasks while a combinator
     is in flight.  A pool with [jobs = 1] never spawns a domain and runs
-    everything inline.  Combinators also fall back to the sequential path
-    when the input is below a size [cutoff].  Nested combinator calls are
+    everything inline.  Combinators also take the sequential path for two
+    items or fewer.  Nested combinator calls are
     allowed (inner calls help drain the shared queue; no deadlock).
 
     Worker exceptions propagate: the first exception raised by a chunk is
@@ -94,43 +90,13 @@ val submit : t -> (unit -> 'a) -> 'a Task.t
 
 (** {1 Parallel combinators}
 
-    All combinators take the work from index [0] to [n - 1].  [cutoff]
-    (default [2]): inputs with fewer than [cutoff] items run sequentially.
-    [chunk_size] (default {!Chunk.default_size}): indices per scheduled
-    chunk.  [stage] labels the call in the pool's {!Metrics}. *)
+    Both combinators take the work from index [0] to [n - 1]: index [0] on
+    the calling domain, then one scheduled chunk per further index.
+    [stage] labels the call in the pool's {!Metrics}. *)
 
-val parallel_init :
-  ?pool:t ->
-  ?cutoff:int ->
-  ?chunk_size:int ->
-  ?stage:string ->
-  int ->
-  (int -> 'a) ->
-  'a array
+val parallel_init : ?pool:t -> ?stage:string -> int -> (int -> 'a) -> 'a array
 (** Parallel [Array.init].  [f] must be pure (or at least data-race free);
     it may itself call combinators on the same pool. *)
 
-val parallel_map :
-  ?pool:t ->
-  ?cutoff:int ->
-  ?chunk_size:int ->
-  ?stage:string ->
-  ('a -> 'b) ->
-  'a array ->
-  'b array
+val parallel_map : ?pool:t -> ?stage:string -> ('a -> 'b) -> 'a array -> 'b array
 (** Parallel [Array.map], output index [i] holding [f a.(i)]. *)
-
-val parallel_reduce :
-  ?pool:t ->
-  ?cutoff:int ->
-  ?chunk_size:int ->
-  ?stage:string ->
-  init:'a ->
-  combine:('a -> 'a -> 'a) ->
-  (int -> 'a) ->
-  int ->
-  'a
-(** [parallel_reduce ~init ~combine f n] folds [combine] over
-    [f 0 .. f (n-1)] with the deterministic chunk grouping described above.
-    [init] must be a neutral element of [combine] (it seeds every chunk and
-    the final fold). *)

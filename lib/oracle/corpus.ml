@@ -7,11 +7,6 @@ type case = { query : Api.query; db : Db.t }
 
 let placeholder_db = Db.independent [ (0, 0., 0.5) ]
 
-let float_repr x =
-  (* shortest round-trip representation, as in Sexp_io *)
-  let s = Printf.sprintf "%.12g" x in
-  if float_of_string s = x then s else Printf.sprintf "%.17g" x
-
 let to_string { query; db } =
   let buf = Buffer.create 256 in
   Buffer.add_string buf
@@ -21,7 +16,7 @@ let to_string { query; db } =
   | Api.Aggregate (probs, _) ->
       Array.iter
         (fun row ->
-          Array.to_list row |> List.map float_repr |> String.concat " "
+          Array.to_list row |> List.map Campaign.float_repr |> String.concat " "
           |> Buffer.add_string buf;
           Buffer.add_char buf '\n')
         probs
@@ -59,42 +54,4 @@ let of_string s =
               | Error e -> Error e))
       | _ -> Error "expected a 'query ...' first line")
 
-let file_name case =
-  Printf.sprintf "case-%s.txt"
-    (String.sub (Digest.to_hex (Digest.string (to_string case))) 0 12)
-
-let save ~dir case =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let path = Filename.concat dir (file_name case) in
-  let oc = open_out path in
-  output_string oc (to_string case);
-  close_out oc;
-  path
-
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-let load path =
-  match of_string (read_file path) with
-  | Ok c -> Ok c
-  | Error e -> Error (Printf.sprintf "%s: %s" path e)
-  | exception Sys_error e -> Error e
-
-let load_dir dir =
-  if not (Sys.file_exists dir && Sys.is_directory dir) then []
-  else
-    Sys.readdir dir |> Array.to_list
-    |> List.filter (fun f ->
-           String.length f > 5
-           && String.sub f 0 5 = "case-"
-           && Filename.check_suffix f ".txt")
-    |> List.sort compare
-    |> List.map (fun f ->
-           let path = Filename.concat dir f in
-           match load path with
-           | Ok c -> (f, c)
-           | Error e -> failwith e)
+let codec = { Campaign.prefix = "case-"; to_string; of_string }

@@ -1,8 +1,9 @@
-(** Regression corpus: fuzz cases on disk.
+(** Regression corpus: the consensus families' case codec.
 
     Every discrepancy the fuzz driver finds is shrunk and promoted into a
-    corpus directory; [dune runtest] replays the checked-in corpus so a
-    fixed bug stays fixed.  A case file is line-oriented:
+    corpus directory ({!Campaign.save}); [dune runtest] replays the
+    checked-in corpus so a fixed bug stays fixed.  A case file is
+    line-oriented:
 
     {v
     ; free-form comment lines
@@ -30,20 +31,5 @@ val of_string : string -> (case, string) result
 (** Inverses: [of_string (to_string c)] reproduces [c] (the tree bit-for
     -bit, queries structurally). *)
 
-val file_name : case -> string
-(** Deterministic name derived from the serialized content's digest
-    ([case-<hex>.txt]) — re-promoting the same case is idempotent and
-    corpus files carry no timestamps. *)
-
-val save : dir:string -> case -> string
-(** Serialize into [dir] (created if missing) under {!file_name}; returns
-    the path written. *)
-
-val load : string -> (case, string) result
-(** Read one case file; errors carry the path. *)
-
-val load_dir : string -> (string * case) list
-(** All [case-*.txt] files of a directory in name order, parsed; raises
-    [Failure] on the first malformed file (a corrupted corpus should fail
-    loudly, not shrink silently).  An absent directory is an empty
-    corpus. *)
+val codec : case Campaign.codec
+(** The codec above under the [case-] file-name prefix. *)

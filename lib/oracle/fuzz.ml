@@ -2,7 +2,6 @@ module Api = Consensus.Api
 module Pool = Consensus_engine.Pool
 module Prng = Consensus_util.Prng
 module Gen = Consensus_workload.Gen
-module Obs = Consensus_obs.Obs
 module Db = Consensus_anxor.Db
 
 (* ---------- families ---------- *)
@@ -17,28 +16,6 @@ let family_name = function
   | Rank -> "rank"
   | Aggregate -> "aggregate"
   | Cluster -> "cluster"
-
-let family_of_string = function
-  | "world" -> Ok World
-  | "topk" -> Ok Topk
-  | "rank" -> Ok Rank
-  | "aggregate" -> Ok Aggregate
-  | "cluster" -> Ok Cluster
-  | s ->
-      Error
-        (Printf.sprintf
-           "unknown family %S (expected world|topk|rank|aggregate|cluster)" s)
-
-(* ---------- observability ---------- *)
-
-let cases_total = Obs.Counter.make ~help:"fuzz cases generated" "fuzz_cases_total"
-let checks_total = Obs.Counter.make ~help:"fuzz invariant checks" "fuzz_checks_total"
-
-let discrepancies_total =
-  Obs.Counter.make ~help:"fuzz discrepancies found" "fuzz_discrepancies_total"
-
-let shrink_steps_total =
-  Obs.Counter.make ~help:"accepted shrink steps" "fuzz_shrink_steps_total"
 
 (* ---------- case generation ---------- *)
 
@@ -88,10 +65,6 @@ let gen_case rng family ~max_leaves =
 
 (* ---------- checking ---------- *)
 
-type verdict = { checks : int; failure : (string * string) option }
-
-exception Fail of string * string
-
 (* Closed forms and the oracle's enumeration sum the same terms in different
    orders; exact answers on rewritten trees likewise.  Equality up to a
    relative 1e-6 keeps genuine off-by-ones visible (they shift whole units
@@ -116,155 +89,153 @@ let target_value query answer =
   List.assoc (Api.target_metric query) (Api.answer_expected answer)
 
 let check_case ~pool ~pool1 (case : Corpus.case) =
-  let checks = ref 0 in
-  let ensure name detail cond =
-    incr checks;
-    Obs.Counter.incr checks_total;
-    if not cond then raise (Fail (name, detail ()))
-  in
   let q = case.Corpus.query and db = case.Corpus.db in
-  let failure =
-    try
-      (* 1. config grid: cache off/on x jobs N/1 must agree exactly. *)
-      let a = run_api ~cache:false ~pool case in
-      let a_cache = run_api ~cache:true ~pool case in
-      ensure "config-grid"
-        (fun () -> "answers differ between cache off and cache on")
-        (a_cache = a);
-      let a_jobs1 = run_api ~cache:false ~pool:pool1 case in
-      ensure "config-grid"
-        (fun () -> "answers differ between jobs=N and jobs=1")
-        (a_jobs1 = a);
-      (* 2. evaluators: closed forms vs possible-world enumeration, on the
-         worlds layer 3 checks too (aggregates ignore them). *)
-      let t = Exact.prepare db in
-      let reported = Api.answer_expected a in
-      let enum = Exact.expected_all t q (Exact.of_api a) in
-      List.iter2
-        (fun (name, v) (name', v') ->
-          assert (name = name');
-          ensure "evaluator"
+  Campaign.checking @@ fun ensure ->
+  (* 1. config grid: cache off/on x jobs N/1 must agree exactly. *)
+  let a = run_api ~cache:false ~pool case in
+  let a_cache = run_api ~cache:true ~pool case in
+  ensure "config-grid"
+    (fun () -> "answers differ between cache off and cache on")
+    (a_cache = a);
+  let a_jobs1 = run_api ~cache:false ~pool:pool1 case in
+  ensure "config-grid"
+    (fun () -> "answers differ between jobs=N and jobs=1")
+    (a_jobs1 = a);
+  (* 2. evaluators: closed forms vs possible-world enumeration, on the
+     worlds layer 3 checks too (aggregates ignore them). *)
+  let t = Exact.prepare db in
+  let reported = Api.answer_expected a in
+  let enum = Exact.expected_all t q (Exact.of_api a) in
+  List.iter2
+    (fun (name, v) (name', v') ->
+      assert (name = name');
+      ensure "evaluator"
+        (fun () ->
+          Printf.sprintf "%s: closed form %.12g vs enumeration %.12g" name v v')
+        (approx_eq v v'))
+    reported enum;
+  let target = target_value q a in
+  (* 3. oracle: expected value and optimality. *)
+  let opt =
+    match q with
+    | Api.Aggregate (probs, flavor) ->
+        if not (Exact.aggregate_solvable probs) then None
+        else begin
+          let counts =
+            match Exact.of_api a with
+            | Exact.Counts c -> c
+            | _ -> assert false
+          in
+          let oracle_v = Exact.expected_aggregate probs counts in
+          ensure "oracle-expected"
             (fun () ->
-              Printf.sprintf "%s: closed form %.12g vs enumeration %.12g" name v v')
-            (approx_eq v v'))
-        reported enum;
-      let target = target_value q a in
-      (* 3. oracle: expected value and optimality. *)
-      let opt =
-        match q with
-        | Api.Aggregate (probs, flavor) ->
-            if not (Exact.aggregate_solvable probs) then None
-            else begin
-              let counts =
-                match Exact.of_api a with
-                | Exact.Counts c -> c
-                | _ -> assert false
-              in
-              let oracle_v = Exact.expected_aggregate probs counts in
-              ensure "oracle-expected"
-                (fun () ->
-                  Printf.sprintf "reported %.12g vs oracle %.12g" target oracle_v)
-                (approx_eq target oracle_v);
-              let _, opt = Exact.solve_aggregate probs flavor in
-              ensure "oracle-optimal"
-                (fun () ->
-                  Printf.sprintf "reported %.12g vs brute-force optimum %.12g"
-                    target opt)
-                (approx_eq target opt);
-              Some opt
-            end
-        | _ ->
-            ensure "oracle-worlds"
+              Printf.sprintf "reported %.12g vs oracle %.12g" target oracle_v)
+            (approx_eq target oracle_v);
+          let _, opt = Exact.solve_aggregate probs flavor in
+          ensure "oracle-optimal"
+            (fun () ->
+              Printf.sprintf "reported %.12g vs brute-force optimum %.12g"
+                target opt)
+            (approx_eq target opt);
+          Some opt
+        end
+    | _ ->
+        ensure "oracle-worlds"
+          (fun () ->
+            Printf.sprintf "world probabilities sum to %.12g"
+              (Exact.total_probability t))
+          (approx_eq (Exact.total_probability t) 1.);
+        for i = 0 to Db.num_alts db - 1 do
+          ensure "oracle-marginal"
+            (fun () ->
+              Printf.sprintf "leaf %d: marginal %.17g vs world sum %.17g" i
+                (Db.marginal db i) (Exact.marginal t i))
+            (approx_eq (Db.marginal db i) (Exact.marginal t i))
+        done;
+        let oracle_v = Exact.expected t q (Exact.of_api a) in
+        ensure "oracle-expected"
+          (fun () ->
+            Printf.sprintf "reported %.12g vs oracle %.12g" target oracle_v)
+          (approx_eq target oracle_v);
+        if not (Exact.solvable t q) then None
+        else begin
+          let _, opt = Exact.solve t q in
+          if Api.exact db q then
+            ensure "oracle-optimal"
               (fun () ->
-                Printf.sprintf "world probabilities sum to %.12g"
-                  (Exact.total_probability t))
-              (approx_eq (Exact.total_probability t) 1.);
-            for i = 0 to Db.num_alts db - 1 do
-              ensure "oracle-marginal"
-                (fun () ->
-                  Printf.sprintf "leaf %d: marginal %.17g vs world sum %.17g" i
-                    (Db.marginal db i) (Exact.marginal t i))
-                (approx_eq (Db.marginal db i) (Exact.marginal t i))
-            done;
-            let oracle_v = Exact.expected t q (Exact.of_api a) in
-            ensure "oracle-expected"
+                Printf.sprintf "reported %.12g vs brute-force optimum %.12g"
+                  target opt)
+              (approx_eq target opt)
+          else begin
+            ensure "oracle-lower-bound"
               (fun () ->
-                Printf.sprintf "reported %.12g vs oracle %.12g" target oracle_v)
-              (approx_eq target oracle_v);
-            if not (Exact.solvable t q) then None
-            else begin
-              let _, opt = Exact.solve t q in
-              if Api.exact db q then
-                ensure "oracle-optimal"
-                  (fun () ->
-                    Printf.sprintf "reported %.12g vs brute-force optimum %.12g"
-                      target opt)
-                  (approx_eq target opt)
-              else begin
-                ensure "oracle-lower-bound"
-                  (fun () ->
-                    Printf.sprintf "reported %.12g below brute-force optimum %.12g"
-                      target opt)
-                  (target >= opt -. 1e-6);
-                ensure "heuristic-ratio"
-                  (fun () ->
-                    Printf.sprintf "reported %.12g exceeds %g x optimum %.12g"
-                      target heuristic_ratio opt)
-                  (target <= (heuristic_ratio *. opt) +. 1e-6)
-              end;
-              Some opt
-            end
-      in
-      (* 4. metamorphic rewrites: the optimal target value is invariant.
-         Rewrites (and shrinking) go through the pointer tree, so first
-         check that rebuilding the arena from it reproduces the database. *)
-      (match q with
-      | Api.Aggregate _ -> () (* matrix input; [db] is a placeholder *)
-      | _ ->
-          ensure "round-trip-digest"
-            (fun () -> "rebuilding the arena from the tree changes the digest")
-            (Db.digest (Db.create ~check:false (Db.tree db)) = Db.digest db));
-      if Metamorph.supported q then begin
-        let seed = Hashtbl.hash (Corpus.to_string case) land 0xFFFFFF in
-        List.iteri
-          (fun i rewrite ->
-            let rng = Prng.create ~seed:(seed + i) () in
-            match Metamorph.apply rewrite rng db q with
-            | None -> ()
-            | Some db' ->
-                if Api.exact db q && Api.exact db' q then begin
-                  let a' = run_api ~cache:false ~pool { case with Corpus.db = db' } in
-                  let target' = target_value q a' in
-                  ensure
-                    ("metamorphic:" ^ Metamorph.name rewrite)
-                    (fun () ->
-                      Printf.sprintf "optimum %.12g became %.12g" target target')
-                    (approx_eq target target')
-                end
-                else
-                  Option.iter
-                    (fun opt ->
-                      let t' = Exact.prepare db' in
-                      if Exact.solvable t' q then begin
-                        let _, opt' = Exact.solve t' q in
-                        ensure
-                          ("metamorphic:" ^ Metamorph.name rewrite)
-                          (fun () ->
-                            Printf.sprintf "oracle optimum %.12g became %.12g" opt
-                              opt')
-                          (approx_eq opt opt')
-                      end)
-                    opt)
-          Metamorph.all
-      end;
-      None
-    with
-    | Fail (name, detail) -> Some (name, detail)
-    | e -> Some ("exception", Printexc.to_string e)
+                Printf.sprintf "reported %.12g below brute-force optimum %.12g"
+                  target opt)
+              (target >= opt -. 1e-6);
+            ensure "heuristic-ratio"
+              (fun () ->
+                Printf.sprintf "reported %.12g exceeds %g x optimum %.12g"
+                  target heuristic_ratio opt)
+              (target <= (heuristic_ratio *. opt) +. 1e-6)
+          end;
+          Some opt
+        end
   in
-  { checks = !checks; failure }
+  (* 4. metamorphic rewrites: the optimal target value is invariant.
+     Rewrites (and shrinking) go through the pointer tree, so first
+     check that rebuilding the arena from it reproduces the database. *)
+  (match q with
+  | Api.Aggregate _ -> () (* matrix input; [db] is a placeholder *)
+  | _ ->
+      ensure "round-trip-digest"
+        (fun () -> "rebuilding the arena from the tree changes the digest")
+        (Db.digest (Db.create ~check:false (Db.tree db)) = Db.digest db));
+  if Metamorph.supported q then begin
+    let seed = Hashtbl.hash (Corpus.to_string case) land 0xFFFFFF in
+    List.iteri
+      (fun i rewrite ->
+        let rng = Prng.create ~seed:(seed + i) () in
+        match Metamorph.apply rewrite rng db q with
+        | None -> ()
+        | Some db' ->
+            if Api.exact db q && Api.exact db' q then begin
+              let a' = run_api ~cache:false ~pool { case with Corpus.db = db' } in
+              let target' = target_value q a' in
+              ensure
+                ("metamorphic:" ^ Metamorph.name rewrite)
+                (fun () ->
+                  Printf.sprintf "optimum %.12g became %.12g" target target')
+                (approx_eq target target')
+            end
+            else
+              Option.iter
+                (fun opt ->
+                  let t' = Exact.prepare db' in
+                  if Exact.solvable t' q then begin
+                    let _, opt' = Exact.solve t' q in
+                    ensure
+                      ("metamorphic:" ^ Metamorph.name rewrite)
+                      (fun () ->
+                        Printf.sprintf "oracle optimum %.12g became %.12g" opt
+                          opt')
+                      (approx_eq opt opt')
+                  end)
+                opt)
+      Metamorph.all
+  end
 
 (* ---------- campaigns ---------- *)
+
+let describe (case : Corpus.case) =
+  match case.query with
+  | Api.Aggregate (probs, _) ->
+      Printf.sprintf "%s, %dx%d matrix" (Api.query_name case.query)
+        (Array.length probs)
+        (Array.length probs.(0))
+  | _ -> Printf.sprintf "%s, %d leaves" (Api.query_name case.query) (Db.num_alts case.db)
+
+let family ~pool ~pool1 =
+  { Campaign.codec = Corpus.codec; check = check_case ~pool ~pool1; candidates = Shrink.candidates }
 
 type config = {
   seed : int;
@@ -277,73 +248,19 @@ type config = {
 let default_config =
   { seed = 0; iters = 100; max_leaves = 12; families = all_families; corpus_dir = None }
 
-type discrepancy = {
-  case : Corpus.case;
-  check : string;
-  detail : string;
-  shrunk : Corpus.case;
-  shrink_steps : int;
-  path : string option;
-}
-
-type report = { cases : int; total_checks : int; discrepancies : discrepancy list }
+let with_pool pool ~jobs f =
+  match pool with Some p -> f p | None -> Pool.with_pool ~jobs f
 
 let run ?pool ?pool1 config =
-  if config.iters < 0 then invalid_arg "Fuzz.run: negative iteration count";
-  let owned = ref [] in
-  let get opt jobs =
-    match opt with
-    | Some p -> p
-    | None ->
-        let p = Pool.create ~jobs () in
-        owned := p :: !owned;
-        p
-  in
-  let pool = get pool 0 in
-  let pool1 = get pool1 1 in
-  Fun.protect ~finally:(fun () -> List.iter Pool.shutdown !owned) @@ fun () ->
+  with_pool pool ~jobs:0 @@ fun pool ->
+  with_pool pool1 ~jobs:1 @@ fun pool1 ->
+  let family = family ~pool ~pool1 in
   let rng = Prng.create ~seed:config.seed () in
-  let cases = ref 0 and total_checks = ref 0 and discrepancies = ref [] in
-  List.iter
-    (fun family ->
+  List.map
+    (fun fam ->
       let frng = Prng.split rng in
-      for _ = 1 to config.iters do
-        let case = gen_case frng family ~max_leaves:config.max_leaves in
-        incr cases;
-        Obs.Counter.incr cases_total;
-        let { checks; failure } = check_case ~pool ~pool1 case in
-        total_checks := !total_checks + checks;
-        match failure with
-        | None -> ()
-        | Some (check, detail) ->
-            Obs.Counter.incr discrepancies_total;
-            let still_fails c = (check_case ~pool ~pool1 c).failure <> None in
-            let shrunk, shrink_steps = Shrink.shrink still_fails case in
-            Obs.Counter.add shrink_steps_total shrink_steps;
-            let path =
-              Option.map (fun dir -> Corpus.save ~dir shrunk) config.corpus_dir
-            in
-            discrepancies :=
-              { case; check; detail; shrunk; shrink_steps; path } :: !discrepancies
-      done)
-    config.families;
-  { cases = !cases; total_checks = !total_checks; discrepancies = List.rev !discrepancies }
-
-let replay ?pool ?pool1 ~dir () =
-  let owned = ref [] in
-  let get opt jobs =
-    match opt with
-    | Some p -> p
-    | None ->
-        let p = Pool.create ~jobs () in
-        owned := p :: !owned;
-        p
-  in
-  let pool = get pool 0 in
-  let pool1 = get pool1 1 in
-  Fun.protect ~finally:(fun () -> List.iter Pool.shutdown !owned) @@ fun () ->
-  Corpus.load_dir dir
-  |> List.filter_map (fun (file, case) ->
-         match (check_case ~pool ~pool1 case).failure with
-         | None -> None
-         | Some (check, detail) -> Some (file, check, detail))
+      fun () ->
+        let case = gen_case frng fam ~max_leaves:config.max_leaves in
+        (case, family.check case))
+    config.families
+  |> Campaign.run ?corpus_dir:config.corpus_dir family ~iters:config.iters

@@ -21,10 +21,11 @@
       through {!Api.run} for exact queries and through the oracle for
       heuristic ones).
 
-    A failing case is greedily shrunk ({!Shrink.shrink}) and, when a corpus
-    directory is configured, promoted to a regression file that
-    {!replay} — wired into [dune runtest] — checks forever after.
-    Everything is deterministic in the configured seed. *)
+    Campaigns run on the shared loop ({!Campaign}): a failing case is
+    greedily shrunk ({!Shrink.candidates}) and, when a corpus directory is
+    configured, promoted to a regression file that {!Campaign.replay} —
+    wired into [dune runtest] — checks forever after.  Everything is
+    deterministic in the configured seed. *)
 
 module Api = Consensus.Api
 module Pool = Consensus_engine.Pool
@@ -35,7 +36,6 @@ type family = World | Topk | Rank | Aggregate | Cluster
 
 val all_families : family list
 val family_name : family -> string
-val family_of_string : string -> (family, string) result
 
 (** {1 Case generation and checking} *)
 
@@ -44,12 +44,7 @@ val gen_case : Consensus_util.Prng.t -> family -> max_leaves:int -> Corpus.case
     per-family budgets (leaf counts are clamped below [max_leaves] where a
     family's candidate space grows faster). *)
 
-type verdict = {
-  checks : int;  (** individual invariant checks performed *)
-  failure : (string * string) option;  (** (check name, detail) *)
-}
-
-val check_case : pool:Pool.t -> pool1:Pool.t -> Corpus.case -> verdict
+val check_case : pool:Pool.t -> pool1:Pool.t -> Corpus.case -> Campaign.verdict
 (** Run every applicable check layer.  Deterministic in the case content
     (rewrite randomness is seeded from the serialized case).  Exceptions
     escaping {!Api.run} are themselves reported as a failing check
@@ -57,6 +52,12 @@ val check_case : pool:Pool.t -> pool1:Pool.t -> Corpus.case -> verdict
     a [jobs = 1] pool. *)
 
 (** {1 Campaigns} *)
+
+val describe : Corpus.case -> string
+(** One-line summary for reports, e.g. ["world-jaccard-median, 6 leaves"]. *)
+
+val family : pool:Pool.t -> pool1:Pool.t -> Corpus.case Campaign.family
+(** {!Corpus.codec}, {!check_case} on these pools and {!Shrink.candidates}. *)
 
 type config = {
   seed : int;
@@ -69,27 +70,7 @@ type config = {
 val default_config : config
 (** seed 0, 100 iterations, 12 leaves, every family, no promotion. *)
 
-type discrepancy = {
-  case : Corpus.case;
-  check : string;
-  detail : string;
-  shrunk : Corpus.case;
-  shrink_steps : int;
-  path : string option;  (** corpus file if promoted *)
-}
-
-type report = {
-  cases : int;
-  total_checks : int;
-  discrepancies : discrepancy list;
-}
-
-val run : ?pool:Pool.t -> ?pool1:Pool.t -> config -> report
-(** Fuzz campaign over the configured families.  Pools are created (jobs
-    auto / jobs 1) unless supplied.  Obs counters [fuzz_cases_total],
-    [fuzz_checks_total], [fuzz_discrepancies_total] and
-    [fuzz_shrink_steps_total] record progress when tracing is enabled. *)
-
-val replay : ?pool:Pool.t -> ?pool1:Pool.t -> dir:string -> unit -> (string * string * string) list
-(** Re-check every corpus case of a directory; returns the failures as
-    [(file, check, detail)].  Empty list = corpus clean. *)
+val run : ?pool:Pool.t -> ?pool1:Pool.t -> config -> Corpus.case Campaign.report
+(** {!Campaign.run} over the configured families, in order, each drawing
+    from its own split of the seeded generator.  Pools are created (jobs
+    auto / jobs 1) unless supplied. *)

@@ -5,7 +5,7 @@
 
    1. route agreement: [Inference.probability ~readonce:true] vs
       [~readonce:false] — the read-once fast path against Shannon
-      expansion, the PR's core differential;
+      expansion, the core differential;
    2. pure Shannon: [~decompose:false ~readonce:false] (no component
       factorization at all) on instances small enough to afford it;
    3. brute force: the possible-worlds enumeration on <= 18-variable
@@ -18,14 +18,13 @@
    6. on freshly generated cases only: the generator's theory expectation
       (hierarchical shapes detected, induced-P4 shapes rejected).
 
-   Failures shrink greedily (child promotion/drops, constant
-   substitution) and promote into the shared corpus directory as
+   Campaigns run on the shared loop ([Campaign]): failures shrink over
+   [candidates] and promote into the shared corpus directory as
    [lcase-*.txt] files, replayed by the same [@fuzz] alias as the core
    corpus. *)
 
 module Prng = Consensus_util.Prng
 module Fcmp = Consensus_util.Fcmp
-module Obs = Consensus_obs.Obs
 module Lineage_gen = Consensus_workload.Lineage_gen
 open Consensus_pdb
 
@@ -33,18 +32,6 @@ type case = { shape : string; reg : Lineage.Registry.r; lineage : Lineage.t }
 
 let of_gen (c : Lineage_gen.case) =
   { shape = c.Lineage_gen.shape; reg = c.Lineage_gen.reg; lineage = c.Lineage_gen.lineage }
-
-(* ---------- observability ---------- *)
-
-let cases_total =
-  Obs.Counter.make ~help:"lineage fuzz cases generated" "lineage_fuzz_cases_total"
-
-let checks_total =
-  Obs.Counter.make ~help:"lineage fuzz invariant checks" "lineage_fuzz_checks_total"
-
-let discrepancies_total =
-  Obs.Counter.make ~help:"lineage fuzz discrepancies found"
-    "lineage_fuzz_discrepancies_total"
 
 (* ---------- serialization ----------
 
@@ -60,10 +47,6 @@ let discrepancies_total =
    Registry lines appear in variable order ([fresh_block] allocates
    consecutive ids, so blocks serialize as one line); the formula grammar
    is [t | f | xN | (not F) | (and F ...) | (or F ...)]. *)
-
-let float_repr x =
-  let s = Printf.sprintf "%.12g" x in
-  if float_of_string s = x then s else Printf.sprintf "%.17g" x
 
 let formula_to_string f =
   let buf = Buffer.create 128 in
@@ -168,7 +151,7 @@ let to_string { shape; reg; lineage } =
     (match Lineage.Registry.block_of reg !v with
     | None ->
         Buffer.add_string buf
-          (Printf.sprintf "var %s\n" (float_repr (Lineage.Registry.prob reg !v)));
+          (Printf.sprintf "var %s\n" (Campaign.float_repr (Lineage.Registry.prob reg !v)));
         incr v
     | Some b ->
         let members = Lineage.Registry.block_members reg b in
@@ -176,7 +159,7 @@ let to_string { shape; reg; lineage } =
         List.iter
           (fun w ->
             Buffer.add_string buf
-              (Printf.sprintf " %s" (float_repr (Lineage.Registry.prob reg w))))
+              (Printf.sprintf " %s" (Campaign.float_repr (Lineage.Registry.prob reg w))))
           members;
         Buffer.add_char buf '\n';
         v := !v + List.length members);
@@ -250,45 +233,7 @@ let of_string s =
           | exception Invalid_argument e -> Error e
           | r -> r))
 
-let file_name case =
-  Printf.sprintf "lcase-%s.txt"
-    (String.sub (Digest.to_hex (Digest.string (to_string case))) 0 12)
-
-let save ~dir case =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let path = Filename.concat dir (file_name case) in
-  let oc = open_out path in
-  output_string oc (to_string case);
-  close_out oc;
-  path
-
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-let load path =
-  match of_string (read_file path) with
-  | Ok c -> Ok c
-  | Error e -> Error (Printf.sprintf "%s: %s" path e)
-  | exception Sys_error e -> Error e
-
-let load_dir dir =
-  if not (Sys.file_exists dir && Sys.is_directory dir) then []
-  else
-    Sys.readdir dir |> Array.to_list
-    |> List.filter (fun f ->
-           String.length f > 6
-           && String.sub f 0 6 = "lcase-"
-           && Filename.check_suffix f ".txt")
-    |> List.sort compare
-    |> List.map (fun f ->
-           let path = Filename.concat dir f in
-           match load path with
-           | Ok c -> (f, c)
-           | Error e -> failwith e)
+let codec = { Campaign.prefix = "lcase-"; to_string; of_string }
 
 (* ---------- brute-force oracle ---------- *)
 
@@ -361,119 +306,103 @@ let rec scramble rng f =
 
 (* ---------- checking ---------- *)
 
-type verdict = { checks : int; failure : (string * string) option }
-
-exception Fail of string * string
-
 let mc_samples = 10_000
 
 let check_case ?(readonce = true) ?(expect = Lineage_gen.Unknown) case =
-  let checks = ref 0 in
-  let ensure name detail cond =
-    incr checks;
-    Obs.Counter.incr checks_total;
-    if not cond then raise (Fail (name, detail ()))
-  in
   let reg = case.reg and f = case.lineage in
-  let failure =
-    try
-      let nvars = List.length (Lineage.vars f) in
-      let p_base = Inference.probability ~readonce:false reg f in
-      ensure "probability-range"
-        (fun () -> Printf.sprintf "Pr = %.17g outside [0,1]" p_base)
-        (Fcmp.is_probability ~eps:1e-9 p_base);
-      (* 1. read-once fast path vs Shannon expansion *)
-      if readonce then begin
-        let p_fast = Inference.probability ~readonce:true reg f in
-        ensure "readonce-vs-shannon"
+  Campaign.checking @@ fun ensure ->
+  let nvars = List.length (Lineage.vars f) in
+  let p_base = Inference.probability ~readonce:false reg f in
+  ensure "probability-range"
+    (fun () -> Printf.sprintf "Pr = %.17g outside [0,1]" p_base)
+    (Fcmp.is_probability ~eps:1e-9 p_base);
+  (* 1. read-once fast path vs Shannon expansion *)
+  if readonce then begin
+    let p_fast = Inference.probability ~readonce:true reg f in
+    ensure "readonce-vs-shannon"
+      (fun () ->
+        Printf.sprintf "readonce %.17g vs shannon %.17g" p_fast p_base)
+      (Fcmp.approx ~eps:1e-9 p_fast p_base);
+    (* direct factored evaluation, when detection succeeds *)
+    match Readonce.probability reg f with
+    | None -> ()
+    | Some p_ro ->
+        ensure "readonce-eval"
           (fun () ->
-            Printf.sprintf "readonce %.17g vs shannon %.17g" p_fast p_base)
-          (Fcmp.approx ~eps:1e-9 p_fast p_base);
-        (* direct factored evaluation, when detection succeeds *)
-        match Readonce.probability reg f with
-        | None -> ()
-        | Some p_ro ->
-            ensure "readonce-eval"
-              (fun () ->
-                Printf.sprintf "factored eval %.17g vs shannon %.17g" p_ro p_base)
-              (Fcmp.approx ~eps:1e-9 p_ro p_base)
-      end;
-      (* 2. pure Shannon (no component decomposition) on small instances *)
-      if nvars <= brute_var_limit then begin
-        let p_pure =
-          Inference.probability ~decompose:false ~readonce:false reg f
-        in
-        ensure "pure-shannon"
-          (fun () ->
-            Printf.sprintf "undecomposed %.17g vs decomposed %.17g" p_pure p_base)
-          (Fcmp.approx ~eps:1e-9 p_pure p_base)
-      end;
-      (* 3. brute-force possible worlds *)
-      if nvars <= brute_var_limit then begin
-        let p_brute = brute reg f in
-        ensure "brute-force"
-          (fun () ->
-            Printf.sprintf "inference %.17g vs possible worlds %.17g" p_base
-              p_brute)
-          (Fcmp.approx ~eps:1e-6 p_base p_brute)
-      end;
-      (* 4. Monte Carlo within a 5-sigma band *)
-      let seed = Hashtbl.hash (to_string case) land 0xFFFFFF in
-      let mc =
-        Inference.probability_mc (Prng.create ~seed ()) reg ~samples:mc_samples f
-      in
-      let sigma =
-        sqrt (Float.max 1e-6 (p_base *. (1. -. p_base)) /. float_of_int mc_samples)
-      in
-      let band = (5. *. sigma) +. 1e-3 in
-      ensure "monte-carlo"
-        (fun () ->
-          Printf.sprintf "inference %.17g vs MC %.17g (band %.3g)" p_base mc band)
-        (Float.abs (p_base -. mc) <= band);
-      (* 5. metamorphic scrambles preserve verdict and probability *)
-      let verdict g = Option.is_some (Readonce.detect reg g) in
-      let base_verdict = verdict f in
-      for i = 0 to 2 do
-        let rng = Prng.create ~seed:(seed + i) () in
-        let g = scramble rng f in
-        ensure "metamorphic-verdict"
-          (fun () ->
-            Printf.sprintf "read-once verdict flipped (%b) on scramble %d"
-              base_verdict i)
-          (verdict g = base_verdict);
-        let p_scrambled = Inference.probability ~readonce reg g in
-        ensure "metamorphic-probability"
-          (fun () ->
-            Printf.sprintf "probability %.17g became %.17g on scramble %d" p_base
-              p_scrambled i)
-          (Fcmp.approx ~eps:1e-9 p_base p_scrambled)
-      done;
-      (* 6. generator theory expectations (fresh cases only) *)
-      (match expect with
-      | Lineage_gen.Unknown -> ()
-      | Lineage_gen.Readonce ->
-          ensure "expect-readonce"
-            (fun () ->
-              Printf.sprintf "shape %s should be read-once: %s" case.shape
-                (Lineage.to_string f))
-            (verdict f)
-      | Lineage_gen.Not_readonce ->
-          ensure "expect-not-readonce"
-            (fun () ->
-              Printf.sprintf "shape %s should not be read-once: %s" case.shape
-                (Lineage.to_string f))
-            (not (verdict f)));
-      None
-    with
-    | Fail (name, detail) -> Some (name, detail)
-    | e -> Some ("exception", Printexc.to_string e)
+            Printf.sprintf "factored eval %.17g vs shannon %.17g" p_ro p_base)
+          (Fcmp.approx ~eps:1e-9 p_ro p_base)
+  end;
+  (* 2. pure Shannon (no component decomposition) on small instances *)
+  if nvars <= brute_var_limit then begin
+    let p_pure =
+      Inference.probability ~decompose:false ~readonce:false reg f
+    in
+    ensure "pure-shannon"
+      (fun () ->
+        Printf.sprintf "undecomposed %.17g vs decomposed %.17g" p_pure p_base)
+      (Fcmp.approx ~eps:1e-9 p_pure p_base)
+  end;
+  (* 3. brute-force possible worlds *)
+  if nvars <= brute_var_limit then begin
+    let p_brute = brute reg f in
+    ensure "brute-force"
+      (fun () ->
+        Printf.sprintf "inference %.17g vs possible worlds %.17g" p_base
+          p_brute)
+      (Fcmp.approx ~eps:1e-6 p_base p_brute)
+  end;
+  (* 4. Monte Carlo within a 5-sigma band *)
+  let seed = Hashtbl.hash (to_string case) land 0xFFFFFF in
+  let mc =
+    Inference.probability_mc (Prng.create ~seed ()) reg ~samples:mc_samples f
   in
-  { checks = !checks; failure }
+  let sigma =
+    sqrt (Float.max 1e-6 (p_base *. (1. -. p_base)) /. float_of_int mc_samples)
+  in
+  let band = (5. *. sigma) +. 1e-3 in
+  ensure "monte-carlo"
+    (fun () ->
+      Printf.sprintf "inference %.17g vs MC %.17g (band %.3g)" p_base mc band)
+    (Float.abs (p_base -. mc) <= band);
+  (* 5. metamorphic scrambles preserve verdict and probability *)
+  let verdict g = Option.is_some (Readonce.detect reg g) in
+  let base_verdict = verdict f in
+  for i = 0 to 2 do
+    let rng = Prng.create ~seed:(seed + i) () in
+    let g = scramble rng f in
+    ensure "metamorphic-verdict"
+      (fun () ->
+        Printf.sprintf "read-once verdict flipped (%b) on scramble %d"
+          base_verdict i)
+      (verdict g = base_verdict);
+    let p_scrambled = Inference.probability ~readonce reg g in
+    ensure "metamorphic-probability"
+      (fun () ->
+        Printf.sprintf "probability %.17g became %.17g on scramble %d" p_base
+          p_scrambled i)
+      (Fcmp.approx ~eps:1e-9 p_base p_scrambled)
+  done;
+  (* 6. generator theory expectations (fresh cases only) *)
+  (match expect with
+  | Lineage_gen.Unknown -> ()
+  | Lineage_gen.Readonce ->
+      ensure "expect-readonce"
+        (fun () ->
+          Printf.sprintf "shape %s should be read-once: %s" case.shape
+            (Lineage.to_string f))
+        (verdict f)
+  | Lineage_gen.Not_readonce ->
+      ensure "expect-not-readonce"
+        (fun () ->
+          Printf.sprintf "shape %s should not be read-once: %s" case.shape
+            (Lineage.to_string f))
+        (not (verdict f)))
 
 (* ---------- shrinking ---------- *)
 
-(* Structural reduction candidates; the registry is left as-is (unused
-   variables are harmless and keep ids stable). *)
+(* Structural reduction candidates that strictly shrink the formula; the
+   registry is left as-is (unused variables are harmless and keep ids
+   stable). *)
 let candidates case =
   let f = case.lineage in
   let with_f g = { case with lineage = Lineage.simplify g } in
@@ -500,28 +429,18 @@ let candidates case =
     |> List.concat_map (fun v ->
            [ with_f (Lineage.substitute f v false); with_f (Lineage.substitute f v true) ])
   in
+  let size = Lineage.size f in
   subformulas @ drops @ substitutions
-
-let shrink ?(max_steps = 200) still_fails case =
-  let steps = ref 0 in
-  let rec go case =
-    if !steps >= max_steps then case
-    else
-      let size = Lineage.size case.lineage in
-      match
-        List.find_opt
-          (fun c -> Lineage.size c.lineage < size && still_fails c)
-          (candidates case)
-      with
-      | None -> case
-      | Some c ->
-          incr steps;
-          go c
-  in
-  let shrunk = go case in
-  (shrunk, !steps)
+  |> List.filter (fun c -> Lineage.size c.lineage < size)
 
 (* ---------- campaigns ---------- *)
+
+let describe case =
+  Printf.sprintf "lineage %s, %d vars, %d nodes" case.shape
+    (List.length (Lineage.vars case.lineage))
+    (Lineage.size case.lineage)
+
+let family ~readonce = { Campaign.codec; check = check_case ~readonce; candidates }
 
 type config = {
   seed : int;
@@ -532,53 +451,14 @@ type config = {
 
 let default_config = { seed = 0; iters = 500; readonce = true; corpus_dir = None }
 
-type discrepancy = {
-  case : case;
-  check : string;
-  detail : string;
-  shrunk : case;
-  shrink_steps : int;
-  path : string option;
-}
-
-type report = { cases : int; total_checks : int; discrepancies : discrepancy list }
-
+(* A fresh case's first check also holds it to the generator's theory
+   expectation; shrinking and replay check without it. *)
 let run config =
-  if config.iters < 0 then invalid_arg "Lineage_fuzz.run: negative iteration count";
   let rng = Prng.create ~seed:config.seed () in
-  let cases = ref 0 and total_checks = ref 0 and discrepancies = ref [] in
-  for _ = 1 to config.iters do
+  let fresh () =
     let g = Lineage_gen.gen rng in
     let case = of_gen g in
-    incr cases;
-    Obs.Counter.incr cases_total;
-    let { checks; failure } =
-      check_case ~readonce:config.readonce ~expect:g.Lineage_gen.expect case
-    in
-    total_checks := !total_checks + checks;
-    match failure with
-    | None -> ()
-    | Some (check, detail) ->
-        Obs.Counter.incr discrepancies_total;
-        let still_fails c =
-          (check_case ~readonce:config.readonce c).failure <> None
-        in
-        let shrunk, shrink_steps = shrink still_fails case in
-        let path =
-          Option.map (fun dir -> save ~dir shrunk) config.corpus_dir
-        in
-        discrepancies :=
-          { case; check; detail; shrunk; shrink_steps; path } :: !discrepancies
-  done;
-  {
-    cases = !cases;
-    total_checks = !total_checks;
-    discrepancies = List.rev !discrepancies;
-  }
-
-let replay ~dir () =
-  load_dir dir
-  |> List.filter_map (fun (file, case) ->
-         match (check_case case).failure with
-         | None -> None
-         | Some (check, detail) -> Some (file, check, detail))
+    (case, check_case ~readonce:config.readonce ~expect:g.Lineage_gen.expect case)
+  in
+  Campaign.run ?corpus_dir:config.corpus_dir (family ~readonce:config.readonce)
+    ~iters:config.iters [ fresh ]

@@ -6,8 +6,9 @@
     the brute-force possible-worlds oracle (on ≤ 18-variable instances)
     and a seeded Monte-Carlo estimate, plus metamorphic scrambles that
     must preserve both the read-once verdict and the probability.
-    Failures shrink greedily and promote into the regression corpus as
-    [lcase-*.txt] files, replayed forever after by the [@fuzz] alias. *)
+    Campaigns run on the shared loop ({!Campaign}): failures shrink
+    greedily and promote into the regression corpus as [lcase-*.txt]
+    files, replayed forever after by the [@fuzz] alias. *)
 
 open Consensus_pdb
 
@@ -19,13 +20,9 @@ val of_gen : Consensus_workload.Lineage_gen.case -> case
 
 val to_string : case -> string
 val of_string : string -> (case, string) result
-val file_name : case -> string
-val save : dir:string -> case -> string
-val load : string -> (case, string) result
 
-val load_dir : string -> (string * case) list
-(** All [lcase-*.txt] files of a directory in name order; raises [Failure]
-    on the first malformed file.  An absent directory is an empty corpus. *)
+val codec : case Campaign.codec
+(** The codec above under the [lcase-] file-name prefix. *)
 
 (** {1 Checking} *)
 
@@ -36,24 +33,28 @@ val brute_var_limit : int
 val brute : Lineage.Registry.r -> Lineage.t -> float
 (** Possible-worlds enumeration (exponential; respects BID blocks). *)
 
-type verdict = {
-  checks : int;
-  failure : (string * string) option;  (** (check name, detail) *)
-}
-
 val check_case :
-  ?readonce:bool -> ?expect:Consensus_workload.Lineage_gen.expect -> case -> verdict
+  ?readonce:bool ->
+  ?expect:Consensus_workload.Lineage_gen.expect ->
+  case ->
+  Campaign.verdict
 (** Run every applicable layer.  [readonce] (default true) gates the
     fast-path comparisons — the CLI ablation knob; [expect] (default
     [Unknown]) adds the generator's theory check and is only passed for
     freshly generated cases, never replays.  Deterministic in the case
     content. *)
 
-val shrink : ?max_steps:int -> (case -> bool) -> case -> case * int
-(** Greedy structural shrink (child promotion, child drops, constant
-    substitution) while the predicate keeps failing. *)
+val candidates : case -> case list
+(** One-step structural reductions (child promotion, child drops, constant
+    substitution), each strictly smaller than the case's formula. *)
 
 (** {1 Campaigns} *)
+
+val describe : case -> string
+(** One-line summary for reports, e.g. ["lineage product, 4 vars, 9 nodes"]. *)
+
+val family : readonce:bool -> case Campaign.family
+(** {!codec}, {!check_case} without an expectation, and {!candidates}. *)
 
 type config = {
   seed : int;
@@ -65,22 +66,6 @@ type config = {
 val default_config : config
 (** seed 0, 500 iterations, readonce on, no promotion. *)
 
-type discrepancy = {
-  case : case;
-  check : string;
-  detail : string;
-  shrunk : case;
-  shrink_steps : int;
-  path : string option;
-}
-
-type report = { cases : int; total_checks : int; discrepancies : discrepancy list }
-
-val run : config -> report
-(** Obs counters [lineage_fuzz_cases_total], [lineage_fuzz_checks_total]
-    and [lineage_fuzz_discrepancies_total] record progress when tracing is
-    enabled. *)
-
-val replay : dir:string -> unit -> (string * string * string) list
-(** Re-check every [lcase-*.txt] case of a directory; returns failures as
-    [(file, check, detail)]. *)
+val run : config -> case Campaign.report
+(** {!Campaign.run} over freshly generated cases; each one's first check
+    also holds it to the generator's expectation. *)

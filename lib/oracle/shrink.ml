@@ -62,13 +62,3 @@ let candidates (case : Corpus.case) =
         | _ -> []
       in
       leaf_drops @ simplified @ k_drops
-
-let shrink ?(max_steps = 200) still_fails case =
-  let rec go case steps =
-    if steps >= max_steps then (case, steps)
-    else
-      match List.find_opt still_fails (candidates case) with
-      | Some smaller -> go smaller (steps + 1)
-      | None -> (case, steps)
-  in
-  go case 0

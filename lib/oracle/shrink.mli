@@ -1,23 +1,10 @@
-(** Greedy shrinking of failing fuzz cases.
+(** Shrink reductions of failing consensus fuzz cases.
 
-    Given a case and a predicate that re-checks it ("does this instance
-    still expose the discrepancy?"), repeatedly try the smallest local
-    reductions — drop one leaf (xor mass becomes residual, preserving the
-    remaining leaves' distribution), normalize the tree, lower [k], drop a
-    matrix row or group — and keep the first reduction that still fails,
-    until a fixpoint.  The predicate must be exception-safe: a reduction
-    that makes the instance degenerate should report [false], not raise. *)
-
-val shrink :
-  ?max_steps:int ->
-  (Corpus.case -> bool) ->
-  Corpus.case ->
-  Corpus.case * int
-(** [shrink still_fails case]: the reduced case and the number of accepted
-    shrink steps.  [case] itself is returned (0 steps) when no reduction
-    reproduces the failure.  [max_steps] (default 200) bounds the greedy
-    descent. *)
+    The smallest local reductions of a case — drop one leaf (xor mass
+    becomes residual, preserving the remaining leaves' distribution),
+    normalize the tree, lower [k], drop a matrix row or group.
+    {!Campaign.shrink} keeps the first reduction that still fails, until a
+    fixpoint. *)
 
 val candidates : Corpus.case -> Corpus.case list
-(** The one-step reductions of a case, largest reduction first — exposed
-    for the test suite. *)
+(** The one-step reductions of a case, largest reduction first. *)

@@ -5,8 +5,10 @@
      check_output trace-lite FILE     same, without the layer-coverage check
                                       (for subcommands that exercise few layers)
      check_output metrics FILE        --metrics json invariants
-     check_output metrics-line FILE   same, for stderr files that mix the
-                                      dump with other reporting (fuzz)
+     check_output fuzz OUT ERR        fuzz mode: the --metrics json dump
+                                      mixed into ERR passes the metrics
+                                      checks, and its fuzz counters match
+                                      the summary line on OUT
      check_output stderr-report OUT ERR
                                       query answer on stdout, reports on stderr
      check_output batch OUT ERR       batch mode: answers on stdout, cache
@@ -144,17 +146,52 @@ let check_metrics_json path j =
 
 let check_metrics path = check_metrics_json path (parse_file path)
 
+(* ---------- fuzz mode *)
+
 (* Subcommands like fuzz interleave their own stderr reporting with the
    --metrics json dump; pick the dump out by its leading brace. *)
-let check_metrics_line path =
+let metrics_line path =
   let json_line =
     read_file path |> String.split_on_char '\n'
     |> List.find_opt (fun l -> String.length l > 0 && l.[0] = '{')
   in
   match json_line with
   | None -> fail "%s: no metrics JSON object line" path
-  | Some line -> (
-      check_metrics_json path (parse path line))
+  | Some line -> parse path line
+
+let counter path j name =
+  match member name j with
+  | None -> fail "%s: metrics JSON lacks %s" path name
+  | Some v ->
+      (match get_str path (name ^ " type") (member "type" v) with
+      | "counter" -> ()
+      | t -> fail "%s: %s has type %s, want counter" path name t);
+      get_num path (name ^ " value") (member "value" v)
+
+(* Every fuzz family counts into one set of fuzz_* counters, so on a clean
+   run (no discrepancy, hence no shrink checks) the dump's case and check
+   counts equal the summary line's. *)
+let check_fuzz out_path err_path =
+  let j = metrics_line err_path in
+  check_metrics_json err_path j;
+  let cases, checks =
+    match
+      String.split_on_char '\n' (read_file out_path)
+      |> List.find_map (fun l ->
+             Scanf.sscanf_opt l "fuzz: %d cases (families: %_s@), %d checks, 0 discrepancies"
+               (fun cases checks -> (cases, checks)))
+    with
+    | Some counts -> counts
+    | None -> fail "%s: no clean 'fuzz: N cases ...' summary line" out_path
+  in
+  let expect name n =
+    let v = counter err_path j name in
+    if v <> float_of_int n then
+      fail "%s: %s = %g, but the summary line says %d" err_path name v n
+  in
+  expect "fuzz_cases_total" cases;
+  expect "fuzz_checks_total" checks;
+  Printf.printf "fuzz ok: %d cases and %d checks counted\n" cases checks
 
 (* ---------- stderr-report mode *)
 
@@ -202,27 +239,9 @@ let check_batch out_path err_path =
   (* The --metrics json object is the stderr line starting with '{'; the
      cache counters must be exported with hits and misses both nonzero
      (the batch file repeats a query, so the second run must hit). *)
-  let json_line =
-    String.split_on_char '\n' err
-    |> List.find_opt (fun l -> String.length l > 0 && l.[0] = '{')
-  in
-  let j =
-    match json_line with
-    | None -> fail "%s: no metrics JSON object on stderr" err_path
-    | Some line -> (
-        parse err_path line)
-  in
-  let counter name =
-    match member name j with
-    | None -> fail "%s: metrics JSON lacks %s" err_path name
-    | Some v ->
-        (match get_str err_path (name ^ " type") (member "type" v) with
-        | "counter" -> ()
-        | t -> fail "%s: %s has type %s, want counter" err_path name t);
-        get_num err_path (name ^ " value") (member "value" v)
-  in
-  let hits = counter "cache_hits_total" in
-  let misses = counter "cache_misses_total" in
+  let j = metrics_line err_path in
+  let hits = counter err_path j "cache_hits_total" in
+  let misses = counter err_path j "cache_misses_total" in
   if hits <= 0. then fail "%s: cache_hits_total = %g, want > 0" err_path hits;
   if misses <= 0. then
     fail "%s: cache_misses_total = %g, want > 0" err_path misses;
@@ -627,7 +646,7 @@ let () =
   | [ _; "trace"; path ] -> check_trace path
   | [ _; "trace-lite"; path ] -> check_trace_lite path
   | [ _; "metrics"; path ] -> check_metrics path
-  | [ _; "metrics-line"; path ] -> check_metrics_line path
+  | [ _; "fuzz"; out_path; err_path ] -> check_fuzz out_path err_path
   | [ _; "stderr-report"; out_path; err_path ] ->
       check_stderr_report out_path err_path
   | [ _; "batch"; out_path; err_path ] -> check_batch out_path err_path
@@ -639,7 +658,7 @@ let () =
   | _ ->
       prerr_endline
         "usage: check_output (trace FILE | trace-lite FILE | metrics FILE | \
-         metrics-line FILE | stderr-report OUT ERR | batch OUT ERR | explain \
+         fuzz OUT ERR | stderr-report OUT ERR | batch OUT ERR | explain \
          OUT ERR | explain-json OUT ERR | serve CLI DB BATCH | serve-daemon \
          CLI DB)";
       exit 2

@@ -6,7 +6,6 @@ open Consensus_anxor
 open Consensus
 module Pool = Consensus_engine.Pool
 module Task = Consensus_engine.Task
-module Chunk = Consensus_engine.Chunk
 module Metrics = Consensus_engine.Metrics
 module Gen = Consensus_workload.Gen
 
@@ -33,7 +32,7 @@ let test_shutdown_idempotent () =
   let t = Pool.submit p (fun () -> 6 * 7) in
   Alcotest.(check bool) "inline task done" true (Task.is_done t);
   Alcotest.(check int) "inline task value" 42 (Task.await t);
-  let r = Pool.parallel_init ~pool:p ~cutoff:0 8 (fun i -> i * i) in
+  let r = Pool.parallel_init ~pool:p 8 (fun i -> i * i) in
   Alcotest.(check (array int)) "combinator on retired pool"
     (Array.init 8 (fun i -> i * i))
     r
@@ -52,7 +51,7 @@ let test_global_resize_race () =
         while not (Atomic.get stop) do
           let pool = Pool.get_global () in
           let r =
-            try Pool.parallel_init ~pool ~cutoff:0 64 (fun i -> (2 * i) + 1)
+            try Pool.parallel_init ~pool 64 (fun i -> (2 * i) + 1)
             with _ ->
               Atomic.incr failures;
               [||]
@@ -123,32 +122,10 @@ let test_parallel_map_matches_sequential () =
             (Pool.parallel_map ~pool f xs)))
     jobs_grid
 
-let test_parallel_reduce_bit_identical () =
-  let n = 1000 in
-  let f i = 1. /. float_of_int (i + 1) in
-  let results =
-    List.map
-      (fun jobs ->
-        Pool.with_pool ~jobs (fun pool ->
-            Pool.parallel_reduce ~pool ~chunk_size:16 ~init:0. ~combine:( +. ) f n))
-      jobs_grid
-  in
-  List.iter
-    (fun r -> Alcotest.(check (float 0.)) "reduce across jobs" (List.hd results) r)
-    results;
-  (* and it is a faithful harmonic sum *)
-  let seq = ref 0. in
-  for i = 0 to n - 1 do
-    seq := !seq +. f i
-  done;
-  Alcotest.(check (float 1e-9)) "reduce value" !seq (List.hd results)
-
 let test_empty_and_tiny_inputs () =
   Pool.with_pool ~jobs:4 (fun pool ->
       Alcotest.(check (array int)) "n=0" [||] (Pool.parallel_init ~pool 0 Fun.id);
-      Alcotest.(check (array int)) "n=1" [| 0 |] (Pool.parallel_init ~pool 1 Fun.id);
-      Alcotest.(check (float 0.)) "reduce n=0" 0.
-        (Pool.parallel_reduce ~pool ~init:0. ~combine:( +. ) float_of_int 0))
+      Alcotest.(check (array int)) "n=1" [| 0 |] (Pool.parallel_init ~pool 1 Fun.id))
 
 let test_exception_propagates_from_chunk () =
   Pool.with_pool ~jobs:4 (fun pool ->
@@ -179,7 +156,7 @@ let test_queue_depth_gauge_after_raise () =
   Pool.with_pool ~jobs:4 (fun pool ->
       (try
          ignore
-           (Pool.parallel_init ~pool ~cutoff:0 64 (fun i ->
+           (Pool.parallel_init ~pool 64 (fun i ->
                 if i mod 7 = 0 then failwith "gauge boom" else i))
        with Failure _ -> ());
       (* Raw submissions that raise inside [Task.run] drain too. *)
@@ -191,7 +168,7 @@ let test_queue_depth_gauge_after_raise () =
       Alcotest.(check (array int))
         "workers survive raising tasks"
         (Array.init 16 Fun.id)
-        (Pool.parallel_init ~pool ~cutoff:0 16 Fun.id));
+        (Pool.parallel_init ~pool 16 Fun.id));
   Alcotest.(check (float 0.)) "gauge still zero after shutdown" 0.
     (Obs.Gauge.value gauge)
 
@@ -217,21 +194,6 @@ let test_metrics_recorded () =
             (s.Metrics.by_caller + s.Metrics.by_worker = s.Metrics.chunks);
           Alcotest.(check bool) "json mentions stage" true
             (contains ~sub:"unit_test_stage" (Metrics.to_json (Pool.metrics pool))))
-
-let test_chunk_ranges_cover () =
-  List.iter
-    (fun n ->
-      let ranges = Chunk.ranges ~chunk_size:4 n in
-      let covered = Array.make n false in
-      Array.iter
-        (fun (lo, hi) ->
-          for i = lo to hi - 1 do
-            Alcotest.(check bool) "no overlap" false covered.(i);
-            covered.(i) <- true
-          done)
-        ranges;
-      Alcotest.(check bool) "all covered" true (Array.for_all Fun.id covered))
-    [ 0; 1; 3; 4; 5; 17; 64 ]
 
 (* --- facade --- *)
 
@@ -352,8 +314,6 @@ let suite =
       test_parallel_init_matches_sequential;
     Alcotest.test_case "parallel_map = Array.map" `Quick
       test_parallel_map_matches_sequential;
-    Alcotest.test_case "parallel_reduce bit-identical" `Quick
-      test_parallel_reduce_bit_identical;
     Alcotest.test_case "empty and tiny inputs" `Quick test_empty_and_tiny_inputs;
     Alcotest.test_case "chunk exception propagates" `Quick
       test_exception_propagates_from_chunk;
@@ -361,7 +321,6 @@ let suite =
       test_queue_depth_gauge_after_raise;
     Alcotest.test_case "nested combinators" `Quick test_nested_combinators;
     Alcotest.test_case "metrics recorded" `Quick test_metrics_recorded;
-    Alcotest.test_case "chunk ranges partition" `Quick test_chunk_ranges_cover;
     Alcotest.test_case "api topk matches module" `Quick test_api_topk_matches_module;
     Alcotest.test_case "api median unsupported" `Quick test_api_median_unsupported;
     Alcotest.test_case "api families smoke" `Quick test_api_families_smoke;

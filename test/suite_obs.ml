@@ -332,9 +332,7 @@ let test_context_crosses_pool () =
   let ctx = Context.fresh () in
   Pool.with_pool ~jobs:4 (fun pool ->
       Context.with_current ctx (fun () ->
-          ignore
-            (Pool.parallel_init ~pool ~chunk_size:4 ~stage:"ctx_test" 32
-               (fun i -> i))));
+          ignore (Pool.parallel_init ~pool ~stage:"ctx_test" 32 (fun i -> i))));
   let chunks =
     Obs.spans () |> List.filter (fun s -> s.Obs.span_name = "engine.chunk")
   in

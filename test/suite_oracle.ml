@@ -14,6 +14,7 @@ module Exact = Consensus_oracle.Exact
 module Metamorph = Consensus_oracle.Metamorph
 module Corpus = Consensus_oracle.Corpus
 module Shrink = Consensus_oracle.Shrink
+module Campaign = Consensus_oracle.Campaign
 module Fuzz = Consensus_oracle.Fuzz
 
 let arb_seed = QCheck.make ~print:string_of_int QCheck.Gen.(int_range 0 1_000_000)
@@ -230,19 +231,20 @@ let test_corpus_dir () =
   Sys.remove dir;
   let g = Prng.create ~seed:77 () in
   let case = Fuzz.gen_case g Fuzz.Topk ~max_leaves:8 in
-  let path = Corpus.save ~dir case in
-  let path2 = Corpus.save ~dir case in
+  let path = Campaign.save Corpus.codec ~dir case in
+  let path2 = Campaign.save Corpus.codec ~dir case in
   Alcotest.(check string) "idempotent promotion" path path2;
-  (match Corpus.load_dir dir with
+  (match Campaign.load_dir Corpus.codec dir with
   | [ (file, case') ] ->
-      Alcotest.(check string) "file name is the digest name" (Corpus.file_name case) file;
+      Alcotest.(check string) "file name is the digest name"
+        (Campaign.file_name Corpus.codec case) file;
       Alcotest.(check string) "reloaded tree" (Db.digest case.Corpus.db)
         (Db.digest case'.Corpus.db)
   | l -> Alcotest.failf "expected 1 corpus case, got %d" (List.length l));
   Sys.remove path;
   Sys.rmdir dir;
   Alcotest.(check (list (pair string reject))) "missing directory = empty corpus" []
-    (Corpus.load_dir dir)
+    (Campaign.load_dir Corpus.codec dir)
 
 (* ---------- shrinking ---------- *)
 
@@ -253,14 +255,14 @@ let test_shrink_greedy () =
   (* pretend the failure needs at least 3 leaves: the greedy loop must stop
      exactly there, never returning a non-failing case *)
   let still_fails (c : Corpus.case) = Db.num_alts c.Corpus.db >= 3 in
-  let shrunk, steps = Shrink.shrink still_fails case in
+  let shrunk, steps = Campaign.shrink Shrink.candidates still_fails case in
   Alcotest.(check int) "shrunk to the minimal failing size" 3
     (Db.num_alts shrunk.Corpus.db);
   (* at least one step per dropped leaf; leaf drops can leave an empty xor
      stub that a later simplify step cleans up, so allow a little slack *)
   Alcotest.(check bool) "roughly one step per dropped leaf" true
     (steps >= 6 && steps <= 12);
-  let fixpoint, steps' = Shrink.shrink (fun _ -> false) case in
+  let fixpoint, steps' = Campaign.shrink Shrink.candidates (fun _ -> false) case in
   Alcotest.(check int) "no reduction accepted" 0 steps';
   Alcotest.(check string) "case unchanged" (Db.digest case.Corpus.db)
     (Db.digest fixpoint.Corpus.db)
@@ -338,15 +340,16 @@ let test_lineage_corpus_dir () =
   Sys.remove dir;
   let g = Prng.create ~seed:556 () in
   let case = Lfuzz.of_gen (Consensus_workload.Lineage_gen.gen g) in
-  let path = Lfuzz.save ~dir case in
-  let path2 = Lfuzz.save ~dir case in
+  let path = Campaign.save Lfuzz.codec ~dir case in
+  let path2 = Campaign.save Lfuzz.codec ~dir case in
   Alcotest.(check string) "idempotent promotion" path path2;
-  (match Lfuzz.load_dir dir with
+  (match Campaign.load_dir Lfuzz.codec dir with
   | [ (file, _) ] ->
-      Alcotest.(check string) "digest file name" (Lfuzz.file_name case) file
+      Alcotest.(check string) "digest file name" (Campaign.file_name Lfuzz.codec case) file
   | l -> Alcotest.failf "expected 1 lineage case, got %d" (List.length l));
-  Alcotest.(check (list (triple string string string))) "replay is clean" []
-    (Lfuzz.replay ~dir ());
+  (match Campaign.replay (Lfuzz.family ~readonce:true) ~dir with
+  | [ (_, v) ] -> Alcotest.(check bool) "replay is clean" true (v.failure = None)
+  | l -> Alcotest.failf "expected 1 replayed case, got %d" (List.length l));
   Sys.remove path;
   Sys.rmdir dir
 
@@ -362,12 +365,12 @@ let test_lineage_shrink () =
     let vars = L.vars c.Lfuzz.lineage in
     List.mem (List.hd vs) vars && List.length vars >= 2
   in
-  let shrunk, steps = Lfuzz.shrink still_fails case in
+  let shrunk, steps = Campaign.shrink Lfuzz.candidates still_fails case in
   Alcotest.(check bool) "still failing" true (still_fails shrunk);
   Alcotest.(check int) "minimal witness has two variables" 2
     (List.length (L.vars shrunk.Lfuzz.lineage));
   Alcotest.(check bool) "took steps" true (steps > 0);
-  let fixpoint, steps' = Lfuzz.shrink (fun _ -> false) case in
+  let fixpoint, steps' = Campaign.shrink Lfuzz.candidates (fun _ -> false) case in
   Alcotest.(check int) "no reduction accepted" 0 steps';
   Alcotest.(check string) "case unchanged"
     (L.to_string case.Lfuzz.lineage)
@@ -390,11 +393,62 @@ let test_lineage_check_catches_bad_oracle () =
   let reg = L.Registry.create () in
   let v = L.Registry.fresh reg 0.5 in
   let case = { Lfuzz.shape = "test"; reg; lineage = L.Var v } in
-  let { Lfuzz.failure; _ } = Lfuzz.check_case case in
+  let { Campaign.failure; _ } = Lfuzz.check_case case in
   Alcotest.(check bool) "well-formed case passes" true (failure = None);
   match Lfuzz.of_string "lineage shape=x\nvar nonsense\nformula x0\n" with
   | Ok _ -> Alcotest.fail "malformed case accepted"
   | Error _ -> ()
+
+(* ---------- one corpus directory, both families ---------- *)
+
+(* Core and lineage cases share a corpus directory, told apart by their
+   file-name prefixes: each family's replay sees only its own files, and a
+   file of neither family is ignored. *)
+let test_shared_corpus_dir () =
+  let module Lfuzz = Consensus_oracle.Lineage_fuzz in
+  let dir = Filename.temp_file "shared_corpus" "" in
+  Sys.remove dir;
+  let core_case = Fuzz.gen_case (Prng.create ~seed:78 ()) Fuzz.World ~max_leaves:6 in
+  let lcase = Lfuzz.of_gen (Consensus_workload.Lineage_gen.gen (Prng.create ~seed:557 ())) in
+  let core_path = Campaign.save Corpus.codec ~dir core_case in
+  let lpath = Campaign.save Lfuzz.codec ~dir lcase in
+  let write name contents =
+    let path = Filename.concat dir name in
+    Out_channel.with_open_bin path (fun oc -> output_string oc contents);
+    path
+  in
+  let unrelated = write "notes.txt" "not a corpus case\n" in
+  let pool = Consensus_engine.Pool.create ~jobs:2 () in
+  let pool1 = Consensus_engine.Pool.create ~jobs:1 () in
+  let core = Fuzz.family ~pool ~pool1 and lineage = Lfuzz.family ~readonce:true in
+  Fun.protect
+    ~finally:(fun () ->
+      Consensus_engine.Pool.shutdown pool;
+      Consensus_engine.Pool.shutdown pool1;
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir)
+  @@ fun () ->
+  let replayed = Campaign.replay core ~dir @ Campaign.replay lineage ~dir in
+  Alcotest.(check (list string)) "replay checks exactly the two cases"
+    [ Filename.basename core_path; Filename.basename lpath ]
+    (List.map fst replayed);
+  List.iter
+    (fun (file, (v : Campaign.verdict)) ->
+      Alcotest.(check bool) (file ^ " replays clean") true (v.failure = None))
+    replayed;
+  Alcotest.(check string) "re-saving the core case keeps its name" core_path
+    (Campaign.save Corpus.codec ~dir core_case);
+  Alcotest.(check string) "re-saving the lineage case keeps its name" lpath
+    (Campaign.save Lfuzz.codec ~dir lcase);
+  Alcotest.(check int) "no new files" 3 (Array.length (Sys.readdir dir));
+  Alcotest.(check bool) "unrelated file untouched" true (Sys.file_exists unrelated);
+  ignore (write "lcase-malformed.txt" "lineage shape=x\nvar nonsense\nformula x0\n");
+  (match Campaign.replay lineage ~dir with
+  | _ -> Alcotest.fail "malformed lineage case replayed silently"
+  | exception Failure msg ->
+      Alcotest.(check bool) "failure names the file" true
+        (Filename.check_suffix (List.hd (String.split_on_char ':' msg)) "lcase-malformed.txt"));
+  Alcotest.(check int) "core replay unaffected" 1 (List.length (Campaign.replay core ~dir))
 
 let qcheck t = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 20260806 |]) t
 
@@ -424,4 +478,5 @@ let suite =
       test_lineage_campaign_clean;
     Alcotest.test_case "lineage layer rejects malformed input" `Quick
       test_lineage_check_catches_bad_oracle;
+    Alcotest.test_case "shared corpus directory" `Quick test_shared_corpus_dir;
   ]

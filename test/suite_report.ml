@@ -144,7 +144,7 @@ let prop_self_times_telescope =
                     ("test.report.q" ^ string_of_int (qi mod 3))
                     (fun () ->
                       ignore
-                        (Pool.parallel_init ~pool ~cutoff:0 size (fun i ->
+                        (Pool.parallel_init ~pool size (fun i ->
                              Obs.with_span "test.report.item" (fun () -> i * i)))))
                 sizes);
           let t = Report.of_spans (Obs.spans ()) in
