@@ -67,11 +67,4 @@ let run () =
       Harness.Tables.add_row table
         [ string_of_int (Db.num_alts db); Harness.ms t_size; Harness.ms t_rank; Harness.ms t_all ])
     ns;
-  Harness.Tables.print table;
-  let g2 = Prng.create ~seed:103 () in
-  let db = Gen.bid_db g2 (if !Harness.quick then 200 else 1000) in
-  Harness.register_bench ~name:"e1/size_distribution" (fun () ->
-      ignore (Marginals.size_distribution db));
-  let key = (Db.keys db).(0) in
-  Harness.register_bench ~name:"e1/rank_dist_k10" (fun () ->
-      ignore (Marginals.rank_dist db key ~k:10))
+  Harness.Tables.print table

@@ -53,8 +53,4 @@ let run () =
       Harness.Tables.add_row table
         [ string_of_int (Db.num_alts db); Harness.ms t_mean; Harness.ms t_median ])
     ns;
-  Harness.Tables.print table;
-  let g2 = Prng.create ~seed:203 () in
-  let db = Gen.random_tree_db g2 (if !Harness.quick then 2_000 else 20_000) in
-  Harness.register_bench ~name:"e2/median_world_dp" (fun () ->
-      ignore (Set_consensus.median_sym_diff db))
+  Harness.Tables.print table

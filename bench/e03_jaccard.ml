@@ -2,7 +2,6 @@
    prefix optimality, BID median agreement, and O(n²)/O(n³) scaling. *)
 
 open Consensus_util
-open Consensus_anxor
 open Consensus
 module Gen = Consensus_workload.Gen
 module Exact = Consensus_oracle.Exact
@@ -60,9 +59,4 @@ let run () =
       Harness.Tables.add_row table
         [ string_of_int n; Harness.ms t_eval; Harness.ms t_mean ])
     ns;
-  Harness.Tables.print table;
-  let g2 = Prng.create ~seed:303 () in
-  let db = Gen.independent_db g2 (if !Harness.quick then 30 else 80) in
-  let w = List.init 40 (fun i -> 2 * i) |> List.filter (fun i -> i < Db.num_alts db) in
-  Harness.register_bench ~name:"e3/expected_jaccard" (fun () ->
-      ignore (Set_consensus.expected_jaccard db w))
+  Harness.Tables.print table

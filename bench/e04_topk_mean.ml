@@ -77,8 +77,4 @@ let run () =
   let indep = Gen.independent_db g n in
   let bid = Gen.bid_db g n in
   List.iter (fun k -> one_table ~name:(Printf.sprintf "tuple-independent n=%d" n) indep ~k) ks;
-  List.iter (fun k -> one_table ~name:(Printf.sprintf "BID n=%d keys" n) bid ~k) ks;
-  let db = Gen.bid_db g (if !Harness.quick then 50 else 150) in
-  Harness.register_bench ~name:"e4/mean_sym_diff_k10" (fun () ->
-      let ctx = Topk_consensus.make_ctx db ~k:10 in
-      ignore (Topk_consensus.mean_sym_diff ctx))
+  List.iter (fun k -> one_table ~name:(Printf.sprintf "BID n=%d keys" n) bid ~k) ks

@@ -53,9 +53,4 @@ let run () =
       Harness.Tables.add_row table
         [ string_of_int n; string_of_int k; Harness.ms t_ctx; Harness.ms t_dp ])
     configs;
-  Harness.Tables.print table;
-  let g2 = Prng.create ~seed:503 () in
-  let db = Gen.random_tree_db g2 (if !Harness.quick then 50 else 150) in
-  let ctx = Topk_consensus.make_ctx db ~k:5 in
-  Harness.register_bench ~name:"e5/median_topk_dp" (fun () ->
-      ignore (Topk_consensus.median_sym_diff ctx))
+  Harness.Tables.print table

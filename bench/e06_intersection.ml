@@ -47,34 +47,4 @@ let run () =
   Harness.Tables.print table;
   Harness.note
     "shape check: observed ratios are tiny compared to the H_k bound — the\n\
-     ΥH heuristic is near-optimal in practice, matching the paper's intent.";
-  let g2 = Prng.create ~seed:602 () in
-  let db = Gen.bid_db g2 n in
-  (* engine jobs sweep: ctx construction (rank table) and the Hungarian
-     profit matrix are the parallel stages. *)
-  let t2 =
-    Harness.Tables.create
-      ~title:(Printf.sprintf "engine jobs sweep (BID n=%d, k=%d)" n k)
-      [
-        ("jobs", Harness.Tables.Right);
-        ("ctx build (ms)", Harness.Tables.Right);
-        ("mean_intersection (ms)", Harness.Tables.Right);
-      ]
-  in
-  List.iter
-    (fun jobs ->
-      Harness.with_pool_metrics ~label:"e6/intersection" ~jobs (fun pool ->
-          let ctx, t_ctx =
-            Harness.time_it (fun () -> Topk_consensus.make_ctx ~pool db ~k)
-          in
-          let t_mi =
-            Harness.time_only (fun () ->
-                ignore (Topk_consensus.mean_intersection ctx))
-          in
-          Harness.Tables.add_row t2
-            [ string_of_int jobs; Harness.ms t_ctx; Harness.ms t_mi ]))
-    !Harness.jobs_grid;
-  Harness.Tables.print t2;
-  let ctx = Topk_consensus.make_ctx db ~k in
-  Harness.register_bench ~name:"e6/mean_intersection_hungarian" (fun () ->
-      ignore (Topk_consensus.mean_intersection ctx))
+     ΥH heuristic is near-optimal in practice, matching the paper's intent."

@@ -93,29 +93,4 @@ let run () =
       ("footrule-optimal", fun () -> Topk_consensus.mean_kendall_footrule ctx);
       ("mean dΔ (PT-k)", fun () -> Topk_consensus.mean_sym_diff ctx);
     ];
-  Harness.Tables.print t2;
-  (* engine jobs sweep: the pairwise Kendall joints and the footrule cost
-     matrix are the parallel stages; a fresh ctx per run keeps the joint
-     cache cold so the sweep measures real work. *)
-  let t3 =
-    Harness.Tables.create
-      ~title:(Printf.sprintf "engine jobs sweep (BID n=%d, k=%d)" n k)
-      [
-        ("jobs", Harness.Tables.Right);
-        ("ctx + E[dK] of footrule answer (ms)", Harness.Tables.Right);
-      ]
-  in
-  List.iter
-    (fun jobs ->
-      Harness.with_pool_metrics ~label:"e7/kendall" ~jobs (fun pool ->
-          let t =
-            Harness.time_only (fun () ->
-                let ctx = Topk_consensus.make_ctx ~pool db ~k in
-                let tau = Topk_consensus.mean_kendall_footrule ctx in
-                ignore (Topk_consensus.expected_kendall ctx tau))
-          in
-          Harness.Tables.add_row t3 [ string_of_int jobs; Harness.ms t ]))
-    !Harness.jobs_grid;
-  Harness.Tables.print t3;
-  Harness.register_bench ~name:"e7/mean_footrule_hungarian" (fun () ->
-      ignore (Topk_consensus.mean_footrule ctx))
+  Harness.Tables.print t2

@@ -70,11 +70,4 @@ let run () =
   Gc.full_major ();
   let w0 = Gc.minor_words () in
   ignore (Aggregate_consensus.median inst);
-  Harness.note "minor words of one median at 600x16: %.0f" (Gc.minor_words () -. w0);
-  let g2 = Prng.create ~seed:803 () in
-  let inst =
-    Aggregate_consensus.create
-      (Gen.groupby_matrix g2 ~n:(if !Harness.quick then 100 else 500) ~m:16)
-  in
-  Harness.register_bench ~name:"e8/aggregate_median_flow" (fun () ->
-      ignore (Aggregate_consensus.median inst))
+  Harness.note "minor words of one median at 600x16: %.0f" (Gc.minor_words () -. w0)

@@ -79,8 +79,4 @@ let run () =
       Harness.Tables.add_row table2
         [ string_of_int n; Harness.ms t_make; Harness.ms t_pivot; Harness.ms t_ls ])
     ns;
-  Harness.Tables.print table2;
-  let g2 = Prng.create ~seed:903 () in
-  let db = Gen.clustering_db g2 (if !Harness.quick then 40 else 120) in
-  Harness.register_bench ~name:"e9/cluster_weights" (fun () ->
-      ignore (Cluster_consensus.make db))
+  Harness.Tables.print table2

@@ -55,9 +55,4 @@ let run () =
   Harness.note
     "shape check: exact search is exponential in #vars while greedy stays flat\n\
      and near-optimal — consistent with the paper's NP-hardness claim for\n\
-     median worlds under general correlations.";
-  let inst_b =
-    Maxsat.make ~num_vars:12 ~clauses:(Gen.max2sat g ~num_vars:12 ~num_clauses:40)
-  in
-  Harness.register_bench ~name:"e10/maxsat_exact_12" (fun () ->
-      ignore (Maxsat.solve_exact inst_b))
+     median worlds under general correlations."

@@ -68,13 +68,4 @@ let run () =
   Harness.Tables.print t2;
   Harness.note
     "shape check: the and/xor model stores exponentially many correlated\n\
-     worlds in a linear structure, strictly generalizing BID (Figure 1).";
-  Harness.register_bench ~name:"e11/enumerate_16_blocks" (fun () ->
-      let block i =
-        Tree.xor
-          [
-            (0.5, Tree.and_ [ Tree.leaf (4 * i); Tree.leaf ((4 * i) + 1) ]);
-            (0.5, Tree.and_ [ Tree.leaf ((4 * i) + 2); Tree.leaf ((4 * i) + 3) ]);
-          ]
-      in
-      ignore (explicit_cells (Tree.and_ (List.init 12 block))))
+     worlds in a linear structure, strictly generalizing BID (Figure 1)."

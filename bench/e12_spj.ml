@@ -72,8 +72,4 @@ let run () =
           string_of_int (Inference.stats_expansions ());
         ])
     (Harness.sizes ~quick_list:[ 20; 50 ] ~full_list:[ 20; 50; 100; 200; 400 ]);
-  Harness.Tables.print table;
-  let reg_b = Lineage.Registry.create () in
-  let answer_b = random_spj g reg_b ~left:60 ~right:60 ~domain:15 in
-  Harness.register_bench ~name:"e12/spj_inference" (fun () ->
-      ignore (Relation.probabilities reg_b answer_b))
+  Harness.Tables.print table

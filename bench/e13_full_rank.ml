@@ -85,40 +85,4 @@ let run () =
       Harness.Tables.add_row t2
         [ string_of_int n; Harness.ms t_table; Harness.ms t_fr; Harness.ms t_kp ])
     (Harness.sizes ~quick_list:[ 20; 40 ] ~full_list:[ 25; 50; 100; 200 ]);
-  Harness.Tables.print t2;
-  (* engine jobs sweep: off the BID shapes, the full rank table is one
-     generating-function run per alternative, parallel over keys. *)
-  let g3 = Prng.create ~seed:1304 () in
-  let db_sweep = Gen.random_keyed_tree g3 (if !Harness.quick then 30 else 80) in
-  let t3 =
-    Harness.Tables.create
-      ~title:
-        (Printf.sprintf "engine jobs sweep (n=%d keys)"
-           (Consensus_anxor.Db.num_keys db_sweep))
-      [
-        ("jobs", Harness.Tables.Right);
-        ("rank_table (ms)", Harness.Tables.Right);
-        ("full rank table (ms)", Harness.Tables.Right);
-      ]
-  in
-  List.iter
-    (fun jobs ->
-      Harness.with_pool_metrics ~label:"e13/full_rank" ~jobs (fun pool ->
-          let k = Consensus_anxor.Db.num_keys db_sweep in
-          let t_rt =
-            Harness.time_only (fun () ->
-                ignore (Consensus_anxor.Marginals.rank_table_slow ~pool db_sweep ~k))
-          in
-          let t_full =
-            Harness.time_only (fun () ->
-                ignore (Consensus_anxor.Marginals.full_rank_table ~pool db_sweep))
-          in
-          Harness.Tables.add_row t3
-            [ string_of_int jobs; Harness.ms t_rt; Harness.ms t_full ]))
-    !Harness.jobs_grid;
-  Harness.Tables.print t3;
-  let g2 = Prng.create ~seed:1303 () in
-  let db = Gen.bid_db g2 (if !Harness.quick then 25 else 60) in
-  let ctx = Rank_consensus.make_ctx db in
-  Harness.register_bench ~name:"e13/mean_footrule_full" (fun () ->
-      ignore (Rank_consensus.mean_footrule ctx))
+  Harness.Tables.print t2

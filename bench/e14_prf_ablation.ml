@@ -55,9 +55,4 @@ let run () =
   Harness.Tables.print table;
   Harness.note
     "shape check: the indicator family tracks the dΔ optimum, the harmonic\n\
-     family tracks the dI optimum (§5.3), and mismatched weights pay a gap.";
-  Harness.register_bench ~name:"e14/prf_harmonic" (fun () ->
-      ignore
-        (F.prf db
-           ~w:(fun i -> if i <= k then Stats.harmonic k -. Stats.harmonic (i - 1) else 0.)
-           ~k))
+     family tracks the dI optimum (§5.3), and mismatched weights pay a gap."

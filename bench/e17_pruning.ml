@@ -65,12 +65,4 @@ let run () =
   Harness.note
     "shape check: pruning is answer-preserving; on skewed workloads it\n\
      evaluates a small fraction of the keys, on adversarially flat ones it\n\
-     degrades gracefully to the exhaustive scan.";
-  let db =
-    Db.independent
-      (List.init (if !Harness.quick then 200 else 500) (fun i ->
-           let p = if i < 5 then 0.95 else 0.03 in
-           (i, 1e6 -. float_of_int i, p)))
-  in
-  Harness.register_bench ~name:"e17/global_topk_pruned" (fun () ->
-      ignore (F.global_topk_pruned db ~k:10))
+     degrades gracefully to the exhaustive scan."

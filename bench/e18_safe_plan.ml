@@ -107,11 +107,4 @@ let run () =
   Harness.Tables.print table;
   Harness.note
     "shape check: the safe plan stays polynomial while Shannon expansion on\n\
-     the non-hierarchical pattern grows quickly — the Dalvi–Suciu dichotomy.";
-  let g2 = Prng.create ~seed:1802 () in
-  let reg = Lineage.Registry.create () in
-  let inst = mk_instance g2 reg ~rows:30 ~domain:8 in
-  Harness.register_bench ~name:"e18/safe_plan_eval" (fun () ->
-      match Safe_plan.eval_extensional reg inst hierarchical_query with
-      | Ok _ -> ()
-      | Error e -> failwith e)
+     the non-hierarchical pattern grows quickly — the Dalvi–Suciu dichotomy."

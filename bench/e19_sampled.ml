@@ -54,6 +54,4 @@ let run () =
   Harness.note
     "shape check: the sampled answers converge to the exact consensus optima\n\
      as the sample count grows; the exact algorithms remain preferable at\n\
-     these sizes, sampling wins when n·k makes the O(n²k) tables too big.";
-  Harness.register_bench ~name:"e19/sampled_mean_1000" (fun () ->
-      ignore (Topk_consensus.sampled_mean_sym_diff g ~samples:1000 db ~k))
+     these sizes, sampling wins when n·k makes the O(n²k) tables too big."

@@ -96,8 +96,4 @@ let run () =
   Harness.note
     "shape check: correlation moves the variance floor exactly as the\n\
      covariance terms predict (1.0 / 0.5 / 0.0 for and / independent / xor);\n\
-     the mean stays exact, only the median needs sampling.";
-  let g2 = Prng.create ~seed:2002 () in
-  let db = Gen.random_tree_db g2 (if !Harness.quick then 100 else 300) in
-  Harness.register_bench ~name:"e20/aggregate_tree_make" (fun () ->
-      ignore (Aggregate_tree.make db ~group:(group_of 8) ~num_groups:8))
+     the mean stays exact, only the median needs sampling."

@@ -76,8 +76,4 @@ let run () =
   Harness.note
     "shape check: enumeration dies beyond ~20 tuples (2^n worlds) while the\n\
      best-first search handles thousands when probability mass is\n\
-     concentrated — Soliman et al.'s original motivation.";
-  let g2 = Prng.create ~seed:2102 () in
-  let db = Gen.independent_db ~p_min:0.5 ~p_max:0.99 g2 (if !Harness.quick then 100 else 500) in
-  Harness.register_bench ~name:"e21/u_topk_best_first" (fun () ->
-      ignore (F.u_topk_best_first db ~k:5))
+     concentrated — Soliman et al.'s original motivation."

@@ -68,8 +68,4 @@ let run () =
     "shape check: the sweep is linear in n while the per-key computation is\n\
      quadratic; at 8k alternatives the gap is three orders of magnitude.\n\
      Topk_consensus.make_ctx and all ranking baselines use the sweep\n\
-     automatically on independent/BID inputs.";
-  let g2 = Prng.create ~seed:2202 () in
-  let db = Gen.bid_db g2 (if !Harness.quick then 500 else 2000) in
-  Harness.register_bench ~name:"e22/rank_table_sweep" (fun () ->
-      ignore (Marginals.rank_table db ~k:10))
+     automatically on independent/BID inputs."

@@ -145,8 +145,4 @@ let run () =
             ] );
       ]
   in
-  let oc = open_out "BENCH_OBS.json" in
-  output_string oc (Json.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  Harness.note "overhead sweep written to BENCH_OBS.json"
+  Harness.write_json "BENCH_OBS.json" json

@@ -216,12 +216,4 @@ let run () =
                rows) );
       ]
   in
-  let oc = open_out "BENCH_ARENA.json" in
-  output_string oc (Json.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  Harness.note "arena sweep written to BENCH_ARENA.json";
-  let g = Consensus_util.Prng.create ~seed:2901 () in
-  let db = Consensus_workload.Gen.bid_db g (if !Harness.quick then 500 else 2000) in
-  Harness.register_bench ~name:"e29/rank_table_flat_buffers" (fun () ->
-      ignore (Marginals.rank_table db ~k:10))
+  Harness.write_json "BENCH_ARENA.json" json

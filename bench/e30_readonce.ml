@@ -225,16 +225,4 @@ let run () =
             ] );
       ]
   in
-  let oc = open_out "BENCH_READONCE.json" in
-  output_string oc (Json.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  Harness.note "read-once ablation written to BENCH_READONCE.json";
-  let g2 = Prng.create ~seed:3002 () in
-  let reg, lineage =
-    Consensus_workload.Lineage_gen.product_lineage
-      ~width:(if !Harness.quick then 5 else 9)
-      g2
-  in
-  Harness.register_bench ~name:"e30/readonce_product" (fun () ->
-      ignore (Inference.probability reg lineage))
+  Harness.write_json "BENCH_READONCE.json" json

@@ -1,11 +1,10 @@
-(* Experiment harness: regenerates every experiment of EXPERIMENTS.md
-   (quality tables + Bechamel timing benches, one per experiment table).
+(* Experiment harness: regenerates every experiment table of EXPERIMENTS.md.
 
-   Usage: dune exec bench/main.exe -- [--quick] [--only E4[,E8...]]
-          [--no-timing] [--list] [--jobs 1,2,4] [--trace FILE] [--obs-metrics]
+   Usage: dune exec bench/main.exe -- [--quick] [--only E4[,E8...]] [--list]
+          [--trace FILE] [--obs-metrics]
 
-   Experiments with parallel stages sweep the engine pool over the --jobs
-   grid and dump their per-stage metrics to BENCH_ENGINE.json. *)
+   E23, E29 and E30 rewrite their pinned BENCH_*.json files at the current
+   directory in full mode only. *)
 
 let experiments =
   [
@@ -32,23 +31,17 @@ let experiments =
     ("E21", "exact U-Top-k: best-first vs enumeration", E21_utopk.run);
     ("E22", "O(nk) sweep rank table ablation", E22_rank_table.run);
     ("E23", "observability overhead (lib/obs)", E23_obs_overhead.run);
-    ("E24", "shared probability cache (lib/cache)", E24_cache.run);
-    ("E25", "brute-force oracle vs optimized (lib/oracle)", E25_oracle.run);
     ("E29", "flat-arena load + buffer kernels (lib/anxor)", E29_arena.run);
     ("E30", "read-once factorization ablation (lib/pdb)", E30_readonce.run);
   ]
 
 let () =
   let only = ref [] in
-  let timing = ref true in
   let args = Array.to_list Sys.argv |> List.tl in
   let rec parse = function
     | [] -> ()
     | "--quick" :: rest ->
         Harness.quick := true;
-        parse rest
-    | "--no-timing" :: rest ->
-        timing := false;
         parse rest
     | "--list" :: _ ->
         List.iter (fun (id, desc, _) -> Printf.printf "%-4s %s\n" id desc) experiments;
@@ -63,11 +56,6 @@ let () =
     | "--obs-metrics" :: rest ->
         Harness.obs_metrics := true;
         Harness.Obs.set_enabled true;
-        parse rest
-    | "--jobs" :: spec :: rest ->
-        Harness.jobs_grid :=
-          String.split_on_char ',' spec |> List.map String.trim
-          |> List.map int_of_string;
         parse rest
     | arg :: _ ->
         Printf.eprintf "unknown argument %s\n" arg;
@@ -85,7 +73,5 @@ let () =
     (if !Harness.quick then "quick" else "full");
   let t0 = Unix.gettimeofday () in
   List.iter (fun (_, _, run) -> run ()) selected;
-  if !timing then Harness.run_bechamel ();
-  Harness.write_engine_json "BENCH_ENGINE.json";
   Harness.finish_obs ();
   Printf.printf "\ntotal wall time: %.1f s\n" (Unix.gettimeofday () -. t0)

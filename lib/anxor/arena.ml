@@ -410,9 +410,9 @@ let leaf_paths a =
   done;
   paths
 
-(* Key constraint of Definition 1 (see [Tree.check_keys]): merging per-node
-   key tables up an explicit frame stack; an [And] node rejects duplicate
-   keys across its children. *)
+(* Key constraint of Definition 1: merging per-node key tables up an
+   explicit frame stack; an [And] node rejects duplicate keys across its
+   children. *)
 let check_keys a =
   let exception Dup in
   let union_into ~disjoint dst src =

@@ -53,9 +53,9 @@ val leaf_paths : t -> (int * int * float) array array
     [(xor node id, child position, edge probability)], outermost first. *)
 
 val check_keys : t -> (unit, string) result
-(** The key constraint of Definition 1 (same check as {!Tree.check_keys},
-    without the recursion): the LCA of two same-key leaves must be an xor
-    node. *)
+(** The key constraint of Definition 1: the least common ancestor of two
+    leaves holding the same key must be an xor node, so that no possible
+    world contains the same key twice. *)
 
 val bid_shape : t -> singleton:bool -> bool
 (** An [And] of [Xor] nodes over leaves; [singleton] additionally requires

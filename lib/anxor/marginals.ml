@@ -493,15 +493,9 @@ let rank_table ?pool db ~k =
         end
         else rank_table_slow ?pool db ~k
       in
-      if not (Cache.enabled ()) then compute ()
-      else
-        let key =
-          Cache.key ~family:"rank_table" ~digest:(Db.digest db)
-            ~params:[ string_of_int k ]
-        in
-        match Cache.memo key (fun () -> Cache.Rank_table (compute ())) with
-        | Cache.Rank_table table -> table
-        | _ -> assert false)
+      Cache.memo Cache.Rank_table ~family:"rank_table"
+        ~digest:(fun () -> Db.digest db)
+        ~params:[ string_of_int k ] compute)
 
 (* Untruncated table: on BID/independent shapes the sweep at k = n is O(n²)
    in total; other trees pay one O(n²) generating-function run per
@@ -528,14 +522,9 @@ let full_rank_table ?pool db =
           acc)
         (Db.keys db)
   in
-  if not (Cache.enabled ()) then compute ()
-  else
-    let key =
-      Cache.key ~family:"full_rank_dist" ~digest:(Db.digest db) ~params:[]
-    in
-    match Cache.memo key (fun () -> Cache.Matrix (compute ())) with
-    | Cache.Matrix m -> m
-    | _ -> assert false
+  Cache.memo Cache.Matrix ~family:"full_rank_dist"
+    ~digest:(fun () -> Db.digest db)
+    ~params:[] compute
 
 let rank_leq db key ~k = Array.fold_left ( +. ) 0. (rank_dist db key ~k)
 

@@ -62,30 +62,6 @@ let leaves t =
   done;
   List.rev !acc
 
-let depth t =
-  let best = ref 0 in
-  let stack = ref [ (0, t) ] in
-  while !stack <> [] do
-    match !stack with
-    | [] -> ()
-    | (d, node) :: rest -> (
-        stack := rest;
-        match node with
-        | Leaf _ -> if d > !best then best := d
-        | And cs ->
-            (* An internal node with no children still contributes a path of
-               [d] edges plus its own level, matching the recursive
-               [1 + fold max (-1)] definition. *)
-            if cs = [] then (if d > !best then best := d)
-            else stack := List.rev_append (List.rev_map (fun c -> (d + 1, c)) cs) !stack
-        | Xor es ->
-            if es = [] then (if d > !best then best := d)
-            else
-              stack :=
-                List.rev_append (List.rev_map (fun (_, c) -> (d + 1, c)) es) !stack)
-  done;
-  !best
-
 let num_nodes t =
   let n = ref 0 in
   let stack = ref [ t ] in
@@ -137,56 +113,6 @@ let rec count_worlds = function
       let total_p = List.fold_left (fun acc (p, _) -> acc +. p) 0. es in
       let base = List.fold_left (fun acc (_, c) -> acc +. count_worlds c) 0. es in
       if total_p < 1. -. prob_eps then base +. 1. else base
-
-let num_possible_leaf_sets = count_worlds
-
-let marginals t =
-  let acc = ref [] in
-  let stack = ref [ (1., t) ] in
-  while !stack <> [] do
-    match !stack with
-    | [] -> ()
-    | (prob, Leaf a) :: rest ->
-        acc := (a, prob) :: !acc;
-        stack := rest
-    | (prob, And cs) :: rest ->
-        stack := List.rev_append (List.rev_map (fun c -> (prob, c)) cs) rest
-    | (prob, Xor es) :: rest ->
-        stack :=
-          List.rev_append (List.rev_map (fun (p, c) -> (prob *. p, c)) es) rest
-  done;
-  List.rev !acc
-
-let check_keys ~key t =
-  let exception Dup in
-  (* Subtree key sets as hash tables keyed by the (polymorphic) key value;
-     an [And] node whose children share a key violates Definition 1 because
-     the LCA of the two leaves would be that [And] node. *)
-  let union_into ~disjoint dst src =
-    Hashtbl.iter
-      (fun k () ->
-        if disjoint && Hashtbl.mem dst k then raise Dup;
-        Hashtbl.replace dst k ())
-      src
-  in
-  let rec go = function
-    | Leaf a ->
-        let h = Hashtbl.create 4 in
-        Hashtbl.replace h (key a) ();
-        h
-    | Xor es ->
-        let h = Hashtbl.create 16 in
-        List.iter (fun (_, c) -> union_into ~disjoint:false h (go c)) es;
-        h
-    | And cs ->
-        let h = Hashtbl.create 16 in
-        List.iter (fun c -> union_into ~disjoint:true h (go c)) cs;
-        h
-  in
-  match ignore (go t) with
-  | () -> Ok ()
-  | exception Dup ->
-      Error "key constraint violated: two leaves with the same key have an And LCA"
 
 let world_is_possible ~eq t world =
   (* Multiset membership with backtracking over ambiguous And partitions. *)

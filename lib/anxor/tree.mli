@@ -42,9 +42,6 @@ val num_leaves : 'a t -> int
 val leaves : 'a t -> 'a list
 (** Leaves in depth-first order. *)
 
-val depth : 'a t -> int
-(** Number of edges on the longest root-leaf path; 0 for a leaf. *)
-
 val num_nodes : 'a t -> int
 
 val map : ('a -> 'b) -> 'a t -> 'b t
@@ -65,18 +62,6 @@ val filter_leaves : ('a -> bool) -> 'a t -> 'a t
 val count_worlds : 'a t -> float
 (** Upper bound (exact absent duplicate world-sets) on the number of distinct
     possible worlds, as a float to tolerate overflow. *)
-
-val num_possible_leaf_sets : 'a t -> float
-(** Alias of {!count_worlds}. *)
-
-val marginals : 'a t -> ('a * float) list
-(** Presence probability of each leaf, in depth-first order: the product of
-    the xor-edge probabilities on its root path. *)
-
-val check_keys : key:('a -> 'k) -> 'a t -> (unit, string) result
-(** Verify the key constraint of Definition 1: the least common ancestor of
-    two distinct leaves holding the same key is an [Xor] node (so that no
-    possible world contains the same key twice). *)
 
 val world_is_possible : eq:('a -> 'a -> bool) -> 'a t -> 'a list -> bool
 (** [world_is_possible ~eq t w]: does the leaf multiset [w] occur as a

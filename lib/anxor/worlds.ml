@@ -1,74 +1,9 @@
 let default_limit = 200_000
 
-(* Worlds are accumulated as (probability, reversed leaf list). *)
-let enumerate_rev ?(limit = default_limit) t =
-  let check_size l =
-    if List.length l > limit then
-      invalid_arg
-        (Printf.sprintf "Worlds.enumerate: more than %d worlds" limit)
-  in
-  let rec go t : (float * 'a list) list =
-    match (t : _ Tree.t) with
-    | Leaf a -> [ (1., [ a ]) ]
-    | Xor es ->
-        let total = List.fold_left (fun acc (p, _) -> acc +. p) 0. es in
-        let residual = 1. -. total in
-        let base =
-          List.concat_map
-            (fun (p, c) -> List.map (fun (q, w) -> (p *. q, w)) (go c))
-            es
-        in
-        let worlds = if residual > 1e-12 then (residual, []) :: base else base in
-        check_size worlds;
-        worlds
-    | And cs ->
-        List.fold_left
-          (fun acc c ->
-            let sub = go c in
-            let combined =
-              List.concat_map
-                (fun (p, w) ->
-                  List.map (fun (q, w') -> (p *. q, List.rev_append w' w)) sub)
-                acc
-            in
-            check_size combined;
-            combined)
-          [ (1., []) ]
-          cs
-  in
-  go t
-
-let enumerate ?limit t =
-  enumerate_rev ?limit t |> List.map (fun (p, w) -> (p, List.rev w))
-
-let enumerate_merged ?limit t =
-  let it = Tree.indexed t in
-  let worlds = enumerate ?limit it in
-  let tbl = Hashtbl.create 64 in
-  List.iter
-    (fun (p, w) ->
-      let sorted = List.sort (fun (i, _) (j, _) -> compare i j) w in
-      let ids = List.map fst sorted in
-      let payloads = List.map snd sorted in
-      match Hashtbl.find_opt tbl ids with
-      | Some (prob, _) -> Hashtbl.replace tbl ids (prob +. p, payloads)
-      | None -> Hashtbl.add tbl ids (p, payloads))
-    worlds;
-  Hashtbl.fold (fun ids (p, payloads) acc -> ((ids, payloads), p) :: acc) tbl []
-  |> List.sort (fun ((ids1, _), _) ((ids2, _), _) -> compare ids1 ids2)
-
-let world_probability ?limit t ids =
-  let target = List.sort_uniq compare ids in
-  enumerate_merged ?limit t
-  |> List.fold_left
-       (fun acc ((w, _), p) -> if w = target then acc +. p else acc)
-       0.
-
-(* Streaming twin of [enumerate]: the same worlds in the same order, as a
-   lazily-produced sequence.  Nothing is materialized, so the brute-force
-   oracle can walk instances whose world count exceeds [enumerate]'s list
-   [limit] without holding every world at once.  Mirrors [enumerate_rev]
-   choice-path by choice-path (accumulators are reversed leaf lists). *)
+(* Every possible world, one per choice path, as a lazily-produced
+   sequence.  Nothing is materialized, so the brute-force oracle can walk
+   instances whose world count exceeds [enumerate]'s list [limit] without
+   holding every world at once.  Accumulators are reversed leaf lists. *)
 let to_seq t =
   let rec go (t : _ Tree.t) : (float * 'a list) Seq.t =
     match t with
@@ -93,6 +28,42 @@ let to_seq t =
           cs
   in
   Seq.map (fun (p, w) -> (p, List.rev w)) (go t)
+
+(* The list form of [to_seq], refusing to hold more than [limit] worlds. *)
+let enumerate ?(limit = default_limit) t =
+  let rec take n seq acc =
+    match seq () with
+    | Seq.Nil -> List.rev acc
+    | Seq.Cons (world, rest) ->
+        if n >= limit then
+          invalid_arg
+            (Printf.sprintf "Worlds.enumerate: more than %d worlds" limit);
+        take (n + 1) rest (world :: acc)
+  in
+  take 0 (to_seq t) []
+
+let enumerate_merged ?limit t =
+  let it = Tree.indexed t in
+  let worlds = enumerate ?limit it in
+  let tbl = Hashtbl.create 64 in
+  List.iter
+    (fun (p, w) ->
+      let sorted = List.sort (fun (i, _) (j, _) -> compare i j) w in
+      let ids = List.map fst sorted in
+      let payloads = List.map snd sorted in
+      match Hashtbl.find_opt tbl ids with
+      | Some (prob, _) -> Hashtbl.replace tbl ids (prob +. p, payloads)
+      | None -> Hashtbl.add tbl ids (p, payloads))
+    worlds;
+  Hashtbl.fold (fun ids (p, payloads) acc -> ((ids, payloads), p) :: acc) tbl []
+  |> List.sort (fun ((ids1, _), _) ((ids2, _), _) -> compare ids1 ids2)
+
+let world_probability ?limit t ids =
+  let target = List.sort_uniq compare ids in
+  enumerate_merged ?limit t
+  |> List.fold_left
+       (fun acc ((w, _), p) -> if w = target then acc +. p else acc)
+       0.
 
 let fold t ~init ~f =
   Seq.fold_left (fun acc (p, w) -> f acc p w) init (to_seq t)

@@ -10,8 +10,9 @@ val enumerate : ?limit:int -> 'a Tree.t -> (float * 'a list) list
 (** All possible worlds with their probabilities, as (probability, leaves in
     depth-first order) pairs.  Worlds produced along distinct choice paths are
     returned separately (probabilities of equal leaf-sets are not merged);
-    the probabilities sum to 1.  Raises [Invalid_argument] if more than
-    [limit] (default [200_000]) partial worlds would be produced. *)
+    the probabilities sum to 1.  The list form of {!to_seq}: raises
+    [Invalid_argument] once more than [limit] (default [200_000]) worlds
+    come out. *)
 
 val enumerate_merged :
   ?limit:int -> 'a Tree.t -> ((int list * 'a list) * float) list
@@ -25,10 +26,9 @@ val world_probability : ?limit:int -> 'a Tree.t -> int list -> float
     based. *)
 
 val to_seq : 'a Tree.t -> (float * 'a list) Seq.t
-(** Streaming twin of {!enumerate}: the same (probability, leaves) pairs in
-    the same order, produced lazily with no world list materialized and no
-    [limit].  This is the brute-force oracle's workhorse: an instance with
-    [2^18] worlds streams through constant memory. *)
+(** {!enumerate}'s worlds, produced lazily with no world list materialized
+    and no [limit].  This is the brute-force oracle's workhorse: an instance
+    with [2^18] worlds streams through constant memory. *)
 
 val fold : 'a Tree.t -> init:'b -> f:('b -> float -> 'a list -> 'b) -> 'b
 (** [fold t ~init ~f] folds [f] over {!to_seq}. *)

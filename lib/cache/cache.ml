@@ -1,11 +1,23 @@
 module Obs = Consensus_obs.Obs
 module Context = Consensus_obs.Context
 
-type value =
-  | Rank_table of (int * float array) list
-  | Matrix of float array array
-  | Pairs of int array * float array
-  | Prob of float
+type _ kind =
+  | Rank_table : (int * float array) list kind
+  | Matrix : float array array kind
+  | Pairs : (int array * float array) kind
+  | Prob : float kind
+
+(* A resident entry: the payload with the witness of its kind. *)
+type value = Value : 'a kind * 'a -> value
+
+let unpack : type a. a kind -> value -> a option =
+ fun kind (Value (stored, v)) ->
+  match (kind, stored) with
+  | Rank_table, Rank_table -> Some v
+  | Matrix, Matrix -> Some v
+  | Pairs, Pairs -> Some v
+  | Prob, Prob -> Some v
+  | _ -> None
 
 type stats = {
   hits : int;
@@ -44,7 +56,6 @@ let miss_count = ref 0
 let reported_evictions = ref 0 (* evictions already mirrored to Obs *)
 let eviction_base = ref 0 (* evictions at the last [reset_stats] *)
 
-let enabled () = Atomic.get switch
 let set_enabled flag = Atomic.set switch flag
 
 (* Per-domain bypass: a request served with [cache = false] must not read or
@@ -96,14 +107,17 @@ let key ~family ~digest ~params =
 (* Rough resident-byte estimates: an OCaml float array costs 8 bytes per
    element plus a header; boxed pairs and list cells ~3 words each.  The
    point is relative sizing for eviction, not accounting truth. *)
-let value_cost = function
-  | Rank_table rows ->
-      List.fold_left (fun acc (_, dist) -> acc + 64 + (8 * Array.length dist)) 0 rows
-  | Matrix m ->
-      Array.fold_left (fun acc row -> acc + 16 + (8 * Array.length row)) 16 m
-  | Pairs (codes, probs) ->
+let value_cost : type a. a kind -> a -> int =
+ fun kind v ->
+  match kind with
+  | Rank_table ->
+      List.fold_left (fun acc (_, dist) -> acc + 64 + (8 * Array.length dist)) 0 v
+  | Matrix ->
+      Array.fold_left (fun acc row -> acc + 16 + (8 * Array.length row)) 16 v
+  | Pairs ->
+      let codes, probs = v in
       32 + (8 * Array.length codes) + (8 * Array.length probs)
-  | Prob _ -> 16
+  | Prob -> 16
 
 (* ---------- operations ---------- *)
 
@@ -113,7 +127,7 @@ let family_of_key key =
   | Some i -> String.sub key 0 i
   | None -> key
 
-let find key =
+let find kind key =
   if not (active ()) then None
   else begin
     (* One span per lookup with the family and the outcome: explain plans
@@ -127,7 +141,7 @@ let find key =
       "cache.lookup"
     @@ fun () ->
     locked (fun () ->
-        match Lru.find lru key with
+        match Option.bind (Lru.find lru key) (unpack kind) with
         | Some v ->
             incr hit_count;
             hit := true;
@@ -148,19 +162,22 @@ let find key =
             None)
   end
 
-let store key v =
+let store kind key v =
   if active () then
     locked (fun () ->
-        Lru.add lru key ~cost:(value_cost v) v;
+        Lru.add lru key ~cost:(value_cost kind v) (Value (kind, v));
         sync_obs ())
 
-let memo key compute =
-  match find key with
-  | Some v -> v
-  | None ->
-      let v = compute () in
-      store key v;
-      v
+let memo kind ~family ~digest ~params compute =
+  if not (active ()) then compute ()
+  else
+    let key = key ~family ~digest:(digest ()) ~params in
+    match find kind key with
+    | Some v -> v
+    | None ->
+        let v = compute () in
+        store kind key v;
+        v
 
 let stats () =
   locked (fun () ->

@@ -15,9 +15,10 @@
     cache enabled are bit-identical to answers with it disabled.
 
     The cache is {e disabled} by default: call sites pay one atomic load
-    when it is off.  Turn it on per process ({!set_enabled}) when a
-    workload issues many queries against few databases — the CLI batch
-    mode and the {!Consensus.Api} facade expose this switch.
+    when it is off, and never build their key.  Turn it on per process
+    ({!set_enabled}) when a workload issues many queries against few
+    databases — the CLI batch mode and the {!Consensus.Api} facade expose
+    this switch.
 
     Metrics: hits, misses and evictions are counted internally (always,
     for {!stats}) and mirrored to [Obs] counters [cache_hits_total],
@@ -27,7 +28,6 @@
 
 (** {1 Switch and sizing} *)
 
-val enabled : unit -> bool
 val set_enabled : bool -> unit
 (** Enabling is cheap; disabling does not drop resident entries (use
     {!clear}). *)
@@ -53,22 +53,23 @@ val set_capacity_bytes : int -> unit
 val clear : unit -> unit
 (** Drop every entry (statistics are kept). *)
 
-(** {1 Values} *)
+(** {1 Payloads} *)
 
-(** The memoized payload families.  Constructors carry immutable snapshots
-    owned by the cache: call sites must not mutate arrays obtained from a
-    hit (wiring copies where the consumer mutates). *)
-type value =
-  | Rank_table of (int * float array) list
+(** The memoized payload kinds, each a witness of its payload type.
+    Payloads are immutable snapshots owned by the cache: call sites must not
+    mutate arrays obtained from a hit (wiring copies where the consumer
+    mutates). *)
+type _ kind =
+  | Rank_table : (int * float array) list kind
       (** per-key positional probabilities, [Marginals.rank_table]. *)
-  | Matrix of float array array
+  | Matrix : float array array kind
       (** pairwise probability matrices: rank disagreements, clustering
           co-occurrence, Kendall tournament preferences. *)
-  | Pairs of int array * float array
+  | Pairs : (int array * float array) kind
       (** sparse ordered-pair joints [Pr(r(i) < r(j) <= k)]: pair codes
           [i·n + j] over the indices of the [n] keys of [Db.keys], and the
           joint of each code at the same position. *)
-  | Prob of float  (** one lineage-inference probability. *)
+  | Prob : float kind  (** one lineage-inference probability. *)
 
 val key : family:string -> digest:string -> params:string list -> string
 (** Build a cache key.  [family] names the computation (e.g.
@@ -78,17 +79,28 @@ val key : family:string -> digest:string -> params:string list -> string
 
 (** {1 Operations} *)
 
-val find : string -> value option
-(** Lookup; counts a hit or a miss.  Always [None] when disabled (without
-    touching the counters). *)
+val active : unit -> bool
+(** The switch {!find}, {!store} and {!memo} obey: the cache is enabled and
+    not bypassed on the calling domain. *)
 
-val store : string -> value -> unit
+val find : 'a kind -> string -> 'a option
+(** Lookup; counts a hit or a miss (an entry of another kind is a miss).
+    Always [None] when not {!active} (without touching the counters). *)
+
+val store : 'a kind -> string -> 'a -> unit
 (** Insert at most-recently-used position; the entry cost is an estimate
-    of the payload bytes.  No-op when disabled. *)
+    of the payload bytes.  No-op when not {!active}. *)
 
-val memo : string -> (unit -> value) -> value
-(** [memo key compute]: {!find}, or [compute ()] then {!store}.  When the
-    cache is disabled this is just [compute ()]. *)
+val memo :
+  'a kind ->
+  family:string ->
+  digest:(unit -> string) ->
+  params:string list ->
+  (unit -> 'a) ->
+  'a
+(** [memo kind ~family ~digest ~params compute]: {!find} under the {!key},
+    or [compute ()] then {!store}.  When the cache is not {!active} this is
+    just [compute ()], and [digest] is never called. *)
 
 (** {1 Statistics} *)
 
@@ -105,6 +117,3 @@ val stats : unit -> stats
 
 val reset_stats : unit -> unit
 (** Zero hit/miss/eviction counters (entries stay resident). *)
-
-val value_cost : value -> int
-(** The byte estimate {!store} charges (exposed for tests). *)

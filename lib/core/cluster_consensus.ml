@@ -45,14 +45,9 @@ let make ?pool db =
     w
   in
   let w =
-    if not (Cache.enabled ()) then compute ()
-    else
-      let key =
-        Cache.key ~family:"cluster_weights" ~digest:(Db.digest db) ~params:[]
-      in
-      match Cache.memo key (fun () -> Cache.Matrix (compute ())) with
-      | Cache.Matrix m -> m
-      | _ -> assert false
+    Cache.memo Cache.Matrix ~family:"cluster_weights"
+      ~digest:(fun () -> Db.digest db)
+      ~params:[] compute
   in
   { db; pool; keys; w }
 

@@ -143,15 +143,9 @@ let disagreement_matrix ctx =
                   -. Marginals.beats_present ctx.db ctx.keys.(i) ctx.keys.(j)))
       in
       let w =
-        if not (Cache.enabled ()) then compute ()
-        else
-          let key =
-            Cache.key ~family:"rank_disagreement" ~digest:(Db.digest ctx.db)
-              ~params:[]
-          in
-          match Cache.memo key (fun () -> Cache.Matrix (compute ())) with
-          | Cache.Matrix m -> m
-          | _ -> assert false
+        Cache.memo Cache.Matrix ~family:"rank_disagreement"
+          ~digest:(fun () -> Db.digest ctx.db)
+          ~params:[] compute
       in
       ctx.dis <- Some w;
       w

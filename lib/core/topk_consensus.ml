@@ -78,11 +78,11 @@ let make_ctx ?pool db ~k =
       done)
     leq;
   let joint_ord = Itbl.create 64 in
-  (if k >= 2 && Cache.enabled () then
-     match Cache.find (joints_cache_key db ~k) with
-     | Some (Cache.Pairs (codes, probs)) ->
+  (if k >= 2 && Cache.active () then
+     match Cache.find Cache.Pairs (joints_cache_key db ~k) with
+     | Some (codes, probs) ->
          Array.iteri (fun i code -> Itbl.replace joint_ord code probs.(i)) codes
-     | _ -> ());
+     | None -> ());
   { db; k; pool; keys; key_pos; rank; leq; sum_leq; joint_ord }
 
 let db ctx = ctx.db
@@ -146,7 +146,7 @@ let ensure_joints ctx codes =
         missing
     in
     Array.iteri (fun i code -> Itbl.replace ctx.joint_ord code values.(i)) missing;
-    if Cache.enabled () then begin
+    if Cache.active () then begin
       (* Publish the grown table so later contexts on this database start
          from the warm set. *)
       let size = Itbl.length ctx.joint_ord in
@@ -158,7 +158,7 @@ let ensure_joints ctx codes =
           probs.(!next) <- p;
           incr next)
         ctx.joint_ord;
-      Cache.store (joints_cache_key ctx.db ~k:ctx.k) (Cache.Pairs (codes, probs))
+      Cache.store Cache.Pairs (joints_cache_key ctx.db ~k:ctx.k) (codes, probs)
     end
   end
 
@@ -554,17 +554,11 @@ let mean_kendall_pivot rng ?(trials = 8) ctx =
           Array.init pool_size (fun j ->
               if i = j then 0. else Marginals.beats ctx.db pool.(i) pool.(j)))
     in
-    if not (Cache.enabled ()) then compute ()
-    else
-      (* [pool] is a deterministic function of (db, k): the tournament
-         matrix can be keyed by the same pair. *)
-      let key =
-        Cache.key ~family:"topk_beats" ~digest:(Db.digest ctx.db)
-          ~params:[ string_of_int ctx.k ]
-      in
-      match Cache.memo key (fun () -> Cache.Matrix (compute ())) with
-      | Cache.Matrix m -> m
-      | _ -> assert false
+    (* [pool] is a deterministic function of (db, k): the tournament
+       matrix can be keyed by the same pair. *)
+    Cache.memo Cache.Matrix ~family:"topk_beats"
+      ~digest:(fun () -> Db.digest ctx.db)
+      ~params:[ string_of_int ctx.k ] compute
   in
   let pivot_order, _ = Aggregation.best_pivot_of rng ~trials pref in
   let improved, _ = Aggregation.local_search pref pivot_order in

@@ -69,22 +69,3 @@ let pp ppf t =
           (s.wall *. 1000.))
       stages
   end
-
-(* Emitted through the shared [Consensus_util.Json] builder: stage names are
-   caller-supplied strings and must be escaped properly (a '"' in a stage
-   label would otherwise produce invalid JSON). *)
-let to_json t =
-  let module J = Consensus_util.Json in
-  let stage_json s =
-    J.Obj
-      [
-        ("calls", J.Int s.calls);
-        ("tasks", J.Int s.tasks);
-        ("chunks", J.Int s.chunks);
-        ("seq_calls", J.Int s.seq_calls);
-        ("by_caller", J.Int s.by_caller);
-        ("by_worker", J.Int s.by_worker);
-        ("wall_ms", J.Float (s.wall *. 1000.));
-      ]
-  in
-  J.to_string (J.Obj (snapshot t |> List.map (fun s -> (s.name, stage_json s))))

@@ -48,8 +48,3 @@ val total_wall : t -> float
 
 val pp : Format.formatter -> t -> unit
 (** Human-readable table of the registry. *)
-
-val to_json : t -> string
-(** JSON object keyed by stage name, e.g.
-    [{"rank_table":{"calls":1,"tasks":200,...}}].  Hand-rolled (no external
-    JSON dependency). *)

@@ -212,15 +212,10 @@ let probability ?(decompose = true) ?(readonce = true) reg f =
         prob (simplify f)
   else prob (simplify f)
   in
-  if not (Cache.enabled ()) then compute ()
-  else
-    let key =
-      Cache.key ~family:"lineage_prob" ~digest:(instance_digest reg f)
-        ~params:[ string_of_bool decompose; string_of_bool readonce ]
-    in
-    match Cache.memo key (fun () -> Cache.Prob (compute ())) with
-    | Cache.Prob p -> p
-    | _ -> assert false
+  Cache.memo Cache.Prob ~family:"lineage_prob"
+    ~digest:(fun () -> instance_digest reg f)
+    ~params:[ string_of_bool decompose; string_of_bool readonce ]
+    compute
 
 let probability_mc rng reg ~samples f =
   if samples <= 0 then invalid_arg "Inference.probability_mc: samples must be positive";

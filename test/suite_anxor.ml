@@ -135,7 +135,8 @@ let test_tree_shape () =
   let t = Tree.independent [ (0.5, 'a'); (0.3, 'b') ] in
   Alcotest.(check int) "leaves" 2 (Tree.num_leaves t);
   Alcotest.(check (list char)) "leaf order" [ 'a'; 'b' ] (Tree.leaves t);
-  Alcotest.(check int) "depth" 2 (Tree.depth t);
+  Alcotest.(check int) "depth" 2
+    (Arena.depth (Arena.of_tree ~key:Char.code ~value:(fun _ -> 0.) t));
   Alcotest.(check int) "nodes" 5 (Tree.num_nodes t);
   let it, payloads = Tree.index t in
   Alcotest.(check (list int)) "indices" [ 0; 1 ] (Tree.leaves it);
@@ -145,7 +146,7 @@ let test_tree_key_constraint () =
   let bad =
     Tree.and_ [ Tree.leaf { Db.key = 1; value = 1. }; Tree.leaf { Db.key = 1; value = 2. } ]
   in
-  (match Tree.check_keys ~key:(fun a -> a.Db.key) bad with
+  (match Arena.check_keys (Db.arena (Db.create ~check:false bad)) with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "key violation not detected");
   (try
@@ -159,7 +160,7 @@ let test_tree_key_constraint () =
         (0.4, Tree.leaf { Db.key = 1; value = 2. });
       ]
   in
-  match Tree.check_keys ~key:(fun a -> a.Db.key) good with
+  match Arena.check_keys (Db.arena (Db.create ~check:false good)) with
   | Ok () -> ()
   | Error e -> Alcotest.fail e
 
@@ -175,9 +176,9 @@ let test_filter_leaves () =
   let t' = Tree.filter_leaves (fun v -> v >= 2) t in
   Alcotest.(check (list int)) "kept" [ 2; 3 ] (Tree.leaves t');
   (* The distribution of the remaining leaves is preserved. *)
-  let m = Tree.marginals t' in
-  check_float "p(2)" 0.5 (List.assoc 2 m);
-  check_float "p(3)" 0.3 (List.assoc 3 m)
+  let m = Arena.marginals (Arena.of_tree ~key:Fun.id ~value:float_of_int t') in
+  check_float "p(2)" 0.5 m.(0);
+  check_float "p(3)" 0.3 m.(1)
 
 let test_world_is_possible () =
   let db = fig1_iii () in

@@ -82,31 +82,33 @@ let test_cache_disabled_noop () =
   Cache.clear ();
   Cache.reset_stats ();
   let key = Cache.key ~family:"t" ~digest:"d" ~params:[ "1" ] in
-  Cache.store key (Cache.Prob 0.5);
+  Cache.store Cache.Prob key 0.5;
   Alcotest.(check bool) "store is a no-op when disabled" true
-    (Cache.find key = None);
+    (Cache.find Cache.Prob key = None);
   let s = Cache.stats () in
   Alcotest.(check int) "no hits" 0 s.Cache.hits;
   Alcotest.(check int) "no misses" 0 s.Cache.misses
 
 let test_cache_memo_stats () =
   with_cache @@ fun () ->
-  let key = Cache.key ~family:"t" ~digest:"d" ~params:[ "1" ] in
   let calls = ref 0 in
-  let compute () =
-    incr calls;
-    Cache.Prob 0.25
+  let memo () =
+    Cache.memo Cache.Prob ~family:"t"
+      ~digest:(fun () -> "d")
+      ~params:[ "1" ]
+      (fun () ->
+        incr calls;
+        0.25)
   in
-  (match Cache.memo key compute with
-  | Cache.Prob p -> Alcotest.(check (float 0.)) "value" 0.25 p
-  | _ -> Alcotest.fail "wrong payload");
-  (match Cache.memo key compute with
-  | Cache.Prob p -> Alcotest.(check (float 0.)) "cached value" 0.25 p
-  | _ -> Alcotest.fail "wrong payload");
+  Alcotest.(check (float 0.)) "value" 0.25 (memo ());
+  Alcotest.(check (float 0.)) "cached value" 0.25 (memo ());
+  Alcotest.(check bool) "another kind under the key misses" true
+    (Cache.find Cache.Matrix (Cache.key ~family:"t" ~digest:"d" ~params:[ "1" ])
+    = None);
   Alcotest.(check int) "computed once" 1 !calls;
   let s = Cache.stats () in
   Alcotest.(check int) "one hit" 1 s.Cache.hits;
-  Alcotest.(check int) "one miss" 1 s.Cache.misses;
+  Alcotest.(check int) "two misses" 2 s.Cache.misses;
   Alcotest.(check int) "one entry" 1 s.Cache.entries;
   Alcotest.(check bool) "bytes accounted" true (s.Cache.bytes > 0);
   Cache.reset_stats ();
@@ -132,9 +134,9 @@ let test_cache_key_distinct () =
 let test_cache_eviction_under_pressure () =
   with_cache ~capacity:600 @@ fun () ->
   for i = 0 to 9 do
-    Cache.store
+    Cache.store Cache.Matrix
       (Cache.key ~family:"m" ~digest:(string_of_int i) ~params:[])
-      (Cache.Matrix (Array.make_matrix 4 4 (float_of_int i)))
+      (Array.make_matrix 4 4 (float_of_int i))
   done;
   let s = Cache.stats () in
   Alcotest.(check bool) "evictions happened" true (s.Cache.evictions > 0);
@@ -148,10 +150,13 @@ let test_cache_concurrent_memo () =
     let bad = ref 0 in
     for round = 0 to 199 do
       let k = round mod 10 in
-      let key = Cache.key ~family:"race" ~digest:(string_of_int k) ~params:[] in
-      match Cache.memo key (fun () -> Cache.Prob (float_of_int k)) with
-      | Cache.Prob p -> if p <> float_of_int k then incr bad
-      | _ -> incr bad
+      let p =
+        Cache.memo Cache.Prob ~family:"race"
+          ~digest:(fun () -> string_of_int k)
+          ~params:[]
+          (fun () -> float_of_int k)
+      in
+      if p <> float_of_int k then incr bad
     done;
     ignore id;
     !bad

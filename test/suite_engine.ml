@@ -192,8 +192,9 @@ let test_metrics_recorded () =
           Alcotest.(check int) "tasks" 40 s.Metrics.tasks;
           Alcotest.(check bool) "chunks covered" true
             (s.Metrics.by_caller + s.Metrics.by_worker = s.Metrics.chunks);
-          Alcotest.(check bool) "json mentions stage" true
-            (contains ~sub:"unit_test_stage" (Metrics.to_json (Pool.metrics pool))))
+          Alcotest.(check bool) "table mentions stage" true
+            (contains ~sub:"unit_test_stage"
+               (Format.asprintf "%a" Metrics.pp (Pool.metrics pool))))
 
 (* --- facade --- *)
 

@@ -128,7 +128,9 @@ let test_deep_nested () =
   (* keys repeat, so parse without the Db key check *)
   let t = Sexp_io.parse_exn (Buffer.contents buf) in
   Alcotest.(check int) "leaves" (depth + 1) (Tree.num_leaves t);
-  Alcotest.(check int) "depth" depth (Tree.depth t);
+  Alcotest.(check int) "depth" depth
+    (Arena.depth
+       (Arena.of_tree ~key:(fun a -> a.Db.key) ~value:(fun a -> a.Db.value) t));
   (* the writer is iterative too *)
   let s = Sexp_io.to_string t in
   with_temp_file s (fun ic ->

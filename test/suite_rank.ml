@@ -171,10 +171,10 @@ let test_full_rank_table_only_for_footrule () =
   @@ fun () ->
   ignore (Api.run db (Api.Rank Api.Rank_kendall));
   Alcotest.(check bool) "kendall leaves no full_rank_dist entry" true
-    (Cache.find full_key = None);
+    (Cache.find Cache.Matrix full_key = None);
   ignore (Api.run db (Api.Rank Api.Rank_footrule));
   Alcotest.(check bool) "footrule stores full_rank_dist" true
-    (Cache.find full_key <> None)
+    (Cache.find Cache.Matrix full_key <> None)
 
 let test_kendall_approximations () =
   let g = rng () in
