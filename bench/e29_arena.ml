@@ -11,13 +11,18 @@
       two-alternative keys (four full-tree arena walks);
    4. minor-heap words allocated by each, via [Gc.minor_words].
 
-   The BID workload keeps every block's mass at 0.7 so the sweep's
-   divide-out stays well-conditioned (the fallback path is correctness-
-   covered by E22 and the fuzz oracle; here we want the steady-state
-   cost).  Results go to BENCH_ARENA.json. *)
+   The text workload keeps every block's mass at 0.7 so the sweep's
+   divide-out stays well-conditioned.  A second workload is the default
+   [Gen.bid_db] shape (1–3 alternatives per key, 20% of keys certain) at
+   k = 16, n = 2k…32k keys, where certain blocks shift the sweep and end
+   it: its time and minor words, cold (a fresh database, the one score
+   sort included) and warm, and the log-log slope of each over [bid_runs]
+   runs.  Results go to BENCH_ARENA.json. *)
 
 open Consensus_anxor
 module Json = Consensus_util.Json
+module Gen = Consensus_workload.Gen
+module Prng = Consensus_util.Prng
 
 (* A BID database as text: n/2 two-alternative blocks, distinct keys and
    values.  Built directly as a string so load time starts from bytes. *)
@@ -114,6 +119,48 @@ let run_size n =
     pair_w;
   }
 
+(* ---- the default Gen.bid_db shape ---- *)
+
+let bid_k = 16
+
+(* Least-squares slope of log y on log n. *)
+let slope points =
+  let xs = List.map (fun (n, _) -> log (float_of_int n)) points
+  and ys = List.map (fun (_, y) -> log y) points in
+  let m = float_of_int (List.length xs) in
+  let mx = List.fold_left ( +. ) 0. xs /. m
+  and my = List.fold_left ( +. ) 0. ys /. m in
+  let sxy = List.fold_left2 (fun a x y -> a +. ((x -. mx) *. (y -. my))) 0. xs ys
+  and sxx = List.fold_left (fun a x -> a +. ((x -. mx) ** 2.)) 0. xs in
+  sxy /. sxx
+
+let median xs = Consensus_util.Stats.percentile (Array.of_list xs) 50.
+
+type bid_point = {
+  keys : int;
+  cold_s : float;
+  cold_w : float;
+  warm_s : float;
+  warm_w : float;
+}
+
+(* One run over the sizes: per size a fresh database, one cold call, then
+   the best of three warm calls. *)
+let bid_run ~forced_fraction ~seed sizes =
+  List.map
+    (fun keys ->
+      let db = Gen.bid_db ~forced_fraction (Prng.create ~seed:(seed + keys) ()) keys in
+      let sweep () = Marginals.rank_table_dense db ~k:bid_k in
+      let _, cold_s, cold_w = measure sweep in
+      let warm = List.init 3 (fun _ -> measure sweep) in
+      let _, warm_s, warm_w =
+        List.fold_left
+          (fun ((_, bt, _) as best) ((_, t, _) as m) -> if t < bt then m else best)
+          (List.hd warm) (List.tl warm)
+      in
+      { keys; cold_s; cold_w; warm_s; warm_w })
+    sizes
+
 let run () =
   Harness.header "E29: flat-arena core — streaming load and buffer kernels";
   let sizes =
@@ -181,6 +228,64 @@ let run () =
         [ string_of_int r.n; Harness.ms r.pair_s; mwords r.pair_w ])
     rows;
   Harness.Tables.print pair_table;
+  let bid_sizes =
+    Harness.sizes ~quick_list:[ 2_000; 4_000 ]
+      ~full_list:[ 2_000; 4_000; 8_000; 16_000; 32_000 ]
+  in
+  let bid_runs = if !Harness.quick then 1 else 5 in
+  let runs =
+    List.init bid_runs (fun r ->
+        bid_run ~forced_fraction:0.2 ~seed:(2900 + (1000 * r)) bid_sizes)
+  in
+  let slopes sel = List.map (fun run -> slope (List.map (fun p -> (p.keys, sel p)) run)) runs in
+  let cold_slopes = slopes (fun p -> p.cold_s)
+  and warm_slopes = slopes (fun p -> p.warm_s) in
+  let spread xs = List.fold_left Float.max neg_infinity xs -. List.fold_left Float.min infinity xs in
+  (* per size: median times over the runs, words of the last run *)
+  let bid_rows =
+    List.mapi
+      (fun i keys ->
+        let at sel = median (List.map (fun run -> sel (List.nth run i)) runs) in
+        let last = List.nth (List.nth runs (bid_runs - 1)) i in
+        { keys; cold_s = at (fun p -> p.cold_s); cold_w = last.cold_w;
+          warm_s = at (fun p -> p.warm_s); warm_w = last.warm_w })
+      bid_sizes
+  in
+  (* the case still open: no certain blocks, so no stop and the rebuild
+     for high-mass blocks stays; one run, not pinned *)
+  let open_case = bid_run ~forced_fraction:0. ~seed:2950 bid_sizes in
+  let bid_table =
+    Harness.Tables.create
+      ~title:
+        (Printf.sprintf "rank-table sweep on Gen.bid_db, k = %d, median of %d runs" bid_k
+           bid_runs)
+      [
+        ("keys", Harness.Tables.Right);
+        ("cold (ms)", Harness.Tables.Right);
+        ("minor words", Harness.Tables.Right);
+        ("warm (ms)", Harness.Tables.Right);
+        ("minor words", Harness.Tables.Right);
+        ("no certain blocks, warm (ms)", Harness.Tables.Right);
+      ]
+  in
+  List.iter2
+    (fun r o ->
+      Harness.Tables.add_row bid_table
+        [
+          string_of_int r.keys;
+          Harness.ms r.cold_s;
+          mwords r.cold_w;
+          Harness.ms r.warm_s;
+          mwords r.warm_w;
+          Harness.ms o.warm_s;
+        ])
+    bid_rows open_case;
+  Harness.Tables.print bid_table;
+  let open_slope = slope (List.map (fun p -> (p.keys, p.warm_s)) open_case) in
+  Harness.note "slopes: cold %.2f (runs %s), warm %.2f; no certain blocks %.2f"
+    (median cold_slopes)
+    (String.concat " " (List.map (Printf.sprintf "%.2f") cold_slopes))
+    (median warm_slopes) open_slope;
   Harness.note
     "the list API's residual allocation is the result itself (one k-array\n\
      per key); the dense kernel's sweep loop allocates nothing, and the\n\
@@ -214,6 +319,35 @@ let run () =
                      ("topk_pair_minor_words", Json.Float r.pair_w);
                    ])
                rows) );
+        ( "bid_default",
+          Json.Obj
+            [
+              ( "workload",
+                Json.Str
+                  "Gen.bid_db, 1-3 alternatives per key, 20% of keys certain; cold = \
+                   fresh database, sort included" );
+              ("k", Json.Int bid_k);
+              ("runs", Json.Int bid_runs);
+              ( "sizes",
+                Json.List
+                  (List.map
+                     (fun r ->
+                       Json.Obj
+                         [
+                           ("keys", Json.Int r.keys);
+                           ("cold_s", Json.Float r.cold_s);
+                           ("cold_minor_words", Json.Float r.cold_w);
+                           ("warm_s", Json.Float r.warm_s);
+                           ("warm_minor_words", Json.Float r.warm_w);
+                         ])
+                     bid_rows) );
+              ("cold_slopes", Json.List (List.map (fun x -> Json.Float x) cold_slopes));
+              ("cold_slope", Json.Float (median cold_slopes));
+              ("cold_slope_spread", Json.Float (spread cold_slopes));
+              ("warm_slopes", Json.List (List.map (fun x -> Json.Float x) warm_slopes));
+              ("warm_slope", Json.Float (median warm_slopes));
+              ("no_certain_blocks_warm_slope", Json.Float open_slope);
+            ] );
       ]
   in
   Harness.write_json "BENCH_ARENA.json" json

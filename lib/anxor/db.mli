@@ -46,6 +46,19 @@ val num_keys : t -> int
 val keys : t -> int array
 (** Distinct keys, sorted increasingly. *)
 
+val key_index : t -> int -> int option
+(** [key_index db key]: the index of [key] in {!keys}, by binary search. *)
+
+val key_rows : t -> int array
+(** Per leaf index, the index of the leaf's key in {!keys}.  Built once per
+    database on first use and shared, not copied: treat as read-only.
+    Safe to call from pool workers. *)
+
+val score_order : t -> int array
+(** Leaf indices by decreasing value, NaN values last in leaf order; ties
+    in no stated order.  Sorted once per database on first use and shared,
+    not copied: treat as read-only.  Safe to call from pool workers. *)
+
 val alt : t -> int -> alt
 (** Alternative payload by leaf index. *)
 
@@ -109,6 +122,6 @@ val digest : t -> string
 val scores_distinct : t -> bool
 (** True iff all leaf values are pairwise distinct (the paper's tie-freeness
     assumption for ranking), equality being [Float.compare]'s: NaN equals
-    NaN and [-0.] equals [0.].  Computed once per database and memoized. *)
+    NaN and [-0.] equals [0.].  Read off {!score_order}; memoized. *)
 
 val pp : Format.formatter -> t -> unit

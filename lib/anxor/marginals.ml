@@ -211,120 +211,47 @@ let rank_table_slow ?pool db ~k =
   |> Array.to_list
 
 (* O(n·k) rank table for BID-shaped trees (independent, BID, x-tuples).
-   Sweep the alternatives in decreasing score order.  Invariant: [f] is the
-   truncated product over all xor blocks of the factor (1 - m_B) + m_B·x,
-   where m_B is the mass of block B's alternatives with score strictly
-   above the sweep position.  For an alternative a in block B,
-   Pr(r(a) = j) = p_a · coeff(F / factor_B, j-1): dividing a's own block
-   factor out removes its mutually exclusive block-mates — same-key
-   alternatives and x-tuple mates alike — from the count of higher-ranked
-   present tuples.
+   Sweep the alternatives in decreasing score order ([Db.score_order]).
+   Let m_B be the mass of block B's alternatives with score strictly above
+   the sweep position; B's factor is (1 - m_B) + m_B·x, with the residual
+   clamped at 0 as [walk] clamps it.  For an alternative a in block B,
+   Pr(r(a) = j) = p_a · coeff(F / factor_B, j-1), F the truncated product of
+   every block's factor: dividing a's own block factor out removes its
+   mutually exclusive block-mates — same-key alternatives and x-tuple mates
+   alike — from the count of higher-ranked present tuples.
+
+   A saturated block — residual 1 - m_B <= 0: a complete certain block, or
+   an over-full one at the 1 + 1e-9 bound [Tree.xor] accepts — has factor
+   m_B·x, a shift by one degree.  The sweep counts such blocks in [s] and
+   never divides by them: F = x^s·f, where [f] holds the product of the
+   unsaturated factors times the saturated masses.  So a's row reads
+   f / factor_B at offset s, or f / m_B at offset s - 1 when B itself is
+   saturated, and once s > k every later row is 0: the sweep stops there.
 
    The divide is where precision goes.  Dividing by (c0 + m·x), c0 = 1 - m,
    from the low degree up multiplies an error by m/c0 per degree; from the
    top degree down, by c0/m.  Either way the error that [f] already carries
    is not divisible by the factor, so it comes back amplified by up to
-   amp = 1/|m - |c0|| (the l1 norm of the stable-direction series) and stays
+   amp = 1/|m - c0| (the l1 norm of the stable-direction series) and stays
    in [f] for every later divide: at k = n with the low-first divide alone,
    100-key BID tables came out wrong by 1e47.  So while [f] is untruncated
-   (its degree — the number of blocks with positive mass — is below k,
-   always the case at k = n) the sweep divides in the stable direction and
-   keeps an l1 bound on [f]'s error, in units of machine epsilon; when a
-   divide would push the result's bound past [err_budget], [f / factor] is
-   rebuilt from scratch instead, which resets the bound.  A truncated [f]
-   has no top degree to divide from: it divides low-first while c0 >= 1/4
-   and rebuilds otherwise.
+   (its degree — the number of unsaturated blocks with positive mass — is
+   below k, always the case at k = n) the sweep divides in the stable
+   direction and keeps an l1 bound on [f]'s error, in units of machine
+   epsilon; when a divide would push the result's bound past [err_budget],
+   [f / factor] is rebuilt from scratch instead, which resets the bound.  A
+   truncated [f] has no top degree to divide from: it divides low-first
+   while c0 >= 1/4 and rebuilds otherwise.  That rebuild, for a partly
+   swept block with c0 < 1/4 once [f] is truncated, is the one O(blocks·k)
+   step left; certain blocks bound how often it runs by stopping the sweep.
 
-   All polynomials live in preallocated width-k buffers (Poly1.Buf): per
-   alternative the sweep does one divide (or blit), one k-term
-   accumulate and one in-place linear multiply — no allocation in the
-   loop. *)
-(* In-place quicksort of [order] by decreasing [value.(i)] (insertion sort
-   below 16 elements, median-of-three pivots, recursion on the smaller
-   partition only).  [Array.sort] with a float-comparing closure costs a
-   polymorphic-closure call per comparison; on a million alternatives this
-   inlined comparison is the difference between the sort being free and the
-   sort dominating the sweep. *)
-let sort_by_value_desc (value : float array) (order : int array) =
-  let swap i j =
-    let t = Array.unsafe_get order i in
-    Array.unsafe_set order i (Array.unsafe_get order j);
-    Array.unsafe_set order j t
-  in
-  (* Comparisons are spelled out as direct array reads: a [v i] float helper
-     would box its return on every call, and the shared int ref [jr] is the
-     only cell the whole sort allocates.  Locally-bound floats ([xv], [pv])
-     stay unboxed because they never cross a function boundary. *)
-  let jr = ref 0 in
-  let insertion lo hi =
-    for i = lo + 1 to hi do
-      let x = Array.unsafe_get order i in
-      let xv = Array.unsafe_get value x in
-      jr := i - 1;
-      while
-        !jr >= lo && Array.unsafe_get value (Array.unsafe_get order !jr) < xv
-      do
-        Array.unsafe_set order (!jr + 1) (Array.unsafe_get order !jr);
-        decr jr
-      done;
-      Array.unsafe_set order (!jr + 1) x
-    done
-  in
-  (* natural-run fast paths: rank inputs frequently arrive already sorted
-     by score (or reverse-sorted), and the O(n) scan is free next to the
-     O(n log n) sort it skips *)
-  let n = Array.length order in
-  let ascending = ref true and descending = ref true in
-  for i = 1 to n - 1 do
-    let a = Array.unsafe_get value (Array.unsafe_get order (i - 1))
-    and b = Array.unsafe_get value (Array.unsafe_get order i) in
-    if a < b then descending := false else if a > b then ascending := false
-  done;
-  let rec qsort lo hi =
-    if hi - lo < 16 then (if hi > lo then insertion lo hi)
-    else begin
-      (* median of three to the pivot slot [hi] *)
-      let mid = lo + ((hi - lo) / 2) in
-      if
-        Array.unsafe_get value (Array.unsafe_get order lo)
-        < Array.unsafe_get value (Array.unsafe_get order mid)
-      then swap lo mid;
-      if
-        Array.unsafe_get value (Array.unsafe_get order lo)
-        < Array.unsafe_get value (Array.unsafe_get order hi)
-      then swap lo hi;
-      if
-        Array.unsafe_get value (Array.unsafe_get order hi)
-        < Array.unsafe_get value (Array.unsafe_get order mid)
-      then swap mid hi;
-      let pv = Array.unsafe_get value (Array.unsafe_get order hi) in
-      jr := lo;
-      for j = lo to hi - 1 do
-        if Array.unsafe_get value (Array.unsafe_get order j) > pv then begin
-          swap !jr j;
-          incr jr
-        end
-      done;
-      let i = !jr in
-      swap i hi;
-      (* recurse on the smaller side first: O(log n) stack depth *)
-      if i - lo < hi - i then begin
-        qsort lo (i - 1);
-        qsort (i + 1) hi
-      end
-      else begin
-        qsort (i + 1) hi;
-        qsort lo (i - 1)
-      end
-    end
-  in
-  if !descending then ()
-  else if !ascending then
-    for i = 0 to (n / 2) - 1 do
-      swap i (n - 1 - i)
-    done
-  else qsort 0 (n - 1)
-
+   All polynomials live in preallocated width-k buffers: per alternative
+   the sweep does one divide (or blit), one k-term accumulate and one
+   in-place linear multiply.  The divides, multiplies and the rebuild are
+   inlined (the same operations, in the same order, as
+   [Poly1.Buf.divide_linear_into] / [mul_linear_inplace]): a call boundary
+   would box the float coefficients on every alternative, and this loop
+   must not allocate. *)
 let rank_table_dense db ~k =
   if k <= 0 then invalid_arg "Marginals.rank_table_dense: k must be positive";
   let module B = Poly1.Buf in
@@ -336,92 +263,77 @@ let rank_table_dense db ~k =
   in
   let arena = Db.arena db in
   let n = Db.num_alts db in
-  let value = arena.Arena.leaf_value in
-  let leaf_key = arena.Arena.leaf_key in
   let marg = Db.marginal_array db in
   let keys = Db.keys db in
-  let nkeys = Array.length keys in
-  (* per-leaf dense row: position of the leaf's key in the sorted [keys].
-     [keys] is sorted and duplicate-free, so a span of [nkeys - 1] means the
-     keys are consecutive integers and the row is an O(1) offset; otherwise
-     a recursive binary search (no ref cells — the sweep allocates
-     nothing). *)
-  let rows =
-    if nkeys > 0 && keys.(nkeys - 1) - keys.(0) = nkeys - 1 then begin
-      let base = keys.(0) in
-      Array.init n (fun l -> leaf_key.(l) - base)
-    end
-    else begin
-      let rec row_of_key lo hi key =
-        if lo >= hi then lo
-        else begin
-          let mid = (lo + hi) / 2 in
-          if keys.(mid) < key then row_of_key (mid + 1) hi key
-          else row_of_key lo mid key
-        end
-      in
-      Array.init n (fun l -> row_of_key 0 (nkeys - 1) leaf_key.(l))
-    end
-  in
-  let order = Array.init n Fun.id in
-  sort_by_value_desc value order;
+  let rows = Db.key_rows db in
+  let order = Db.score_order db in
   (* exclusion mass is tracked per xor block: block-mates are mutually
      exclusive with the current alternative whatever their keys (x-tuples),
-     and same-key alternatives always share a block (key constraint).  A
-     block's factor is (1 - m) + m·x with the residual 1 - m clamped at 0,
-     as [walk] clamps it, for a block whose mass passes 1 (up to the
-     1 + 1e-9 bound [Tree.xor] accepts) *)
+     and same-key alternatives always share a block (key constraint) *)
   let nblocks = arena.Arena.child_count.(arena.Arena.root) in
   let mass = Array.make (max 1 nblocks) 0. in
   let w = k in
   let f = Array.make w 0. in
   f.(0) <- 1.;
   let f_excl = Array.make w 0. in
-  (* degree of [f]: blocks with positive mass so far *)
+  (* saturated blocks so far *)
+  let s = ref 0 in
+  (* degree of [f]: unsaturated blocks with positive mass *)
   let deg = ref 0 in
   (* l1 error bound on [f] in units of epsilon, kept while [!deg < w] *)
   let err = ref 0. in
   let err_budget = 1e6 in
-  (* from-scratch product of every block factor except [skip]'s, used when
-     dividing by that factor would be ill-conditioned *)
-  let recompute_excluding skip_block dst =
-    B.set_const dst ~w 1.;
-    (* the product's degree grows by one per factor: multiply only the
-       prefix that can be nonzero *)
-    let d = ref 0 in
-    for b = 0 to nblocks - 1 do
-      let m = mass.(b) in
-      if b <> skip_block && m > 0. then begin
-        if !d < w - 1 then incr d;
-        let c0 = 1. -. m in
-        B.mul_linear_inplace ~c0:(if c0 < 0. then 0. else c0) ~c1:m dst ~w:(!d + 1)
-      end
-    done
-  in
-  (* The linear-factor divide and multiply are inlined (same operations, in
-     the same order, as [B.divide_linear_into] / [B.mul_linear_inplace]):
-     a call boundary would box the two float coefficients on every
-     alternative, and this loop is the one that must not allocate. *)
-  let dense = Array.make (nkeys * k) 0. in
-  for i = 0 to n - 1 do
-    let l = Array.unsafe_get order i in
+  let dense = Array.make (Array.length keys * k) 0. in
+  let i = ref 0 in
+  while !i < n && !s <= k do
+    let l = Array.unsafe_get order !i in
+    incr i;
     let block = Array.unsafe_get blocks l in
     let p = Array.unsafe_get marg l in
     let m = Array.unsafe_get mass block in
+    let c0 = 1. -. m in
+    let own_saturated = m > 0. && c0 <= 0. in
     if m <= 0. then begin
       B.blit ~src:f ~dst:f_excl ~w;
       err := !err +. 1.
     end
+    else if own_saturated then begin
+      for j = 0 to w - 1 do
+        Array.unsafe_set f_excl j (Array.unsafe_get f j /. m)
+      done;
+      err := !err +. 2.
+    end
     else begin
-      let c0 = 1. -. m in
-      let c0 = if c0 < 0. then 0. else c0 in
       let untruncated = !deg < w in
-      let amp = 1. /. Float.abs (m -. Float.abs c0) in
+      let amp = 1. /. Float.abs (m -. c0) in
       if
         (untruncated && amp *. (!err +. 2.) > err_budget)
         || ((not untruncated) && c0 < 0.25)
       then begin
-        recompute_excluding block f_excl;
+        (* the product of every other block's factor, from scratch; its
+           degree grows by one per unsaturated factor, so only the prefix
+           that can be nonzero is multiplied *)
+        B.set_const f_excl ~w 1.;
+        let d = ref 0 in
+        for b = 0 to nblocks - 1 do
+          let mb = Array.unsafe_get mass b in
+          if b <> block && mb > 0. then begin
+            let cb = 1. -. mb in
+            if cb <= 0. then
+              for j = 0 to !d do
+                Array.unsafe_set f_excl j (mb *. Array.unsafe_get f_excl j)
+              done
+            else begin
+              if !d < w - 1 then incr d;
+              for j = !d downto 1 do
+                Array.unsafe_set f_excl j
+                  ((mb *. Array.unsafe_get f_excl (j - 1))
+                  +. (cb *. Array.unsafe_get f_excl j))
+              done;
+              Array.unsafe_set f_excl 0 (cb *. Array.unsafe_get f_excl 0)
+            end
+          end
+        done;
         err := (2. *. float_of_int !deg) +. 1.
       end
       else begin
@@ -451,26 +363,38 @@ let rank_table_dense db ~k =
         err := (!err *. (1. +. (2. *. p *. amp))) +. (2. *. amp) +. 1.
       end
     end;
+    let shift = if own_saturated then !s - 1 else !s in
     let base = Array.unsafe_get rows l * k in
-    for j = 0 to k - 1 do
+    for j = shift to k - 1 do
       Array.unsafe_set dense (base + j)
         (Array.unsafe_get dense (base + j)
-        +. (p *. Array.unsafe_get f_excl j))
+        +. (p *. Array.unsafe_get f_excl (j - shift)))
     done;
     let m' = m +. p in
-    if m <= 0. && m' > 0. then incr deg;
     Array.unsafe_set mass block m';
-    (* f <- f_excl * ((1-m') + m' x): the blit and the backward sweep fuse
-       into one pass reading [f_excl], writing [f] — same values as
-       [blit; mul_linear_inplace] *)
     let c0 = 1. -. m' in
-    let c0 = if c0 < 0. then 0. else c0 in
-    for j = w - 1 downto 1 do
-      Array.unsafe_set f j
-        ((m' *. Array.unsafe_get f_excl (j - 1))
-        +. (c0 *. Array.unsafe_get f_excl j))
-    done;
-    Array.unsafe_set f 0 (c0 *. Array.unsafe_get f_excl 0)
+    if c0 <= 0. then begin
+      (* f <- f_excl·m', and the block's shift joins [s] *)
+      for j = 0 to w - 1 do
+        Array.unsafe_set f j (m' *. Array.unsafe_get f_excl j)
+      done;
+      if not own_saturated then begin
+        incr s;
+        if m > 0. then decr deg
+      end
+    end
+    else begin
+      if m <= 0. && m' > 0. then incr deg;
+      (* f <- f_excl·(c0 + m' x): the blit and the backward sweep fuse into
+         one pass reading [f_excl], writing [f] — same values as
+         [blit; mul_linear_inplace] *)
+      for j = w - 1 downto 1 do
+        Array.unsafe_set f j
+          ((m' *. Array.unsafe_get f_excl (j - 1))
+          +. (c0 *. Array.unsafe_get f_excl j))
+      done;
+      Array.unsafe_set f 0 (c0 *. Array.unsafe_get f_excl 0)
+    end
   done;
   (keys, dense)
 

@@ -36,17 +36,20 @@ val rank_table_dense : Db.t -> k:int -> int array * float array
 (** O(n·k) rank table for tuple-independent and BID databases, written into
     one flat row-major buffer — [(keys, dists)] with
     [dists.(r*k + j) = Pr(r(keys.(r)) = j+1)].  One sweep over the
-    score-sorted alternatives maintains the truncated product of per-block
-    generating-function factors, updated by multiplying / dividing single
-    linear factors.  While the product is untruncated (always at
-    [k = num_alts db]) a division runs in its numerically stable
-    direction under a bound on the accumulated error, rebuilding the
-    quotient from scratch when the bound would pass ~1e6 ulps; a truncated
-    product rebuilds when the division would be ill-conditioned.  Raises
-    [Invalid_argument] on other tree shapes.  The
-    sweep allocates nothing beyond its few flat arrays (no per-key or
-    per-alternative heap structures); this is the entry point for
-    million-tuple tables. *)
+    alternatives in {!Db.score_order} maintains the truncated product of
+    per-block generating-function factors, updated by multiplying /
+    dividing single linear factors.  A saturated block (a complete
+    certain block, or an over-full one) is a shift by one degree: it is
+    counted, never divided by, and once more than [k] blocks are saturated
+    every later row is 0 and the sweep stops.  While the product of the
+    other blocks is untruncated (always at [k = num_alts db]) a division
+    runs in its numerically stable direction under a bound on the
+    accumulated error, rebuilding the quotient from scratch when the bound
+    would pass ~1e6 ulps; a truncated product rebuilds when the division
+    would be ill-conditioned.  Raises [Invalid_argument] on other tree
+    shapes.  The sweep allocates nothing beyond its few flat arrays (no
+    per-key or per-alternative heap structures); this is the entry point
+    for million-tuple tables. *)
 
 val full_rank_table : ?pool:Consensus_engine.Pool.t -> Db.t -> float array array
 (** The untruncated rank table: row [r] is the rank distribution of key

@@ -15,7 +15,6 @@ type ctx = {
   db : Db.t;
   pool : Pool.t; (* engine pool shared by every computation on this ctx *)
   keys : int array;
-  key_pos : (int, int) Hashtbl.t;
   present : float array;
   (* full positional distribution per key index: full.(t).(j-1) = Pr(r = j);
      built on first use — only the footrule reads it *)
@@ -29,10 +28,8 @@ let make_ctx ?pool db =
   algo_span "make_ctx" ~n:(Array.length (Db.keys db)) @@ fun () ->
   let pool = Pool.resolve pool in
   let keys = Db.keys db in
-  let key_pos = Hashtbl.create (Array.length keys) in
-  Array.iteri (fun i key -> Hashtbl.replace key_pos key i) keys;
   let present = Array.map (Db.key_marginal db) keys in
-  { db; pool; keys; key_pos; present; full = None; dis = None }
+  { db; pool; keys; present; full = None; dis = None }
 
 (* Callers fill the table before fanning out over the pool: a lazy fill
    from inside worker domains would race on [ctx.full]. *)
@@ -52,7 +49,7 @@ let pool ctx = ctx.pool
 let keys ctx = Array.copy ctx.keys
 
 let kidx ctx key =
-  match Hashtbl.find_opt ctx.key_pos key with
+  match Db.key_index ctx.db key with
   | Some i -> i
   | None -> invalid_arg (Printf.sprintf "Rank_consensus: unknown key %d" key)
 

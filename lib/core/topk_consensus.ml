@@ -5,6 +5,7 @@ module Hungarian = Consensus_matching.Hungarian
 module Pool = Consensus_engine.Pool
 module Obs = Consensus_obs.Obs
 module Cache = Consensus_cache.Cache
+module Heap = Consensus_util.Heap
 
 module Itbl = Hashtbl.Make (Int)
 
@@ -13,9 +14,8 @@ type ctx = {
   k : int;
   pool : Pool.t; (* engine pool shared by every computation on this ctx *)
   keys : int array;
-  key_pos : (int, int) Hashtbl.t; (* key -> index into [keys] *)
   rank : float array array; (* per key index: Pr(r = i), i = 1..k *)
-  leq : float array array; (* per key index: Pr(r <= i), i = 1..k *)
+  leq : float array; (* key index t's Pr(r <= i), i = 1..k, at t·k + i - 1 *)
   sum_leq : float array; (* Σ_keys Pr(r <= i), i = 1..k (0-based i-1) *)
   joint_ord : float Itbl.t;
       (* ordered joint top-k cache, keyed by [pair_code] of key indices *)
@@ -47,8 +47,6 @@ let make_ctx ?pool db ~k =
   let pool = Pool.resolve pool in
   let keys = Db.keys db in
   let nk = Array.length keys in
-  let key_pos = Hashtbl.create nk in
-  Array.iteri (fun i key -> Hashtbl.replace key_pos key i) keys;
   (* rank_table dispatches to the O(nk) sweep on independent/BID shapes;
      either path returns its rows in [Db.keys] order *)
   let rank = Array.make nk [||] in
@@ -58,46 +56,42 @@ let make_ctx ?pool db ~k =
         invalid_arg "Topk_consensus.make_ctx: rank table out of key order";
       rank.(i) <- dist)
     (Marginals.rank_table ~pool db ~k);
-  let leq =
-    Array.map
-      (fun dist ->
-        let row = Array.make k 0. in
-        let acc = ref 0. in
-        for i = 0 to k - 1 do
-          acc := !acc +. dist.(i);
-          row.(i) <- !acc
-        done;
-        row)
-      rank
-  in
+  let leq = Array.make (nk * k) 0. in
   let sum_leq = Array.make k 0. in
-  Array.iter
-    (fun row ->
-      for i = 0 to k - 1 do
-        sum_leq.(i) <- sum_leq.(i) +. row.(i)
-      done)
-    leq;
+  for t = 0 to nk - 1 do
+    let dist = rank.(t) in
+    leq.(t * k) <- dist.(0);
+    for i = 1 to k - 1 do
+      leq.((t * k) + i) <- leq.((t * k) + i - 1) +. dist.(i)
+    done;
+    for i = 0 to k - 1 do
+      sum_leq.(i) <- sum_leq.(i) +. leq.((t * k) + i)
+    done
+  done;
   let joint_ord = Itbl.create 64 in
   (if k >= 2 && Cache.active () then
      match Cache.find Cache.Pairs (joints_cache_key db ~k) with
      | Some (codes, probs) ->
          Array.iteri (fun i code -> Itbl.replace joint_ord code probs.(i)) codes
      | None -> ());
-  { db; k; pool; keys; key_pos; rank; leq; sum_leq; joint_ord }
+  { db; k; pool; keys; rank; leq; sum_leq; joint_ord }
 
 let db ctx = ctx.db
 let k ctx = ctx.k
 let pool ctx = ctx.pool
 
 let kidx ctx key =
-  match Hashtbl.find_opt ctx.key_pos key with
+  match Db.key_index ctx.db key with
   | Some i -> i
   | None -> invalid_arg (Printf.sprintf "Topk_consensus: unknown key %d" key)
 
-let rank_leq ctx key = ctx.leq.(kidx ctx key).(ctx.k - 1)
+(* Pr(r <= i) of the key at index [t]. *)
+let leq ctx t i = ctx.leq.((t * ctx.k) + i - 1)
 
-(* Pr(r <= k) of the key at index [i]. *)
-let leq_k ctx i = ctx.leq.(i).(ctx.k - 1)
+(* Pr(r <= k) of the key at index [t]. *)
+let leq_k ctx t = leq ctx t ctx.k
+
+let rank_leq ctx key = leq_k ctx (kidx ctx key)
 
 let pair_code ctx i j = (i * Array.length ctx.keys) + j
 
@@ -177,7 +171,7 @@ let expected_intersection ctx tau =
     (* Normalized symmetric difference of the depth-i prefixes. *)
     let prefix_hits = ref 0. in
     for j = 0 to min i (Array.length tau) - 1 do
-      prefix_hits := !prefix_hits +. ctx.leq.(kidx ctx tau.(j)).(i - 1)
+      prefix_hits := !prefix_hits +. leq ctx (kidx ctx tau.(j)) i
     done;
     let size_prefix = float_of_int (min i (Array.length tau)) in
     acc :=
@@ -196,7 +190,7 @@ let footrule_in_list ctx ti i =
   for j = 0 to ctx.k - 1 do
     acc := !acc +. (rank.(j) *. float_of_int (abs (i - (j + 1))))
   done;
-  !acc +. ((1. -. ctx.leq.(ti).(ctx.k - 1)) *. float_of_int (ctx.k + 1 - i))
+  !acc +. ((1. -. leq_k ctx ti) *. float_of_int (ctx.k + 1 - i))
 
 let footrule_base ctx ti =
   let rank = ctx.rank.(ti) in
@@ -212,13 +206,12 @@ let footrule_base ctx ti =
    further away and brings every later rank, and the absent position k+1,
    one closer: the cost changes by 2·Pr(r ≤ i) − Pr(r ≤ k) − Pr(r > k). *)
 let footrule_cost_row ctx ~positions ti =
-  let leq = ctx.leq.(ti) in
   let step = leq_k ctx ti +. (1. -. leq_k ctx ti) in
   let row =
     Array.make positions (footrule_in_list ctx ti 1 -. footrule_base ctx ti)
   in
   for i = 1 to positions - 1 do
-    row.(i) <- row.(i - 1) +. ((2. *. leq.(i - 1)) -. step)
+    row.(i) <- row.(i - 1) +. ((2. *. leq ctx ti i) -. step)
   done;
   row
 
@@ -337,14 +330,23 @@ let expected_kendall_p ~p ctx tau =
 
 (* ---------- consensus answers ---------- *)
 
-let top_keys_by ctx score =
-  let order = Array.init (Array.length ctx.keys) Fun.id in
-  Array.sort (fun a b -> Float.compare (score b) (score a)) order;
-  Array.init (min ctx.k (Array.length order)) (fun i -> ctx.keys.(order.(i)))
+(* Pr(r <= k) per key index. *)
+let leq_k_column ctx =
+  let n = Array.length ctx.keys in
+  let col = Array.make n 0. in
+  for t = 0 to n - 1 do
+    (* [leq_k] inlined: its float return would be boxed per key *)
+    col.(t) <- ctx.leq.((t * ctx.k) + ctx.k - 1)
+  done;
+  col
+
+(* The k keys of largest [score] (per key index), ties to the lower index:
+   the tie rule of every answer read off a per-key score. *)
+let top_keys_by ctx score = Array.map (fun t -> ctx.keys.(t)) (Heap.top_indices score ctx.k)
 
 let mean_sym_diff ctx =
   algo_span "mean_sym_diff" ~k:ctx.k ~n:(Array.length ctx.keys) @@ fun () ->
-  top_keys_by ctx (fun ti -> ctx.leq.(ti).(ctx.k - 1))
+  top_keys_by ctx (leq_k_column ctx)
 
 (* Theorem 4 dynamic program.  For a threshold value [a], [filter_leaves]
    keeps the leaves with value >= a; the DP computes, for every world size
@@ -361,7 +363,8 @@ let median_sym_diff ctx =
       ])
   @@ fun () ->
   let db = ctx.db in
-  let p_of_leaf l = rank_leq ctx (Db.alt db l).Db.key in
+  let key_rows = Db.key_rows db in
+  let p_of_leaf l = leq_k ctx key_rows.(l) in
   let a = Db.arena db in
   let dp_tree threshold =
     let kk = ctx.k in
@@ -504,27 +507,27 @@ let mean_intersection ctx =
   (* profit of placing key t at position j (1-based): Σ_{i>=j} Pr(r<=i)/i,
      one suffix sum per key *)
   let rows =
-    Array.map
-      (fun leq ->
+    Array.init n (fun t ->
         let row = Array.make positions 0. in
         let acc = ref 0. in
         for i = ctx.k downto 1 do
-          acc := !acc +. (leq.(i - 1) /. float_of_int i);
+          acc := !acc +. (leq ctx t i /. float_of_int i);
           if i <= positions then row.(i - 1) <- !acc
         done;
         row)
-      ctx.leq
   in
   let assignment, _ = Hungarian.maximize (by_position rows positions) in
   Array.map (fun ti -> ctx.keys.(ti)) assignment
 
 let mean_intersection_upsilon ctx =
-  top_keys_by ctx (fun ti ->
-      let acc = ref 0. in
-      for i = 1 to ctx.k do
-        acc := !acc +. (ctx.leq.(ti).(i - 1) /. float_of_int i)
-      done;
-      !acc)
+  let n = Array.length ctx.keys in
+  let score = Array.make n 0. in
+  for t = 0 to n - 1 do
+    for i = 1 to ctx.k do
+      score.(t) <- score.(t) +. (leq ctx t i /. float_of_int i)
+    done
+  done;
+  top_keys_by ctx score
 
 let mean_footrule ctx =
   let n = Array.length ctx.keys in
@@ -544,9 +547,7 @@ let mean_kendall_pivot rng ?(trials = 8) ctx =
       [ ("trials", Obs.Int trials); ("pool", Obs.Int pool_size) ])
   @@ fun () ->
   (* Candidate pool: the most top-k-likely keys. *)
-  let order = Array.init n Fun.id in
-  Array.sort (fun a b -> Float.compare ctx.leq.(b).(ctx.k - 1) ctx.leq.(a).(ctx.k - 1)) order;
-  let pool = Array.init pool_size (fun i -> ctx.keys.(order.(i))) in
+  let pool = Array.map (fun t -> ctx.keys.(t)) (Heap.top_indices (leq_k_column ctx) pool_size) in
   let pref =
     let compute () =
       Pool.parallel_init ~pool:ctx.pool ~stage:"kendall_tournament" pool_size
@@ -589,11 +590,7 @@ let mean_kendall_pool_exact ?pool ctx =
          the pool scored exactly. *)
       [ ("pool", Obs.Int pool_size) ])
   @@ fun () ->
-  let order = Array.init n Fun.id in
-  Array.sort
-    (fun a b -> Float.compare ctx.leq.(b).(ctx.k - 1) ctx.leq.(a).(ctx.k - 1))
-    order;
-  let pool_ix = Array.sub order 0 pool_size in
+  let pool_ix = Heap.top_indices (leq_k_column ctx) pool_size in
   (* Every subset evaluation consumes the ordered joints (i, j) with i in
      the pool: batch them up front so the subset loop runs on the warm
      cache. *)

@@ -17,3 +17,9 @@ val pop_max : 'a t -> (float * 'a) option
 (** Remove and return the highest-priority element. *)
 
 val peek_max : 'a t -> (float * 'a) option
+
+val top_indices : float array -> int -> int array
+(** [top_indices score m]: the indices of the [min m n] largest entries of
+    [score], best first, in [Float.compare]'s order (NaN lowest).  Ties go
+    to the lower index, so the result is a stable descending sort's prefix.
+    O(n log m). *)

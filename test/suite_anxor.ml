@@ -766,6 +766,121 @@ let test_mpoly_engine_vs_enumeration () =
       f ()
   done
 
+(* The sweep against the width-k walk ([rank_table_slow]) and the
+   untruncated generating function ([full_rank_dist_alt]), at 1e-9, across
+   BID, x-tuple and independent shapes, forced fractions 0, 0.2 and 1, and
+   k in {1, 2, 16, n}.  Certain blocks shift the sweep's product and stop
+   it once more than k of them are complete, so the cases also cover the
+   mass edges, a block that saturates before its own last row, and a
+   database whose k + 1 best tuples are certain. *)
+let test_rank_sweep_shift_and_stop () =
+  let g = rng () in
+  let module Gen = Consensus_workload.Gen in
+  (* [relative] keys are held to 1e-6 of their marginal instead: their
+     mass is far below the absolute tolerance *)
+  let check ?(relative = []) name db =
+    let n = Db.num_alts db in
+    let full_row key =
+      let acc = Array.make n 0. in
+      List.iter
+        (fun l ->
+          Array.iteri (fun m p -> acc.(m) <- acc.(m) +. p) (Marginals.full_rank_dist_alt db l))
+        (Db.alts_of_key db key);
+      acc
+    in
+    let full = Array.map full_row (Db.keys db) in
+    List.iter
+      (fun k ->
+        let keys, dense = Marginals.rank_table_dense db ~k in
+        List.iteri
+          (fun r (key, slow) ->
+            Alcotest.(check int) (name ^ ": row key") key keys.(r);
+            for j = 0 to k - 1 do
+              let got = dense.((r * k) + j) in
+              let reference = if j < n then full.(r).(j) else 0. in
+              let tol =
+                if List.mem key relative then 1e-6 *. Db.key_marginal db key else 1e-9
+              in
+              if Float.abs (got -. slow.(j)) > tol || Float.abs (got -. reference) > tol
+              then
+                Alcotest.failf "%s, k = %d: Pr(r(%d) = %d) is %g; walk %g, full %g"
+                  name k key (j + 1) got slow.(j) reference
+            done)
+          (Marginals.rank_table_slow db ~k))
+      (List.sort_uniq compare [ 1; 2; 16; n ])
+  in
+  List.iter
+    (fun forced_fraction ->
+      List.iter
+        (fun n ->
+          let tag shape = Printf.sprintf "%s %d, forced %g" shape n forced_fraction in
+          check (tag "bid") (Gen.bid_db ~forced_fraction g n);
+          check (tag "x-tuple") (Gen.xtuple_db ~forced_fraction g n))
+        [ 1; 9; 45 ])
+    [ 0.; 0.2; 1. ];
+  List.iter
+    (fun n -> check (Printf.sprintf "independent %d" n) (Gen.independent_db g n))
+    [ 1; 9; 60 ];
+  List.iter
+    (fun xtuple ->
+      check
+        (if xtuple then "x-tuple edges" else "bid edges")
+        (Db.create (Tree.bid (edge_blocks g ~xtuple 40))))
+    [ false; true ];
+  check "independent edges"
+    (Db.independent
+       (List.init 40 (fun i ->
+            (i, float_of_int i, if i mod 2 = 0 then 1e-12 else 1. -. 1e-12))));
+  (* Block 0 is full after its first two rows: its third alternative is
+     below an ulp of the swept mass 1, so it reads a saturated block.  Block
+     1 is over-full past its second row, at the 1 + 1e-9 bound.  As
+     x-tuples, those two late alternatives are keys 2 and 5 of their own;
+     at k = 1, key 2 is read before the second block saturates and stops
+     the sweep. *)
+  let blocks =
+    [
+      [ (0.75, 20.); (0.25, 12.); (1e-17, 11.5) ];
+      [ (0.5, 18.); (0.5 +. 5e-10, 10.); (4e-10, 5.) ];
+      [ (0.3, 15.); (0.6, 1.) ];
+      [ (0.9, 14.) ];
+      [ (0.4, 11.); (0.2, 4.) ];
+      [ (1., 8.) ];
+      [ (0.5, 7.) ];
+    ]
+  in
+  let bid blocks = Db.bid (List.mapi (fun key alts -> (key, alts)) blocks) in
+  check "saturated before its last row" (bid blocks);
+  check "sparse keys" (Db.bid (List.mapi (fun i alts -> ((10 * i) + 3, alts)) blocks));
+  let next = ref (-1) in
+  check ~relative:[ 2; 5 ] "x-tuple saturated before its last row"
+    (Db.create
+       (Tree.bid
+          (List.map
+             (List.map (fun (p, value) ->
+                  incr next;
+                  (p, { Db.key = !next; value })))
+             blocks)));
+  (* the k + 1 best tuples certain: the sweep stops after them, and every
+     later key's row is 0 *)
+  List.iter
+    (fun k ->
+      let certain = List.init (k + 1) (fun i -> [ (1., 1000. -. float_of_int i) ]) in
+      let rest =
+        List.init 12 (fun i ->
+            [ (0.3, 100. -. float_of_int i); (0.2, 50. -. float_of_int i) ])
+      in
+      let db = bid (certain @ rest) in
+      check (Printf.sprintf "%d certain tuples on top" (k + 1)) db;
+      let _, dense = Marginals.rank_table_dense db ~k in
+      for r = k + 1 to Db.num_keys db - 1 do
+        for j = 0 to k - 1 do
+          if dense.((r * k) + j) <> 0. then
+            Alcotest.failf "k = %d: row %d after the stop is %g at rank %d" k r
+              dense.((r * k) + j) (j + 1)
+        done
+      done)
+    [ 1; 2; 5 ]
+
 let suite =
   [
     Alcotest.test_case "figure 1(i) size distribution" `Quick test_figure1_size_distribution;
@@ -799,4 +914,5 @@ let suite =
       test_full_rank_table_dense_matches_general;
     Alcotest.test_case "bipoly engine vs mpoly" `Quick test_bipoly_engine_vs_mpoly;
     Alcotest.test_case "mpoly engine vs enumeration" `Quick test_mpoly_engine_vs_enumeration;
+    Alcotest.test_case "rank sweep shifts and stops" `Quick test_rank_sweep_shift_and_stop;
   ]

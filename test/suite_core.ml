@@ -856,6 +856,40 @@ let test_cluster_best_of_worlds () =
   Alcotest.(check bool) "best-of-worlds reasonable" true
     (Cluster_consensus.expected_dist t c <= (3. *. opt) +. 1e-9)
 
+(* Answers read off a per-key score take the k best keys, ties to the lower
+   index in [Db.keys] order: a stable descending sort's prefix. *)
+let test_topk_tie_rule () =
+  (* one x-tuple block of ten equally likely keys: every key has
+     Pr(r <= k) = 0.1 exactly, so the answer is the first k keys *)
+  let db =
+    Db.create
+      (Tree.bid [ List.init 10 (fun key -> (0.1, { Db.key; value = float_of_int key })) ])
+  in
+  List.iter
+    (fun k ->
+      let ctx = Topk_consensus.make_ctx db ~k in
+      let first = Array.init k Fun.id in
+      Alcotest.(check (array int)) (Printf.sprintf "mean, k = %d" k) first
+        (Topk_consensus.mean_sym_diff ctx);
+      Alcotest.(check (array int)) (Printf.sprintf "upsilon, k = %d" k) first
+        (Topk_consensus.mean_intersection_upsilon ctx))
+    [ 1; 3; 10 ];
+  let g = rng () in
+  let values = [| 0.; -0.; 1.; 2.; Float.nan; -1.; Float.infinity |] in
+  for _ = 1 to 300 do
+    let score =
+      Array.init (Prng.int g 40) (fun _ -> values.(Prng.int g (Array.length values)))
+    in
+    let m = Prng.int g 45 in
+    let sorted =
+      List.stable_sort
+        (fun a b -> Float.compare score.(b) score.(a))
+        (List.init (Array.length score) Fun.id)
+    in
+    let expected = Array.of_list (List.filteri (fun i _ -> i < m) sorted) in
+    Alcotest.(check (array int)) "stable sort prefix" expected (Heap.top_indices score m)
+  done
+
 let suite =
   [
     Alcotest.test_case "symdiff closed form" `Quick test_expected_sym_diff_closed_form;
@@ -901,4 +935,5 @@ let suite =
     Alcotest.test_case "jaccard sweep honours deadlines" `Quick test_jaccard_sweep_deadline;
     Alcotest.test_case "kendall evaluators vs oracle" `Quick
       test_kendall_evaluators_vs_oracle;
+    Alcotest.test_case "top-k tie rule" `Quick test_topk_tie_rule;
   ]
