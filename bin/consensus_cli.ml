@@ -9,10 +9,12 @@
      consensus maxsat    -i formula.cnf
      consensus demo      [-n N] [-k K] [--seed S]
      consensus serve     --db NAME=FILE ... [--port P] [--max-inflight N]
-                         [--max-queue N] [--deadline-ms MS] [--shed-threshold D]
+                         [--max-queue N] [--deadline-ms MS]
 
    Query commands accept --jobs N (0 = auto) to size the engine pool and
-   --stats to dump per-stage engine metrics on stderr; batch and fuzz also
+   --stats to dump per-stage engine metrics on stderr.  serve takes no
+   --jobs: its parallelism is the request, one per scheduler worker
+   domain, each running its kernels inline.  batch and fuzz also
    accept --listen PORT to serve /metrics, /healthz and /trace over HTTP
    while they run.  All evaluation goes through the [Consensus.Api] facade;
    see lib/textio/formats.mli for the input formats. *)
@@ -783,9 +785,13 @@ let serve_cmd =
   in
   let max_inflight_arg =
     Arg.(
-      value & opt int 4
+      value
+      & opt int Consensus_serve.Daemon.default_config.max_inflight
       & info [ "max-inflight" ] ~docv:"N"
-          ~doc:"Requests evaluated concurrently (scheduler worker domains).")
+          ~doc:
+            "Requests evaluated concurrently (scheduler worker domains, \
+             each running its request's kernels inline; default: the \
+             recommended domain count of this host).")
   in
   let max_queue_arg =
     Arg.(
@@ -803,15 +809,6 @@ let serve_cmd =
           ~doc:
             "Default per-request deadline; requests exceeding it fail with \
              HTTP 504.  Clients override per request with $(b,deadline_ms=).")
-  in
-  let shed_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "shed-threshold" ] ~docv:"DEPTH"
-          ~doc:
-            "Shed new requests with HTTP 503 while the engine queue-depth \
-             gauge exceeds $(docv) (default: never shed).")
   in
   let max_connections_arg =
     Arg.(
@@ -868,8 +865,8 @@ let serve_cmd =
           String.sub spec (i + 1) (String.length spec - i - 1) )
     | _ -> usage_error "option '--db': expected NAME=FILE (got '%s')" spec
   in
-  let run db_specs port host max_inflight max_queue deadline_ms shed
-      max_connections no_cache slow_ms log_level access_log jobs =
+  let run db_specs port host max_inflight max_queue deadline_ms
+      max_connections no_cache slow_ms log_level access_log =
     if db_specs = [] then
       usage_error "option '--db': at least one NAME=FILE database is required";
     if port < 0 || port > 65535 then
@@ -886,8 +883,6 @@ let serve_cmd =
     if max_connections < 1 then
       usage_error "option '--max-connections': value must be >= 1 (got %d)"
         max_connections;
-    if jobs < 0 then
-      usage_error "option '--jobs': value must be >= 0 (got %d)" jobs;
     (match slow_ms with
     | Some ms when ms < 0 ->
         usage_error "option '--slow-ms': value must be >= 0 (got %d)" ms
@@ -929,11 +924,8 @@ let serve_cmd =
               Consensus_serve.Daemon.host;
               port;
               dbs;
-              jobs;
               max_inflight;
               max_queue;
-              shed_threshold =
-                (match shed with None -> infinity | Some s -> s);
               default_deadline =
                 Option.map (fun ms -> float_of_int ms /. 1000.) deadline_ms;
               max_connections;
@@ -979,8 +971,8 @@ let serve_cmd =
           bounded queueing and per-request deadlines.")
     Term.(
       const run $ db_args $ port_arg $ host_arg $ max_inflight_arg
-      $ max_queue_arg $ deadline_arg $ shed_arg $ max_connections_arg
-      $ no_cache $ slow_ms_arg $ log_level_arg $ access_log_arg $ jobs_arg)
+      $ max_queue_arg $ deadline_arg $ max_connections_arg $ no_cache
+      $ slow_ms_arg $ log_level_arg $ access_log_arg)
 
 (* ---- demo ---- *)
 

@@ -152,6 +152,14 @@ let float_atom pos a =
   | Some f -> f
   | None -> raise (Parse_error (pos, Printf.sprintf "expected a number, got %S" a))
 
+(* A leaf value is a score: NaN has no place in the score order, so the
+   rank sweep and the arena walk would rank it differently. *)
+let value_atom pos a =
+  let v = float_atom pos a in
+  if Float.is_nan v then
+    raise (Parse_error (pos, Printf.sprintf "a score must be a number, got %S" a));
+  v
+
 let int_atom pos a =
   match int_of_string_opt a with
   | Some i -> i
@@ -208,7 +216,7 @@ let run_parser src sink =
         if not (skip_ws src) || peek src <> ')' then bad_node lpos;
         advance src;
         let key = int_atom kpos k in
-        let value = float_atom vpos v in
+        let value = value_atom vpos v in
         (try sink.s_leaf ~pos:lpos ~prob ~key ~value
          with Invalid_argument msg -> raise (Parse_error (lpos, msg)));
         true

@@ -12,8 +12,9 @@
     [(xor (0.3 (and (leaf 3 6) (leaf 2 5) (leaf 1 1))) ...)].
 
     Whitespace separates tokens; [;] starts a line comment.  {!parse}
-    applies the usual validation ([Tree.xor] probability constraints;
-    [Db.of_string] additionally checks the key constraint).
+    applies the usual validation ([Tree.xor] probability constraints, and
+    a leaf value must not be NaN; [Db.of_string] additionally checks the
+    key constraint).
 
     Parsing and printing are single-pass and stack-safe: no token list is
     ever materialized, and arbitrarily wide or deep trees round-trip without

@@ -29,8 +29,6 @@ let note_queue_depth pool =
   if Obs.enabled () then
     Obs.Gauge.set queue_depth (float_of_int (Queue.length pool.queue))
 
-let queue_pressure () = Obs.Gauge.value queue_depth
-
 (* Live worker-domain count across every pool in the process, exported as
    the [ocaml_domains_active] gauge.  Refreshed by a scrape hook rather
    than on create/shutdown so the gauge is correct even for pools built

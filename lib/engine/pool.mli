@@ -16,6 +16,11 @@
     items or fewer.  Nested combinator calls are
     allowed (inner calls help drain the shared queue; no deadlock).
 
+    A pool is for a caller that owns the machine: a CLI query, [batch],
+    the fuzzers, a benchmark.  The serve daemon parallelises across
+    requests instead, and hands every request a [jobs = 1] pool, so its
+    kernels run inline on the scheduler worker that evaluates it.
+
     Worker exceptions propagate: the first exception raised by a chunk is
     re-raised in the submitting domain (with its backtrace) after the
     remaining chunks are cancelled.
@@ -75,12 +80,6 @@ val set_global_jobs : int -> unit
 val resolve : t option -> t
 (** [resolve (Some p) = p]; [resolve None = get_global ()].  The standard
     entry for [?pool] arguments. *)
-
-val queue_pressure : unit -> float
-(** Last observed value of the [engine_queue_depth] gauge — tasks waiting in
-    an engine queue, last-write-wins across pools.  Only updated while the
-    observability subsystem is enabled (the serve daemon's admission control
-    keys off this; it always enables observability). *)
 
 (** {1 Task submission} *)
 

@@ -16,10 +16,8 @@ type config = {
   host : string;
   port : int;
   dbs : (string * Db.t) list;
-  jobs : int;
   max_inflight : int;
   max_queue : int;
-  shed_threshold : float;
   default_deadline : float option;
   max_connections : int;
   cache : bool;
@@ -34,10 +32,8 @@ let default_config =
     host = "127.0.0.1";
     port = 0;
     dbs = [];
-    jobs = 0;
-    max_inflight = 4;
+    max_inflight = Domain.recommended_domain_count ();
     max_queue = 64;
-    shed_threshold = infinity;
     default_deadline = None;
     max_connections = 64;
     cache = true;
@@ -283,12 +279,13 @@ let serve_dbs t =
                 t.config.dbs) );
        ])
 
-(* The Expose payload plus load and the resident databases, so one probe
-   answers "is it up and what is it serving". *)
+(* The Expose payload plus load, its bound and the resident databases, so
+   one probe answers "is it up and what is it serving". *)
 let serve_healthz t =
   Expose.healthz
     [
       ("inflight", Json.Int (Scheduler.inflight t.sched));
+      ("max_inflight", Json.Int t.config.max_inflight);
       ("queue_depth", Json.Int (Scheduler.queued t.sched));
       ("dbs", Json.List (List.map (fun (name, _) -> Json.Str name) t.config.dbs));
     ]
@@ -355,26 +352,29 @@ let validate config =
         invalid_arg (Printf.sprintf "Daemon.start: duplicate database name %S" name);
       Hashtbl.add seen name ())
     config.dbs;
-  if config.jobs < 0 then invalid_arg "Daemon.start: jobs must be >= 0";
   if config.slow_capacity < 1 then
     invalid_arg "Daemon.start: slow_capacity must be >= 1"
 
 let start config =
   validate config;
-  (* The service contract includes /metrics, and admission control keys off
-     the engine queue-depth gauge — observability is always on here. *)
+  (* The service contract includes /metrics: observability is always on
+     here. *)
   Obs.set_enabled true;
   Log.set_level config.log_level;
   if config.cache then Consensus_cache.Cache.set_enabled true;
-  let pool = Pool.create ~jobs:config.jobs () in
   let sched =
-    Scheduler.create ~shed_threshold:config.shed_threshold
-      ~max_inflight:config.max_inflight ~max_queue:config.max_queue ()
+    Scheduler.create ~max_inflight:config.max_inflight
+      ~max_queue:config.max_queue ()
   in
   let t =
     {
       config;
-      pool;
+      (* The request is the daemon's one level of parallelism: each
+         scheduler worker runs its request's kernels inline.  A [jobs = 1]
+         pool spawns no domain, so it needs no shutdown, and still checks
+         the deadline before every body ([None] would resolve to the
+         auto-sized global pool). *)
+      pool = Pool.create ~jobs:1 ();
       sched;
       server = None;
       stopped = Atomic.make false;
@@ -392,7 +392,6 @@ let start config =
             ~handler:(handler t) ~port:config.port ())
    with e ->
      Scheduler.shutdown sched;
-     Pool.shutdown pool;
      raise e);
   t
 
@@ -406,9 +405,7 @@ let stop t =
   if not (Atomic.exchange t.stopped true) then begin
     (* Order matters: the front end drains its connection threads first
        (they may be awaiting scheduler tasks, so the scheduler must still
-       be alive), then the scheduler finishes admitted requests, then the
-       pool goes down. *)
+       be alive), then the scheduler finishes admitted requests. *)
     Option.iter Expose.stop t.server;
-    Scheduler.shutdown t.sched;
-    Pool.shutdown t.pool
+    Scheduler.shutdown t.sched
   end

@@ -1,7 +1,10 @@
-(** The consensus query-serving daemon: resident databases, one shared
-    engine pool and probability cache, an admission-controlled scheduler
-    ({!Scheduler}) and the concurrent HTTP front end
-    ({!Consensus_obs.Expose}).
+(** The consensus query-serving daemon: resident databases, the shared
+    probability cache, an admission-controlled scheduler ({!Scheduler})
+    and the concurrent HTTP front end ({!Consensus_obs.Expose}).
+
+    The request is the daemon's one level of parallelism: [max_inflight]
+    scheduler worker domains each evaluate one request, and run its
+    kernels inline on a [jobs = 1] engine pool, which spawns no domain.
 
     Routes (beyond the built-in [/metrics], [/trace], [/quit]):
 
@@ -20,8 +23,9 @@
       Always 200 on parse success; per-item errors are reported inline.
     - [GET /dbs] — the resident databases and their shapes.
     - [GET /healthz] — the {!Consensus_obs.Expose.healthz} payload
-      ([status], [version], [uptime_s]) followed by scheduler [inflight]
-      and [queue_depth] and the resident database names.
+      ([status], [version], [uptime_s]) followed by scheduler [inflight],
+      its bound [max_inflight], [queue_depth] and the resident database
+      names.
     - [GET /debug/slow?limit=N] — the slow-query ring, newest first: every
       request whose wall time (queue wait + run) reached
       [slow_threshold], with its timings, cache traffic and folded
@@ -45,12 +49,11 @@
 
     Status mapping: malformed bodies/parameters 400; unknown database 404;
     unsupported metric/flavor combinations 422; deadline exceeded 504;
-    queue full 429; load shed / shutting down 503.
+    queue full 429; shutting down 503.
 
-    Starting the daemon enables the observability subsystem (admission
-    control reads the engine queue-depth gauge, and [/metrics] is part of
-    the service contract) and applies [log_level] to the structured
-    logger. *)
+    Starting the daemon enables the observability subsystem ([/metrics]
+    is part of the service contract) and applies [log_level] to the
+    structured logger. *)
 
 open Consensus_anxor
 
@@ -58,12 +61,9 @@ type config = {
   host : string;  (** Bind address (default ["127.0.0.1"]). *)
   port : int;  (** [0] picks an ephemeral port; read it back with {!port}. *)
   dbs : (string * Db.t) list;  (** Resident databases, by name. *)
-  jobs : int;  (** Engine-pool slots; [0] = auto. *)
-  max_inflight : int;  (** Concurrently evaluating requests. *)
+  max_inflight : int;
+      (** Concurrently evaluating requests (scheduler worker domains). *)
   max_queue : int;  (** Admitted requests waiting beyond [max_inflight]. *)
-  shed_threshold : float;
-      (** Engine-queue-depth level above which admission sheds load
-          ([infinity] = never). *)
   default_deadline : float option;
       (** Per-request deadline in seconds when the request names none. *)
   max_connections : int;  (** Concurrent HTTP connection threads. *)
@@ -78,9 +78,9 @@ type config = {
 }
 
 val default_config : config
-(** Loopback, ephemeral port, no databases, auto-sized pool,
-    [max_inflight = 4], [max_queue = 64], no shedding, no default
-    deadline, [max_connections = 64], cache on, no slow capture
+(** Loopback, ephemeral port, no databases,
+    [max_inflight = Domain.recommended_domain_count ()], [max_queue = 64],
+    no default deadline, [max_connections = 64], cache on, no slow capture
     ([slow_threshold = infinity], [slow_capacity = 32]), access log on,
     log level [Info]. *)
 
@@ -89,8 +89,8 @@ type t
 val start : config -> t
 (** Validate the configuration ([Invalid_argument] on an empty database
     list, duplicate or empty names, non-positive bounds or
-    [slow_capacity < 1]), spin up pool, scheduler and HTTP server, and
-    return the running daemon.  Raises [Unix.Unix_error] if the address
+    [slow_capacity < 1]), spin up scheduler and HTTP server, and return
+    the running daemon.  Raises [Unix.Unix_error] if the address
     cannot be bound. *)
 
 val port : t -> int
@@ -104,4 +104,4 @@ val wait_quit : t -> unit
 
 val stop : t -> unit
 (** Graceful shutdown: stop accepting, drain in-flight connections and
-    admitted requests, then tear down scheduler and pool.  Idempotent. *)
+    admitted requests, then join the scheduler's workers.  Idempotent. *)

@@ -127,4 +127,4 @@ let status_of_error = function
 
 let status_of_reject = function
   | Scheduler.Queue_full -> 429
-  | Scheduler.Overloaded | Scheduler.Shutting_down -> 503
+  | Scheduler.Shutting_down -> 503

@@ -55,5 +55,5 @@ val status_of_error : Consensus.Api.Error.t -> int
     [Unsupported] 422, [Deadline_exceeded] 504. *)
 
 val status_of_reject : Scheduler.reject -> int
-(** HTTP status for an admission reject: [Queue_full] 429, [Overloaded]
-    and [Shutting_down] 503. *)
+(** HTTP status for an admission reject: [Queue_full] 429,
+    [Shutting_down] 503. *)

@@ -3,21 +3,18 @@ module Context = Consensus_obs.Context
 module Runtime = Consensus_obs.Runtime
 module Log = Consensus_obs.Log
 module Json = Consensus_util.Json
-module Pool = Consensus_engine.Pool
 module Task = Consensus_engine.Task
 module Deadline = Consensus_util.Deadline
 
-type reject = Queue_full | Overloaded | Shutting_down
+type reject = Queue_full | Shutting_down
 
 let reject_to_string = function
   | Queue_full -> "queue full"
-  | Overloaded -> "overloaded"
   | Shutting_down -> "shutting down"
 
 (* One queued request: the result cell, the work, the deadline token and
    the trace context that travel with it (workers install both as their
-   ambient state; the engine pool then re-installs them around every
-   parallel chunk), and the admission timestamp for queue-wait
+   ambient state), and the admission timestamp for queue-wait
    accounting. *)
 type job =
   | Job : {
@@ -33,14 +30,12 @@ type stats = {
   admitted : int;
   completed : int;
   rejected_queue_full : int;
-  rejected_overload : int;
   deadline_exceeded : int;
 }
 
 type t = {
   max_inflight : int;
   max_queue : int;
-  shed_threshold : float;
   mutex : Mutex.t;
   work_available : Condition.t;
   queue : job Queue.t;
@@ -52,7 +47,6 @@ type t = {
   admitted_c : int Atomic.t;
   completed_c : int Atomic.t;
   rej_queue_c : int Atomic.t;
-  rej_overload_c : int Atomic.t;
   deadline_c : int Atomic.t;
 }
 
@@ -72,17 +66,12 @@ let m_requests =
 
 let m_rejected =
   Obs.Counter.make
-    ~help:"Requests rejected at admission (queue full or load shed)"
+    ~help:"Requests rejected at admission (queue full or shutting down)"
     "serve_rejected_total"
 
 let m_rejected_queue =
   Obs.Counter.make ~help:"Requests rejected because the serve queue was full"
     "serve_rejected_queue_full_total"
-
-let m_rejected_overload =
-  Obs.Counter.make
-    ~help:"Requests shed because engine queue pressure exceeded the threshold"
-    "serve_rejected_overload_total"
 
 let m_deadline =
   Obs.Counter.make ~help:"Requests that exceeded their deadline"
@@ -191,7 +180,7 @@ let worker_loop t =
 
 (* ---------- lifecycle ---------- *)
 
-let create ?(shed_threshold = infinity) ~max_inflight ~max_queue () =
+let create ~max_inflight ~max_queue () =
   if max_inflight < 1 then
     invalid_arg "Scheduler.create: max_inflight must be >= 1";
   if max_queue < 0 then invalid_arg "Scheduler.create: max_queue must be >= 0";
@@ -199,7 +188,6 @@ let create ?(shed_threshold = infinity) ~max_inflight ~max_queue () =
     {
       max_inflight;
       max_queue;
-      shed_threshold;
       mutex = Mutex.create ();
       work_available = Condition.create ();
       queue = Queue.create ();
@@ -209,7 +197,6 @@ let create ?(shed_threshold = infinity) ~max_inflight ~max_queue () =
       admitted_c = Atomic.make 0;
       completed_c = Atomic.make 0;
       rej_queue_c = Atomic.make 0;
-      rej_overload_c = Atomic.make 0;
       deadline_c = Atomic.make 0;
     }
   in
@@ -218,16 +205,10 @@ let create ?(shed_threshold = infinity) ~max_inflight ~max_queue () =
   t
 
 let reject t reason =
-  (match reason with
-  | Queue_full -> Atomic.incr t.rej_queue_c
-  | Overloaded -> Atomic.incr t.rej_overload_c
-  | Shutting_down -> ());
+  if reason = Queue_full then Atomic.incr t.rej_queue_c;
   if Obs.enabled () then begin
     Obs.Counter.incr m_rejected;
-    match reason with
-    | Queue_full -> Obs.Counter.incr m_rejected_queue
-    | Overloaded -> Obs.Counter.incr m_rejected_overload
-    | Shutting_down -> ()
+    if reason = Queue_full then Obs.Counter.incr m_rejected_queue
   end;
   Error reason
 
@@ -247,10 +228,6 @@ let submit (type a) t ?deadline ?ctx (work : unit -> a) :
   then begin
     Mutex.unlock t.mutex;
     reject t Queue_full
-  end
-  else if Pool.queue_pressure () > t.shed_threshold then begin
-    Mutex.unlock t.mutex;
-    reject t Overloaded
   end
   else begin
     let token =
@@ -303,7 +280,6 @@ let stats t =
     admitted = Atomic.get t.admitted_c;
     completed = Atomic.get t.completed_c;
     rejected_queue_full = Atomic.get t.rej_queue_c;
-    rejected_overload = Atomic.get t.rej_overload_c;
     deadline_exceeded = Atomic.get t.deadline_c;
   }
 

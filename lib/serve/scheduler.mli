@@ -1,12 +1,11 @@
 (** Request scheduler: admission control, bounded queueing and deadline
-    enforcement between the HTTP front end and the engine pool.
+    enforcement between the HTTP front end and the kernels.
 
     A scheduler owns [max_inflight] dedicated worker domains, each
-    evaluating one admitted request at a time (requests fan their parallel
-    stages out onto the shared engine pool, so per-request parallelism is
-    the pool's business — the scheduler bounds {e concurrency}, the pool
-    bounds {e parallelism}).  Worker domains — not systhreads — matter:
-    the ambient {!Consensus_util.Deadline} token lives in domain-local
+    evaluating one admitted request at a time, start to finish: the
+    request is the unit of parallelism, and its kernels run inline on the
+    worker that picked it up.  Worker domains — not systhreads — matter: the
+    ambient {!Consensus_util.Deadline} token lives in domain-local
     storage, so each request's token is installed for exactly the worker
     evaluating it.
 
@@ -14,16 +13,12 @@
 
     + a shut-down scheduler rejects with [Shutting_down];
     + a full bounded queue ([max_queue] waiting requests) rejects with
-      [Queue_full] — the front end's backpressure signal (HTTP 429);
-    + engine-queue pressure above [shed_threshold] (the existing
-      [engine_queue_depth] gauge, via {!Consensus_engine.Pool.queue_pressure})
-      rejects with [Overloaded] — load shedding before the engine drowns
-      (HTTP 503).
+      [Queue_full] — the front end's backpressure signal (HTTP 429).
 
     Admitted requests carry an optional deadline.  The worker installs the
     request's token as its ambient deadline, so the cooperative checks in
-    the engine pool and the sequential kernels abort expired work with
-    {!Consensus_util.Deadline.Expired}; requests whose deadline passes
+    the engine combinators and the sequential kernels abort expired work
+    with {!Consensus_util.Deadline.Expired}; requests whose deadline passes
     while still queued fail the same way without running at all.
 
     Requests may also carry a {!Consensus_obs.Context} trace context: the
@@ -44,18 +39,14 @@ type t
 
 type reject =
   | Queue_full  (** [max_queue] requests already waiting — back off. *)
-  | Overloaded  (** Engine queue pressure above the shed threshold. *)
   | Shutting_down  (** {!shutdown} has begun. *)
 
 val reject_to_string : reject -> string
 
-val create :
-  ?shed_threshold:float -> max_inflight:int -> max_queue:int -> unit -> t
+val create : max_inflight:int -> max_queue:int -> unit -> t
 (** [create ~max_inflight ~max_queue ()] spawns [max_inflight] worker
     domains (>= 1) over a queue bounded at [max_queue] (>= 0; [0] means
-    every request must find an idle worker immediately).
-    [shed_threshold] (default [infinity], i.e. never shed) is compared
-    against {!Consensus_engine.Pool.queue_pressure}.  Raises
+    every request must find an idle worker immediately).  Raises
     [Invalid_argument] on non-positive [max_inflight] or negative
     [max_queue]. *)
 
@@ -106,7 +97,6 @@ type stats = {
   admitted : int;
   completed : int;  (** includes failed evaluations; excludes rejects *)
   rejected_queue_full : int;
-  rejected_overload : int;
   deadline_exceeded : int;
       (** requests that raised [Deadline.Expired] (queued or evaluating) *)
 }

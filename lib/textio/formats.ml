@@ -28,6 +28,10 @@ let parse_alt path n tok =
   match String.split_on_char ':' tok with
   | [ p; v ] -> (
       match (float_of_string_opt p, float_of_string_opt v) with
+      | Some _, Some v when Float.is_nan v ->
+          (* NaN has no place in the score order: the rank sweep and the
+             arena walk would rank it differently. *)
+          fail_line path n (Printf.sprintf "score must be a number in %S" tok)
       | Some p, Some v -> (p, v)
       | _ -> fail_line path n (Printf.sprintf "bad alternative %S" tok))
   | _ -> fail_line path n (Printf.sprintf "expected prob:value, got %S" tok)

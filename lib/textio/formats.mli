@@ -2,7 +2,8 @@
 
     - {e database}: one line per key, [<key> <prob>:<value> ...]; a file
       whose first significant character is ['('] is instead parsed as an
-      and/xor tree in the {!Consensus_anxor.Sexp_io} syntax.
+      and/xor tree in the {!Consensus_anxor.Sexp_io} syntax.  A value
+      (score) must not be NaN.
     - {e matrix}: whitespace-separated rows of probabilities.
     - {e cnf}: DIMACS-lite MAX-2-SAT clauses (signed 1-based literals,
       optional trailing 0, ["c"]/["p"] lines ignored).

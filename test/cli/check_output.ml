@@ -521,8 +521,8 @@ let check_serve_daemon cli db =
   let pid =
     Unix.create_process cli
       [|
-        cli; "serve"; "--db"; "main=" ^ db; "--port"; "0"; "--jobs"; "2";
-        "--max-inflight"; "2"; "--slow-ms"; "0"; "--access-log"; "false";
+        cli; "serve"; "--db"; "main=" ^ db; "--port"; "0"; "--max-inflight";
+        "2"; "--slow-ms"; "0"; "--access-log"; "false";
       |]
       Unix.stdin null err_write
   in
@@ -573,6 +573,9 @@ let check_serve_daemon cli db =
   then fail "serve-daemon: /healthz uptime is negative";
   if get_num "serve-daemon /healthz" "inflight" (member "inflight" hj) < 0.
   then fail "serve-daemon: /healthz inflight is negative";
+  if get_num "serve-daemon /healthz" "max_inflight" (member "max_inflight" hj)
+     <> 2.
+  then fail "serve-daemon: /healthz max_inflight is not the --max-inflight 2";
   if
     get_num "serve-daemon /healthz" "queue_depth" (member "queue_depth" hj)
     < 0.

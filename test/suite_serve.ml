@@ -160,20 +160,6 @@ let test_sched_queue_full () =
   Atomic.set release true;
   match blocker with Ok t -> Task.await t | Error _ -> ()
 
-let test_sched_overload_shed () =
-  (* queue_pressure () is >= 0, so a negative threshold sheds everything. *)
-  let sched =
-    Scheduler.create ~shed_threshold:(-1.) ~max_inflight:1 ~max_queue:4 ()
-  in
-  Fun.protect ~finally:(fun () -> Scheduler.shutdown sched) @@ fun () ->
-  (match Scheduler.submit sched (fun () -> ()) with
-  | Error Scheduler.Overloaded -> ()
-  | Error r -> Alcotest.failf "wrong reject: %s" (Scheduler.reject_to_string r)
-  | Ok _ -> Alcotest.fail "expected Overloaded");
-  Alcotest.(check bool)
-    "shed counted" true
-    ((Scheduler.stats sched).Scheduler.rejected_overload >= 1)
-
 let test_sched_exception_cleanup () =
   let sched = Scheduler.create ~max_inflight:2 ~max_queue:4 () in
   Fun.protect ~finally:(fun () -> Scheduler.shutdown sched) @@ fun () ->
@@ -237,8 +223,8 @@ let test_protocol_bodies () =
     (Protocol.status_of_error Api.Error.Deadline_exceeded);
   Alcotest.(check int) "queue full" 429
     (Protocol.status_of_reject Scheduler.Queue_full);
-  Alcotest.(check int) "overloaded" 503
-    (Protocol.status_of_reject Scheduler.Overloaded)
+  Alcotest.(check int) "shutting down" 503
+    (Protocol.status_of_reject Scheduler.Shutting_down)
 
 (* ---------- api facade ---------- *)
 
@@ -382,7 +368,6 @@ let test_daemon_end_to_end () =
       {
         Daemon.default_config with
         Daemon.dbs = [ ("main", db) ];
-        jobs = 2;
         max_inflight = 2;
         max_queue = 8;
       }
@@ -416,17 +401,76 @@ let test_daemon_end_to_end () =
   let status, _ = http_request ~port ~meth:"GET" ~target:"/query" "" in
   Alcotest.(check int) "get on query" 405 status
 
+(* The daemon runs every kernel inline on its scheduler worker; a CLI or
+   batch run fans the same kernels out on an engine pool.  The answers must
+   not tell the two apart: each query line of the CLI batch fixture, posted
+   to a daemon, answers with the bytes [Protocol.answer_json] renders for
+   [Api.run] on a four-slot pool under the same seed.  Two resident
+   databases: the CLI fixture, and a 40-key BID database on which rank
+   Kendall takes the randomised pivot path instead of the exact DP, and
+   its answer depends on the seed, so the seed must reach the kernel. *)
+let test_daemon_answers_match_pool () =
+  let lines =
+    In_channel.with_open_text "cli/batch.txt" In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.map String.trim
+    |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+  in
+  let dbs =
+    [
+      ("cli", Consensus_textio.Formats.load_db "cli/db.txt");
+      ("gen", Gen.bid_db (Prng.create ~seed:7 ()) 40);
+    ]
+  in
+  Consensus_engine.Pool.with_pool ~jobs:4 @@ fun pool ->
+  let pooled db seed line =
+    let query =
+      match Query_text.parse_line line with
+      | Ok (Some q) -> q
+      | _ -> Alcotest.failf "batch line does not parse: %S" line
+    in
+    let options =
+      Api.Options.make ~pool ~rng:(Prng.create ~seed ()) ~cache:false ()
+    in
+    match Api.run_result ~options db query with
+    | Ok answer -> Json.to_string (Protocol.answer_json db answer)
+    | Error e -> Alcotest.failf "%S: %s" line (Api.Error.to_string e)
+  in
+  let daemon =
+    Daemon.start
+      { Daemon.default_config with Daemon.dbs; max_inflight = 2; access_log = false }
+  in
+  Fun.protect ~finally:(fun () -> Daemon.stop daemon) @@ fun () ->
+  let port = Daemon.port daemon in
+  List.iter
+    (fun (name, db) ->
+      List.iteri
+        (fun i line ->
+          let seed = 40 + i in
+          let expected = pooled db seed line in
+          let status, body =
+            http_request ~port ~meth:"POST"
+              ~target:(Printf.sprintf "/query?db=%s&seed=%d" name seed)
+              line
+          in
+          Alcotest.(check int) (name ^ ": " ^ line) 200 status;
+          if not (contains body ("\"answer\":" ^ expected)) then
+            Alcotest.failf "%s: %S served\n%s\nbut a pooled run answers\n%s"
+              name line (String.trim body) expected)
+        lines)
+    dbs
+
 let test_daemon_deadline () =
-  (* A parallel-heavy query under a 1 ms deadline: the ambient token is
-     checked at every engine chunk, so this must come back 504, not run to
-     completion. *)
+  (* A kernel-heavy query under a 1 ms deadline: the daemon runs kernels
+     inline, and the engine's sequential path checks the ambient token
+     before every body (as do the kernels' own cooperative checks), so this
+     must come back 504, not run to completion. *)
   let db = Gen.bid_db (Prng.create ~seed:11 ()) 60 in
   let daemon =
     Daemon.start
       {
         Daemon.default_config with
         Daemon.dbs = [ ("main", db) ];
-        jobs = 2;
         max_inflight = 1;
         max_queue = 4;
       }
@@ -445,14 +489,13 @@ let test_daemon_deadline () =
 
 (* ---------- Expose request-parsing hardening ---------- *)
 
-let with_small_daemon ?(slow_threshold = infinity) ?(jobs = 2) ?db f =
+let with_small_daemon ?(slow_threshold = infinity) ?db f =
   let db = match db with Some db -> db | None -> small_db () in
   let daemon =
     Daemon.start
       {
         Daemon.default_config with
         Daemon.dbs = [ ("main", db) ];
-        jobs;
         max_inflight = 1;
         max_queue = 8;
         slow_threshold;
@@ -653,13 +696,22 @@ let test_daemon_healthz () =
       in
       Alcotest.(check (list string))
         "the Expose.healthz fields come first"
-        [ "status"; "version"; "uptime_s"; "inflight"; "queue_depth"; "dbs" ]
+        [
+          "status";
+          "version";
+          "uptime_s";
+          "inflight";
+          "max_inflight";
+          "queue_depth";
+          "dbs";
+        ]
         (List.map fst fields);
       Alcotest.(check string) "status" "ok" (str "status");
       Alcotest.(check bool) "version non-empty" true (str "version" <> "");
       Alcotest.(check bool) "uptime non-negative" true (num "uptime_s" >= 0.);
+      Alcotest.(check (float 0.)) "max_inflight in use" 1. (num "max_inflight");
       Alcotest.(check bool) "inflight bounded" true
-        (num "inflight" >= 0. && num "inflight" <= 1.);
+        (num "inflight" >= 0. && num "inflight" <= num "max_inflight");
       Alcotest.(check bool) "queue depth present" true (num "queue_depth" >= 0.);
       (match List.assoc_opt "dbs" fields with
       | Some (Json.List names) ->
@@ -678,9 +730,22 @@ let check_json_error name ~port target frag =
 
 (* Malformed parameters on the debug routes answer 400 with a JSON error
    naming the parameter, and the exposition carries the process-identity
-   gauges, the engine-pool domain count and the GC-pause series. *)
+   gauges, the engine-pool domain count and the GC-pause series.  The
+   daemon's kernels run inline on its scheduler workers, so starting it
+   and serving a query spawns no engine worker domain. *)
 let test_daemon_debug_endpoints () =
+  (* Gauges only move while observability is on; the daemon turns it on
+     at start anyway. *)
+  Obs.set_enabled true;
+  let domains_before =
+    metric_value (Obs.metrics_text ()) "ocaml_domains_active"
+  in
   with_small_daemon @@ fun _daemon port ->
+  let status, _ =
+    http_request ~port ~meth:"POST" ~target:"/query?cache=false"
+      "rank metric=footrule"
+  in
+  Alcotest.(check int) "query ok" 200 status;
   check_json_error "trace non-numeric limit" ~port "/trace?limit=abc" "limit";
   check_json_error "trace negative limit" ~port "/trace?limit=-1" "limit";
   check_json_error "slow non-numeric limit" ~port "/debug/slow?limit=abc" "limit";
@@ -697,8 +762,9 @@ let test_daemon_debug_endpoints () =
       "ocaml_domains_active";
       "gc_pause_seconds";
     ];
-  Alcotest.(check bool) "live worker domains" true
-    (metric_value body "ocaml_domains_active" >= 1.)
+  Alcotest.(check (float 0.))
+    "no engine worker domain spawned" domains_before
+    (metric_value body "ocaml_domains_active")
 
 (* ---------- request tracing end to end ---------- *)
 
@@ -892,7 +958,6 @@ let test_daemon_backpressure () =
       {
         Daemon.default_config with
         Daemon.dbs = [ ("main", db) ];
-        jobs = 2;
         max_inflight = 1;
         max_queue = 1;
         access_log = false;
@@ -1006,8 +1071,6 @@ let suite =
       Alcotest.test_case "scheduler expires queued requests unrun" `Quick
         test_sched_deadline_queued;
       Alcotest.test_case "scheduler bounds its queue" `Quick test_sched_queue_full;
-      Alcotest.test_case "scheduler sheds under engine pressure" `Quick
-        test_sched_overload_shed;
       Alcotest.test_case "scheduler survives request exceptions" `Quick
         test_sched_exception_cleanup;
       Alcotest.test_case "shutdown drains admitted requests" `Quick
@@ -1045,4 +1108,6 @@ let suite =
         test_daemon_gc_pause_attribution;
       Alcotest.test_case "obs reset races in-flight requests" `Quick
         test_daemon_obs_reset_race;
+      Alcotest.test_case "served answers match a pooled run" `Quick
+        test_daemon_answers_match_pool;
     ]

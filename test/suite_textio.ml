@@ -45,6 +45,33 @@ let test_db_errors () =
   fails (fun () -> F.db_of_lines [ "# only comments" ]);
   fails (fun () -> F.db_of_lines [ "(leaf 1" ])
 
+(* A NaN score has no rank, so both database syntaxes reject it at load,
+   naming where it is and the token. *)
+let test_db_nan_score () =
+  let message f =
+    match f () with
+    | exception Failure msg -> msg
+    | _ -> Alcotest.fail "a NaN score was accepted"
+  in
+  let bid =
+    message (fun () ->
+        F.db_of_lines ~path:"db.txt" [ "0 0.5:3"; "1 0.6:nan"; "2 0.7:1" ])
+  in
+  Alcotest.(check string)
+    "BID: line and token" "db.txt:2: score must be a number in \"0.6:nan\"" bid;
+  let tree =
+    message (fun () ->
+        F.db_of_lines ~path:"db.txt"
+          [ "(xor (0.5 (leaf 0 3)) (0.4 (leaf 1 NaN)))" ])
+  in
+  Alcotest.(check string)
+    "tree: offset and token"
+    "db.txt: at 35: a score must be a number, got \"NaN\"" tree;
+  (* A NaN probability was already refused; infinities are ordered scores. *)
+  fails (fun () -> F.db_of_lines [ "1 nan:2" ]);
+  let db = F.db_of_lines [ "0 0.5:inf"; "1 0.6:-inf" ] in
+  Alcotest.(check int) "infinite scores load" 2 (Db.num_keys db)
+
 let test_matrix () =
   let m = F.matrix_of_lines [ "0.5 0.5"; "# c"; "1.0\t0.0" ] in
   Alcotest.(check int) "rows" 2 (Array.length m);
@@ -68,4 +95,5 @@ let suite =
     Alcotest.test_case "db errors" `Quick test_db_errors;
     Alcotest.test_case "matrix" `Quick test_matrix;
     Alcotest.test_case "cnf" `Quick test_cnf;
+    Alcotest.test_case "db NaN score" `Quick test_db_nan_score;
   ]
