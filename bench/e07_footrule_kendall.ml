@@ -3,8 +3,10 @@
 
 open Consensus_util
 open Consensus
+open Consensus_anxor
 module Gen = Consensus_workload.Gen
 module Exact = Consensus_oracle.Exact
+module Pool = Consensus_engine.Pool
 
 let small_instance_ratios () =
   let g = Prng.create ~seed:701 () in
@@ -35,6 +37,70 @@ let small_instance_ratios () =
     sum_fr := !sum_fr +. r_fr
   done;
   (trials, !fr_ok, !sum_pivot, !worst_pivot, !sum_fr, !worst_fr)
+
+(* The pair-by-pair top-k Kendall evaluator: one ordered joint per
+   (τ-earlier, later-or-outside) key pair, k·(n − k) + k(k−1)/2 trivariate
+   kernel runs.  [Topk_consensus.expected_kendall] reads an answer key's
+   outside pairs from one O(n·k) size-conditioned total instead. *)
+let kendall_pairwise ctx tau =
+  let db = Topk_consensus.db ctx and k = Topk_consensus.k ctx in
+  let contribution i j =
+    Topk_consensus.rank_leq ctx j -. Marginals.topk_pair_prob_ordered db i j ~k
+  in
+  let acc = ref 0. in
+  Array.iteri
+    (fun a i ->
+      for b = a + 1 to Array.length tau - 1 do
+        acc := !acc +. contribution i tau.(b)
+      done;
+      Array.iter
+        (fun j -> if not (Array.mem j tau) then acc := !acc +. contribution i j)
+        (Db.keys db))
+    tau;
+  !acc
+
+(* Expected Kendall distance of one answer at k = 10 on [Gen.bid_db] of
+   growing size, both evaluators on one domain, the context (rank table)
+   built outside the timing.  Unpinned: it shows the exponent in n. *)
+let kendall_scaling () =
+  let k = 10 in
+  let sizes = Harness.sizes ~quick_list:[ 20; 40 ] ~full_list:[ 100; 200; 400; 800 ] in
+  let table =
+    Harness.Tables.create
+      ~title:(Printf.sprintf "top-k Kendall evaluator on Gen.bid_db, k=%d (one domain)" k)
+      [
+        ("keys", Harness.Tables.Right);
+        ("pairwise (ms)", Harness.Tables.Right);
+        ("O_i identity (ms)", Harness.Tables.Right);
+        ("|gap|", Harness.Tables.Right);
+      ]
+  in
+  Pool.with_pool ~jobs:1 @@ fun pool ->
+  let points =
+    List.map
+      (fun n ->
+        let db = Gen.bid_db (Prng.create ~seed:(700 + n) ()) n in
+        let ctx = Topk_consensus.make_ctx ~pool db ~k in
+        let tau = Topk_consensus.mean_sym_diff ctx in
+        (* the context's joint table is still empty here *)
+        let d_new, t_new =
+          Harness.time_it (fun () -> Topk_consensus.expected_kendall ctx tau)
+        in
+        let d_old, t_old = Harness.time_it (fun () -> kendall_pairwise ctx tau) in
+        Harness.Tables.add_row table
+          [
+            string_of_int n;
+            Harness.ms t_old;
+            Harness.ms t_new;
+            Printf.sprintf "%.1e" (Float.abs (d_new -. d_old));
+          ];
+        (n, t_old, t_new))
+      sizes
+  in
+  Harness.Tables.print table;
+  Harness.note "log-log slope in n: pairwise %.2f, O_i identity %.2f"
+    (Harness.slope (List.map (fun (n, t, _) -> (n, t)) points))
+    (Harness.slope (List.map (fun (n, _, t) -> (n, t)) points))
 
 let run () =
   Harness.header "E7: footrule-exact mean and Kendall approximations (§5.4-§5.5)";
@@ -93,4 +159,5 @@ let run () =
       ("footrule-optimal", fun () -> Topk_consensus.mean_kendall_footrule ctx);
       ("mean dΔ (PT-k)", fun () -> Topk_consensus.mean_sym_diff ctx);
     ];
-  Harness.Tables.print t2
+  Harness.Tables.print t2;
+  kendall_scaling ()

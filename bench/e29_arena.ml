@@ -123,17 +123,6 @@ let run_size n =
 
 let bid_k = 16
 
-(* Least-squares slope of log y on log n. *)
-let slope points =
-  let xs = List.map (fun (n, _) -> log (float_of_int n)) points
-  and ys = List.map (fun (_, y) -> log y) points in
-  let m = float_of_int (List.length xs) in
-  let mx = List.fold_left ( +. ) 0. xs /. m
-  and my = List.fold_left ( +. ) 0. ys /. m in
-  let sxy = List.fold_left2 (fun a x y -> a +. ((x -. mx) *. (y -. my))) 0. xs ys
-  and sxx = List.fold_left (fun a x -> a +. ((x -. mx) ** 2.)) 0. xs in
-  sxy /. sxx
-
 let median xs = Consensus_util.Stats.percentile (Array.of_list xs) 50.
 
 type bid_point = {
@@ -237,7 +226,9 @@ let run () =
     List.init bid_runs (fun r ->
         bid_run ~forced_fraction:0.2 ~seed:(2900 + (1000 * r)) bid_sizes)
   in
-  let slopes sel = List.map (fun run -> slope (List.map (fun p -> (p.keys, sel p)) run)) runs in
+  let slopes sel =
+    List.map (fun run -> Harness.slope (List.map (fun p -> (p.keys, sel p)) run)) runs
+  in
   let cold_slopes = slopes (fun p -> p.cold_s)
   and warm_slopes = slopes (fun p -> p.warm_s) in
   let spread xs = List.fold_left Float.max neg_infinity xs -. List.fold_left Float.min infinity xs in
@@ -281,7 +272,7 @@ let run () =
         ])
     bid_rows open_case;
   Harness.Tables.print bid_table;
-  let open_slope = slope (List.map (fun p -> (p.keys, p.warm_s)) open_case) in
+  let open_slope = Harness.slope (List.map (fun p -> (p.keys, p.warm_s)) open_case) in
   Harness.note "slopes: cold %.2f (runs %s), warm %.2f; no certain blocks %.2f"
     (median cold_slopes)
     (String.concat " " (List.map (Printf.sprintf "%.2f") cold_slopes))

@@ -14,6 +14,17 @@ let time_only f = snd (time_it f)
 
 let ms t = Printf.sprintf "%.2f" (t *. 1000.)
 
+(* Least-squares slope of log y on log n. *)
+let slope points =
+  let xs = List.map (fun (n, _) -> log (float_of_int n)) points
+  and ys = List.map (fun (_, y) -> log y) points in
+  let m = float_of_int (List.length xs) in
+  let mx = List.fold_left ( +. ) 0. xs /. m
+  and my = List.fold_left ( +. ) 0. ys /. m in
+  let sxy = List.fold_left2 (fun a x y -> a +. ((x -. mx) *. (y -. my))) 0. xs ys
+  and sxx = List.fold_left (fun a x -> a +. ((x -. mx) ** 2.)) 0. xs in
+  sxy /. sxx
+
 let header title =
   Printf.printf "\n================================================================\n";
   Printf.printf "%s\n" title;

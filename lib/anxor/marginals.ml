@@ -117,11 +117,16 @@ let walk ws (a : Arena.t) ~leaf ~absorb =
 let make_rank_ws ~k = make_ws ~w:k ~parts:2
 
 (* [rank_dist_alt_into ws a l dst]: Pr(r(leaf l) = j+1) into dst.(j),
-   j < k = ws.w.  The two parts of a frame are [rank_bipoly]'s a + y·b. *)
-let rank_dist_alt_into ws (a : Arena.t) l dst =
+   j < k = ws.w.  The two parts of a frame are [rank_bipoly]'s a + y·b.
+   [above] moves the threshold that puts x on a leaf: every other leaf of
+   value > [above] counts (default: l's own value, which counts the
+   higher-ranked tuples).  At [neg_infinity] every other leaf counts, so
+   dst.(j) = Pr(l present ∧ |pw| = j+1); l's sibling alternatives are
+   mutually exclusive with it, so their x never meets its y. *)
+let rank_dist_alt_into ?above ws (a : Arena.t) l dst =
   let module B = Poly1.Buf in
   let w = ws.w in
-  let s = a.leaf_value.(l) in
+  let s = match above with Some v -> v | None -> a.leaf_value.(l) in
   if Arena.is_leaf a a.root then begin
     (* single-leaf database: f = y, so b = 1 *)
     B.clear dst ~w;
@@ -188,7 +193,7 @@ let full_rank_dist_alt db l =
   let f = rank_bipoly db l ~trunc:None in
   Array.init (Db.num_alts db) (fun m -> Poly1.coeff f.Bipoly.b m)
 
-let rank_dist db key ~k =
+let rank_dist ?above db key ~k =
   let acc = Array.make k 0. in
   (* one workspace and scratch row shared by all of the key's alternatives *)
   let ws = make_rank_ws ~k in
@@ -197,7 +202,7 @@ let rank_dist db key ~k =
   List.iter
     (fun l ->
       Obs.Histogram.time rank_dist_seconds (fun () ->
-          rank_dist_alt_into ws arena l dst);
+          rank_dist_alt_into ?above ws arena l dst);
       Array.iteri (fun j p -> acc.(j) <- acc.(j) +. p) dst)
     (Db.alts_of_key db key);
   acc

@@ -15,9 +15,18 @@ val rank_dist_alt : Db.t -> int -> k:int -> float array
     truncated bivariate generating function in O(n·k).  Runs the
     allocation-free buffer kernel over the arena. *)
 
-val rank_dist : Db.t -> int -> k:int -> float array
+val rank_dist : ?above:float -> Db.t -> int -> k:int -> float array
 (** [rank_dist db key ~k]: positional probabilities [Pr(r(key) = j)] for
-    j = 1..k, summed over the key's alternatives. *)
+    j = 1..k, summed over the key's alternatives: the kernel of
+    {!rank_dist_alt} per alternative l.
+
+    [above] is the threshold of that count: entry [j - 1] is the
+    probability that the key is present with exactly [j - 1] other present
+    tuples of value [> above].  It defaults to each alternative's own
+    value (the rank).  At [~above:neg_infinity] every other tuple counts,
+    so [rank_dist ~above:neg_infinity db key ~k] is
+    [Pr(key present ∧ |pw| = j)]: the size-conditioned run the top-k
+    Kendall evaluator reads, at the same O(n·k) cost per alternative. *)
 
 val rank_table :
   ?pool:Consensus_engine.Pool.t -> Db.t -> k:int -> (int * float array) list

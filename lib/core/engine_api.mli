@@ -202,7 +202,9 @@ val exact : Db.t -> query -> bool
     database, so its answer must attain the brute-force optimum; false for
     the approximation/heuristic paths (top-k Kendall mean via randomized
     KwikSort, clustering via CC-Pivot, full-ranking Kendall beyond the
-    16-key exact-DP cutoff), whose answers are only bounded. *)
+    16-key exact-DP cutoff, the Jaccard median on a database that is not
+    tuple-independent, whose BID prefix scan has no optimality proof),
+    whose answers are only bounded. *)
 
 val flavor_name : flavor -> string
 

@@ -18,7 +18,8 @@ type ctx = {
   leq : float array; (* key index t's Pr(r <= i), i = 1..k, at t·k + i - 1 *)
   sum_leq : float array; (* Σ_keys Pr(r <= i), i = 1..k (0-based i-1) *)
   joint_ord : float Itbl.t;
-      (* ordered joint top-k cache, keyed by [pair_code] of key indices *)
+      (* ordered joint top-k cache, keyed by [pair_code] of key indices; the
+         diagonal code of key index i holds [beaten_in_topk] i *)
 }
 
 (* One span per public algorithm, labelled with the metric and the instance
@@ -31,10 +32,10 @@ let algo_span ?(attrs = fun () -> []) name ~k ~n f =
     ("core.topk." ^ name)
     f
 
-(* Ordered-joint probabilities are shared across contexts on the same
-   database through the process cache: every entry is a deterministic
-   function of (db, k, pair), so seeding from a snapshot yields the same
-   floats a fresh computation would. *)
+(* Ordered-joint probabilities (and the per-key totals on the diagonal) are
+   shared across contexts on the same database through the process cache:
+   every entry is a deterministic function of (db, k, pair), so seeding from
+   a snapshot yields the same floats a fresh computation would. *)
 let joints_cache_key db ~k =
   Cache.key ~family:"topk_joints" ~digest:(Db.digest db)
     ~params:[ string_of_int k ]
@@ -95,33 +96,63 @@ let rank_leq ctx key = leq_k ctx (kidx ctx key)
 
 let pair_code ctx i j = (i * Array.length ctx.keys) + j
 
-(* Pr(r(keys.(i)) < r(keys.(j)) <= k), for key indices i <> j.  Every joint
-   is 0 below k = 2. *)
-let joint_ordered ctx i j =
+(* O_i = Σ_{j≠i} Pr(r(i) < r(j) <= k) for key index i: the expected number
+   of keys ranked strictly between i and position min(k, |pw|), which in a
+   world with r(i) <= k number min(k, |pw|) − r(i).  A world with |pw| < k
+   has r(i) <= |pw| < k, so
+     O_i = k·Pr(r(i) <= k) − Σ_{m<k} (k − m)·Pr(i present ∧ |pw| = m)
+                           − Σ_{m<=k} m·Pr(r(i) = m):
+   one size-conditioned rank-kernel run per alternative, O(n·k), in place
+   of n − 1 trivariate joints. *)
+let beaten_in_topk ctx i =
+  let k = ctx.k in
+  let size = Marginals.rank_dist ~above:neg_infinity ctx.db ctx.keys.(i) ~k in
+  let rank = ctx.rank.(i) in
+  let acc = ref (float_of_int k *. leq_k ctx i) in
+  for m = 1 to k do
+    acc :=
+      !acc
+      -. (float_of_int (k - m) *. size.(m - 1))
+      -. (float_of_int m *. rank.(m - 1))
+  done;
+  !acc
+
+(* What the cache holds at [code]: the ordered joint
+   Pr(r(keys.(i)) < r(keys.(j)) <= k) for i <> j, and [beaten_in_topk] i on
+   the diagonal, which no joint uses.  Both are 0 below k = 2. *)
+let pair_value ctx code =
+  let n = Array.length ctx.keys in
+  let i = code / n and j = code mod n in
+  if i = j then beaten_in_topk ctx i
+  else Marginals.topk_pair_prob_ordered ctx.db ctx.keys.(i) ctx.keys.(j) ~k:ctx.k
+
+let cached ctx code =
   if ctx.k < 2 then 0.
   else
-    let code = pair_code ctx i j in
     match Itbl.find_opt ctx.joint_ord code with
     | Some p -> p
     | None ->
-        let p =
-          Marginals.topk_pair_prob_ordered ctx.db ctx.keys.(i) ctx.keys.(j)
-            ~k:ctx.k
-        in
+        let p = pair_value ctx code in
         Itbl.replace ctx.joint_ord code p;
         p
 
-(* Batch-fill the ordered-joint cache for [codes] (each at most once): the
-   pair probabilities are the trivariate kernel runs dominating every
-   Kendall computation, and they are independent of each other — compute
-   the missing ones in parallel, then insert sequentially (the cache is
-   only ever touched by the submitting domain). *)
+(* Pr(r(keys.(i)) < r(keys.(j)) <= k), for key indices i <> j. *)
+let joint_ordered ctx i j = cached ctx (pair_code ctx i j)
+
+(* O_i of key index i, through the cache. *)
+let beaten ctx i = cached ctx (pair_code ctx i i)
+
+(* Batch-fill the ordered-joint cache for [codes]: the pair probabilities
+   are the trivariate kernel runs dominating every Kendall computation, and
+   they (and the diagonal totals) are independent of each other — compute
+   each missing one once, in parallel, then insert sequentially (the cache
+   is only ever touched by the submitting domain). *)
 let ensure_joints ctx codes =
   let missing =
     if ctx.k < 2 then [||]
     else
-      Array.of_list
-        (List.filter (fun code -> not (Itbl.mem ctx.joint_ord code)) codes)
+      List.filter (fun code -> not (Itbl.mem ctx.joint_ord code)) codes
+      |> List.sort_uniq Int.compare |> Array.of_list
   in
   if Array.length missing > 0 then begin
     Obs.with_span
@@ -129,14 +160,8 @@ let ensure_joints ctx codes =
         [ ("pairs", Obs.Int (Array.length missing)); ("k", Obs.Int ctx.k) ])
       "core.topk.kendall_joints"
     @@ fun () ->
-    let n = Array.length ctx.keys in
     let values =
-      Pool.parallel_map ~pool:ctx.pool ~stage:"kendall_joints"
-        (fun code ->
-          Marginals.topk_pair_prob_ordered ctx.db
-            ctx.keys.(code / n)
-            ctx.keys.(code mod n)
-            ~k:ctx.k)
+      Pool.parallel_map ~pool:ctx.pool ~stage:"kendall_joints" (pair_value ctx)
         missing
     in
     Array.iteri (fun i code -> Itbl.replace ctx.joint_ord code values.(i)) missing;
@@ -217,9 +242,13 @@ let footrule_cost_row ctx ~positions ti =
 
 let expected_footrule ctx tau =
   Topk_list.validate ~k:ctx.k tau;
-  let total = Array.fold_left (fun acc ti -> acc +. footrule_base ctx ti)
-      0. (Array.init (Array.length ctx.keys) Fun.id)
-  in
+  (* Σ_t footrule_base t: each key's base is Σ_{i<=k} Pr(r(t) <= i), so
+     the total is the sum of the column sums [sum_leq], in O(k). *)
+  let total = ref 0. in
+  for i = 0 to ctx.k - 1 do
+    total := !total +. ctx.sum_leq.(i)
+  done;
+  let total = !total in
   let adjust = ref 0. in
   Array.iteri
     (fun pos key ->
@@ -228,32 +257,47 @@ let expected_footrule ctx tau =
     tau;
   total +. !adjust
 
-(* Pair codes of the ordered pairs (t, j) with t = tis.(a) and j a key
-   that τ places after t, later in τ or outside it, each once, for τ given
-   as key indices: what [expected_kendall] consumes.  [~both] adds the
-   reverse (j, t) of every pair inside τ, for the evaluators that read both
-   orders of those. *)
-let tau_joint_codes ?(both = false) ctx tis =
-  let n = Array.length ctx.keys in
-  let pos = Array.make n max_int in
-  Array.iteri (fun a t -> pos.(t) <- a) tis;
-  let codes = ref [] in
-  Array.iteri
-    (fun a t ->
-      for j = 0 to n - 1 do
-        if pos.(j) > a then begin
-          codes := pair_code ctx t j :: !codes;
-          if both && pos.(j) < max_int then codes := pair_code ctx j t :: !codes
-        end
-      done)
-    tis;
-  !codes
-
 (* Key-index membership of [tis]. *)
 let index_set ctx tis =
   let mem = Array.make (Array.length ctx.keys) false in
   Array.iter (fun t -> mem.(t) <- true) tis;
   mem
+
+(* Every code (i, j) with i, j in [tis], the diagonal (O_i) included. *)
+let square_codes ctx tis =
+  Array.fold_left
+    (fun acc i -> Array.fold_left (fun acc j -> pair_code ctx i j :: acc) acc tis)
+    [] tis
+
+(* Σ_{j∉τ} J(i, j) for the key at τ-position [a] of [len] can be read
+   outside key by outside key, n − len joints, or as O_i minus the joints
+   with the other τ keys: the later ones are read either way, so that costs
+   the [a] earlier ones plus one O(n·k) total.  Take the fewer joint runs. *)
+let via_total ctx ~len a = a < Array.length ctx.keys - len
+
+(* Pair codes [expected_kendall] reads for τ given as key indices: the
+   joints with every later τ key, and per [via_total] either O_i and the
+   joints with the earlier τ keys, or the joints with every outside key. *)
+let kendall_codes ctx tis =
+  let n = Array.length ctx.keys in
+  let len = Array.length tis in
+  let in_tau = index_set ctx tis in
+  let codes = ref [] in
+  Array.iteri
+    (fun a t ->
+      for b = a + 1 to len - 1 do
+        codes := pair_code ctx t tis.(b) :: !codes
+      done;
+      if via_total ctx ~len a then
+        for b = 0 to a do
+          codes := pair_code ctx t tis.(b) :: !codes
+        done
+      else
+        for j = 0 to n - 1 do
+          if not in_tau.(j) then codes := pair_code ctx t j :: !codes
+        done)
+    tis;
+  !codes
 
 (* Cost of placing key index i before key index j, both in the answer or
    j outside it: the disagreement probability
@@ -265,19 +309,34 @@ let contribution ctx i j = leq_k ctx j -. joint_ordered ctx i j
 let expected_kendall ctx tau =
   Topk_list.validate ~k:ctx.k tau;
   let tis = Array.map (kidx ctx) tau in
-  ensure_joints ctx (tau_joint_codes ctx tis);
+  ensure_joints ctx (kendall_codes ctx tis);
   (* Every ordered key pair (i, j) with i ∈ τ and j required to come after
-     i: j later in τ, or j ∉ τ. *)
+     i: j later in τ, or j ∉ τ.  The outside pairs of i sum to
+     Σ_{j∉τ} Pr(r(j) <= k) − Σ_{j∉τ} J(i, j), and
+     Σ_{j∉τ} J(i, j) = O_i − Σ_{j∈τ∖i} J(i, j). *)
   let in_tau = index_set ctx tis in
-  let acc = ref 0. in
   let len = Array.length tis in
+  let outside_leq = ref ctx.sum_leq.(ctx.k - 1) in
   for a = 0 to len - 1 do
+    outside_leq := !outside_leq -. leq_k ctx tis.(a)
+  done;
+  let acc = ref 0. in
+  for a = 0 to len - 1 do
+    let i = tis.(a) in
     for b = a + 1 to len - 1 do
-      acc := !acc +. contribution ctx tis.(a) tis.(b)
+      acc := !acc +. contribution ctx i tis.(b)
     done;
-    for j = 0 to Array.length ctx.keys - 1 do
-      if not in_tau.(j) then acc := !acc +. contribution ctx tis.(a) j
-    done
+    if via_total ctx ~len a then begin
+      let inside = ref 0. in
+      for b = 0 to len - 1 do
+        if b <> a then inside := !inside +. joint_ordered ctx i tis.(b)
+      done;
+      acc := !acc +. (!outside_leq -. (beaten ctx i -. !inside))
+    end
+    else
+      for j = 0 to Array.length ctx.keys - 1 do
+        if not in_tau.(j) then acc := !acc +. contribution ctx i j
+      done
   done;
   !acc
 
@@ -302,9 +361,11 @@ let expected_kendall_p ~p ctx tau =
             rest
     in
     (* One batch for every joint read below: both orders of the pairs
-       inside τ and outside it, and the (τ-earlier, later) pairs of the
-       base distance. *)
-    ensure_joints ctx (outside_codes (tau_joint_codes ~both:true ctx tis) others);
+       inside τ and outside it, and what the base distance reads. *)
+    ensure_joints ctx
+      (outside_codes
+         (List.rev_append (kendall_codes ctx tis) (square_codes ctx tis))
+         others);
     let base = expected_kendall ctx tau in
     (* Undetermined pairs: both keys inside τ with neither in the world's
        top-k, or both outside τ with both in the world's top-k. *)
@@ -591,20 +652,25 @@ let mean_kendall_pool_exact ?pool ctx =
       [ ("pool", Obs.Int pool_size) ])
   @@ fun () ->
   let pool_ix = Heap.top_indices (leq_k_column ctx) pool_size in
-  (* Every subset evaluation consumes the ordered joints (i, j) with i in
-     the pool: batch them up front so the subset loop runs on the warm
-     cache. *)
-  ensure_joints ctx (tau_joint_codes ~both:true ctx pool_ix);
-  (* the set-only part: pairs (i in τ, j outside τ) *)
+  (* Every subset evaluation reads the ordered joints inside the pool and
+     each pool key's O_i: batch them up front so the subset loop runs on
+     the warm cache. *)
+  ensure_joints ctx (square_codes ctx pool_ix);
+  (* the set-only part: pairs (i in τ, j outside τ), which sum to
+     Σ_{j∉τ} Pr(r(j) <= k) − (O_i − Σ_{j∈τ∖i} J(i, j)) per i, as in
+     [expected_kendall] *)
   let set_cost subset =
-    let in_subset j = List.mem j subset in
+    let outside_leq =
+      List.fold_left (fun acc j -> acc -. leq_k ctx j) ctx.sum_leq.(k - 1) subset
+    in
     List.fold_left
       (fun acc i ->
-        let acc = ref acc in
-        for j = 0 to n - 1 do
-          if not (in_subset j) then acc := !acc +. contribution ctx i j
-        done;
-        !acc)
+        let inside =
+          List.fold_left
+            (fun s j -> if j = i then s else s +. joint_ordered ctx i j)
+            0. subset
+        in
+        acc +. (outside_leq -. (beaten ctx i -. inside)))
       0. subset
   in
   let best = ref None in

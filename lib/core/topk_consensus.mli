@@ -52,9 +52,14 @@ val expected_footrule : ctx -> Topk_list.t -> float
 val expected_kendall : ctx -> Topk_list.t -> float
 (** [E d_K(τ, τ_pw)] for the minimizing Kendall distance K_min, exact via
     pairwise joint top-k probabilities (§5.5): a pair (i, j) that τ orders
-    i first, or with j outside τ, costs [Pr(r(j) <= k) − Pr(r(i) < r(j) <= k)],
-    so it reads one ordered joint.  O(n·k) pair evaluations of O(n·k) each
-    on first use; joints are cached in the context. *)
+    i first, or with j outside τ, costs [Pr(r(j) <= k) − Pr(r(i) < r(j) <= k)].
+    The joints of an answer key i with the keys outside τ sum to
+    [O_i − Σ_{j∈τ∖i} Pr(r(i) < r(j) <= k)], where [O_i] comes from one
+    size-conditioned rank-kernel run per alternative (O(n·k)); each key
+    takes that or its outside joints, whichever needs fewer joint runs.  So
+    at most [k·min(k − 1, n − k) + k(k−1)/2] joints of O(n·k²) each on first
+    use, linear in n at fixed k; joints and totals are cached in the
+    context and published to the process cache. *)
 
 val expected_kendall_p : p:float -> ctx -> Topk_list.t -> float
 (** Exact expectation of Fagin's [K^(p)] (penalty parameter) distance:

@@ -708,6 +708,114 @@ let test_topk_pair_vs_enumeration () =
             Tree.xor [ (1e-12, Tree.and_ [ leaf 6; leaf 7 ]) ];
           ]))
 
+(* The rank kernel's size-conditioned mode, [~above:neg_infinity]:
+   Pr(key present ∧ |pw| = j) against enumeration at 1e-12, on general
+   trees, BID and x-tuple databases.  At the numeric edges — probabilities
+   within 1e-12 of 0 and 1, and an xor block at the 1 + 1e-9 mass bound —
+   enumeration drops world residuals of 1e-12 and below, so BID shapes are
+   held at 1e-12 to the closed form
+     Σ_{l ∈ key} p_l·[x^{j−1}] Π_{B ≠ block l} (max 0 (1 − m_B) + m_B·x),
+   and to enumeration at the 1e-9 gap the other kernels accept there. *)
+let test_size_conditioned_rank_vs_enumeration () =
+  let g = rng () in
+  let module Gen = Consensus_workload.Gen in
+  let check_blocks name db =
+    let blocks = Option.get (Db.xor_blocks db) in
+    let marg = Db.marginal_array db in
+    let nb = 1 + Array.fold_left max 0 blocks in
+    let mass = Array.make nb 0. in
+    Array.iteri (fun l b -> mass.(b) <- mass.(b) +. marg.(l)) blocks;
+    let n = Db.num_alts db in
+    Array.iter
+      (fun key ->
+        let expected = Array.make n 0. in
+        List.iter
+          (fun l ->
+            let others = ref [| 1. |] in
+            for b = 0 to nb - 1 do
+              if b <> blocks.(l) then begin
+                let p = !others in
+                let q = Array.make (Array.length p + 1) 0. in
+                Array.iteri
+                  (fun d c ->
+                    q.(d) <- q.(d) +. (Float.max 0. (1. -. mass.(b)) *. c);
+                    q.(d + 1) <- q.(d + 1) +. (mass.(b) *. c))
+                  p;
+                others := q
+              end
+            done;
+            Array.iteri
+              (fun d c -> if d < n then expected.(d) <- expected.(d) +. (marg.(l) *. c))
+              !others)
+          (Db.alts_of_key db key);
+        let got = Marginals.rank_dist ~above:neg_infinity db key ~k:n in
+        Array.iteri
+          (fun d p ->
+            Alcotest.(check (float 1e-12))
+              (Printf.sprintf "%s: Pr(%d present, |pw| = %d) closed form" name key (d + 1))
+              p got.(d))
+          expected)
+      (Db.keys db)
+  in
+  let check_db ?(eps = 1e-12) name db =
+    let worlds = Worlds.enumerate (Tree.indexed (Db.tree db)) in
+    let n = Db.num_alts db in
+    List.iter
+      (fun k ->
+        Array.iter
+          (fun key ->
+            let got = Marginals.rank_dist ~above:neg_infinity db key ~k in
+            for j = 1 to k do
+              let direct =
+                List.fold_left
+                  (fun acc (p, w) ->
+                    if List.length w = j && rank_of_key w [] key <> None then acc +. p
+                    else acc)
+                  0. worlds
+              in
+              Alcotest.(check (float eps))
+                (Printf.sprintf "%s k=%d: Pr(%d present, |pw| = %d)" name k key j)
+                direct
+                got.(j - 1)
+            done)
+          (Db.keys db))
+      (List.sort_uniq compare [ 1; 2; 3; n ])
+  in
+  for _ = 1 to 5 do
+    check_db "tree" (Gen.random_tree_db g (4 + Prng.int g 5));
+    check_db "keyed tree" (Gen.random_keyed_tree g (4 + Prng.int g 5));
+    check_db "bid" (Gen.bid_db ~max_alts:3 ~forced_fraction:0.3 g (2 + Prng.int g 4));
+    check_db "x-tuple" (Gen.xtuple_db ~max_alts:3 g (2 + Prng.int g 3))
+  done;
+  let independent_edges =
+    Db.independent
+      (List.init 8 (fun i ->
+           (i, float_of_int i, if i mod 2 = 0 then 1e-12 else 1. -. 1e-12)))
+  in
+  check_blocks "independent edges" independent_edges;
+  check_db ~eps:1e-9 "independent edges" independent_edges;
+  List.iter
+    (fun xtuple ->
+      let name = if xtuple then "x-tuple edges" else "bid edges" in
+      let db = Db.create (Tree.bid (edge_blocks g ~xtuple 5)) in
+      check_blocks name db;
+      check_db ~eps:1e-9 name db)
+    [ false; true ];
+  let scores = Gen.distinct_scores g 8 in
+  let leaf i = Tree.leaf { Db.key = i; value = scores.(i) } in
+  check_db ~eps:1e-9 "tree edges"
+    (Db.create
+       (Tree.and_
+          [
+            Tree.xor [ (0.6, Tree.and_ [ leaf 0; leaf 1 ]); (at_mass_bound 0.6, leaf 2) ];
+            Tree.xor
+              [
+                (1e-12, leaf 3);
+                (1. -. 2e-12, Tree.and_ [ leaf 4; Tree.xor [ (1. -. 1e-12, leaf 5) ] ]);
+              ];
+            Tree.xor [ (1e-12, Tree.and_ [ leaf 6; leaf 7 ]) ];
+          ]))
+
 (* ---------- Genfunc engines cross-validation ---------- *)
 
 let test_bipoly_engine_vs_mpoly () =
@@ -915,4 +1023,6 @@ let suite =
     Alcotest.test_case "bipoly engine vs mpoly" `Quick test_bipoly_engine_vs_mpoly;
     Alcotest.test_case "mpoly engine vs enumeration" `Quick test_mpoly_engine_vs_enumeration;
     Alcotest.test_case "rank sweep shifts and stops" `Quick test_rank_sweep_shift_and_stop;
+    Alcotest.test_case "size-conditioned rank vs enumeration" `Quick
+      test_size_conditioned_rank_vs_enumeration;
   ]

@@ -166,6 +166,52 @@ let test_cache_concurrent_memo () =
   let bad1 = Domain.join d in
   Alcotest.(check int) "no inconsistent reads" 0 (bad0 + bad1)
 
+(* A top-k request on a warm cache runs no kernel: the rank table is
+   memoized, and the ordered joints and O_i totals (one size-conditioned
+   rank-kernel run per alternative, timed by the per-alternative rank
+   histogram; the BID rank table runs its sweep instead) that every
+   answer's Kendall evaluation reads are published together under one key.
+   The cold run, on a cleared cache, computes them. *)
+let test_warm_topk_runs_no_kernels () =
+  let module Obs = Consensus_obs.Obs in
+  let rank_runs = Obs.Histogram.make "anxor_rank_dist_seconds" in
+  let db = Gen.bid_db (Prng.create ~seed:28 ()) 10 in
+  let joint_batches () =
+    List.length
+      (List.filter
+         (fun sp -> sp.Obs.span_name = "core.topk.kendall_joints")
+         (Obs.spans ()))
+  in
+  with_cache @@ fun () ->
+  Obs.reset ();
+  Obs.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.set_enabled false;
+      Obs.reset ())
+  @@ fun () ->
+  List.iter
+    (fun metric ->
+      let q = Api.Topk (3, metric, Api.Mean) in
+      let name = Api.query_name q in
+      Cache.clear ();
+      Obs.reset ();
+      let cold = Api.run db q in
+      Alcotest.(check bool) (name ^ ": cold run computes joints") true
+        (joint_batches () > 0);
+      Alcotest.(check bool) (name ^ ": cold run computes totals") true
+        (Obs.Histogram.count rank_runs > 0);
+      Obs.reset ();
+      let misses = (Cache.stats ()).Cache.misses in
+      let warm = Api.run db q in
+      Alcotest.(check int) (name ^ ": warm joint batches") 0 (joint_batches ());
+      Alcotest.(check int) (name ^ ": warm rank-kernel runs") 0
+        (Obs.Histogram.count rank_runs);
+      Alcotest.(check int) (name ^ ": warm cache misses") misses
+        (Cache.stats ()).Cache.misses;
+      Alcotest.(check bool) (name ^ ": same answer") true (cold = warm))
+    [ Api.Sym_diff; Api.Intersection; Api.Footrule; Api.Kendall ]
+
 (* --- transparency property (qcheck) --- *)
 
 let arb_seed = QCheck.make ~print:string_of_int QCheck.Gen.(int_range 0 1_000_000)
@@ -218,4 +264,5 @@ let suite =
       test_cache_eviction_under_pressure;
     Alcotest.test_case "cache concurrent memo" `Quick test_cache_concurrent_memo;
     QCheck_alcotest.to_alcotest prop_cache_transparent;
+    Alcotest.test_case "warm top-k runs no kernels" `Quick test_warm_topk_runs_no_kernels;
   ]

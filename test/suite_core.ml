@@ -438,9 +438,12 @@ let test_kendall_pool_exact () =
 
 (* The §5.5 evaluators against the enumeration oracle on full-length
    answers that leave keys out: [expected_kendall] reads one ordered joint
-   per (τ-earlier, later-or-outside) pair, [expected_kendall_p] and the
-   pool search read both orders of the pairs they score.  The pool holds
-   every key, so the pool search is the exact optimum. *)
+   per (τ-earlier, later) pair inside τ, and per answer key either a joint
+   with each outside key or, where that takes fewer joint runs, the key's
+   O_i total less its joints with the other τ keys; [expected_kendall_p]
+   reads both orders of the pairs it scores, and the pool search both
+   orders inside the pool plus each pool key's O_i.  The pool holds every
+   key, so the pool search is the exact optimum. *)
 let test_kendall_evaluators_vs_oracle () =
   let g = rng () in
   let shapes =
@@ -489,6 +492,40 @@ let test_kendall_evaluators_vs_oracle () =
           done)
         shapes)
     [ 2; 3; 4 ]
+
+(* [expected_kendall] against the oracle on answers of every length up to
+   k, shorter ones included, at k = 1, 2 and n: each answer key sums its
+   outside pairs either joint by joint or from its O_i total, and the
+   lengths and positions here take both sums. *)
+let test_kendall_short_answers_vs_oracle () =
+  let g = rng () in
+  let shapes =
+    [
+      ("tree", fun () -> Gen.random_tree_db g (3 + Prng.int g 4));
+      ("bid", fun () -> Gen.bid_db g (2 + Prng.int g 3));
+      ("xtuple", fun () -> Gen.xtuple_db g (2 + Prng.int g 2));
+    ]
+  in
+  List.iter
+    (fun (shape, make) ->
+      for _ = 1 to 4 do
+        let db = make () in
+        let n = Db.num_keys db in
+        List.iter
+          (fun k ->
+            let ctx = Topk_consensus.make_ctx db ~k in
+            for len = 0 to min k n do
+              let keys = Array.copy (Db.keys db) in
+              Prng.shuffle g keys;
+              let tau = Array.sub keys 0 len in
+              Alcotest.(check (float 1e-9))
+                (Printf.sprintf "%s n=%d k=%d |τ|=%d" shape n k len)
+                (topk_expected ctx Api.Kendall tau)
+                (Topk_consensus.expected_kendall ctx tau)
+            done)
+          (List.sort_uniq compare [ 1; 2; n ])
+      done)
+    shapes
 
 let test_ctx_requires_distinct_scores () =
   let db = Db.independent [ (0, 1., 0.5); (1, 1., 0.5) ] in
@@ -936,4 +973,6 @@ let suite =
     Alcotest.test_case "kendall evaluators vs oracle" `Quick
       test_kendall_evaluators_vs_oracle;
     Alcotest.test_case "top-k tie rule" `Quick test_topk_tie_rule;
+    Alcotest.test_case "kendall short answers vs oracle" `Quick
+      test_kendall_short_answers_vs_oracle;
   ]
