@@ -65,18 +65,37 @@ let run () =
         ("n keys", Harness.Tables.Right);
         ("weights w_ij (ms)", Harness.Tables.Right);
         ("pivot (ms)", Harness.Tables.Right);
+        ("best_pivot_of 8 (ms)", Harness.Tables.Right);
         ("local search (ms)", Harness.Tables.Right);
       ]
   in
   let g = Prng.create ~seed:902 () in
-  let ns = Harness.sizes ~quick_list:[ 30; 60 ] ~full_list:[ 50; 100; 200; 400 ] in
-  List.iter
-    (fun n ->
-      let db = Gen.clustering_db g n in
-      let t, t_make = Harness.time_it (fun () -> Cluster_consensus.make db) in
-      let c0, t_pivot = Harness.time_it (fun () -> Cluster_consensus.pivot g t) in
-      let t_ls = Harness.time_only (fun () -> ignore (Cluster_consensus.local_search t c0)) in
-      Harness.Tables.add_row table2
-        [ string_of_int n; Harness.ms t_make; Harness.ms t_pivot; Harness.ms t_ls ])
-    ns;
+  (* best_pivot_of draws from its own generator: the instances and the
+     single pivot do not depend on it *)
+  let g_best = Prng.create ~seed:903 () in
+  let ns =
+    Harness.sizes ~quick_list:[ 30; 60 ] ~full_list:[ 50; 100; 200; 400; 800 ]
+  in
+  let points =
+    List.map
+      (fun n ->
+        let db = Gen.clustering_db g n in
+        let t, t_make = Harness.time_it (fun () -> Cluster_consensus.make db) in
+        let c0, t_pivot = Harness.time_it (fun () -> Cluster_consensus.pivot g t) in
+        let t_best =
+          Harness.time_only (fun () ->
+              ignore (Cluster_consensus.best_pivot_of g_best ~trials:8 t))
+        in
+        let t_ls =
+          Harness.time_only (fun () -> ignore (Cluster_consensus.local_search t c0))
+        in
+        Harness.Tables.add_row table2
+          (string_of_int n
+          :: List.map Harness.ms [ t_make; t_pivot; t_best; t_ls ]);
+        (n, [ t_make; t_pivot; t_best; t_ls ]))
+      ns
+  in
+  let slope col = Harness.slope (List.map (fun (n, ts) -> (n, List.nth ts col)) points) in
+  Harness.Tables.add_row table2
+    ("log-log slope" :: List.map (fun col -> Printf.sprintf "%.2f" (slope col)) [ 0; 1; 2; 3 ]);
   Harness.Tables.print table2

@@ -161,6 +161,13 @@ let pair_marginal db i j =
       marginal db i *. marginal db j /. shared
   end
 
+let outer_xor db i =
+  let path = db.paths.(i) in
+  if Array.length path = 0 then -1
+  else
+    let node, _, _ = path.(0) in
+    node
+
 let pair_absent db i j =
   1. -. marginal db i -. marginal db j +. pair_marginal db i j
 

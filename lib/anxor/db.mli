@@ -80,6 +80,13 @@ val pair_marginal : t -> int -> int -> float
 (** [pair_marginal db i j]: probability that leaves [i] and [j] are both
     present.  O(depth).  [pair_marginal db i i = marginal db i]. *)
 
+val outer_xor : t -> int -> int
+(** [outer_xor db i]: the arena node id of the outermost xor node on leaf
+    [i]'s root path, or [-1] when no xor node lies above it.  Two leaves
+    whose outer xor nodes differ, or either of which has none, share no
+    xor edge: {!pair_marginal} returns exactly [marginal i *. marginal j]
+    for them. *)
+
 val pair_absent : t -> int -> int -> float
 (** Probability that neither leaf is present. *)
 
@@ -91,7 +98,8 @@ val key_pair_joint :
   t -> int -> int -> f:(alt -> alt -> bool) -> float
 (** [key_pair_joint db k1 k2 ~f]: probability that keys [k1] and [k2] are
     both present, with alternatives [a1], [a2] satisfying [f a1 a2].
-    Used e.g. for clustering co-occurrence (§6.2). *)
+    With {!key_pair_absent}, the pair-by-pair definition of the clustering
+    co-occurrence weights (§6.2). *)
 
 val is_independent : t -> bool
 (** True iff the tree has the tuple-independent shape: an [And] of singleton

@@ -19,19 +19,45 @@ let make ?pool db =
   let keys = Db.keys db in
   let nk = Array.length keys in
   algo_span "make" ~n:nk @@ fun () ->
-  (* The upper triangle of co-occurrence probabilities: independent pairwise
-     joint computations, parallel over rows; mirrored sequentially. *)
+  (* w_ij = Σ_{a,b: same value} Pr(a ∧ b) + Pr(neither key present), by
+     inclusion-exclusion Pr(neither) = 1 − km_i − km_j + Σ_{a,b} Pr(a ∧ b).
+     One pass over the alternative pairs accumulates both sums, in the
+     order of [Db.key_pair_joint]'s folds, so every weight has the bits of
+     [key_pair_joint ~f:(same value) +. key_pair_absent].  Leaves without
+     a common outermost xor node share no xor edge, and their joint is the
+     product of their marginals, as [Db.pair_marginal] computes it.  The
+     upper triangle's rows run in parallel and are mirrored sequentially. *)
   let compute () =
-    let upper =
-      Pool.parallel_init ~pool ~stage:"cluster_weights" nk (fun i ->
-          Array.init (nk - i - 1) (fun d ->
-              let j = i + 1 + d in
-              let same_value =
-                Db.key_pair_joint db keys.(i) keys.(j) ~f:(fun a b ->
-                    a.Db.value = b.Db.value)
-              in
-              same_value +. Db.key_pair_absent db keys.(i) keys.(j)))
+    let leaves = Array.map (fun k -> Array.of_list (Db.alts_of_key db k)) keys in
+    let key_marginal = Array.map (Db.key_marginal db) keys in
+    let value = (Db.arena db).Arena.leaf_value in
+    let outer = Array.init (Db.num_alts db) (Db.outer_xor db) in
+    let marginal = Db.marginal_array db in
+    (* The upper triangle's row of key i, i.e. w_ij for j > i. *)
+    let upper_row i =
+      let li = leaves.(i) and kmi = key_marginal.(i) in
+      let row = Array.make (nk - i - 1) 0. in
+      for j = i + 1 to nk - 1 do
+        let lj = leaves.(j) in
+        let same = ref 0. and all = ref 0. in
+        for x = 0 to Array.length li - 1 do
+          let a = li.(x) in
+          let oa = outer.(a) and ma = marginal.(a) and va = value.(a) in
+          for y = 0 to Array.length lj - 1 do
+            let b = lj.(y) in
+            let p =
+              if oa < 0 || oa <> outer.(b) then ma *. marginal.(b)
+              else Db.pair_marginal db a b
+            in
+            all := !all +. p;
+            if va = value.(b) then same := !same +. p
+          done
+        done;
+        row.(j - i - 1) <- !same +. (1. -. kmi -. key_marginal.(j) +. !all)
+      done;
+      row
     in
+    let upper = Pool.parallel_init ~pool ~stage:"cluster_weights" nk upper_row in
     let w = Array.make_matrix nk nk 1. in
     Array.iteri
       (fun i row ->
@@ -56,42 +82,47 @@ let pool t = t.pool
 let num_keys t = Array.length t.keys
 let weight t i j = t.w.(i).(j)
 
-let expected_dist t c =
+let expected_dist t (c : clustering) =
   let nk = num_keys t in
   if Array.length c <> nk then
     invalid_arg "Cluster_consensus.expected_dist: wrong clustering size";
   let acc = ref 0. in
   for i = 0 to nk - 1 do
+    let wi = t.w.(i) and ci = c.(i) in
     for j = i + 1 to nk - 1 do
-      if c.(i) = c.(j) then acc := !acc +. (1. -. t.w.(i).(j))
-      else acc := !acc +. t.w.(i).(j)
+      if ci = c.(j) then acc := !acc +. (1. -. wi.(j))
+      else acc := !acc +. wi.(j)
     done
   done;
   !acc
 
+(* The unassigned keys stay ascending in [rest.(0 .. len-1)]; each round
+   draws the (Prng.int rng len)-th of them as the pivot and compacts the
+   survivors in place, keeping their order. *)
 let pivot rng t =
   let nk = num_keys t in
   let labels = Array.make nk (-1) in
-  let unassigned = ref (List.init nk Fun.id) in
+  let rest = Array.init nk Fun.id in
+  let len = ref nk in
   let next_label = ref 0 in
-  while !unassigned <> [] do
-    let arr = Array.of_list !unassigned in
-    let p = arr.(Prng.int rng (Array.length arr)) in
+  while !len > 0 do
+    let p = rest.(Prng.int rng !len) in
     let label = !next_label in
     incr next_label;
     labels.(p) <- label;
-    let rest =
-      List.filter
-        (fun i ->
-          if i = p then false
-          else if t.w.(i).(p) > 0.5 then begin
-            labels.(i) <- label;
-            false
-          end
-          else true)
-        !unassigned
-    in
-    unassigned := rest
+    (* w is symmetric: row p holds every w_ip *)
+    let wp = t.w.(p) in
+    let kept = ref 0 in
+    for r = 0 to !len - 1 do
+      let i = rest.(r) in
+      if i <> p then
+        if wp.(i) > 0.5 then labels.(i) <- label
+        else begin
+          rest.(!kept) <- i;
+          incr kept
+        end
+    done;
+    len := !kept
   done;
   labels
 
@@ -271,7 +302,7 @@ let best_of_worlds rng ~samples t =
     scored;
   fst (Option.get !best)
 
-let distance c1 c2 =
+let distance (c1 : clustering) (c2 : clustering) =
   let n = Array.length c1 in
   if Array.length c2 <> n then
     invalid_arg "Cluster_consensus.distance: size mismatch";

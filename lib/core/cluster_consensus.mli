@@ -20,9 +20,14 @@ val make : ?pool:Consensus_engine.Pool.t -> Db.t -> t
 (** Compute [w_ij = Pr(key_i, key_j clustered together)] for all pairs via
     pairwise joint probabilities (the generating-function x²-coefficient
     computation of §6.2 specialised to pairs):
-    [Σ_a Pr(i.A = a ∧ j.A = a) + Pr(both absent)].  The O(n²) pair sweep is
-    parallelized over rows on [pool] (default: the global engine pool),
-    which is retained for {!best_of_worlds}. *)
+    [Σ_a Pr(i.A = a ∧ j.A = a) + Pr(both absent)].  Each key's leaves, key
+    marginal, leaf values and outermost xor nodes ({!Db.outer_xor}) are
+    read once; a key pair then takes one pass over its alternative pairs,
+    with an O(1) joint for leaves under different outermost xor nodes and
+    {!Db.pair_marginal} otherwise.  Every weight is bit-identical to
+    [Db.key_pair_joint ~f:(same value) +. Db.key_pair_absent].  The O(n²)
+    pair sweep is parallelized over rows on [pool] (default: the global
+    engine pool), which is retained for {!best_of_worlds}. *)
 
 val db : t -> Db.t
 
@@ -39,7 +44,9 @@ val expected_dist : t -> clustering -> float
 val pivot : Consensus_util.Prng.t -> t -> clustering
 (** Ailon–Charikar–Newman CC-Pivot on the weighted co-occurrence graph:
     random pivot absorbs every unclustered key with [w > 1/2]; expected
-    constant-factor approximation under the probability constraint. *)
+    constant-factor approximation under the probability constraint.  Each
+    round's pivot is the [(Prng.int rng u)]-th of the [u] unassigned keys,
+    in ascending key-position order; a run costs O(n) words. *)
 
 val best_pivot_of : Consensus_util.Prng.t -> trials:int -> t -> clustering
 (** Best of several pivot runs under {!expected_dist}. *)

@@ -36,26 +36,33 @@ let minimize cost =
     let v = Array.make (m + 1) 0. in
     let p = Array.make (m + 1) 0 in
     let way = Array.make (m + 1) 0 in
+    let minv = Array.make (m + 1) infinity in
+    let used = Array.make (m + 1) false in
     for i = 1 to n do
       p.(0) <- i;
       let j0 = ref 0 in
-      let minv = Array.make (m + 1) infinity in
-      let used = Array.make (m + 1) false in
+      Array.fill minv 0 (m + 1) infinity;
+      Array.fill used 0 (m + 1) false;
       let continue = ref true in
       while !continue do
         used.(!j0) <- true;
         let i0 = p.(!j0) in
+        let row = cost.(i0 - 1) and ui = u.(i0) in
         let delta = ref infinity in
         let j1 = ref 0 in
+        (* j ranges over 1..m and every array here has m + 1 cells (row
+           has m), so the scan reads unchecked. *)
         for j = 1 to m do
-          if not used.(j) then begin
-            let cur = cost.(i0 - 1).(j - 1) -. u.(i0) -. v.(j) in
-            if cur < minv.(j) then begin
-              minv.(j) <- cur;
-              way.(j) <- !j0
+          if not (Array.unsafe_get used j) then begin
+            let cur =
+              Array.unsafe_get row (j - 1) -. ui -. Array.unsafe_get v j
+            in
+            if cur < Array.unsafe_get minv j then begin
+              Array.unsafe_set minv j cur;
+              Array.unsafe_set way j !j0
             end;
-            if minv.(j) < !delta then begin
-              delta := minv.(j);
+            if Array.unsafe_get minv j < !delta then begin
+              delta := Array.unsafe_get minv j;
               j1 := j
             end
           end
@@ -82,12 +89,11 @@ let minimize cost =
     for j = 1 to m do
       if p.(j) > 0 then assignment.(p.(j) - 1) <- j - 1
     done;
-    let total =
-      Array.to_list assignment
-      |> List.mapi (fun i j -> cost.(i).(j))
-      |> List.fold_left ( +. ) 0.
-    in
-    (assignment, total)
+    let total = ref 0. in
+    for i = 0 to n - 1 do
+      total := !total +. cost.(i).(assignment.(i))
+    done;
+    (assignment, !total)
   end
 
 let maximize profit =

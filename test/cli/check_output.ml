@@ -229,6 +229,10 @@ let check_batch out_path err_path =
     fail "%s: stdout is missing the second query header" out_path;
   if not (contains out "rank-kendall-mean") then
     fail "%s: stdout is missing the Kendall rank answer" out_path;
+  if not (contains out "rank-footrule-mean") then
+    fail "%s: stdout is missing the footrule rank answer" out_path;
+  if not (contains out "cluster-mean") then
+    fail "%s: stdout is missing the clustering answer" out_path;
   if contains out "cache:" then
     fail "%s: cache summary leaked onto stdout" out_path;
   if contains out "\"type\"" then

@@ -893,6 +893,82 @@ let test_cluster_best_of_worlds () =
   Alcotest.(check bool) "best-of-worlds reasonable" true
     (Cluster_consensus.expected_dist t c <= (3. *. opt) +. 1e-9)
 
+(* Each weight is the pair-by-pair definition to the bit: the same-value
+   joint plus the both-absent probability, from [Db]'s per-pair folds.
+   x-tuple blocks, random trees and keyed trees put leaves of distinct keys
+   under one xor node, where the product-of-marginals shortcut must not
+   apply. *)
+let test_cluster_weights_pair_by_pair () =
+  let g = rng () in
+  for iter = 0 to 99 do
+    let n = 2 + Prng.int g 14 in
+    let db =
+      match iter mod 5 with
+      | 0 -> Gen.clustering_db g n
+      | 1 -> Gen.bid_db g n
+      | 2 -> Gen.xtuple_db g n
+      | 3 -> Gen.random_tree_db g n
+      | _ -> Gen.random_keyed_tree g n
+    in
+    let t = Cluster_consensus.make db in
+    let keys = Db.keys db in
+    let nk = Array.length keys in
+    let bits = Int64.bits_of_float in
+    for i = 0 to nk - 1 do
+      for j = i + 1 to nk - 1 do
+        let expected =
+          Db.key_pair_joint db keys.(i) keys.(j) ~f:(fun a b -> a.Db.value = b.Db.value)
+          +. Db.key_pair_absent db keys.(i) keys.(j)
+        in
+        let w = Cluster_consensus.weight t i j in
+        if bits w <> bits expected || bits w <> bits (Cluster_consensus.weight t j i)
+        then
+          Alcotest.failf "iteration %d, keys %d and %d: weight %h, pair by pair %h"
+            iter i j w expected
+      done
+    done
+  done
+
+(* CC-Pivot as a list of unassigned keys: the (Prng.int rng u)-th of the u
+   unassigned keys, ascending, is the next pivot. *)
+let pivot_list_reference rng t =
+  let nk = Cluster_consensus.num_keys t in
+  let labels = Array.make nk (-1) in
+  let unassigned = ref (List.init nk Fun.id) in
+  let next_label = ref 0 in
+  while !unassigned <> [] do
+    let arr = Array.of_list !unassigned in
+    let p = arr.(Prng.int rng (Array.length arr)) in
+    let label = !next_label in
+    incr next_label;
+    labels.(p) <- label;
+    unassigned :=
+      List.filter
+        (fun i ->
+          if i = p then false
+          else if Cluster_consensus.weight t i p > 0.5 then begin
+            labels.(i) <- label;
+            false
+          end
+          else true)
+        !unassigned
+  done;
+  labels
+
+let test_cluster_pivot_list_reference () =
+  for seed = 0 to 199 do
+    let g = Prng.create ~seed () in
+    let n = 1 + Prng.int g 40 in
+    let db =
+      if seed mod 2 = 0 then Gen.clustering_db g n else Gen.bid_db ~max_alts:2 g n
+    in
+    let t = Cluster_consensus.make db in
+    Alcotest.(check (array int))
+      (Printf.sprintf "seed %d" seed)
+      (pivot_list_reference (Prng.create ~seed ()) t)
+      (Cluster_consensus.pivot (Prng.create ~seed ()) t)
+  done
+
 (* Answers read off a per-key score take the k best keys, ties to the lower
    index in [Db.keys] order: a stable descending sort's prefix. *)
 let test_topk_tie_rule () =
@@ -975,4 +1051,8 @@ let suite =
     Alcotest.test_case "top-k tie rule" `Quick test_topk_tie_rule;
     Alcotest.test_case "kendall short answers vs oracle" `Quick
       test_kendall_short_answers_vs_oracle;
+    Alcotest.test_case "cluster weights match pair-by-pair" `Quick
+      test_cluster_weights_pair_by_pair;
+    Alcotest.test_case "cluster pivot matches list reference" `Quick
+      test_cluster_pivot_list_reference;
   ]

@@ -76,6 +76,44 @@ let test_hungarian_errors () =
     Alcotest.fail "nan accepted"
   with Invalid_argument _ -> ()
 
+(* Integer costs in 0..3 make many optimal assignments, so the solve's
+   comparisons meet exact ties; the sums are exact, so the optimum is
+   checked exactly, by a depth-first search over injections. *)
+let test_hungarian_tie_heavy () =
+  let g = Prng.create ~seed:29 () in
+  for _ = 1 to 300 do
+    let n = 1 + Prng.int g 7 in
+    let m = n + Prng.int g 3 in
+    let cost =
+      Array.init n (fun _ -> Array.init m (fun _ -> float_of_int (Prng.int g 4)))
+    in
+    let best = ref infinity in
+    let used = Array.make m false in
+    let rec search row acc =
+      if row = n then best := Float.min !best acc
+      else
+        for c = 0 to m - 1 do
+          if not used.(c) then begin
+            used.(c) <- true;
+            search (row + 1) (acc +. cost.(row).(c));
+            used.(c) <- false
+          end
+        done
+    in
+    search 0 0.;
+    let assignment, total = Hungarian.minimize cost in
+    Alcotest.(check (float 0.)) "brute-force optimum" !best total;
+    let seen = Array.make m false in
+    Array.iter
+      (fun c ->
+        if seen.(c) then Alcotest.failf "column %d assigned twice" c;
+        seen.(c) <- true)
+      assignment;
+    let sum = ref 0. in
+    Array.iteri (fun r c -> sum := !sum +. cost.(r).(c)) assignment;
+    Alcotest.(check (float 0.)) "assignment cost" total !sum
+  done
+
 (* ---------- Min-cost flow ---------- *)
 
 let test_mcf_simple_path () =
@@ -284,4 +322,5 @@ let suite =
     Alcotest.test_case "hopcroft-karp perfect" `Quick test_hk_perfect;
     Alcotest.test_case "hopcroft-karp augmenting" `Quick test_hk_augmenting;
     Alcotest.test_case "hopcroft-karp vs brute force" `Quick test_hk_vs_brute;
+    Alcotest.test_case "hungarian tie-heavy vs brute" `Quick test_hungarian_tie_heavy;
   ]
