@@ -5,6 +5,7 @@
 
 open Consensus_util
 open Consensus
+open Consensus_ranking
 module Gen = Consensus_workload.Gen
 module Exact = Consensus_oracle.Exact
 
@@ -33,6 +34,107 @@ let correctness () =
     worst_fr := Float.max !worst_fr (ratio d_frk)
   done;
   (trials, !fr_ok, !kem_ok, !sum_pivot, !worst_pivot, !sum_fr, !worst_fr)
+
+(* Exact Kemeny orders each Condorcet component of the tournament by its
+   own bitmask DP, so the component sizes, not n, set its cost.  The
+   components of a matrix and of its transpose coincide, so the
+   disagreement matrix is read as it is. *)
+let components () =
+  let g = Prng.create ~seed:1303 () in
+  let per_family = if !Harness.quick then 20 else 250 in
+  let table =
+    Harness.Tables.create
+      ~title:
+        (Printf.sprintf
+           "Condorcet components of the Kendall tournament (%d databases per family)"
+           per_family)
+      [
+        ("family (keys)", Harness.Tables.Left);
+        ("mean keys", Harness.Tables.Right);
+        ("mean components", Harness.Tables.Right);
+        ("mean component size", Harness.Tables.Right);
+        ("max component size", Harness.Tables.Right);
+      ]
+  in
+  let components_of db =
+    Aggregation.condorcet_components
+      (Rank_consensus.disagreement_matrix (Rank_consensus.make_ctx db))
+  in
+  List.iter
+    (fun (name, gen) ->
+      let keys = ref 0 and comps = ref 0 and largest = ref 0 in
+      for _ = 1 to per_family do
+        let cs = components_of (gen ()) in
+        Array.iter
+          (fun c ->
+            keys := !keys + Array.length c;
+            largest := max !largest (Array.length c))
+          cs;
+        comps := !comps + Array.length cs
+      done;
+      let per x = float_of_int x /. float_of_int per_family in
+      Harness.Tables.add_row table
+        [
+          name; Printf.sprintf "%.1f" (per !keys); Printf.sprintf "%.1f" (per !comps);
+          Printf.sprintf "%.2f" (float_of_int !keys /. float_of_int !comps);
+          string_of_int !largest;
+        ])
+    [
+      ("BID (2-16)", fun () -> Gen.bid_db g (2 + Prng.int g 15));
+      ("x-tuple (2-15)", fun () -> Gen.xtuple_db g (1 + Prng.int g 5));
+      ("independent (2-16)", fun () -> Gen.independent_db g (2 + Prng.int g 15));
+      ("and/xor tree (2-16)", fun () -> Gen.random_tree_db g (2 + Prng.int g 15));
+    ];
+  Harness.Tables.print table;
+  let dbs = if !Harness.quick then 4 else 40 in
+  let t =
+    Harness.Tables.create
+      ~title:
+        (Printf.sprintf
+           "exact Kendall rank answer on one-alternative BID databases (%d per size)" dbs)
+      [
+        ("n keys", Harness.Tables.Right);
+        ("mean components", Harness.Tables.Right);
+        ("median largest", Harness.Tables.Right);
+        ("max largest", Harness.Tables.Right);
+        ("median mean_kendall_exact (ms)", Harness.Tables.Right);
+      ]
+  in
+  let median a =
+    let a = Array.copy a in
+    Array.sort compare a;
+    a.(Array.length a / 2)
+  in
+  List.iter
+    (fun n ->
+      let comps = ref 0 in
+      let largest = Array.make dbs 0 and secs = Array.make dbs 0. in
+      for d = 0 to dbs - 1 do
+        let db = Gen.bid_db ~max_alts:1 g n in
+        let cs = components_of db in
+        comps := !comps + Array.length cs;
+        largest.(d) <- Array.fold_left (fun m c -> max m (Array.length c)) 0 cs;
+        let ctx = Rank_consensus.make_ctx db in
+        (* The first call builds the disagreement matrix the context keeps. *)
+        ignore (Rank_consensus.mean_kendall_exact ctx);
+        let reps = 10 in
+        secs.(d) <-
+          Harness.time_only (fun () ->
+              for _ = 1 to reps do
+                ignore (Rank_consensus.mean_kendall_exact ctx)
+              done)
+          /. float_of_int reps
+      done;
+      Harness.Tables.add_row t
+        [
+          string_of_int n;
+          Printf.sprintf "%.1f" (float_of_int !comps /. float_of_int dbs);
+          string_of_int (median largest);
+          string_of_int (Array.fold_left max 0 largest);
+          Printf.sprintf "%.4f" (median secs *. 1000.);
+        ])
+    [ 13; 16 ];
+  Harness.Tables.print t
 
 let run () =
   Harness.header "E13: consensus complete rankings (extension of §5 / §7)";
@@ -85,4 +187,5 @@ let run () =
       Harness.Tables.add_row t2
         [ string_of_int n; Harness.ms t_table; Harness.ms t_fr; Harness.ms t_kp ])
     (Harness.sizes ~quick_list:[ 20; 40 ] ~full_list:[ 25; 50; 100; 200 ]);
-  Harness.Tables.print t2
+  Harness.Tables.print t2;
+  components ()

@@ -23,10 +23,12 @@ let make ?pool db =
      inclusion-exclusion Pr(neither) = 1 − km_i − km_j + Σ_{a,b} Pr(a ∧ b).
      One pass over the alternative pairs accumulates both sums, in the
      order of [Db.key_pair_joint]'s folds, so every weight has the bits of
-     [key_pair_joint ~f:(same value) +. key_pair_absent].  Leaves without
-     a common outermost xor node share no xor edge, and their joint is the
-     product of their marginals, as [Db.pair_marginal] computes it.  The
-     upper triangle's rows run in parallel and are mirrored sequentially. *)
+     [key_pair_joint ~f:(same value) +. key_pair_absent], clamped into
+     [0, 1]: the cancellation can leave a zero weight at -1e-16.  Leaves
+     without a common outermost xor node share no xor edge, and their joint
+     is the product of their marginals, as [Db.pair_marginal] computes it.
+     The upper triangle's rows run in parallel and are mirrored
+     sequentially. *)
   let compute () =
     let leaves = Array.map (fun k -> Array.of_list (Db.alts_of_key db k)) keys in
     let key_marginal = Array.map (Db.key_marginal db) keys in
@@ -53,7 +55,8 @@ let make ?pool db =
             if va = value.(b) then same := !same +. p
           done
         done;
-        row.(j - i - 1) <- !same +. (1. -. kmi -. key_marginal.(j) +. !all)
+        let w = !same +. (1. -. kmi -. key_marginal.(j) +. !all) in
+        row.(j - i - 1) <- Float.min 1. (Float.max 0. w)
       done;
       row
     in

@@ -25,9 +25,10 @@ val make : ?pool:Consensus_engine.Pool.t -> Db.t -> t
     read once; a key pair then takes one pass over its alternative pairs,
     with an O(1) joint for leaves under different outermost xor nodes and
     {!Db.pair_marginal} otherwise.  Every weight is bit-identical to
-    [Db.key_pair_joint ~f:(same value) +. Db.key_pair_absent].  The O(n²)
-    pair sweep is parallelized over rows on [pool] (default: the global
-    engine pool), which is retained for {!best_of_worlds}. *)
+    [Db.key_pair_joint ~f:(same value) +. Db.key_pair_absent] clamped into
+    [\[0, 1\]].  The O(n²) pair sweep is parallelized over rows on [pool]
+    (default: the global engine pool), which is retained for
+    {!best_of_worlds}. *)
 
 val db : t -> Db.t
 
@@ -36,7 +37,9 @@ val pool : t -> Consensus_engine.Pool.t
 
 val num_keys : t -> int
 val weight : t -> int -> int -> float
-(** Co-occurrence probability by key positions. *)
+(** Co-occurrence probability by key positions, in [\[0, 1\]]: the
+    inclusion–exclusion of {!make} can cancel a zero weight to about
+    -1e-16, and each weight is clamped into the unit interval. *)
 
 val expected_dist : t -> clustering -> float
 (** [E d(C, C_pw) = Σ_{i<j} (together_C ij ? 1 - w_ij : w_ij)]. *)

@@ -63,8 +63,9 @@ val mean_kendall_pivot :
     constant-factor approximation. *)
 
 val mean_kendall_exact : ctx -> int array * float
-(** Exact weighted Kemeny optimum by bitmask DP; requires at most 22
-    keys. *)
+(** Exact weighted Kemeny optimum by {!Consensus_ranking.Aggregation.kemeny_exact}:
+    a bitmask DP per Condorcet component of the disagreement tournament,
+    O(n² + Σ_c 2^|c|·|c|); requires at most 22 keys. *)
 
 val mean_kendall_mc4 : ctx -> int array * float
 (** MC4 Markov-chain aggregation (Dwork et al., the paper's \[14\]) on the

@@ -11,12 +11,26 @@
 val cost : float array array -> int array -> float
 (** Expected Kendall cost of the permutation (item ids in order). *)
 
+val condorcet_components : float array array -> int array array
+(** The strongly connected components of "a may precede b", which holds
+    unless [pref.(b).(a) > pref.(a).(b) +. 1e-15], in their forced order
+    (every item of a component is preferred before every item of a later
+    one by more than 1e-15), each in increasing item order.  O(n²) by
+    bitset reachability; requires [n] below the int width. *)
+
 val kemeny_exact : float array array -> int array * float
-(** Optimal aggregation by Held–Karp bitmask DP in O(2ⁿ·n) time and
-    O(2ⁿ + n·2^⌈n/2⌉) memory: the weight of appending an item after a set
-    is two loads from per-row subset-sum tables over the low and high
-    halves of the items.  Requires [n <= 22].  Polls the ambient
-    {!Consensus_util.Deadline} token every 4096 subsets.  The small-instance oracle used in tests and benches. *)
+(** Optimal aggregation in O(n² + Σ_c 2^|c|·|c|) time.  The items split
+    into their {!condorcet_components} [c]; by the extended Condorcet
+    criterion every optimal order keeps them in their forced order.  A Held–Karp bitmask DP orders each component of two or more
+    items in O(2^|c|·|c|) time and O(2^|c| + |c|·2^⌈|c|/2⌉) memory: the
+    weight of appending an item after a set is two loads from per-row
+    subset-sum tables over the low and high halves of the component.
+    Inside a component the highest item goes last unless a lower one is
+    cheaper by more than 1e-15.  The cost is summed along the order as
+    one DP over all items would sum it, so its bits do not depend on the
+    split.  Requires [n <= 22].  Polls the ambient
+    {!Consensus_util.Deadline} token at entry and every 4096 subsets.
+    The small-instance oracle used in tests and benches. *)
 
 val pivot :
   Consensus_util.Prng.t -> float array array -> int array * float

@@ -898,6 +898,22 @@ let test_cluster_best_of_worlds () =
    x-tuple blocks, random trees and keyed trees put leaves of distinct keys
    under one xor node, where the product-of-marginals shortcut must not
    apply. *)
+(* The inclusion-exclusion of [make] can cancel a zero weight to -1e-16
+   on x-tuple databases; every weight is a probability all the same. *)
+let test_cluster_weights_in_unit_interval () =
+  let g = Prng.create ~seed:2025 () in
+  for iter = 1 to 2000 do
+    let t = Cluster_consensus.make (Gen.xtuple_db g (2 + Prng.int g 14)) in
+    let nk = Cluster_consensus.num_keys t in
+    for i = 0 to nk - 1 do
+      for j = 0 to nk - 1 do
+        let w = Cluster_consensus.weight t i j in
+        if not (w >= 0. && w <= 1.) then
+          Alcotest.failf "database %d, keys %d and %d: weight %h" iter i j w
+      done
+    done
+  done
+
 let test_cluster_weights_pair_by_pair () =
   let g = rng () in
   for iter = 0 to 99 do
@@ -919,6 +935,7 @@ let test_cluster_weights_pair_by_pair () =
         let expected =
           Db.key_pair_joint db keys.(i) keys.(j) ~f:(fun a b -> a.Db.value = b.Db.value)
           +. Db.key_pair_absent db keys.(i) keys.(j)
+          |> Float.max 0. |> Float.min 1.
         in
         let w = Cluster_consensus.weight t i j in
         if bits w <> bits expected || bits w <> bits (Cluster_consensus.weight t j i)
@@ -1053,6 +1070,8 @@ let suite =
       test_kendall_short_answers_vs_oracle;
     Alcotest.test_case "cluster weights match pair-by-pair" `Quick
       test_cluster_weights_pair_by_pair;
+    Alcotest.test_case "cluster weights lie in [0, 1]" `Quick
+      test_cluster_weights_in_unit_interval;
     Alcotest.test_case "cluster pivot matches list reference" `Quick
       test_cluster_pivot_list_reference;
   ]

@@ -151,6 +151,160 @@ let test_kemeny_exact_deadline () =
   | _ -> Alcotest.fail "kemeny_exact ignored an expired deadline"
   | exception Deadline.Expired -> ()
 
+(* The Held–Karp DP over all items at once, with no split into Condorcet
+   components: the reference for [kemeny_exact]'s orders and cost bits. *)
+let reference_kemeny pref =
+  let n = Array.length pref in
+  if n = 0 then ([||], 0.)
+  else begin
+    let size = 1 lsl n in
+    let h = n / 2 in
+    let subset_sums sets offset =
+      let table = Array.make (sets * n) 0. in
+      let top = ref 0 in
+      for m = 1 to sets - 1 do
+        if m = 2 lsl !top then incr top;
+        let here = m * n and prev = (m lxor (1 lsl !top)) * n in
+        let u = offset + !top in
+        for v = 0 to n - 1 do
+          table.(here + v) <- table.(prev + v) +. pref.(v).(u)
+        done
+      done;
+      table
+    in
+    let lo = subset_sums (1 lsl h) 0 and hi = subset_sums (1 lsl (n - h)) h in
+    let dp = Array.make size infinity in
+    let choice = Array.make size (-1) in
+    dp.(0) <- 0.;
+    let lmask = (1 lsl h) - 1 in
+    for mask = 1 to size - 1 do
+      let best = ref infinity and last = ref (-1) in
+      for v = n - 1 downto 0 do
+        let prev = mask lxor (1 lsl v) in
+        let extra =
+          lo.(((prev land lmask) * n) + v) +. hi.(((prev lsr h) * n) + v)
+        in
+        let c = dp.(prev) +. extra in
+        if c < !best -. 1e-15 then begin
+          best := c;
+          last := v
+        end
+      done;
+      dp.(mask) <- !best;
+      choice.(mask) <- !last
+    done;
+    let order = Array.make n 0 in
+    let mask = ref (size - 1) in
+    for pos = n - 1 downto 0 do
+      let v = choice.(!mask) in
+      order.(pos) <- v;
+      mask := !mask lxor (1 lsl v)
+    done;
+    (order, dp.(size - 1))
+  end
+
+let check_same_as_reference what pref =
+  let order, c = Aggregation.kemeny_exact pref in
+  let ref_order, ref_c = reference_kemeny pref in
+  if order <> ref_order || Int64.bits_of_float c <> Int64.bits_of_float ref_c then
+    Alcotest.failf "%s (n=%d): order [%s] cost %h, reference [%s] cost %h" what
+      (Array.length pref)
+      (String.concat ";" (Array.to_list (Array.map string_of_int order)))
+      c
+      (String.concat ";" (Array.to_list (Array.map string_of_int ref_order)))
+      ref_c
+
+(* Integer costs 0..3 tie often, inside components and across them. *)
+let test_kemeny_components_ties () =
+  let g = Prng.create ~seed:3030 () in
+  for iter = 1 to 500 do
+    let n = 1 + Prng.int g 10 in
+    let pref =
+      Array.init n (fun i ->
+          Array.init n (fun j -> if i = j then 0. else float_of_int (Prng.int g 4)))
+    in
+    check_same_as_reference (Printf.sprintf "tie-heavy matrix %d" iter) pref
+  done;
+  (* Near-ties below the DP's 1e-15 tolerance: entries 1 + k ulp, k < 4,
+     must stay inside one component. *)
+  for iter = 1 to 200 do
+    let n = 2 + Prng.int g 9 in
+    let pref =
+      Array.init n (fun i ->
+          Array.init n (fun j ->
+              if i = j then 0. else 1. +. (float_of_int (Prng.int g 4) *. epsilon_float)))
+    in
+    check_same_as_reference (Printf.sprintf "near-tie matrix %d" iter) pref
+  done
+
+(* The matrices [Rank_consensus.mean_kendall_exact] hands the DP: the
+   transposed disagreement matrices of BID, x-tuple, independent and
+   and/xor-tree databases with at most 16 keys. *)
+let test_kemeny_components_databases () =
+  let module Gen = Consensus_workload.Gen in
+  let module Rank_consensus = Consensus.Rank_consensus in
+  let g = Prng.create ~seed:4040 () in
+  for iter = 1 to 320 do
+    let db =
+      match iter mod 4 with
+      | 0 -> Gen.bid_db g (2 + Prng.int g 15)
+      | 1 -> Gen.xtuple_db g (1 + Prng.int g 5)
+      | 2 -> Gen.independent_db g (2 + Prng.int g 15)
+      | _ -> Gen.random_tree_db g (2 + Prng.int g 15)
+    in
+    let w = Rank_consensus.disagreement_matrix (Rank_consensus.make_ctx db) in
+    let n = Array.length w in
+    let pref = Array.init n (fun a -> Array.init n (fun b -> w.(b).(a))) in
+    check_same_as_reference (Printf.sprintf "database %d" iter) pref
+  done
+
+(* A Condorcet 3-cycle among strictly ordered singletons: the cycle's
+   items stay together at their forced place, and the cost is the brute
+   force optimum. *)
+let test_kemeny_components_cycle () =
+  let g = Prng.create ~seed:5050 () in
+  for n = 3 to 8 do
+    for _ = 1 to 5 do
+      (* place.(i): the forced place of item i; the three items of the
+         cycle, at positions c..c+2 of the shuffle, share place c. *)
+      let items = Array.init n Fun.id in
+      Prng.shuffle g items;
+      let c = Prng.int g (n - 2) in
+      let place = Array.make n 0 in
+      Array.iteri
+        (fun pos i -> place.(i) <- (if pos < c then pos else max c (pos - 2)))
+        items;
+      let cycle = Array.sub items c 3 in
+      let pref = Array.make_matrix n n 0. in
+      for a = 0 to n - 1 do
+        for b = 0 to n - 1 do
+          if a <> b then begin
+            let p = 0.6 +. (0.3 *. Prng.uniform g) in
+            if place.(a) < place.(b) then begin
+              pref.(a).(b) <- p;
+              pref.(b).(a) <- 1. -. p
+            end
+          end
+        done
+      done;
+      for k = 0 to 2 do
+        let a = cycle.(k) and b = cycle.((k + 1) mod 3) in
+        pref.(a).(b) <- 0.7;
+        pref.(b).(a) <- 0.3
+      done;
+      Alcotest.(check (list int)) "cycle: component sizes"
+        (List.init (n - 2) (fun i -> if i = c then 3 else 1))
+        (Array.to_list (Array.map Array.length (Aggregation.condorcet_components pref)));
+      let order, cost = Aggregation.kemeny_exact pref in
+      check_float "cycle: brute force optimum" (brute_kemeny pref) cost;
+      check_float "cycle: cost is its order's" (Aggregation.cost pref order) cost;
+      Alcotest.(check (array int)) "cycle: forced places"
+        (Array.map (fun i -> place.(i)) items)
+        (Array.map (fun i -> place.(i)) order);
+      check_same_as_reference "cycle" pref
+    done
+  done
+
 let test_pivot_quality () =
   let g = rng () in
   for _ = 1 to 20 do
@@ -409,4 +563,10 @@ let suite =
     Alcotest.test_case "pt-k threshold" `Quick test_pt_k_threshold;
     Alcotest.test_case "kemeny exact ties" `Quick test_kemeny_exact_ties;
     Alcotest.test_case "kemeny exact honours deadlines" `Quick test_kemeny_exact_deadline;
+    Alcotest.test_case "kemeny components: tie-heavy differential" `Quick
+      test_kemeny_components_ties;
+    Alcotest.test_case "kemeny components: database differential" `Quick
+      test_kemeny_components_databases;
+    Alcotest.test_case "kemeny components: condorcet cycle" `Quick
+      test_kemeny_components_cycle;
   ]
