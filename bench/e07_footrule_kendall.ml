@@ -30,7 +30,7 @@ let small_instance_ratios () =
       if best_k > 1e-12 then d /. best_k else 1.
     in
     let r_pivot = ratio (Topk_consensus.mean_kendall_pivot g ctx) in
-    let r_fr = ratio (Topk_consensus.mean_kendall_footrule ctx) in
+    let r_fr = ratio (Topk_consensus.mean_footrule ctx) in
     worst_pivot := Float.max !worst_pivot r_pivot;
     worst_fr := Float.max !worst_fr r_fr;
     sum_pivot := !sum_pivot +. r_pivot;
@@ -156,7 +156,7 @@ let run () =
         ])
     [
       ("pivot + local search", fun () -> Topk_consensus.mean_kendall_pivot g ctx);
-      ("footrule-optimal", fun () -> Topk_consensus.mean_kendall_footrule ctx);
+      ("footrule-optimal", fun () -> Topk_consensus.mean_footrule ctx);
       ("mean dΔ (PT-k)", fun () -> Topk_consensus.mean_sym_diff ctx);
     ];
   Harness.Tables.print t2;

@@ -29,7 +29,8 @@ let correctness () =
     let _, d_piv = Rank_consensus.mean_kendall_pivot g ctx in
     sum_pivot := !sum_pivot +. ratio d_piv;
     worst_pivot := Float.max !worst_pivot (ratio d_piv);
-    let _, d_frk = Rank_consensus.mean_kendall_via_footrule ctx in
+    let sigma_fr, _ = Rank_consensus.mean_footrule ctx in
+    let d_frk = Rank_consensus.expected_kendall ctx sigma_fr in
     sum_fr := !sum_fr +. ratio d_frk;
     worst_fr := Float.max !worst_fr (ratio d_frk)
   done;

@@ -11,7 +11,7 @@ let experiments =
     ("E1", "generating functions (Thm 1, Fig 1)", E01_genfunc.run);
     ("E2", "symdiff consensus worlds (Thm 2, Cor 1)", E02_symdiff_world.run);
     ("E3", "Jaccard consensus worlds (Lemmas 1-2)", E03_jaccard.run);
-    ("E4", "top-k mean vs baselines (Thm 3)", E04_topk_mean.run);
+    ("E4", "top-k consensus answers and ΥH (Thm 3)", E04_topk_mean.run);
     ("E5", "top-k median DP (Thm 4)", E05_topk_median.run);
     ("E6", "intersection metric (§5.3)", E06_intersection.run);
     ("E7", "footrule + Kendall (§5.4-5.5)", E07_footrule_kendall.run);
@@ -21,14 +21,9 @@ let experiments =
     ("E11", "model representation size (§3.2)", E11_model_size.run);
     ("E12", "SPJ lineage inference", E12_spj.run);
     ("E13", "consensus complete rankings (extension)", E13_full_rank.run);
-    ("E14", "PRF weight-family ablation", E14_prf_ablation.run);
     ("E15", "truncation ablation (Thm 1 engines)", E15_truncation.run);
     ("E16", "inference decomposition ablation", E16_inference_ablation.run);
-    ("E17", "PT-k pruning ablation", E17_pruning.run);
     ("E18", "safe plans vs lineage inference", E18_safe_plan.run);
-    ("E19", "sampled consensus convergence", E19_sampled.run);
-    ("E20", "aggregates under correlation (extension)", E20_aggregate_tree.run);
-    ("E21", "exact U-Top-k: best-first vs enumeration", E21_utopk.run);
     ("E22", "O(nk) sweep rank table ablation", E22_rank_table.run);
     ("E23", "observability overhead (lib/obs)", E23_obs_overhead.run);
     ("E29", "flat-arena load + buffer kernels (lib/anxor)", E29_arena.run);

@@ -39,9 +39,9 @@ let () =
   show "mean ranking (Kendall, exact):" (Rank_consensus.mean_kendall_exact ctx);
   let rng = Prng.create ~seed:9 () in
   show "mean ranking (Kendall, pivot):" (Rank_consensus.mean_kendall_pivot rng ctx);
-  let fr_sigma, _ = Rank_consensus.mean_kendall_via_footrule ctx in
-  Printf.printf "%-34s %s\n" "footrule answer under Kendall:"
-    (Array.to_list fr_sigma |> List.map name_of |> String.concat " > ");
+  let fr_sigma, _ = Rank_consensus.mean_footrule ctx in
+  show "footrule answer under Kendall:"
+    (fr_sigma, Rank_consensus.expected_kendall ctx fr_sigma);
 
   Printf.printf "\npairwise disagreement matrix (cost of row-before-column):\n     ";
   let keys = Rank_consensus.keys ctx in

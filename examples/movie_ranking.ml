@@ -1,7 +1,7 @@
 (* Probabilistic top-k over a recommendation-style workload (the paper's §1
    cites recommendation systems): movies with uncertain predicted ratings.
-   Compares the consensus answers against the previously proposed ranking
-   functions under each of the paper's metrics, on a synthetic catalogue
+   Compares the consensus answers and the ΥH ranking under each of the
+   paper's metrics, on a synthetic catalogue
    large enough that exact enumeration is impossible — everything below runs
    on generating functions.
 
@@ -9,7 +9,6 @@
 
 open Consensus_util
 open Consensus
-module F = Consensus_ranking.Functions
 
 let () =
   let rng = Prng.create ~seed:2024 () in
@@ -23,27 +22,14 @@ let () =
     (Consensus_anxor.Tree.count_worlds (Consensus_anxor.Db.tree db));
 
   let ctx = Topk_consensus.make_ctx db ~k in
-  (* U-Top-k explodes when the probability mass over answers is diffuse
-     (the mode itself is uninformative then); include it only if the search
-     stays within budget. *)
-  let u_topk_entry =
-    match F.u_topk_best_first ~max_expansions:200_000 db ~k with
-    | answer, p ->
-        [ (Printf.sprintf "U-Top-k (exact, p=%.2g)" p, answer) ]
-    | exception Invalid_argument _ -> []
-  in
   let entries =
-    u_topk_entry
-    @ [
+    [
       ("consensus mean dΔ (Thm 3)", Topk_consensus.mean_sym_diff ctx);
       ("consensus median dΔ (Thm 4)", Topk_consensus.median_sym_diff ctx);
       ("consensus mean dI (matching)", Topk_consensus.mean_intersection ctx);
       ("consensus mean dF (matching)", Topk_consensus.mean_footrule ctx);
       ("consensus dK (pivot+LS)", Topk_consensus.mean_kendall_pivot rng ctx);
-      ("Upsilon_H ranking", F.upsilon_h db ~k);
-      ("U-kRanks", F.u_kranks db ~k);
-      ("expected rank", F.expected_ranks db ~k);
-      ("expected score", F.expected_scores db ~k);
+      ("Upsilon_H ranking", Topk_consensus.mean_intersection_upsilon ctx);
     ]
   in
   Printf.printf "%-30s %9s %9s %9s %9s\n" "answer" "E[dΔ]" "E[dI]" "E[dF]" "E[dK]";

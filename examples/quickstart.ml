@@ -1,5 +1,5 @@
-(* Quickstart: build a small probabilistic database, ask for consensus
-   answers under several metrics, and compare with the naive baselines.
+(* Quickstart: build a small probabilistic database and ask for consensus
+   answers under several metrics.
 
    Run with: dune exec examples/quickstart.exe *)
 
@@ -50,14 +50,7 @@ let () =
   show "mean (footrule, exact)" (Topk_consensus.mean_footrule ctx);
   let rng = Consensus_util.Prng.create ~seed:7 () in
   show "mean (kendall, pivot)" (Topk_consensus.mean_kendall_pivot rng ctx);
-
-  Printf.printf "\nbaseline ranking functions:\n";
-  let module F = Consensus_ranking.Functions in
-  show "U-Top-k (most probable)" (F.u_topk db ~k);
-  show "U-kRanks" (F.u_kranks db ~k);
-  show "expected rank" (F.expected_ranks db ~k);
-  show "expected score" (F.expected_scores db ~k);
-  show "Upsilon_H" (F.upsilon_h db ~k);
+  show "Upsilon_H (intersection)" (Topk_consensus.mean_intersection_upsilon ctx);
 
   (* Consensus worlds under set metrics. *)
   let mean_w = Set_consensus.mean_sym_diff db in

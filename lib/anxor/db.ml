@@ -192,22 +192,6 @@ let is_independent db = block_shape db ~singleton:true
 let is_bid db = block_shape db ~singleton:false
 let xor_blocks db = Arena.xor_blocks db.arena
 
-let blocks_single_key db =
-  match xor_blocks db with
-  | None -> false
-  | Some blocks ->
-      let key_of_block = Hashtbl.create 16 in
-      let ok = ref true in
-      Array.iteri
-        (fun l b ->
-          let key = db.alts.(l).key in
-          match Hashtbl.find_opt key_of_block b with
-          | Some k when k <> key -> ok := false
-          | Some _ -> ()
-          | None -> Hashtbl.replace key_of_block b key)
-        blocks;
-      !ok
-
 (* In-place quicksort of [order] by decreasing [value.(i)] (insertion sort
    below 16 elements, median-of-three pivots, recursion on the smaller
    partition only).  [Array.sort] with a float-comparing closure costs a

@@ -116,11 +116,6 @@ val xor_blocks : t -> int array option
     order).  Leaves in the same block are mutually exclusive regardless of
     their keys.  [None] when the tree is not BID-shaped. *)
 
-val blocks_single_key : t -> bool
-(** True iff the tree is BID-shaped {e and} every xor block's leaves share
-    one key (the paper's BID model proper; excludes multi-key x-tuple
-    blocks). *)
-
 val digest : t -> string
 (** Hex content hash of the and/xor tree (structure, keys, values and edge
     probabilities — exact float bits).  Structurally equal databases share

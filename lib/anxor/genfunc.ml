@@ -121,13 +121,3 @@ let bipoly ?trunc s a =
       one = Bipoly.one;
     }
     s a
-
-let mpoly ?max_degree s a =
-  let mul =
-    match max_degree with
-    | None -> Mpoly.mul
-    | Some d -> Mpoly.mul_trunc ~max_degree:d
-  in
-  eval
-    { const = Mpoly.const; add = Mpoly.add; mul; scale = Mpoly.scale; one = Mpoly.one }
-    s a

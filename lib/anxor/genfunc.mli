@@ -51,5 +51,3 @@ val bipoly : ?trunc:int -> (int -> Consensus_poly.Bipoly.t) -> Arena.t -> Consen
     leaves of a world to [1 + ε] so that [b] is the derivative at 1 of
     their variable. *)
 
-val mpoly : ?max_degree:int -> (int -> Consensus_poly.Mpoly.t) -> Arena.t -> Consensus_poly.Mpoly.t
-(** Fully general sparse engine for a constant number of variables. *)

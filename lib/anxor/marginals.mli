@@ -99,7 +99,7 @@ val expected_rank : Db.t -> int -> float
     tuples assigned rank [|pw|]. *)
 
 val expected_value : Db.t -> int -> float
-(** [E(value of key · presence indicator)]: the expected-score baseline. *)
+(** [E(value of key · presence indicator)]: the expected score of a key. *)
 
 val full_rank_dist_alt : Db.t -> int -> float array
 (** Untruncated version of {!rank_dist_alt}: length [num_alts db], entry

@@ -1,11 +1,3 @@
-let of_worlds worlds =
-  List.iter
-    (fun (p, _) ->
-      if not (Float.is_finite p) || p < 0. then
-        invalid_arg "Transform.of_worlds: negative or non-finite probability")
-    worlds;
-  Tree.xor (List.map (fun (p, leaves) -> (p, Tree.certain leaves)) worlds)
-
 let rec simplify (t : 'a Tree.t) : 'a Tree.t =
   match t with
   | Tree.Leaf _ -> t
@@ -36,90 +28,6 @@ let rec simplify (t : 'a Tree.t) : 'a Tree.t =
       | [ (p, c) ] when Consensus_util.Fcmp.approx ~eps:1e-12 p 1. -> c
       | es -> Tree.xor es)
 
-let merge_independent trees = simplify (Tree.and_ trees)
-
-let push_bernoulli p t =
-  if not (Consensus_util.Fcmp.is_probability p) then
-    invalid_arg "Transform.push_bernoulli: not a probability";
-  Tree.xor [ (p, t) ]
-
-let count_matches pred t =
-  List.length (List.filter pred (Tree.leaves t))
-
-let condition_present pred t =
-  (match count_matches pred t with
-  | 0 | 1 -> ()
-  | _ -> invalid_arg "Transform.condition_present: predicate matches several leaves");
-  (* returns (Pr(leaf present in subtree), conditioned subtree) when the
-     subtree contains the leaf *)
-  let rec go (t : 'a Tree.t) : (float * 'a Tree.t) option =
-    match t with
-    | Tree.Leaf a -> if pred a then Some (1., Tree.leaf a) else None
-    | Tree.And cs ->
-        let rec split acc = function
-          | [] -> None
-          | c :: rest -> (
-              match go c with
-              | Some (p, c') -> Some (p, Tree.and_ (List.rev_append acc (c' :: rest)))
-              | None -> split (c :: acc) rest)
-        in
-        split [] cs
-    | Tree.Xor es ->
-        let rec find = function
-          | [] -> None
-          | (p, c) :: rest -> (
-              match go c with
-              | Some (q, c') -> Some (p *. q, c') (* conditioning forces this branch *)
-              | None -> find rest)
-        in
-        find es
-  in
-  go t
-
-let condition_absent pred t =
-  (match count_matches pred t with
-  | 0 | 1 -> ()
-  | _ -> invalid_arg "Transform.condition_absent: predicate matches several leaves");
-  (* returns (Pr(leaf absent in subtree), conditioned subtree) when the
-     subtree contains the leaf; the conditioned tree realizes the subtree's
-     distribution given absence (an empty And when nothing can remain) *)
-  let rec go (t : 'a Tree.t) : (float * 'a Tree.t) option =
-    match t with
-    | Tree.Leaf a -> if pred a then Some (0., Tree.and_ []) else None
-    | Tree.And cs ->
-        let rec split acc = function
-          | [] -> None
-          | c :: rest -> (
-              match go c with
-              | Some (q, c') -> Some (q, Tree.and_ (List.rev_append acc (c' :: rest)))
-              | None -> split (c :: acc) rest)
-        in
-        split [] cs
-    | Tree.Xor es -> (
-        let rec find acc = function
-          | [] -> None
-          | ((p, c) as edge) :: rest -> (
-              match go c with
-              | Some (q, c') ->
-                  (* Pr(absent) = 1 - p·(1 - q); other branches and the
-                     residual keep their mass, this branch keeps p·q. *)
-                  let z = 1. -. (p *. (1. -. q)) in
-                  if z <= 1e-15 then Some (0., t)
-                  else begin
-                    let scaled (pe, ce) = (pe /. z, ce) in
-                    let this = if p *. q > 0. then [ (p *. q /. z, c') ] else [] in
-                    Some
-                      ( z,
-                        Tree.xor
-                          (List.rev_append (List.map scaled acc)
-                             (this @ List.map scaled rest)) )
-                  end
-              | None -> find (edge :: acc) rest)
-        in
-        find [] es)
-  in
-  go t
-
 let is_equivalent ?limit t1 t2 =
   let table t =
     let tbl = Hashtbl.create 64 in
@@ -140,26 +48,6 @@ let is_equivalent ?limit t1 t2 =
       a true
   in
   check tb1 tb2 && check tb2 tb1
-
-let stats t =
-  (* Explicit work-list: [stats] is called on full-size databases (serve
-     daemon introspection), where recursion would overflow. *)
-  let leaves = ref 0 and ands = ref 0 and xors = ref 0 in
-  let stack = ref [ (t : 'a Tree.t) ] in
-  while !stack <> [] do
-    match !stack with
-    | [] -> ()
-    | Tree.Leaf _ :: rest ->
-        incr leaves;
-        stack := rest
-    | Tree.And cs :: rest ->
-        incr ands;
-        stack := List.rev_append (List.rev cs) rest
-    | Tree.Xor es :: rest ->
-        incr xors;
-        stack := List.rev_append (List.rev_map snd es) rest
-  done;
-  (!leaves, !ands, !xors)
 
 (* ---------- metamorphic rewrites (differential-testing layer) ----------
 

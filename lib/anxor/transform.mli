@@ -1,15 +1,5 @@
-(** Structural transformations and model conversions for and/xor trees.
-
-    The paper's Figure 1 shows the two extreme encodings: a BID table
-    (Figure 1(i)) and an explicit possible-world distribution
-    (Figure 1(ii)→(iii)).  These helpers convert between representations
-    and normalize trees. *)
-
-val of_worlds : (float * 'a list) list -> 'a Tree.t
-(** Encode an explicit distribution over worlds as in Figure 1(iii): an
-    [Xor] over one [And] per world.  Probabilities must be non-negative and
-    sum to at most 1 (a residual encodes the empty world).  Raises
-    [Invalid_argument] otherwise. *)
+(** Structural normalization and distribution comparison for and/xor
+    trees, plus the answer-preserving rewrites the oracle applies. *)
 
 val simplify : 'a Tree.t -> 'a Tree.t
 (** Normalize without changing the leaf-set distribution:
@@ -19,37 +9,11 @@ val simplify : 'a Tree.t -> 'a Tree.t
       residual mass;
     - nested [Xor (p, Xor ...)] distributes.  *)
 
-val merge_independent : 'a Tree.t list -> 'a Tree.t
-(** [And] of independent components, flattened. *)
-
-val push_bernoulli : float -> 'a Tree.t -> 'a Tree.t
-(** [push_bernoulli p t]: the tree realizing [t]'s world with probability
-    [p] and the empty world otherwise. *)
-
-val condition_present :
-  ('a -> bool) -> 'a Tree.t -> (float * 'a Tree.t) option
-(** [condition_present is_leaf t]: the probability that the (unique) leaf
-    satisfying the predicate is present, and the tree of the conditional
-    world distribution given its presence — every xor choice on the leaf's
-    root path becomes deterministic.  [None] if no leaf matches.  Raises
-    [Invalid_argument] if several leaves match. *)
-
-val condition_absent :
-  ('a -> bool) -> 'a Tree.t -> (float * 'a Tree.t) option
-(** Dual of {!condition_present}: probability of absence and the
-    conditional tree given absence (the leaf's xor branch keeps its
-    non-leaf outcomes with renormalized edge probabilities).  [None] if no
-    leaf matches; returns probability 0 with the original tree if the leaf
-    is certainly present. *)
-
 val is_equivalent : ?limit:int -> 'a Tree.t -> 'a Tree.t -> bool
 (** Distribution equality by merged enumeration (tests / small trees):
     both trees induce the same probability on every leaf multiset, with
     leaves compared structurally.  Payloads must identify leaves
     unambiguously. *)
-
-val stats : 'a Tree.t -> int * int * int
-(** (leaves, and-nodes, xor-nodes). *)
 
 (** {1 Metamorphic rewrites (differential-testing layer)}
 

@@ -24,8 +24,6 @@ let independent tuples = And (List.map (fun (p, a) -> xor [ (p, Leaf a) ]) tuple
 let bid blocks =
   And (List.map (fun block -> xor (List.map (fun (p, a) -> (p, Leaf a)) block)) blocks)
 
-let certain leaves = And (List.map leaf leaves)
-
 (* The structural walkers below use explicit heap work-lists rather than
    recursion: databases routinely exceed the OCaml stack both in width (a
    million-child [And]) and depth (chained conditioning), and these run in

@@ -35,9 +35,6 @@ val bid : (float * 'a) list list -> 'a t
 (** [bid blocks] builds a block-independent-disjoint database: an [And] of
     one [Xor] per block, whose alternatives are mutually exclusive. *)
 
-val certain : 'a list -> 'a t
-(** A deterministic world containing exactly the given leaves. *)
-
 val num_leaves : 'a t -> int
 val leaves : 'a t -> 'a list
 (** Leaves in depth-first order. *)

@@ -189,17 +189,3 @@ let mean_kendall_exact ctx =
   let pref = pref_matrix ctx in
   let order, cost = Aggregation.kemeny_exact pref in
   (order_to_keys ctx order, cost)
-
-let mean_kendall_mc4 ctx =
-  let pref = pref_matrix ctx in
-  let order, cost = Aggregation.mc4 pref in
-  (order_to_keys ctx order, cost)
-
-let mean_kendall_copeland ctx =
-  let pref = pref_matrix ctx in
-  let order, cost = Aggregation.copeland pref in
-  (order_to_keys ctx order, cost)
-
-let mean_kendall_via_footrule ctx =
-  let sigma, _ = mean_footrule ctx in
-  (sigma, expected_kendall ctx sigma)

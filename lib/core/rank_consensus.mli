@@ -67,18 +67,6 @@ val mean_kendall_exact : ctx -> int array * float
     a bitmask DP per Condorcet component of the disagreement tournament,
     O(n² + Σ_c 2^|c|·|c|); requires at most 22 keys. *)
 
-val mean_kendall_mc4 : ctx -> int array * float
-(** MC4 Markov-chain aggregation (Dwork et al., the paper's \[14\]) on the
-    probabilistic tournament, scored under the exact expected Kendall
-    distance. *)
-
-val mean_kendall_copeland : ctx -> int array * float
-(** Copeland (majority-wins) baseline, scored likewise. *)
-
-val mean_kendall_via_footrule : ctx -> int array * float
-(** The footrule-optimal permutation evaluated under Kendall: the classic
-    2-approximation (Dwork et al., as cited in §2). *)
-
 val disagreement_matrix : ctx -> float array array
 (** [w.(i).(j)]: probability that ordering key [i] before key [j]
     disagrees with the world (j present above i, or j present and i

@@ -263,12 +263,6 @@ let index_set ctx tis =
   Array.iter (fun t -> mem.(t) <- true) tis;
   mem
 
-(* Every code (i, j) with i, j in [tis], the diagonal (O_i) included. *)
-let square_codes ctx tis =
-  Array.fold_left
-    (fun acc i -> Array.fold_left (fun acc j -> pair_code ctx i j :: acc) acc tis)
-    [] tis
-
 (* Σ_{j∉τ} J(i, j) for the key at τ-position [a] of [len] can be read
    outside key by outside key, n − len joints, or as O_i minus the joints
    with the other τ keys: the later ones are read either way, so that costs
@@ -339,55 +333,6 @@ let expected_kendall ctx tau =
       done
   done;
   !acc
-
-let expected_kendall_p ~p ctx tau =
-  if p < 0. || p > 1. then
-    invalid_arg "Topk_consensus.expected_kendall_p: p must be in [0,1]";
-  if p = 0. then expected_kendall ctx tau
-  else begin
-    Topk_list.validate ~k:ctx.k tau;
-    let tis = Array.map (kidx ctx) tau in
-    let in_tau = index_set ctx tis in
-    let others =
-      List.filter (fun j -> not in_tau.(j)) (List.init (Array.length ctx.keys) Fun.id)
-    in
-    let rec outside_codes acc = function
-      | [] -> acc
-      | i :: rest ->
-          outside_codes
-            (List.fold_left
-               (fun acc j -> pair_code ctx i j :: pair_code ctx j i :: acc)
-               acc rest)
-            rest
-    in
-    (* One batch for every joint read below: both orders of the pairs
-       inside τ and outside it, and what the base distance reads. *)
-    ensure_joints ctx
-      (outside_codes
-         (List.rev_append (kendall_codes ctx tis) (square_codes ctx tis))
-         others);
-    let base = expected_kendall ctx tau in
-    (* Undetermined pairs: both keys inside τ with neither in the world's
-       top-k, or both outside τ with both in the world's top-k. *)
-    let joint i j = joint_ordered ctx i j +. joint_ordered ctx j i in
-    let inside = ref 0. in
-    let len = Array.length tis in
-    for a = 0 to len - 1 do
-      for b = a + 1 to len - 1 do
-        let i = tis.(a) and j = tis.(b) in
-        inside := !inside +. (1. -. leq_k ctx i -. leq_k ctx j +. joint i j)
-      done
-    done;
-    let outside = ref 0. in
-    let rec pairs = function
-      | [] -> ()
-      | i :: rest ->
-          List.iter (fun j -> outside := !outside +. joint i j) rest;
-          pairs rest
-    in
-    pairs others;
-    base +. (p *. (!inside +. !outside))
-  end
 
 (* ---------- consensus answers ---------- *)
 
@@ -598,8 +543,6 @@ let mean_footrule ctx =
   let assignment, _ = Hungarian.minimize (by_position rows positions) in
   Array.map (fun ti -> ctx.keys.(ti)) assignment
 
-let mean_kendall_footrule = mean_footrule
-
 let mean_kendall_pivot rng ?(trials = 8) ctx =
   let n = Array.length ctx.keys in
   let pool_size = min n (max (2 * ctx.k) (ctx.k + 4)) in
@@ -636,137 +579,6 @@ let mean_kendall_pivot rng ?(trials = 8) ctx =
     (candidate_pivot, expected_kendall ctx candidate_pivot)
     candidates
   |> fst
-
-let mean_kendall_pool_exact ?pool ctx =
-  let k = ctx.k in
-  if k > 10 then
-    invalid_arg "Topk_consensus.mean_kendall_pool_exact: k too large (max 10)";
-  let n = Array.length ctx.keys in
-  let pool_size = min n (Option.value pool ~default:(k + 6)) in
-  if pool_size < k then
-    invalid_arg "Topk_consensus.mean_kendall_pool_exact: pool smaller than k";
-  algo_span "mean_kendall_pool_exact" ~k ~n
-    ~attrs:(fun () ->
-      (* Candidate space: the (pool_size choose k) · k! ordered k-subsets of
-         the pool scored exactly. *)
-      [ ("pool", Obs.Int pool_size) ])
-  @@ fun () ->
-  let pool_ix = Heap.top_indices (leq_k_column ctx) pool_size in
-  (* Every subset evaluation reads the ordered joints inside the pool and
-     each pool key's O_i: batch them up front so the subset loop runs on
-     the warm cache. *)
-  ensure_joints ctx (square_codes ctx pool_ix);
-  (* the set-only part: pairs (i in τ, j outside τ), which sum to
-     Σ_{j∉τ} Pr(r(j) <= k) − (O_i − Σ_{j∈τ∖i} J(i, j)) per i, as in
-     [expected_kendall] *)
-  let set_cost subset =
-    let outside_leq =
-      List.fold_left (fun acc j -> acc -. leq_k ctx j) ctx.sum_leq.(k - 1) subset
-    in
-    List.fold_left
-      (fun acc i ->
-        let inside =
-          List.fold_left
-            (fun s j -> if j = i then s else s +. joint_ordered ctx i j)
-            0. subset
-        in
-        acc +. (outside_leq -. (beaten ctx i -. inside)))
-      0. subset
-  in
-  let best = ref None in
-  let consider subset =
-    let arr = Array.of_list subset in
-    let m = Array.length arr in
-    let pref =
-      Array.init m (fun a ->
-          Array.init m (fun b ->
-              if a = b then 0. else contribution ctx arr.(b) arr.(a)))
-    in
-    let perm, order_cost = Consensus_ranking.Aggregation.kemeny_exact pref in
-    let total = order_cost +. set_cost subset in
-    match !best with
-    | Some (_, bd) when bd <= total -> ()
-    | _ -> best := Some (Array.map (fun i -> ctx.keys.(arr.(i))) perm, total)
-  in
-  let rec subsets chosen remaining count =
-    if count = 0 then consider (List.rev chosen)
-    else
-      match remaining with
-      | [] -> ()
-      | i :: rest ->
-          if List.length rest + 1 >= count then begin
-            subsets (i :: chosen) rest (count - 1);
-            subsets chosen rest count
-          end
-  in
-  subsets [] (Array.to_list pool_ix) k;
-  match !best with Some (answer, _) -> answer | None -> [||]
-
-(* ---------- sampled consensus ---------- *)
-
-let sample_answers rng ~samples db ~k =
-  if samples <= 0 then invalid_arg "Topk_consensus: samples must be positive";
-  List.init samples (fun _ ->
-      Worlds.sample rng (Db.arena db)
-      |> List.map (Db.alt db)
-      |> Topk_list.of_world ~k)
-
-let sampled_mean_sym_diff rng ~samples db ~k =
-  let answers = sample_answers rng ~samples db ~k in
-  let counts = Hashtbl.create 64 in
-  List.iter
-    (fun answer ->
-      Array.iter
-        (fun key ->
-          Hashtbl.replace counts key
-            (1 + Option.value (Hashtbl.find_opt counts key) ~default:0))
-        answer)
-    answers;
-  let scored =
-    Db.keys db |> Array.to_list
-    |> List.map (fun key ->
-           (key, float_of_int (Option.value (Hashtbl.find_opt counts key) ~default:0)))
-  in
-  let sorted = List.sort (fun (_, a) (_, b) -> Float.compare b a) scored in
-  let rec take n = function
-    | [] -> []
-    | _ when n = 0 -> []
-    | (key, _) :: rest -> key :: take (n - 1) rest
-  in
-  Array.of_list (take k sorted)
-
-let sampled_mean_footrule rng ~samples db ~k =
-  let answers = sample_answers rng ~samples db ~k in
-  let keys = Db.keys db in
-  let n = Array.length keys in
-  if n < k then invalid_arg "Topk_consensus.sampled_mean_footrule: fewer keys than k";
-  (* Empirical positional cost of placing key t at position i (1-based,
-     with i = k+1 meaning "left out"): average |i - pos_sample(t)|. *)
-  let pos_sum = Array.make_matrix n (k + 1) 0. in
-  let key_idx = Hashtbl.create n in
-  Array.iteri (fun ti key -> Hashtbl.replace key_idx key ti) keys;
-  List.iter
-    (fun answer ->
-      Array.iteri
-        (fun ti key ->
-          let pos =
-            match Topk_list.position answer key with Some p -> p | None -> k + 1
-          in
-          ignore key;
-          for i = 1 to k + 1 do
-            pos_sum.(ti).(i - 1) <-
-              pos_sum.(ti).(i - 1) +. float_of_int (abs (i - pos))
-          done)
-        keys)
-    answers;
-  (* assignment of positions 1..k to keys; the k+1 column is the per-key
-     baseline of leaving it out *)
-  let cost =
-    Array.init k (fun i0 ->
-        Array.init n (fun ti -> pos_sum.(ti).(i0) -. pos_sum.(ti).(k)))
-  in
-  let assignment, _ = Hungarian.minimize cost in
-  Array.map (fun ti -> keys.(ti)) assignment
 
 (* ---------- metrics ---------- *)
 

@@ -61,12 +61,6 @@ val expected_kendall : ctx -> Topk_list.t -> float
     use, linear in n at fixed k; joints and totals are cached in the
     context and published to the process cache. *)
 
-val expected_kendall_p : p:float -> ctx -> Topk_list.t -> float
-(** Exact expectation of Fagin's [K^(p)] (penalty parameter) distance:
-    undetermined pairs — both keys in one answer, neither in the other —
-    contribute [p].  [expected_kendall_p ~p:0.] = {!expected_kendall}.
-    O(n²) joint probabilities on first use. *)
-
 (** {1 Consensus answers} *)
 
 val mean_sym_diff : ctx -> Topk_list.t
@@ -102,32 +96,3 @@ val mean_kendall_pivot :
     Ailon's LP-based 3/2-approximation, which uses exactly the same pairwise
     information (§5.5 and DESIGN.md §3). *)
 
-val mean_kendall_footrule : ctx -> Topk_list.t
-(** The footrule-optimal answer: a 2-approximation for the Kendall metric
-    (the two metrics are within factor 2 of each other, §5.5). *)
-
-val mean_kendall_pool_exact : ?pool:int -> ctx -> Topk_list.t
-(** Exhaustive Kendall optimization restricted to a candidate pool: every
-    k-subset of the [pool] (default [k + 6]) most top-k-likely keys is
-    ordered optimally by the Kemeny bitmask DP and scored with
-    {!expected_kendall}.  Exponential in [k] ([C(pool, k) · 2^k]); exact
-    whenever the true optimum uses only pool keys.  Requires [k <= 10]. *)
-
-(** {1 Sampled consensus}
-
-    Monte-Carlo alternatives to the generating-function algorithms: draw
-    worlds, aggregate their top-k answers with the classic
-    inconsistent-information-aggregation machinery (§1's framing).  They
-    converge to the exact consensus answers and trade accuracy for
-    independence from the O(n²k) pre-computation (experiment E19). *)
-
-val sampled_mean_sym_diff :
-  Consensus_util.Prng.t -> samples:int -> Db.t -> k:int -> Topk_list.t
-(** Top-k keys by membership frequency across sampled answers: the
-    sampling estimate of Theorem 3's answer. *)
-
-val sampled_mean_footrule :
-  Consensus_util.Prng.t -> samples:int -> Db.t -> k:int -> Topk_list.t
-(** Footrule aggregation of the sampled answers (positions of missing keys
-    at k+1) via the assignment problem: the sampling estimate of §5.4's
-    answer. *)

@@ -100,5 +100,3 @@ let maximize profit =
   let cost = Array.map (Array.map (fun c -> -.c)) profit in
   let assignment, total = minimize cost in
   (assignment, -.total)
-
-let minimize_square = minimize

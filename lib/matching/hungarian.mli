@@ -11,6 +11,3 @@ val minimize : float array array -> int array * float
 
 val maximize : float array array -> int array * float
 (** Same with profits: maximizes the total. *)
-
-val minimize_square : float array array -> int array * float
-(** Alias of {!minimize} for square matrices (kept for readability). *)

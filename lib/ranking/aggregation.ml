@@ -234,102 +234,3 @@ let local_search pref order0 =
     done
   done;
   (order, cost pref order)
-
-let borda pref =
-  let n = check_square pref "Aggregation.borda" in
-  let score = Array.init n (fun i -> Array.fold_left ( +. ) 0. pref.(i)) in
-  let order = Array.init n Fun.id in
-  Array.sort (fun a b -> Float.compare score.(b) score.(a)) order;
-  (order, cost pref order)
-
-let copeland pref =
-  let n = check_square pref "Aggregation.copeland" in
-  let wins =
-    Array.init n (fun i ->
-        let acc = ref 0 in
-        for j = 0 to n - 1 do
-          if j <> i && pref.(i).(j) > pref.(j).(i) then incr acc
-        done;
-        !acc)
-  in
-  let order = Array.init n Fun.id in
-  Array.sort (fun a b -> compare wins.(b) wins.(a)) order;
-  (order, cost pref order)
-
-let mc4 ?(damping = 0.05) ?(iterations = 200) pref =
-  let n = check_square pref "Aggregation.mc4" in
-  if n = 0 then ([||], 0.)
-  else begin
-    (* Transition matrix: from i, pick j uniformly; move if the majority
-       prefers j before i, else stay. *)
-    let p = Array.make_matrix n n 0. in
-    for i = 0 to n - 1 do
-      let stay = ref 0. in
-      for j = 0 to n - 1 do
-        if j <> i then
-          if pref.(j).(i) > pref.(i).(j) then p.(i).(j) <- 1. /. float_of_int n
-          else stay := !stay +. (1. /. float_of_int n)
-      done;
-      p.(i).(i) <- !stay +. (1. /. float_of_int n)
-    done;
-    (* damping for irreducibility *)
-    let uniform = 1. /. float_of_int n in
-    for i = 0 to n - 1 do
-      for j = 0 to n - 1 do
-        p.(i).(j) <- ((1. -. damping) *. p.(i).(j)) +. (damping *. uniform)
-      done
-    done;
-    let pi = Array.make n uniform in
-    let next = Array.make n 0. in
-    for _ = 1 to iterations do
-      Array.fill next 0 n 0.;
-      for i = 0 to n - 1 do
-        for j = 0 to n - 1 do
-          next.(j) <- next.(j) +. (pi.(i) *. p.(i).(j))
-        done
-      done;
-      Array.blit next 0 pi 0 n
-    done;
-    let order = Array.init n Fun.id in
-    Array.sort (fun a b -> Float.compare pi.(b) pi.(a)) order;
-    (order, cost pref order)
-  end
-
-let positions order =
-  let n = Array.length order in
-  let pos = Array.make n 0 in
-  Array.iteri (fun p item -> pos.(item) <- p) order;
-  ignore n;
-  pos
-
-let kendall_tau_permutations o1 o2 =
-  let n = Array.length o1 in
-  if Array.length o2 <> n then
-    invalid_arg "Aggregation.kendall_tau_permutations: length mismatch";
-  let p2 = positions o2 in
-  let count = ref 0 in
-  for a = 0 to n - 1 do
-    for b = a + 1 to n - 1 do
-      if p2.(o1.(a)) > p2.(o1.(b)) then incr count
-    done
-  done;
-  !count
-
-let footrule_permutations o1 o2 =
-  let n = Array.length o1 in
-  if Array.length o2 <> n then
-    invalid_arg "Aggregation.footrule_permutations: length mismatch";
-  let p1 = positions o1 and p2 = positions o2 in
-  let acc = ref 0 in
-  for item = 0 to n - 1 do
-    acc := !acc + abs (p1.(item) - p2.(item))
-  done;
-  !acc
-
-let footrule_aggregation posdist =
-  let assignment, total = Consensus_matching.Hungarian.minimize posdist in
-  (* assignment.(item) = position; invert to an ordered list. *)
-  let n = Array.length assignment in
-  let order = Array.make n (-1) in
-  Array.iteri (fun item pos -> order.(pos) <- item) assignment;
-  (order, total)

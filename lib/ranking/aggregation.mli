@@ -46,31 +46,3 @@ val best_pivot_of :
 val local_search : float array array -> int array -> int array * float
 (** Single-item-move local search to a local optimum: repeatedly remove an
     item and reinsert it at its best position while the cost improves. *)
-
-val borda : float array array -> int array * float
-(** Borda-style baseline: sort by total preference weight
-    [Σ_j pref.(i).(j)] decreasingly. *)
-
-val copeland : float array array -> int array * float
-(** Copeland baseline: sort by the number of majority wins
-    [#\{j : pref.(i).(j) > pref.(j).(i)\}]. *)
-
-val mc4 : ?damping:float -> ?iterations:int -> float array array -> int array * float
-(** The MC4 Markov-chain aggregation of Dwork et al. (the paper's \[14\]):
-    from state [i], move to a uniformly chosen [j] if a majority prefers
-    [j] to [i], else stay; items are ranked by decreasing stationary
-    probability (power iteration with optional damping for
-    irreducibility). *)
-
-val kendall_tau_permutations : int array -> int array -> int
-(** Number of discordant pairs between two permutations of the same items. *)
-
-val footrule_permutations : int array -> int array -> int
-(** Spearman footrule (L1 positional) distance between two permutations of
-    the same items. *)
-
-val footrule_aggregation : float array array -> int array * float
-(** Optimal {e footrule} aggregation via the assignment problem (Dwork et
-    al.): [posdist.(i).(p)] is the cost of placing item [i] at position [p];
-    returns the permutation minimizing the total.  Input is the full
-    [n × n] position-cost matrix. *)

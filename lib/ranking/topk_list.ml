@@ -60,39 +60,6 @@ let footrule ~k l1 l2 =
     (fun key acc -> acc +. float_of_int (abs (pos l1 key - pos l2 key)))
     union 0.
 
-let kendall_p ~p ~k l1 l2 =
-  ignore k;
-  if p < 0. || p > 1. then invalid_arg "Topk_list.kendall_p: p must be in [0,1]";
-  let module S = Set.Make (Int) in
-  let s1 = Array.fold_left (fun acc x -> S.add x acc) S.empty l1 in
-  let s2 = Array.fold_left (fun acc x -> S.add x acc) S.empty l2 in
-  let union = S.union s1 s2 |> S.elements |> Array.of_list in
-  let n = Array.length union in
-  let total = ref 0. in
-  for a = 0 to n - 1 do
-    for b = a + 1 to n - 1 do
-      let i = union.(a) and j = union.(b) in
-      let p1i = position l1 i and p1j = position l1 j in
-      let p2i = position l2 i and p2j = position l2 j in
-      let contribution =
-        match (p1i, p1j, p2i, p2j) with
-        | Some a1, Some b1, Some a2, Some b2 ->
-            if (a1 < b1 && a2 > b2) || (a1 > b1 && a2 < b2) then 1. else 0.
-        | Some _, Some _, Some _, None -> if p1j < p1i then 1. else 0.
-        | Some _, Some _, None, Some _ -> if p1i < p1j then 1. else 0.
-        | Some _, None, Some _, Some _ -> if p2j < p2i then 1. else 0.
-        | None, Some _, Some _, Some _ -> if p2i < p2j then 1. else 0.
-        | Some _, None, None, Some _ -> 1.
-        | None, Some _, Some _, None -> 1.
-        | Some _, Some _, None, None -> p (* undetermined pair *)
-        | None, None, Some _, Some _ -> p
-        | _ -> 0.
-      in
-      total := !total +. contribution
-    done
-  done;
-  !total
-
 let kendall ~k l1 l2 =
   ignore k;
   (* K_min: pairs forced to disagree in all full-ranking extensions. *)

@@ -30,12 +30,6 @@ val kendall : k:int -> t -> t -> float
 (** The minimizing Kendall distance [K_min]: the number of unordered pairs
     whose order must disagree in every pair of full-ranking extensions. *)
 
-val kendall_p : p:float -> k:int -> t -> t -> float
-(** Fagin's Kendall distance with penalty parameter [p ∈ \[0, 1\]]: pairs
-    whose relative order is undetermined (both appear in one list and
-    neither in the other) contribute [p] instead of 0.  [kendall_p ~p:0.]
-    is {!kendall}; [p = 1/2] is the neutral variant. *)
-
 val validate : k:int -> t -> unit
 (** Raise [Invalid_argument] on duplicate keys or length > k. *)
 

@@ -1,68 +1,3 @@
-type 'a t = {
-  mutable prio : float array;
-  mutable data : 'a option array;
-  mutable n : int;
-}
-
-let create () = { prio = Array.make 16 0.; data = Array.make 16 None; n = 0 }
-let is_empty h = h.n = 0
-let size h = h.n
-
-let swap h i j =
-  let p = h.prio.(i) in
-  h.prio.(i) <- h.prio.(j);
-  h.prio.(j) <- p;
-  let d = h.data.(i) in
-  h.data.(i) <- h.data.(j);
-  h.data.(j) <- d
-
-let grow h =
-  if h.n >= Array.length h.prio then begin
-    let cap = 2 * Array.length h.prio in
-    let prio = Array.make cap 0. and data = Array.make cap None in
-    Array.blit h.prio 0 prio 0 h.n;
-    Array.blit h.data 0 data 0 h.n;
-    h.prio <- prio;
-    h.data <- data
-  end
-
-let push h p x =
-  grow h;
-  h.prio.(h.n) <- p;
-  h.data.(h.n) <- Some x;
-  let i = ref h.n in
-  h.n <- h.n + 1;
-  while !i > 0 && h.prio.((!i - 1) / 2) < h.prio.(!i) do
-    swap h !i ((!i - 1) / 2);
-    i := (!i - 1) / 2
-  done
-
-let peek_max h = if h.n = 0 then None else Some (h.prio.(0), Option.get h.data.(0))
-
-let pop_max h =
-  if h.n = 0 then None
-  else begin
-    let result = (h.prio.(0), Option.get h.data.(0)) in
-    h.n <- h.n - 1;
-    h.prio.(0) <- h.prio.(h.n);
-    h.data.(0) <- h.data.(h.n);
-    h.data.(h.n) <- None;
-    let i = ref 0 in
-    let continue = ref true in
-    while !continue do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      let largest = ref !i in
-      if l < h.n && h.prio.(l) > h.prio.(!largest) then largest := l;
-      if r < h.n && h.prio.(r) > h.prio.(!largest) then largest := r;
-      if !largest <> !i then begin
-        swap h !i !largest;
-        i := !largest
-      end
-      else continue := false
-    done;
-    Some result
-  end
-
 (* The indices of the [m] largest entries of [score], best first, in
    [Float.compare]'s order (NaN lowest).  Ties go to the lower index, so the
    result is a stable descending sort's prefix.  A size-m heap whose root is

@@ -818,60 +818,46 @@ let test_size_conditioned_rank_vs_enumeration () =
 
 (* ---------- Genfunc engines cross-validation ---------- *)
 
-let test_bipoly_engine_vs_mpoly () =
-  (* Against the general engine with x = var 0 and y = var 1, cut to first
-     order in y: y on leaf 0 (Example 3, linear in y), and 1 + y on the odd
-     leaves (the dual numbers of Jaccard's Lemma 1). *)
+let test_bipoly_engine_vs_enumeration () =
+  (* Each case pairs a substitution with what its x^d coefficients count,
+     from a world's (leaf-0 present, #odd leaves, #even leaves): y on leaf 0
+     and x on the odd leaves (Example 3, linear in y), and 1 + y on the odd
+     leaves with x on the even ones (the dual numbers of Jaccard's
+     Lemma 1), whose y^1 part weighs each world by its odd count. *)
   let g = rng () in
-  let x = Mpoly.var 0 and y = Mpoly.var 1 in
   let one_eps = Bipoly.make ~a:Poly1.one ~b:Poly1.one in
   let cases =
     [ ((fun i -> if i = 0 then Bipoly.y else if i mod 2 = 1 then Bipoly.x else Bipoly.one),
-       fun i -> if i = 0 then y else if i mod 2 = 1 then x else Mpoly.one);
+       fun (leaf0, odd, _) -> if leaf0 then (odd, 0., 1.) else (odd, 1., 0.));
       ((fun i -> if i mod 2 = 1 then one_eps else Bipoly.x),
-       fun i -> if i mod 2 = 1 then Mpoly.add_const 1. y else x) ]
+       fun (_, odd, even) -> (even, 1., float_of_int odd)) ]
   in
   for _ = 1 to 10 do
-    let a = arena_of (Consensus_workload.Gen.random_tree g 7) in
+    let t = Consensus_workload.Gen.random_tree g 7 in
+    let a = arena_of t in
+    let n = Arena.num_leaves a in
+    let worlds = Worlds.enumerate (Tree.indexed t) in
     List.iter
-      (fun (sb, sm) ->
-        let bip = Genfunc.bipoly sb a and m = Genfunc.mpoly sm a in
-        for d = 0 to Arena.num_leaves a do
-          let xd = if d = 0 then [] else [ (0, d) ] in
-          check_floatl "y^0 parts agree"
-            (Mpoly.coeff m (Mpoly.mono_of_list xd)) (Poly1.coeff bip.Bipoly.a d);
-          check_floatl "y^1 parts agree"
-            (Mpoly.coeff m (Mpoly.mono_of_list (xd @ [ (1, 1) ])))
-            (Poly1.coeff bip.Bipoly.b d)
+      (fun (sb, weigh) ->
+        let bip = Genfunc.bipoly sb a in
+        let y0 = Array.make (n + 1) 0. and y1 = Array.make (n + 1) 0. in
+        List.iter
+          (fun (p, w) ->
+            let count f = List.length (List.filter (fun (i, _) -> f i) w) in
+            let d, w0, w1 =
+              weigh
+                ( List.exists (fun (i, _) -> i = 0) w,
+                  count (fun i -> i mod 2 = 1),
+                  count (fun i -> i mod 2 = 0) )
+            in
+            y0.(d) <- y0.(d) +. (p *. w0);
+            y1.(d) <- y1.(d) +. (p *. w1))
+          worlds;
+        for d = 0 to n do
+          check_floatl "y^0 part" y0.(d) (Poly1.coeff bip.Bipoly.a d);
+          check_floatl "y^1 part" y1.(d) (Poly1.coeff bip.Bipoly.b d)
         done)
       cases
-  done
-
-let test_mpoly_engine_vs_enumeration () =
-  let g = rng () in
-  for _ = 1 to 5 do
-    let t = Consensus_workload.Gen.random_tree g 6 in
-    let it = Tree.indexed t in
-    (* Three variables: leaf i gets variable i mod 3. *)
-    let f = Genfunc.mpoly (fun i -> Mpoly.var (i mod 3)) (arena_of t) in
-    let worlds = Worlds.enumerate it in
-    (* Check a handful of monomials. *)
-    Mpoly.fold
-      (fun mono c () ->
-        let counts = [ 0; 1; 2 ] |> List.map (fun v -> Mpoly.mono_exponent mono v) in
-        let direct =
-          List.fold_left
-            (fun acc (p, w) ->
-              let cs =
-                [ 0; 1; 2 ]
-                |> List.map (fun v ->
-                       List.length (List.filter (fun (i, _) -> i mod 3 = v) w))
-              in
-              if cs = counts then acc +. p else acc)
-            0. worlds
-        in
-        check_floatl "mpoly coefficient" direct c)
-      f ()
   done
 
 (* The sweep against the width-k walk ([rank_table_slow]) and the
@@ -1020,8 +1006,8 @@ let suite =
     Alcotest.test_case "full rank dist" `Quick test_full_rank_dist;
     Alcotest.test_case "full rank table dense = general" `Quick
       test_full_rank_table_dense_matches_general;
-    Alcotest.test_case "bipoly engine vs mpoly" `Quick test_bipoly_engine_vs_mpoly;
-    Alcotest.test_case "mpoly engine vs enumeration" `Quick test_mpoly_engine_vs_enumeration;
+    Alcotest.test_case "bipoly engine vs enumeration" `Quick
+      test_bipoly_engine_vs_enumeration;
     Alcotest.test_case "rank sweep shifts and stops" `Quick test_rank_sweep_shift_and_stop;
     Alcotest.test_case "size-conditioned rank vs enumeration" `Quick
       test_size_conditioned_rank_vs_enumeration;

@@ -395,13 +395,37 @@ let test_kendall_heuristics_quality () =
       (Printf.sprintf "pivot-based within 2x (%g vs %g)" d_piv best)
       true
       (d_piv <= (2. *. best) +. 1e-6);
-    let fr = Topk_consensus.mean_kendall_footrule ctx in
+    let fr = Topk_consensus.mean_footrule ctx in
     let d_fr = Topk_consensus.expected_kendall ctx fr in
     Alcotest.(check bool)
       (Printf.sprintf "footrule 2-approx for kendall (%g vs %g)" d_fr best)
       true
       (d_fr <= (2. *. best) +. 1e-6)
   done
+
+(* At k = 1, K_min between two one-key answers is 1 when they differ and 0
+   when they agree, and 0 against an empty world's answer, so
+   E d_K([a]) = Pr(pw non-empty) - Pr(r(a) = 1) for every key a. *)
+let test_kendall_top1_closed_form () =
+  let g = rng () in
+  List.iter
+    (fun kind ->
+      for _ = 1 to 3 do
+        let ctx = random_ctx g ~n:(3 + Prng.int g 3) ~k:1 kind in
+        let db = Topk_consensus.db ctx in
+        let nonempty =
+          1. -. Consensus_poly.Poly1.coeff (Marginals.size_distribution db) 0
+        in
+        Array.iter
+          (fun key ->
+            let tau = [| key |] in
+            let closed = nonempty -. Topk_consensus.rank_leq ctx key in
+            check_float "closed form vs oracle" (topk_expected ctx Api.Kendall tau) closed;
+            check_float "closed form vs evaluator" closed
+              (Topk_consensus.expected_kendall ctx tau))
+          (Db.keys db)
+      done)
+    kinds
 
 let test_mc_estimator_matches_closed_forms () =
   let g = rng () in
@@ -426,24 +450,11 @@ let test_mc_estimator_matches_closed_forms () =
   close (Topk_consensus.expected_footrule ctx tau) Topk_consensus.Footrule;
   close (Topk_consensus.expected_kendall ctx tau) Topk_consensus.Kendall
 
-let test_kendall_pool_exact () =
-  let g = rng () in
-  for _ = 1 to 6 do
-    let ctx = random_ctx g ~n:5 ~k:2 `Tree in
-    let answer = Topk_consensus.mean_kendall_pool_exact ~pool:5 ctx in
-    let best = topk_optimum ctx Api.Kendall Api.Mean in
-    check_float "pool-exact matches brute force" best
-      (Topk_consensus.expected_kendall ctx answer)
-  done
-
-(* The §5.5 evaluators against the enumeration oracle on full-length
+(* The §5.5 evaluator against the enumeration oracle on full-length
    answers that leave keys out: [expected_kendall] reads one ordered joint
    per (τ-earlier, later) pair inside τ, and per answer key either a joint
    with each outside key or, where that takes fewer joint runs, the key's
-   O_i total less its joints with the other τ keys; [expected_kendall_p]
-   reads both orders of the pairs it scores, and the pool search both
-   orders inside the pool plus each pool key's O_i.  The pool holds every
-   key, so the pool search is the exact optimum. *)
+   O_i total less its joints with the other τ keys. *)
 let test_kendall_evaluators_vs_oracle () =
   let g = rng () in
   let shapes =
@@ -470,25 +481,7 @@ let test_kendall_evaluators_vs_oracle () =
             let name what = Printf.sprintf "%s k=%d: %s" shape k what in
             check_float (name "kendall evaluator")
               (topk_expected ctx Api.Kendall tau)
-              (Topk_consensus.expected_kendall ctx tau);
-            List.iter
-              (fun p ->
-                let direct =
-                  Worlds.fold (Db.tree db) ~init:0. ~f:(fun acc q w ->
-                      acc
-                      +. q
-                         *. Consensus_ranking.Topk_list.(
-                              kendall_p ~p ~k tau (of_world ~k w)))
-                in
-                check_float (name (Printf.sprintf "kendall p=%g" p)) direct
-                  (Topk_consensus.expected_kendall_p ~p ctx tau))
-              [ 0.5; 1. ];
-            let answer =
-              Topk_consensus.mean_kendall_pool_exact ~pool:(Array.length keys) ctx
-            in
-            check_float (name "pool-exact optimum")
-              (topk_optimum ctx Api.Kendall Api.Mean)
-              (Topk_consensus.expected_kendall ctx answer)
+              (Topk_consensus.expected_kendall ctx tau)
           done)
         shapes)
     [ 2; 3; 4 ]
@@ -1041,7 +1034,7 @@ let suite =
     Alcotest.test_case "upsilon H_k approximation" `Quick test_upsilon_approximation_bound;
     Alcotest.test_case "footrule mean optimal" `Quick test_mean_footrule_optimal;
     Alcotest.test_case "kendall heuristics quality" `Quick test_kendall_heuristics_quality;
-    Alcotest.test_case "kendall pool-exact" `Quick test_kendall_pool_exact;
+    Alcotest.test_case "kendall top-1 closed form" `Quick test_kendall_top1_closed_form;
     Alcotest.test_case "MC estimator vs closed forms" `Slow test_mc_estimator_matches_closed_forms;
     Alcotest.test_case "ctx validation" `Quick test_ctx_requires_distinct_scores;
     Alcotest.test_case "aggregate mean + variance" `Quick test_aggregate_mean_and_variance;

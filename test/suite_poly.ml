@@ -144,65 +144,27 @@ let test_bipoly_trunc () =
   let r = Bipoly.mul ~trunc:1 (Bipoly.mul ~trunc:1 p p) p in
   Alcotest.(check int) "degree capped" 1 (Poly1.degree r.Bipoly.a)
 
-let mpoly_testable = Alcotest.testable Mpoly.pp (fun p q -> Mpoly.equal ~eps:1e-9 p q)
-
-(* The two-variable reference for a Bipoly: x = var 0, y = var 1. *)
-let mpoly_of_bipoly (f : Bipoly.t) =
-  let of_poly1 y p =
-    Array.to_list (Poly1.coeffs p)
-    |> List.mapi (fun i c ->
-           let x = if i = 0 then [] else [ (0, i) ] in
-           Mpoly.monomial (Mpoly.mono_of_list (x @ y)) c)
-    |> List.fold_left Mpoly.add Mpoly.zero
-  in
-  Mpoly.add (of_poly1 [] f.Bipoly.a) (of_poly1 [ (1, 1) ] f.Bipoly.b)
-
-let test_bipoly_vs_mpoly () =
+let test_bipoly_vs_poly1_products () =
   (* The Bipoly product is the two-variable product with its y^2 terms
-     dropped: exact while one factor carries y, and the first-order (dual
-     number) part when several do, as for 1 + y. *)
+     dropped, (a + b·y)(c + d·y) = ac + (ad + bc)·y: exact while one factor
+     carries y, and the first-order (dual number) part when several do, as
+     for 1 + y. *)
   let fs = [ Bipoly.add_const 0.3 (Bipoly.scale 0.7 Bipoly.x);
              Bipoly.add_const 0.5 (Bipoly.scale 0.5 Bipoly.y);
              Bipoly.add_const 0.2 (Bipoly.scale 0.8 Bipoly.x);
              Bipoly.make ~a:Poly1.one ~b:Poly1.one;
              Bipoly.add (Bipoly.scale 0.4 Bipoly.x) (Bipoly.scale 0.6 Bipoly.y) ] in
   let b = List.fold_left Bipoly.mul Bipoly.one fs in
-  let m = List.fold_left (fun acc f -> Mpoly.mul acc (mpoly_of_bipoly f)) Mpoly.one fs in
-  let first_order =
-    Mpoly.add (Mpoly.restrict m 1 0) (Mpoly.mul (Mpoly.var 1) (Mpoly.restrict m 1 1))
+  let y0, y1 =
+    List.fold_left
+      (fun (y0, y1) (f : Bipoly.t) ->
+        (Poly1.mul y0 f.a, Poly1.add (Poly1.mul y0 f.b) (Poly1.mul y1 f.a)))
+      (Poly1.one, Poly1.zero) fs
   in
-  Alcotest.check mpoly_testable "bipoly = mpoly to first order in y" first_order
-    (mpoly_of_bipoly b);
+  Alcotest.check poly1_testable "y^0 part" y0 b.Bipoly.a;
+  Alcotest.check poly1_testable "y^1 part" y1 b.Bipoly.b;
   Alcotest.(check bool) "y^2 dropped" true
     (Bipoly.equal (Bipoly.mul Bipoly.y Bipoly.y) Bipoly.zero)
-
-(* ---------- Mpoly ---------- *)
-
-let test_mpoly_basic () =
-  let x0 = Mpoly.var 0 and x1 = Mpoly.var 1 in
-  let p = Mpoly.mul (Mpoly.add x0 x1) (Mpoly.add x0 x1) in
-  check_float "x0^2" 1. (Mpoly.coeff p (Mpoly.mono_of_list [ (0, 2) ]));
-  check_float "x0 x1" 2. (Mpoly.coeff p (Mpoly.mono_of_list [ (0, 1); (1, 1) ]));
-  Alcotest.(check int) "terms" 3 (Mpoly.num_terms p);
-  Alcotest.(check int) "degree" 2 (Mpoly.total_degree p)
-
-let test_mpoly_eval_restrict () =
-  let x0 = Mpoly.var 0 and x1 = Mpoly.var 1 in
-  let p = Mpoly.add_const 1. (Mpoly.mul x0 (Mpoly.add x1 (Mpoly.const 2.))) in
-  (* p = 1 + x0 x1 + 2 x0 *)
-  check_float "eval" (1. +. (3. *. 5.) +. (2. *. 3.))
-    (Mpoly.eval p (function 0 -> 3. | _ -> 5.));
-  let r = Mpoly.restrict p 0 1 in
-  (* terms with x0^1, x0 removed: x1 + 2 *)
-  check_float "restrict const" 2. (Mpoly.coeff r Mpoly.mono_one);
-  check_float "restrict x1" 1. (Mpoly.coeff r (Mpoly.mono_of_list [ (1, 1) ]))
-
-let test_mpoly_trunc () =
-  let x0 = Mpoly.var 0 in
-  let p = Mpoly.add_const 1. x0 in
-  let r = Mpoly.mul_trunc ~max_degree:2 (Mpoly.mul p p) p in
-  check_float "x0^3 dropped" 0. (Mpoly.coeff r (Mpoly.mono_of_list [ (0, 3) ]));
-  check_float "x0^2 kept" 3. (Mpoly.coeff r (Mpoly.mono_of_list [ (0, 2) ]))
 
 let prop_divide_linear_inverts_mul =
   QCheck.Test.make ~name:"poly1 divide_linear inverts linear mul" ~count:200
@@ -220,32 +182,10 @@ let prop_divide_linear_truncated =
       let g' = Poly1.divide_linear ~trunc:d f ~c0 ~c1 in
       Poly1.equal ~eps:1e-6 (Poly1.truncate d g) g')
 
-let prop_mpoly_matches_poly1 =
-  QCheck.Test.make ~name:"mpoly agrees with poly1 on one variable" ~count:100
-    (QCheck.pair arb_poly1 arb_poly1) (fun (p, q) ->
-      let to_m p =
-        Array.to_list (Poly1.coeffs p)
-        |> List.mapi (fun i c ->
-               if c = 0. then Mpoly.zero
-               else if i = 0 then Mpoly.const c
-               else Mpoly.monomial (Mpoly.mono_of_list [ (0, i) ]) c)
-        |> List.fold_left Mpoly.add Mpoly.zero
-      in
-      let m = Mpoly.mul (to_m p) (to_m q) in
-      let p1 = Poly1.mul p q in
-      let ok = ref true in
-      for i = 0 to Poly1.degree p1 do
-        let mono = if i = 0 then Mpoly.mono_one else Mpoly.mono_of_list [ (0, i) ] in
-        if not (Consensus_util.Fcmp.approx ~eps:1e-6 (Poly1.coeff p1 i) (Mpoly.coeff m mono))
-        then ok := false
-      done;
-      !ok)
-
 let props =
   List.map (fun t -> QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 20260705 |]) t)
     [ prop_eval_add; prop_eval_mul; prop_mul_commutative; prop_trunc_consistent;
-      prop_divide_linear_inverts_mul; prop_divide_linear_truncated;
-      prop_mpoly_matches_poly1 ]
+      prop_divide_linear_inverts_mul; prop_divide_linear_truncated ]
 
 let suite =
   [
@@ -258,9 +198,6 @@ let suite =
     Alcotest.test_case "poly1 monomial" `Quick test_p1_monomial;
     Alcotest.test_case "bipoly mul" `Quick test_bipoly_mul;
     Alcotest.test_case "bipoly trunc" `Quick test_bipoly_trunc;
-    Alcotest.test_case "bipoly vs mpoly" `Quick test_bipoly_vs_mpoly;
-    Alcotest.test_case "mpoly basics" `Quick test_mpoly_basic;
-    Alcotest.test_case "mpoly eval/restrict" `Quick test_mpoly_eval_restrict;
-    Alcotest.test_case "mpoly trunc" `Quick test_mpoly_trunc;
+    Alcotest.test_case "bipoly vs poly1 products" `Quick test_bipoly_vs_poly1_products;
   ]
   @ props

@@ -187,43 +187,13 @@ let test_kendall_approximations () =
       (Printf.sprintf "pivot within 2x (%g vs %g)" piv opt)
       true
       (piv <= (2. *. opt) +. 1e-9);
-    let _, fr = Rank_consensus.mean_kendall_via_footrule ctx in
+    let sigma, _ = Rank_consensus.mean_footrule ctx in
+    let fr = Rank_consensus.expected_kendall ctx sigma in
     Alcotest.(check bool)
       (Printf.sprintf "footrule within 2x on kendall (%g vs %g)" fr opt)
       true
       (fr <= (2. *. opt) +. 1e-9)
   done
-
-let test_mc4_copeland_baselines () =
-  let g = rng () in
-  for _ = 1 to 8 do
-    let db = Gen.random_tree_db g (4 + Prng.int g 3) in
-    let ctx = Rank_consensus.make_ctx db in
-    let _, opt = Rank_consensus.mean_kendall_exact ctx in
-    let check_method name f =
-      let sigma, d = f ctx in
-      Alcotest.(check (float 1e-9))
-        (name ^ " reports its own cost")
-        (Rank_consensus.expected_kendall ctx sigma)
-        d;
-      Alcotest.(check bool) (name ^ " never beats the optimum") true (d >= opt -. 1e-9)
-    in
-    check_method "mc4" Rank_consensus.mean_kendall_mc4;
-    check_method "copeland" Rank_consensus.mean_kendall_copeland
-  done
-
-let test_mc4_transitive_recovery () =
-  (* On a certain database MC4 and Copeland recover the score order. *)
-  let db =
-    Consensus_anxor.Db.independent
-      [ (0, 5., 1.0); (1, 9., 1.0); (2, 7., 1.0); (3, 1., 1.0) ]
-  in
-  let ctx = Rank_consensus.make_ctx db in
-  let sigma, d = Rank_consensus.mean_kendall_mc4 ctx in
-  Alcotest.(check (array int)) "mc4 order" [| 1; 2; 0; 3 |] sigma;
-  Alcotest.(check (float 1e-9)) "mc4 zero cost" 0. d;
-  let sigma_c, _ = Rank_consensus.mean_kendall_copeland ctx in
-  Alcotest.(check (array int)) "copeland order" [| 1; 2; 0; 3 |] sigma_c
 
 let test_certain_db_recovers_score_order () =
   (* With all tuples certain, the consensus ranking is just the score
@@ -277,8 +247,6 @@ let suite =
       test_mean_footrule_allocation_bound;
     Alcotest.test_case "kemeny DP optimal" `Quick test_mean_kendall_exact_optimal;
     Alcotest.test_case "kendall approximations" `Quick test_kendall_approximations;
-    Alcotest.test_case "mc4/copeland baselines" `Quick test_mc4_copeland_baselines;
-    Alcotest.test_case "mc4 transitive recovery" `Quick test_mc4_transitive_recovery;
     Alcotest.test_case "certain db = score order" `Quick test_certain_db_recovers_score_order;
     Alcotest.test_case "disagreement matrix bounds" `Quick test_disagreement_matrix_bounds;
     Alcotest.test_case "permutation validation" `Quick test_perm_validation;

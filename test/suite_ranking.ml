@@ -334,11 +334,13 @@ let test_local_search_improves () =
     Alcotest.(check (array int)) "still a permutation" (Array.init n Fun.id) sorted
   done
 
+(* A full permutation of n keys is a top-n list holding every key, where
+   the top-k metrics are the usual permutation distances. *)
 let test_permutation_metrics () =
   let a = [| 0; 1; 2; 3 |] and b = [| 3; 2; 1; 0 |] in
-  Alcotest.(check int) "kendall reversal" 6 (Aggregation.kendall_tau_permutations a b);
-  Alcotest.(check int) "footrule reversal" 8 (Aggregation.footrule_permutations a b);
-  Alcotest.(check int) "kendall self" 0 (Aggregation.kendall_tau_permutations a a)
+  check_float "kendall reversal" 6. (Topk_list.kendall ~k:4 a b);
+  check_float "footrule reversal" 8. (Topk_list.footrule ~k:4 a b);
+  check_float "kendall self" 0. (Topk_list.kendall ~k:4 a a)
 
 let test_diaconis_graham () =
   (* K <= F <= 2K for full permutations. *)
@@ -348,46 +350,50 @@ let test_diaconis_graham () =
     let a = Array.init n Fun.id and b = Array.init n Fun.id in
     Prng.shuffle g a;
     Prng.shuffle g b;
-    let k = Aggregation.kendall_tau_permutations a b in
-    let f = Aggregation.footrule_permutations a b in
+    let k = Topk_list.kendall ~k:n a b and f = Topk_list.footrule ~k:n a b in
     Alcotest.(check bool) "K <= F" true (k <= f);
-    Alcotest.(check bool) "F <= 2K" true (f <= 2 * k)
+    Alcotest.(check bool) "F <= 2K" true (f <= 2. *. k)
   done
 
 let test_footrule_aggregation () =
-  (* Two voters with positions; the footrule-optimal must match brute
-     force over permutations. *)
+  (* Footrule-optimal aggregation of full rankings (Dwork et al.) is an
+     assignment of positions to items with cost Σ_v |pos - π_v(item)|; the
+     Hungarian optimum must match brute force over permutations. *)
   let g = rng () in
   for _ = 1 to 20 do
     let n = 2 + Prng.int g 4 in
-    (* position cost: random *)
-    let posdist = Array.init n (fun _ -> Array.init n (fun _ -> Prng.float g 10.)) in
-    let order, total = Aggregation.footrule_aggregation posdist in
+    let voters =
+      List.init (1 + Prng.int g 3) (fun _ ->
+          let v = Array.init n Fun.id in
+          Prng.shuffle g v;
+          v)
+    in
+    let total sigma =
+      List.fold_left (fun acc v -> acc +. Topk_list.footrule ~k:n sigma v) 0. voters
+    in
+    let cost =
+      Array.init n (fun pos ->
+          Array.init n (fun item ->
+              List.fold_left
+                (fun acc v ->
+                  acc +. float_of_int (abs (pos + 1 - Option.get (Topk_list.position v item))))
+                0. voters))
+    in
+    let order, best = Consensus_matching.Hungarian.minimize cost in
     let brute =
       permutations (List.init n Fun.id)
-      |> List.map (fun p ->
-             List.mapi (fun pos item -> posdist.(item).(pos)) p
-             |> List.fold_left ( +. ) 0.)
+      |> List.map (fun p -> total (Array.of_list p))
       |> List.fold_left Float.min infinity
     in
-    check_float "footrule aggregation optimal" brute total;
+    check_float "footrule aggregation optimal" brute best;
+    check_float "reported cost is the order's" (total order) best;
     let sorted = List.sort compare (Array.to_list order) in
     Alcotest.(check (list int)) "permutation" (List.init n Fun.id) sorted
   done
 
-let test_borda () =
-  (* On a transitive tournament Borda recovers the order. *)
-  let n = 5 in
-  let pref = Array.make_matrix n n 0. in
-  for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      if i < j then pref.(i).(j) <- 0.9 else if i > j then pref.(i).(j) <- 0.1
-    done
-  done;
-  let order, _ = Aggregation.borda pref in
-  Alcotest.(check (array int)) "transitive order" [| 0; 1; 2; 3; 4 |] order
+(* ---------- Ranking functions over the rank table ---------- *)
 
-(* ---------- Ranking functions ---------- *)
+module Topk_consensus = Consensus.Topk_consensus
 
 let fig1_iii () =
   let w prob alts =
@@ -401,137 +407,85 @@ let fig1_iii () =
          w 0.4 [ (2, 8.); (4, 4.); (5, 3.) ];
        ])
 
+let sorted a =
+  let a = Array.copy a in
+  Array.sort compare a;
+  a
+
 let test_global_topk () =
+  (* Theorem 3: the mean answer under the symmetric difference is the
+     Global-Top-k answer, the k keys with largest Pr(r <= k). *)
   let db = fig1_iii () in
+  let answer k = sorted (Topk_consensus.mean_sym_diff (Topk_consensus.make_ctx db ~k)) in
   (* Pr(r <= 1): t3: 0.6, t2: 0.4, others 0. *)
-  Alcotest.(check (array int)) "top-1" [| 3 |] (Functions.global_topk db ~k:1);
+  Alcotest.(check (array int)) "top-1" [| 3 |] (answer 1);
   (* k=2: Pr(r<=2): t3 .6; t2 .3+.4=.7; t1 .3; t4 .4; t5 0 *)
-  let t2 = Functions.global_topk db ~k:2 in
-  Alcotest.(check (array int)) "top-2" [| 2; 3 |] t2
-
-let test_u_topk () =
-  let db = fig1_iii () in
-  (* top-2 vectors: pw1 -> [3;2] 0.3, pw2 -> [3;1] 0.3, pw3 -> [2;4] 0.4 *)
-  Alcotest.(check (array int)) "mode top-2" [| 2; 4 |] (Functions.u_topk db ~k:2)
-
-let test_u_topk_best_first () =
-  let g = rng () in
-  for iter = 1 to 15 do
-    let db =
-      if iter mod 2 = 0 then Consensus_workload.Gen.independent_db g (3 + Prng.int g 6)
-      else Consensus_workload.Gen.bid_db g (2 + Prng.int g 4)
-    in
-    let k = 1 + Prng.int g 3 in
-    (* the mode probability must match the enumeration-based mode *)
-    let _, best_p = Functions.u_topk_best_first db ~k in
-    let enum_answer = Functions.u_topk db ~k in
-    let prob_of answer =
-      Consensus_anxor.Worlds.enumerate (Consensus_anxor.Db.tree db)
-      |> List.fold_left
-           (fun acc (p, w) ->
-             if Topk_list.of_world ~k w = answer then acc +. p else acc)
-           0.
-    in
-    Alcotest.(check (float 1e-9)) "same mode probability" (prob_of enum_answer) best_p
-  done;
-  (* reported probability is consistent with enumeration for the returned
-     answer as well *)
-  let db = Consensus_workload.Gen.bid_db g 4 in
-  let answer, p = Functions.u_topk_best_first db ~k:2 in
-  let direct =
-    Consensus_anxor.Worlds.enumerate (Consensus_anxor.Db.tree db)
-    |> List.fold_left
-         (fun acc (q, w) -> if Topk_list.of_world ~k:2 w = answer then acc +. q else acc)
-         0.
-  in
-  Alcotest.(check (float 1e-9)) "reported probability exact" direct p
-
-let test_u_topk_answer_probability () =
-  let g = rng () in
-  for iter = 1 to 12 do
-    let db =
-      if iter mod 2 = 0 then Consensus_workload.Gen.independent_db g (3 + Prng.int g 5)
-      else Consensus_workload.Gen.bid_db g (2 + Prng.int g 4)
-    in
-    let k = 1 + Prng.int g 3 in
-    (* check several candidate answers against enumeration *)
-    let worlds = Consensus_anxor.Worlds.enumerate (Consensus_anxor.Db.tree db) in
-    let candidates =
-      List.filteri (fun i _ -> i < 5) worlds
-      |> List.map (fun (_, w) -> Topk_list.of_world ~k w)
-      |> List.sort_uniq compare
-    in
-    List.iter
-      (fun answer ->
-        let direct =
-          List.fold_left
-            (fun acc (p, w) ->
-              if Topk_list.of_world ~k w = answer then acc +. p else acc)
-            0. worlds
-        in
-        Alcotest.(check (float 1e-9)) "answer probability DP" direct
-          (Functions.u_topk_answer_probability db ~k answer))
-      candidates
-  done
-
-let test_u_topk_best_first_guards () =
-  let g = rng () in
-  let db = Consensus_workload.Gen.random_tree_db g 6 in
-  if not (Consensus_anxor.Db.is_bid db || Consensus_anxor.Db.is_independent db) then begin
-    try
-      ignore (Functions.u_topk_best_first db ~k:2);
-      Alcotest.fail "correlated tree accepted"
-    with Invalid_argument _ -> ()
-  end
+  Alcotest.(check (array int)) "top-2" [| 2; 3 |] (answer 2)
 
 let test_u_kranks () =
-  let db = fig1_iii () in
-  (* position 1: t3 (0.6); position 2: t1 0.3 / t2 0.3 / t4 0.4 -> t4 *)
-  Alcotest.(check (array int)) "u-kranks" [| 3; 4 |] (Functions.u_kranks db ~k:2)
-
-let test_u_kranks_distinct () =
-  let g = rng () in
-  for _ = 1 to 10 do
-    let db = Consensus_workload.Gen.bid_db g 6 in
-    let l = Functions.u_kranks db ~k:4 in
-    let dedup = List.sort_uniq compare (Array.to_list l) in
-    Alcotest.(check int) "no duplicates" (Array.length l) (List.length dedup)
-  done
+  (* U-kRanks reports, for each position i <= k, the key most likely at
+     rank i: position 1: t3 (0.6); position 2: t1 0.3 / t2 0.3 / t4 0.4 ->
+     t4. *)
+  let table = Marginals.rank_table (fig1_iii ()) ~k:2 in
+  let most_likely i =
+    fst
+      (List.fold_left
+         (fun (best, p) (key, dist) -> if dist.(i) > p then (key, dist.(i)) else (best, p))
+         (-1, neg_infinity) table)
+  in
+  Alcotest.(check (array int)) "u-kranks" [| 3; 4 |] (Array.init 2 most_likely)
 
 let test_expected_scores () =
   let db = fig1_iii () in
   (* E score: t3: .3*6+.3*9=4.5; t2: .3*5+.4*8=4.7; t1: .3*1+.3*7=2.4;
      t4: .3*0+.4*4=1.6; t5: .4*3=1.2 *)
-  Alcotest.(check (array int)) "by expected score" [| 2; 3; 1 |]
-    (Functions.expected_scores db ~k:3)
+  let e = Marginals.expected_value db in
+  check_float "t2" 4.7 (e 2);
+  let by_score = List.sort (fun a b -> Float.compare (e b) (e a)) (Array.to_list (Db.keys db)) in
+  Alcotest.(check (list int)) "by expected score" [ 2; 3; 1; 4; 5 ] by_score
 
 let test_upsilon_h_equals_global_top1 () =
-  (* For k=1 the ΥH function reduces to Pr(r=1). *)
+  (* For k=1 the ΥH answer reduces to the key with largest Pr(r=1). *)
   let g = rng () in
   for _ = 1 to 10 do
-    let db = Consensus_workload.Gen.independent_db g 8 in
+    let ctx = Topk_consensus.make_ctx (Consensus_workload.Gen.independent_db g 8) ~k:1 in
     Alcotest.(check (array int)) "k=1 coincide"
-      (Functions.global_topk db ~k:1)
-      (Functions.upsilon_h db ~k:1)
+      (Topk_consensus.mean_sym_diff ctx)
+      (Topk_consensus.mean_intersection_upsilon ctx)
   done
 
 let test_prf_specializes_to_global_topk () =
-  (* With w(i) = 1 for i<=k and 0 otherwise, PRF ranks by Pr(r<=k). *)
+  (* A PRF scores a key by Σ_i w(i)·Pr(r = i); with w(i) = 1 for i <= k and
+     0 otherwise it ranks by Pr(r <= k), so its k best keys are Theorem 3's
+     mean answer. *)
   let g = rng () in
   for _ = 1 to 5 do
     let db = Consensus_workload.Gen.independent_db g 7 in
     let k = 3 in
     let w i = if i <= k then 1. else 0. in
+    let prf =
+      Array.map2
+        (fun key row ->
+          let s = ref 0. in
+          Array.iteri (fun m p -> s := !s +. (w (m + 1) *. p)) row;
+          (!s, key))
+        (Db.keys db) (Marginals.full_rank_table db)
+    in
+    Array.sort (fun a b -> compare b a) prf;
     Alcotest.(check (array int)) "prf = global topk"
-      (Functions.global_topk db ~k)
-      (Functions.prf db ~w ~k)
+      (sorted (Topk_consensus.mean_sym_diff (Topk_consensus.make_ctx db ~k)))
+      (sorted (Array.init k (fun i -> snd prf.(i))))
   done
 
 let test_pt_k_threshold () =
   let db = fig1_iii () in
-  let answer = Functions.pt_k db ~threshold:0.5 ~k:2 in
+  let answer =
+    Array.to_list (Db.keys db)
+    |> List.filter (fun key -> Marginals.rank_leq db key ~k:2 >= 0.5)
+    |> List.sort compare
+  in
   (* Pr(r<=2): t2 .7, t3 .6 are the only ones above 0.5 *)
-  Alcotest.(check (array int)) "thresholded" [| 2; 3 |] answer
+  Alcotest.(check (list int)) "thresholded" [ 2; 3 ] answer
 
 let suite =
   [
@@ -549,14 +503,8 @@ let suite =
     Alcotest.test_case "permutation metrics" `Quick test_permutation_metrics;
     Alcotest.test_case "diaconis-graham" `Quick test_diaconis_graham;
     Alcotest.test_case "footrule aggregation optimal" `Quick test_footrule_aggregation;
-    Alcotest.test_case "borda transitive" `Quick test_borda;
     Alcotest.test_case "global top-k" `Quick test_global_topk;
-    Alcotest.test_case "u-topk mode" `Quick test_u_topk;
-    Alcotest.test_case "u-topk best-first exact" `Quick test_u_topk_best_first;
-    Alcotest.test_case "u-topk answer probability" `Quick test_u_topk_answer_probability;
-    Alcotest.test_case "u-topk best-first guards" `Quick test_u_topk_best_first_guards;
     Alcotest.test_case "u-kranks" `Quick test_u_kranks;
-    Alcotest.test_case "u-kranks distinct" `Quick test_u_kranks_distinct;
     Alcotest.test_case "expected scores" `Quick test_expected_scores;
     Alcotest.test_case "upsilon-h k=1" `Quick test_upsilon_h_equals_global_top1;
     Alcotest.test_case "prf specializes" `Quick test_prf_specializes_to_global_topk;

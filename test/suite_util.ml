@@ -101,29 +101,6 @@ let test_stats_pp () =
   Alcotest.(check bool) "mentions mean" true (contains rendered "mean=2");
   Alcotest.(check bool) "mentions n" true (contains rendered "(n=3)")
 
-let test_heap_ordering () =
-  let g = Prng.create ~seed:31 () in
-  let h = Heap.create () in
-  Alcotest.(check bool) "empty" true (Heap.is_empty h);
-  let values = List.init 200 (fun _ -> Prng.uniform g) in
-  List.iter (fun v -> Heap.push h v v) values;
-  Alcotest.(check int) "size" 200 (Heap.size h);
-  (match Heap.peek_max h with
-  | Some (p, _) ->
-      Alcotest.(check (float 1e-12)) "peek is max"
-        (List.fold_left Float.max 0. values) p
-  | None -> Alcotest.fail "empty heap");
-  let rec drain acc =
-    match Heap.pop_max h with
-    | None -> List.rev acc
-    | Some (p, _) -> drain (p :: acc)
-  in
-  let drained = drain [] in
-  Alcotest.(check (list (float 1e-12))) "pops in decreasing order"
-    (List.sort (fun a b -> Float.compare b a) values)
-    drained;
-  Alcotest.(check bool) "drained" true (Heap.is_empty h)
-
 let test_fcmp () =
   Alcotest.(check bool) "approx eq" true (Fcmp.approx 1.0 (1.0 +. 1e-12));
   Alcotest.(check bool) "not approx" false (Fcmp.approx 1.0 1.1);
@@ -371,7 +348,6 @@ let suite =
     Alcotest.test_case "prng gaussian moments" `Slow test_prng_gaussian_moments;
     Alcotest.test_case "prng range/exponential" `Slow test_prng_range_exponential;
     Alcotest.test_case "stats pp" `Quick test_stats_pp;
-    Alcotest.test_case "heap ordering" `Quick test_heap_ordering;
     Alcotest.test_case "fcmp" `Quick test_fcmp;
     Alcotest.test_case "stats summary" `Quick test_stats_summary;
     Alcotest.test_case "stats percentile" `Quick test_stats_percentile;

@@ -15,7 +15,6 @@ let () =
       ("textio", Suite_textio.suite);
       ("rank", Suite_rank.suite);
       ("extensions", Suite_extensions.suite);
-      ("aggregate-tree", Suite_aggregate_tree.suite);
       ("properties", Suite_props.suite);
       ("engine", Suite_engine.suite);
       ("cache", Suite_cache.suite);
