@@ -137,6 +137,67 @@ let components () =
     [ 13; 16 ];
   Harness.Tables.print t
 
+(* The footrule assignment on one-alternative BID databases (every fifth
+   key certain on average, as the default generator draws them), on a
+   warm context: the rank table is built before the clock starts, so the
+   times cover the row heads, the threshold prices and the solve.  Steps
+   are Dijkstra steps, each one O(n) row fill and one pass over the
+   unscanned columns; augmentations are the rows the greedy start left
+   free. *)
+let footrule_scaling () =
+  let g = Prng.create ~seed:1302 () in
+  let dbs = if !Harness.quick then 2 else 3 in
+  let t =
+    Harness.Tables.create
+      ~title:
+        (Printf.sprintf
+           "footrule assignment per solve, one-alternative BID (mean of %d databases)" dbs)
+      [
+        ("n keys", Harness.Tables.Right);
+        ("Dijkstra steps", Harness.Tables.Right);
+        ("steps per key", Harness.Tables.Right);
+        ("augmentations", Harness.Tables.Right);
+        ("warm mean_footrule (ms)", Harness.Tables.Right);
+      ]
+  in
+  let points =
+    List.map
+      (fun n ->
+        let steps = ref 0 and augs = ref 0 and secs = ref 0. in
+        for _ = 1 to dbs do
+          let ctx = Rank_consensus.make_ctx (Gen.bid_db ~max_alts:1 g n) in
+          let s = Rank_consensus.footrule_assignment ctx in
+          steps := !steps + s.steps;
+          augs := !augs + s.augmentations;
+          let reps = max 1 (240_000 / (n * n)) in
+          secs :=
+            !secs
+            +. Harness.time_only (fun () ->
+                   for _ = 1 to reps do
+                     ignore (Rank_consensus.mean_footrule ctx)
+                   done)
+               /. float_of_int reps
+        done;
+        let per x = float_of_int x /. float_of_int dbs in
+        let secs = !secs /. float_of_int dbs in
+        Harness.Tables.add_row t
+          [
+            string_of_int n; Printf.sprintf "%.0f" (per !steps);
+            Printf.sprintf "%.2f" (per !steps /. float_of_int n);
+            Printf.sprintf "%.0f" (per !augs); Harness.ms secs;
+          ];
+        (n, per !steps, per !augs, secs))
+      (Harness.sizes ~quick_list:[ 50; 100 ] ~full_list:[ 150; 300; 600; 1200 ])
+  in
+  Harness.Tables.print t;
+  let slope f = Harness.slope (List.map (fun (n, s, a, secs) -> (n, f (s, a, secs))) points) in
+  Harness.note
+    "log-log slopes: Dijkstra steps %.2f, augmentations %.2f, warm mean_footrule %.2f"
+    (slope (fun (s, _, _) -> s))
+    (slope (fun (_, a, _) -> a))
+    (slope (fun (_, _, secs) -> secs));
+  print_newline ()
+
 let run () =
   Harness.header "E13: consensus complete rankings (extension of §5 / §7)";
   let trials, fr_ok, kem_ok, sp, wp, sf, wf = correctness () in
@@ -189,4 +250,5 @@ let run () =
         [ string_of_int n; Harness.ms t_table; Harness.ms t_fr; Harness.ms t_kp ])
     (Harness.sizes ~quick_list:[ 20; 40 ] ~full_list:[ 25; 50; 100; 200 ]);
   Harness.Tables.print t2;
+  footrule_scaling ();
   components ()

@@ -32,15 +32,25 @@ let () =
       ("Upsilon_H ranking", Topk_consensus.mean_intersection_upsilon ctx);
     ]
   in
-  Printf.printf "%-30s %9s %9s %9s %9s\n" "answer" "E[dΔ]" "E[dI]" "E[dF]" "E[dK]";
+  (* Tables pads by code points, so the rows holding "Δ" line up. *)
+  let table =
+    Tables.create
+      (("answer", Tables.Left)
+      :: List.map (fun h -> (h, Tables.Right)) [ "E[dΔ]"; "E[dI]"; "E[dF]"; "E[dK]" ])
+  in
   List.iter
     (fun (name, answer) ->
-      Printf.printf "%-30s %9.4f %9.4f %9.4f %9.4f\n" name
-        (Topk_consensus.expected_sym_diff ctx answer)
-        (Topk_consensus.expected_intersection ctx answer)
-        (Topk_consensus.expected_footrule ctx answer)
-        (Topk_consensus.expected_kendall ctx answer))
+      Tables.add_row table
+        (name
+        :: List.map (Printf.sprintf "%.4f")
+             [
+               Topk_consensus.expected_sym_diff ctx answer;
+               Topk_consensus.expected_intersection ctx answer;
+               Topk_consensus.expected_footrule ctx answer;
+               Topk_consensus.expected_kendall ctx answer;
+             ]))
     entries;
+  print_string (Tables.render table);
 
   Printf.printf "\ntop-%d under the intersection-metric consensus:\n" k;
   Array.iteri

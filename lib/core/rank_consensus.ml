@@ -69,7 +69,7 @@ let check_perm ctx sigma =
 
 (* Positional cost of placing key index [t] at position [pos] (1-based):
    E|pos - pos_pw(t)| with absent tuples at position n+1.  The definition,
-   O(n) per cell; [footrule_cost_row] builds a whole row in O(n). *)
+   O(n) per cell; [fill_footrule_row] builds a whole row in O(n). *)
 let position_cost_idx ctx full t pos =
   let n = n_keys ctx in
   let dist = full.(t) in
@@ -99,29 +99,168 @@ let expected_footrule ctx sigma =
    in O(n).  Moving from [pos] to [pos + 1] brings every world rank beyond
    [pos], and the absent position n+1, one closer, and takes every rank at
    or before [pos] one further away: the cost changes by
-   2·Pr(r ≤ pos) − Σ_m Pr(r = m) − Pr(absent), which is 2·Pr(r ≤ pos) − 1
-   when the row sums to the presence marginal.  Rank rows hold at least n
-   entries (every key has an alternative). *)
-let footrule_cost_row ctx full t =
-  let n = n_keys ctx in
-  let dist = full.(t) in
-  let mass = ref 0. in
-  for m = 0 to Array.length dist - 1 do
-    mass := !mass +. dist.(m)
-  done;
-  let step = !mass +. (1. -. ctx.present.(t)) in
-  let row = Array.make n (position_cost_idx ctx full t 1) in
-  let below = ref 0. in
+   2·Pr(r ≤ pos) − step, where step = Σ_m Pr(r = m) + Pr(absent) is 1 when
+   the row sums to the presence marginal.  Rank rows hold at least n
+   entries (every key has an alternative).  [first] and [step] hold each
+   key's cost at position 1 and its step ([footrule_heads]). *)
+let fill_footrule_row full ~first ~step t row =
+  let n = Array.length row and dist = full.(t) and step = step.(t) in
+  if Array.length dist < n - 1 then invalid_arg "Rank_consensus: short rank row";
+  let cost = ref first.(t) and below = ref 0. in
+  row.(0) <- !cost;
+  (* pos < n ≤ length dist + 1 and length row = n, so the reads and
+     writes are in bounds. *)
   for pos = 1 to n - 1 do
-    below := !below +. dist.(pos - 1);
-    row.(pos) <- row.(pos - 1) +. ((2. *. !below) -. step)
-  done;
-  row
+    below := !below +. Array.unsafe_get dist (pos - 1);
+    cost := !cost +. ((2. *. !below) -. step);
+    Array.unsafe_set row pos !cost
+  done
+
+let footrule_heads ctx full =
+  let n = n_keys ctx in
+  let first = Array.init n (fun t -> position_cost_idx ctx full t 1) in
+  let step =
+    Array.init n (fun t ->
+        let dist = full.(t) in
+        let mass = ref 0. in
+        for m = 0 to Array.length dist - 1 do
+          mass := !mass +. dist.(m)
+        done;
+        !mass +. (1. -. ctx.present.(t)))
+  in
+  (first, step)
 
 let footrule_costs ctx =
   let full = full_rank_table ctx in
-  Pool.parallel_init ~pool:ctx.pool ~stage:"footrule_cost" (n_keys ctx)
-    (footrule_cost_row ctx full)
+  let first, step = footrule_heads ctx full in
+  let n = n_keys ctx in
+  Array.init n (fun t ->
+      let row = Array.make n 0. in
+      fill_footrule_row full ~first ~step t row;
+      row)
+
+(* Rearranges [a] so that a.(k) is its (k+1)-th largest value, with nothing
+   smaller before it and nothing larger after it: a quickselect with a
+   three-way partition, O(n) expected even when many values are equal. *)
+let select_desc (a : float array) k =
+  let swap i j =
+    let x = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- x
+  in
+  let lo = ref 0 and hi = ref (Array.length a - 1) in
+  while !lo < !hi do
+    let pivot = a.((!lo + !hi) / 2) in
+    (* [lo, lt) > pivot, [lt, i) = pivot, (gt, hi] < pivot *)
+    let lt = ref !lo and i = ref !lo and gt = ref !hi in
+    while !i <= !gt do
+      let x = a.(!i) in
+      if x > pivot then begin
+        swap !lt !i;
+        incr lt;
+        incr i
+      end
+      else if x < pivot then begin
+        swap !i !gt;
+        decr gt
+      end
+      else incr i
+    done;
+    if k < !lt then hi := !lt - 1
+    else if k > !gt then lo := !gt + 1
+    else lo := !hi
+  done
+
+(* [d]'s p-th and (p+1)-th largest values, 1 ≤ p < length d, given a
+   [guess] of where they lie and the number [a] of values above it.  Both
+   values are among the a − p + 1 smallest above the guess or the p + 1 − a
+   largest at or below it, and one pass keeps those in two small sorted
+   buffers.  A guess off by more than [near] values falls back to a
+   quickselect. *)
+let near = 8
+
+let boundary_pair (d : float array) p ~guess ~above:a =
+  let n = Array.length d in
+  (* lo_buf: the ja smallest values above the guess, ascending; hi_buf: the
+     jb largest at or below it, descending. *)
+  let ja = max 0 (a - p + 1) and jb = max 0 (p + 1 - a) in
+  if ja > near || jb > near then begin
+    select_desc d (p - 1);
+    let next = ref neg_infinity in
+    for t = p to n - 1 do
+      if d.(t) > !next then next := d.(t)
+    done;
+    (d.(p - 1), !next)
+  end
+  else begin
+    let lo_buf = Array.make near 0. and hi_buf = Array.make near 0. in
+    let na = ref 0 and nb = ref 0 in
+    for t = 0 to n - 1 do
+      let x = d.(t) in
+      if x > guess then begin
+        if ja > 0 && (!na < ja || x < lo_buf.(ja - 1)) then begin
+          let i = ref (min !na (ja - 1)) in
+          while !i > 0 && lo_buf.(!i - 1) > x do
+            lo_buf.(!i) <- lo_buf.(!i - 1);
+            decr i
+          done;
+          lo_buf.(!i) <- x;
+          if !na < ja then incr na
+        end
+      end
+      else if jb > 0 && (!nb < jb || x > hi_buf.(jb - 1)) then begin
+        let i = ref (min !nb (jb - 1)) in
+        while !i > 0 && hi_buf.(!i - 1) < x do
+          hi_buf.(!i) <- hi_buf.(!i - 1);
+          decr i
+        done;
+        hi_buf.(!i) <- x;
+        if !nb < jb then incr nb
+      end
+    done;
+    let xp = if a >= p then lo_buf.(ja - 1) else hi_buf.(p - a - 1) in
+    let xq = if a >= p + 1 then lo_buf.(ja - 2) else hi_buf.(jb - 1) in
+    (xp, xq)
+  end
+
+(* Initial column prices for the footrule assignment, in O(n²).  Row t
+   rises by d_t(p) = 2·Pr(r_t ≤ p) − step_t from position p to p + 1, and
+   d_t(p) never decreases in p.  The price of that move, λ_p, is midway
+   between the p-th and (p+1)-th largest d_t(p), so exactly the p keys that
+   lose most by moving past p prefer a position up to p.  The price of
+   position p is v_p = Σ_{t<p} λ_t.  Each row's least reduced cost then
+   bounds the optimum from below by about the per-position top-p bound, and
+   most rows' cheapest reduced positions are distinct.  λ_{p−1} is the
+   guess for λ_p. *)
+let footrule_prices full ~step =
+  let n = Array.length step in
+  let v = Array.make n 0. in
+  let below = Array.make n 0. and d = Array.make n 0. in
+  let lambda = ref 0. in
+  for p = 1 to n - 1 do
+    let guess = !lambda and above = ref 0 in
+    for t = 0 to n - 1 do
+      below.(t) <- below.(t) +. full.(t).(p - 1);
+      let x = (2. *. below.(t)) -. step.(t) in
+      d.(t) <- x;
+      if x > guess then incr above
+    done;
+    let xp, xq = boundary_pair d p ~guess ~above:!above in
+    lambda := (xp +. xq) /. 2.;
+    v.(p) <- v.(p - 1) +. !lambda
+  done;
+  v
+
+(* The solver reads one row at a time from a single n-float buffer, so the
+   n × n matrix is never built. *)
+let footrule_assignment ctx =
+  let n = n_keys ctx in
+  let full = full_rank_table ctx in
+  let first, step = footrule_heads ctx full in
+  let buf = Array.make n 0. in
+  Hungarian.solve ~prices:(footrule_prices full ~step) ~rows:n ~cols:n (fun t ->
+      fill_footrule_row full ~first ~step t buf;
+      buf)
 
 let disagreement_matrix ctx =
   match ctx.dis with
@@ -162,10 +301,10 @@ let expected_kendall ctx sigma =
 let mean_footrule ctx =
   let n = n_keys ctx in
   algo_span "mean_footrule" ~n @@ fun () ->
-  let assignment, total = Hungarian.minimize (footrule_costs ctx) in
+  let s = footrule_assignment ctx in
   let sigma = Array.make n 0 in
-  Array.iteri (fun t pos -> sigma.(pos) <- ctx.keys.(t)) assignment;
-  (sigma, total)
+  Array.iteri (fun t pos -> sigma.(pos) <- ctx.keys.(t)) s.Hungarian.assignment;
+  (sigma, s.Hungarian.total)
 
 (* The Kemeny-style preference matrix consumed by [Aggregation]: its cost
    function charges pref.(later).(earlier), so pref.(a).(b) must be the

@@ -46,16 +46,24 @@ val footrule_costs : ctx -> float array array
 (** The footrule assignment matrix: row [r] is key [(keys ctx).(r)], entry
     [pos - 1] its {!position_cost} at [pos].  Each row is built in O(n) by
     the recurrence cost(pos + 1) = cost(pos) + 2·Pr(r ≤ pos) − 1, so the
-    matrix costs O(n²); rows are built in parallel on the context's pool. *)
+    matrix costs O(n²).  {!mean_footrule} never builds it: it fills the same
+    rows, bit for bit, one at a time. *)
 
 val expected_kendall : ctx -> int array -> float
 (** Expected number of forced pairwise disagreements between [σ] and the
     world ranking. *)
 
+val footrule_assignment : ctx -> Consensus_matching.Hungarian.solution
+(** The footrule assignment behind {!mean_footrule}: row [r] is key
+    [(keys ctx).(r)], column [pos - 1] its position.  The solver starts from
+    per-position threshold prices and reads one O(n) row at a time, so the
+    matrix is never built; the solution carries its Dijkstra step and
+    augmentation counts. *)
+
 val mean_footrule : ctx -> int array * float
-(** Exact mean ranking under the footrule: the Hungarian algorithm, O(n³),
-    on {!footrule_costs}, O(n²); returns (permutation, expected
-    distance). *)
+(** Exact mean ranking under the footrule, by {!footrule_assignment}:
+    O(n²) for the row heads and prices, then O(n) per Dijkstra step;
+    returns (permutation, expected distance). *)
 
 val mean_kendall_pivot :
   Consensus_util.Prng.t -> ?trials:int -> ctx -> int array * float

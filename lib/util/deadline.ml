@@ -16,7 +16,7 @@ let deadline t = t.deadline
 
 let expired t =
   Atomic.get t.cancelled
-  || (t.deadline < infinity && Unix.gettimeofday () > t.deadline)
+  || (t.deadline < infinity && Unix.gettimeofday () >= t.deadline)
 
 let check t = if expired t then raise Expired
 

@@ -50,7 +50,8 @@ val deadline : t -> float
 (** The absolute deadline ([infinity] when none). *)
 
 val expired : t -> bool
-(** True once cancelled or past the deadline. *)
+(** True once cancelled or once the clock reaches the deadline, so
+    [after 0.] is expired at once. *)
 
 val check : t -> unit
 (** Raise {!Expired} iff {!expired}. *)

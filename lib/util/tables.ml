@@ -20,11 +20,19 @@ let add_rowf t fmt =
     (fun s -> add_row t (String.split_on_char '|' s |> List.map String.trim))
     fmt
 
-let pad align width s =
-  let n = String.length s in
-  if n >= width then s
+(* Columns are as wide as their cells' code points, not their UTF-8 bytes,
+   so a cell holding "Δ" lines up with ASCII ones: every byte except a
+   continuation byte (0b10xxxxxx) starts a code point. *)
+let width s =
+  let n = ref 0 in
+  String.iter (fun c -> if Char.code c land 0xC0 <> 0x80 then incr n) s;
+  !n
+
+let pad align w s =
+  let n = width s in
+  if n >= w then s
   else
-    let fill = String.make (width - n) ' ' in
+    let fill = String.make (w - n) ' ' in
     match align with Left -> s ^ fill | Right -> fill ^ s
 
 let render t =
@@ -34,7 +42,7 @@ let render t =
   let widths = Array.make ncols 0 in
   List.iter
     (fun row ->
-      List.iteri (fun i c -> widths.(i) <- max widths.(i) (String.length c)) row)
+      List.iteri (fun i c -> widths.(i) <- max widths.(i) (width c)) row)
     all;
   let render_row row =
     List.mapi (fun i c -> pad (List.nth t.aligns i) widths.(i) c) row

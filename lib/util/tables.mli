@@ -16,7 +16,9 @@ val add_rowf : t -> ('a, Format.formatter, unit, unit) format4 -> 'a
     split on ['|']. *)
 
 val render : t -> string
-(** Render with padded columns, a header rule, and the optional title. *)
+(** Render with padded columns, a header rule, and the optional title.
+    Widths count UTF-8 code points, so cells holding non-ASCII symbols
+    such as "Δ" stay aligned. *)
 
 val print : t -> unit
 (** [render] to stdout followed by a blank line. *)

@@ -281,9 +281,9 @@ let prop_kendall_jobs_invariant =
           let tau = Topk_consensus.mean_kendall_pivot (Prng.create ~seed ()) ctx in
           (tau, Topk_consensus.expected_kendall ctx tau)))
 
-(* A fresh ctx builds its full rank table inside [mean_footrule], before the
-   cost rows fan out over the pool: the BID sweep and the general tree's
-   per-key map must both give the same answer on every jobs setting. *)
+(* A fresh ctx builds its full rank table on the pool inside
+   [mean_footrule]: the BID sweep and the general tree's per-key map must
+   both give the same answer on every jobs setting. *)
 let prop_rank_footrule_jobs_invariant =
   QCheck.Test.make ~name:"rank mean_footrule is jobs-invariant" ~count:10 arb_seed
     (fun seed ->

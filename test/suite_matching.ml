@@ -71,6 +71,10 @@ let test_hungarian_errors () =
      ignore (Hungarian.minimize [| [| 1. |]; [| 2. |] |]);
      Alcotest.fail "rows > cols accepted"
    with Invalid_argument _ -> ());
+  (try
+     ignore (Hungarian.minimize [| [| 1.; 2. |]; [| 1. |] |]);
+     Alcotest.fail "ragged matrix accepted"
+   with Invalid_argument _ -> ());
   try
     ignore (Hungarian.minimize [| [| nan |] |]);
     Alcotest.fail "nan accepted"
@@ -113,6 +117,116 @@ let test_hungarian_tie_heavy () =
     Array.iteri (fun r c -> sum := !sum +. cost.(r).(c)) assignment;
     Alcotest.(check (float 0.)) "assignment cost" total !sum
   done
+
+(* ---------- the solver against the reference ---------- *)
+
+module Gen = Consensus_workload.Gen
+module Rank_consensus = Consensus.Rank_consensus
+
+let arb_seed = QCheck.make ~print:string_of_int QCheck.Gen.(int_range 0 1_000_000)
+
+let rel_close a b =
+  Float.abs (a -. b) <= 1e-12 *. Float.max 1. (Float.max (Float.abs a) (Float.abs b))
+
+(* [s] assigns every row a distinct column, its total is the row-order sum
+   of those cells, and the total is the reference solver's optimum within
+   1e-12 relative ([exact]: bit for bit). *)
+let agrees_with_reference ?(exact = false) cost (s : Hungarian.solution) =
+  let m = Array.length cost.(0) in
+  let seen = Array.make m false in
+  let injective =
+    Array.for_all
+      (fun c ->
+        let fresh = c >= 0 && c < m && not seen.(c) in
+        if fresh then seen.(c) <- true;
+        fresh)
+      s.assignment
+  in
+  let sum = ref 0. in
+  Array.iteri (fun r c -> sum := !sum +. cost.(r).(c)) s.assignment;
+  let _, best = Hungarian_ref.minimize cost in
+  injective && !sum = s.total
+  && if exact then s.total = best else rel_close s.total best
+
+let random_prices g m = Array.init m (fun _ -> Prng.float g 6. -. 3.)
+
+let solve ?prices cost =
+  Hungarian.solve ?prices ~rows:(Array.length cost) ~cols:(Array.length cost.(0))
+    (Array.get cost)
+
+(* Random square and k × n matrices; the square ones also from random
+   prices, which are feasible starting duals for any square problem. *)
+let prop_random_vs_reference =
+  QCheck.Test.make ~name:"hungarian random vs reference" ~count:300 arb_seed
+    (fun seed ->
+      let g = Prng.create ~seed () in
+      let n = 1 + Prng.int g 12 in
+      let m = if Prng.bool g then n else n + Prng.int g 20 in
+      let scale = Prng.choose g [| 1.; 1e-6; 1e6 |] in
+      let cost =
+        Array.init n (fun _ -> Array.init m (fun _ -> scale *. (Prng.float g 10. -. 5.)))
+      in
+      agrees_with_reference cost (solve cost)
+      && (m <> n || agrees_with_reference cost (solve ~prices:(random_prices g m) cost)))
+
+(* Costs in {0, 1, 2}: most comparisons meet exact ties, and every sum is
+   exact, so the optimum must match the reference's bit for bit. *)
+let prop_tie_heavy_vs_reference =
+  QCheck.Test.make ~name:"hungarian tie-heavy vs reference" ~count:300
+    arb_seed (fun seed ->
+      let g = Prng.create ~seed () in
+      let n = 1 + Prng.int g 14 in
+      let m = if Prng.bool g then n else n + Prng.int g 6 in
+      let cost =
+        Array.init n (fun _ -> Array.init m (fun _ -> float_of_int (Prng.int g 3)))
+      in
+      let integral = Array.init m (fun _ -> float_of_int (Prng.int g 5 - 2)) in
+      agrees_with_reference ~exact:true cost (solve cost)
+      && (m <> n || agrees_with_reference ~exact:true cost (solve ~prices:integral cost)))
+
+(* The complete-ranking footrule matrices of every database shape, from
+   zero prices, from the footrule's own threshold prices
+   ([Rank_consensus.footrule_assignment]) and from random prices. *)
+let prop_footrule_vs_reference =
+  QCheck.Test.make ~name:"hungarian footrule vs reference" ~count:300
+    arb_seed (fun seed ->
+      let g = Prng.create ~seed () in
+      let n = 1 + Prng.int g 30 in
+      let db =
+        match Prng.int g 6 with
+        | 0 -> Gen.independent_db g n
+        | 1 -> Gen.bid_db g n
+        | 2 -> Gen.xtuple_db g (1 + (n / 3))
+        | 3 -> Gen.random_tree_db g n
+        | 4 -> Gen.random_keyed_tree g n
+        | _ -> Gen.small_db g ~max_leaves:12
+      in
+      let ctx = Rank_consensus.make_ctx db in
+      let cost = Rank_consensus.footrule_costs ctx in
+      let m = Array.length cost in
+      agrees_with_reference cost (solve cost)
+      && agrees_with_reference cost (Rank_consensus.footrule_assignment ctx)
+      && agrees_with_reference cost (solve ~prices:(random_prices g m) cost))
+
+(* The search polls the ambient deadline token. *)
+let test_hungarian_deadline () =
+  let cost = Array.init 20 (fun i -> Array.init 20 (fun j -> float_of_int ((i * j) mod 7))) in
+  let token = Deadline.make () in
+  Deadline.cancel token;
+  match Deadline.with_current token (fun () -> Hungarian.minimize cost) with
+  | _ -> Alcotest.fail "a cancelled token did not stop the solve"
+  | exception Deadline.Expired -> ()
+
+let test_hungarian_prices_validation () =
+  let cost = [| [| 1.; 2.; 3. |] |] in
+  (try
+     ignore (solve ~prices:[| 0.; 0.; 0. |] cost);
+     Alcotest.fail "prices on a rectangular problem accepted"
+   with Invalid_argument _ -> ());
+  try
+    ignore (solve ~prices:[| nan |] [| [| 1. |] |]);
+    Alcotest.fail "nan price accepted"
+  with Invalid_argument _ -> ()
 
 (* ---------- Min-cost flow ---------- *)
 
@@ -323,4 +437,10 @@ let suite =
     Alcotest.test_case "hopcroft-karp augmenting" `Quick test_hk_augmenting;
     Alcotest.test_case "hopcroft-karp vs brute force" `Quick test_hk_vs_brute;
     Alcotest.test_case "hungarian tie-heavy vs brute" `Quick test_hungarian_tie_heavy;
+    Alcotest.test_case "hungarian polls the deadline" `Quick test_hungarian_deadline;
+    Alcotest.test_case "hungarian price validation" `Quick
+      test_hungarian_prices_validation;
   ]
+  @ List.map
+      (QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 20261020 |]))
+      [ prop_random_vs_reference; prop_tie_heavy_vs_reference; prop_footrule_vs_reference ]

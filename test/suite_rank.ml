@@ -135,11 +135,12 @@ let test_footrule_rows_match_definition () =
     check "tree edges" (edge_tree_db g)
   done
 
-(* The footrule mean builds its cost matrix row by row in O(n) into unboxed
-   rows: on one domain, with the rank table built beforehand, the whole
-   solve at 300 keys allocates about 2 minor words per cell, Hungarian's
-   scratch included.  The per-cell definition walk it replaced allocated
-   ~856 per cell here and fails this bound. *)
+(* The footrule mean fills one unboxed n-float row buffer at a time and
+   never builds the matrix: on one domain, with the rank table built
+   beforehand, the whole solve at 300 keys allocates well under one minor
+   word per cell, the solver's scratch included.  The per-cell definition
+   walk of an earlier version allocated ~856 per cell here and fails this
+   bound. *)
 let test_mean_footrule_allocation_bound () =
   let n = 300 in
   Consensus_engine.Pool.with_pool ~jobs:1 @@ fun pool ->
@@ -150,6 +151,75 @@ let test_mean_footrule_allocation_bound () =
   let per_cell = (Gc.minor_words () -. before) /. float_of_int (n * n) in
   if per_cell > 10. then
     Alcotest.failf "mean_footrule allocates %.1f minor words per cell" per_cell
+
+(* The footrule mean against every permutation, on databases of at most 7
+   keys of each shape: the optimum within 1e-12 relative. *)
+let test_mean_footrule_vs_brute () =
+  let g = rng () in
+  let rec perms = function
+    | [] -> [ [] ]
+    | xs ->
+        List.concat_map
+          (fun x -> List.map (fun p -> x :: p) (perms (List.filter (( <> ) x) xs)))
+          xs
+  in
+  let check name db =
+    let ctx = Rank_consensus.make_ctx db in
+    let cost = Rank_consensus.footrule_costs ctx in
+    let n = Array.length cost in
+    let best =
+      List.fold_left
+        (fun best p ->
+          let sum = ref 0. in
+          List.iteri (fun r pos -> sum := !sum +. cost.(r).(pos)) p;
+          Float.min best !sum)
+        infinity
+        (perms (List.init n Fun.id))
+    in
+    let _, total = Rank_consensus.mean_footrule ctx in
+    if Float.abs (total -. best) > 1e-12 *. Float.max 1. best then
+      Alcotest.failf "%s (%d keys): mean_footrule %.17g, brute force %.17g" name n total best
+  in
+  for _ = 1 to 20 do
+    let n = 1 + Prng.int g 7 in
+    check "independent" (Gen.independent_db g n);
+    check "bid" (Gen.bid_db ~forced_fraction:0.4 g n);
+    check "x-tuple" (Gen.xtuple_db g (1 + Prng.int g 3));
+    check "tree" (Gen.random_tree_db g n);
+    check "keyed tree" (Gen.random_keyed_tree g n);
+    check "small" (Gen.small_db g ~max_leaves:7)
+  done
+
+(* The footrule mean against the Kuhn–Munkres reference ([Hungarian_ref])
+   on the full cost matrix, 200 databases of each shape.  Independent, BID
+   and x-tuple answers have no exact cost ties: the permutation and the
+   reported total must be the reference's bit for bit.  Trees do tie, and
+   there the totals must agree within 1e-12 relative. *)
+let test_mean_footrule_vs_reference () =
+  let g = Prng.create ~seed:3434 () in
+  let check ~identical name db =
+    let ctx = Rank_consensus.make_ctx db in
+    let assignment, best = Hungarian_ref.minimize (Rank_consensus.footrule_costs ctx) in
+    let s = Rank_consensus.footrule_assignment ctx in
+    let sigma, total = Rank_consensus.mean_footrule ctx in
+    if identical then begin
+      if s.assignment <> assignment then Alcotest.failf "%s: another permutation" name;
+      if Int64.bits_of_float total <> Int64.bits_of_float best then
+        Alcotest.failf "%s: total %h, reference %h" name total best
+    end
+    else if Float.abs (total -. best) > 1e-12 *. Float.max 1. best then
+      Alcotest.failf "%s: total %.17g, reference %.17g" name total best;
+    check_float "reported total is the permutation's" total
+      (Rank_consensus.expected_footrule ctx sigma)
+  in
+  for _ = 1 to 200 do
+    check ~identical:true "independent" (Gen.independent_db g (1 + Prng.int g 40));
+    check ~identical:true "bid" (Gen.bid_db g (1 + Prng.int g 40));
+    check ~identical:true "x-tuple" (Gen.xtuple_db g (1 + Prng.int g 15));
+    check ~identical:false "tree" (Gen.random_tree_db g (1 + Prng.int g 40));
+    check ~identical:false "keyed tree" (Gen.random_keyed_tree g (1 + Prng.int g 40));
+    check ~identical:false "small" (Gen.small_db g ~max_leaves:12)
+  done
 
 (* Kendall reads only presence marginals and pairwise disagreements: a
    Kendall query must not build (or store) the full rank table, and a
@@ -252,4 +322,7 @@ let suite =
     Alcotest.test_case "permutation validation" `Quick test_perm_validation;
     Alcotest.test_case "full rank table only for footrule" `Quick
       test_full_rank_table_only_for_footrule;
+    Alcotest.test_case "mean footrule vs brute force" `Quick test_mean_footrule_vs_brute;
+    Alcotest.test_case "mean footrule vs reference" `Quick
+      test_mean_footrule_vs_reference;
   ]

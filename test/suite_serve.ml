@@ -247,6 +247,30 @@ let test_run_result () =
   | Ok _ -> Alcotest.fail "expected Deadline_exceeded"
   | Error e -> Alcotest.failf "wrong error: %s" (Api.Error.to_string e)
 
+(* The footrule ranking honours its deadline whatever the database's size:
+   an already-expired budget and a cancelled ambient token both come back
+   as [Deadline_exceeded], on a one-alternative BID database whose solve
+   polls the token before each augmentation. *)
+let footrule_deadline_db () = Gen.bid_db ~max_alts:1 (Prng.create ~seed:41 ()) 200
+
+let expect_deadline_exceeded = function
+  | Error Api.Error.Deadline_exceeded -> ()
+  | Ok _ -> Alcotest.fail "expected Deadline_exceeded"
+  | Error e -> Alcotest.failf "wrong error: %s" (Api.Error.to_string e)
+
+let test_footrule_zero_deadline () =
+  let options = Api.Options.make ~deadline:0. () in
+  expect_deadline_exceeded
+    (Api.run_result ~options (footrule_deadline_db ()) (Api.Rank Api.Rank_footrule))
+
+let test_footrule_cancelled_token () =
+  let db = footrule_deadline_db () in
+  let token = Deadline.make () in
+  Deadline.cancel token;
+  expect_deadline_exceeded
+    (Deadline.with_current token (fun () ->
+         Api.run_result db (Api.Rank Api.Rank_footrule)))
+
 (* ---------- daemon end-to-end ---------- *)
 
 let find_sub haystack needle =
@@ -1021,15 +1045,17 @@ let test_daemon_backpressure () =
 
 (* GC-pause attribution reaches the slow ring.  With the runtime-events
    consumer started (as `consensus serve` runs) and every request
-   slow-captured, uncached footrule rankings of a 400-key database run past
+   slow-captured, uncached footrule rankings of an 800-key database run past
    the scheduler's 20 ms full-drain threshold, so each slow entry sees the
-   pauses inside its own run window.  Such a ranking is an O(n²) cost matrix
-   and an O(n³) Hungarian solve: 73–136 ms at 400 keys on a 2-vCPU host in
-   the default build profile, over 3× the threshold.  Faster requests see only pauses an earlier drain recorded, so
-   the test first asserts that a run did reach 20 ms: a future speed-up
-   fails that precondition instead of flaking. *)
+   pauses inside its own run window.  Such a ranking builds an n × n rank
+   table and runs one assignment solve whose 10,937 Dijkstra steps each
+   fill and scan an 800-float row: 84–119 ms at 800 keys on a 2-vCPU host
+   in the default build profile, over 4× the threshold (400 keys took
+   18–21 ms, too close to it).  Faster requests see only pauses an earlier
+   drain recorded, so the test first asserts that a run did reach 20 ms: a
+   future speed-up fails that precondition instead of flaking. *)
 let test_daemon_gc_pause_attribution () =
-  let db = Gen.bid_db (Prng.create ~seed:31 ()) 400 in
+  let db = Gen.bid_db (Prng.create ~seed:31 ()) 800 in
   Runtime.start ();
   Fun.protect ~finally:Runtime.stop @@ fun () ->
   with_small_daemon ~slow_threshold:0. ~db @@ fun _daemon port ->
@@ -1110,4 +1136,8 @@ let suite =
         test_daemon_obs_reset_race;
       Alcotest.test_case "served answers match a pooled run" `Quick
         test_daemon_answers_match_pool;
+      Alcotest.test_case "footrule honours a zero deadline" `Quick
+        test_footrule_zero_deadline;
+      Alcotest.test_case "footrule honours a cancelled token" `Quick
+        test_footrule_cancelled_token;
     ]

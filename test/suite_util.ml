@@ -140,6 +140,17 @@ let test_tables_render () =
   Alcotest.(check bool) "contains row" true
     (String.split_on_char '\n' s |> List.exists (fun l -> l = "yy  22"))
 
+(* Column widths count code points: a two-byte "Δ" pads like one ASCII
+   character, so its row lines up with the others. *)
+let test_tables_utf8_widths () =
+  let t = Tables.create [ ("answer", Tables.Left); ("E", Tables.Right) ] in
+  Tables.add_row t [ "mean dΔ"; "1.5" ];
+  Tables.add_row t [ "mean dI"; "10.25" ];
+  Alcotest.(check (list string))
+    "aligned rows"
+    [ "answer       E"; "-------  -----"; "mean dΔ    1.5"; "mean dI  10.25"; "" ]
+    (String.split_on_char '\n' (Tables.render t))
+
 (* ---------- Ring ---------- *)
 
 let ring_list ?limit ?stop r =
@@ -361,4 +372,5 @@ let suite =
     Alcotest.test_case "json escapes decode to UTF-8" `Quick test_json_escapes;
     Alcotest.test_case "json numbers and errors" `Quick test_json_parser;
     QCheck_alcotest.to_alcotest prop_json_round_trip;
+    Alcotest.test_case "tables pad by code points" `Quick test_tables_utf8_widths;
   ]
